@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! experiments [EXPERIMENT] [--payments N] [--seed S] [--rounds R] [--shards S]
-//!             [--workers W] [--exec-workers E] [--chunk C] [--serial]
-//!             [--no-baseline] [--archive] [--budget-secs B] [--ops N]
+//!             [--workers W] [--chunk C] [--no-baseline] [--archive]
+//!             [--budget-secs B] [--ops N]
 //!             [--trace PATH] [--metrics PATH] [--validators N]
 //!             [--round-ms MS] [--plan FILE] [--clients C] [--mix M]
 //!             [--lookups N] [--serve ADDR] [--serve-secs SECS]
@@ -27,13 +27,9 @@
 //! re-executes such a document and fails unless the recorded divergence
 //! reproduces byte-for-byte (see EXPERIMENTS.md "Correctness harness").
 //!
-//! History generation runs through the pipelined parallel generator by
-//! default (`--workers` scripting threads, `--chunk` payments per chunk,
-//! `--exec-workers` execution threads for the optimistic parallel
-//! executor — `1` keeps the classic serial executor, `0` uses one per
-//! core; `--serial` selects the original single-threaded generator
-//! instead).
-//! Every pipelined generation also times the serial generator as a
+//! History generation runs through the pipelined generator (`--workers`
+//! scripting threads, `--chunk` payments per chunk).
+//! Every generation also times the serial generator as a
 //! baseline (skippable with `--no-baseline`) and writes `BENCH_synth.json`
 //! (see EXPERIMENTS.md for the schema). Under `all`, the history-backed
 //! studies execute concurrently over the shared payment arena, with their
@@ -150,9 +146,7 @@ struct Args {
     rounds: u64,
     shards: usize,
     workers: usize,
-    exec_workers: usize,
     chunk: usize,
-    serial: bool,
     no_baseline: bool,
     archive: bool,
     budget_secs: u64,
@@ -171,6 +165,8 @@ struct Args {
     serve_secs: u64,
 }
 
+const USAGE: &str = "usage: experiments [EXPERIMENT] [flags] or experiments check replay FILE";
+
 fn parse_args() -> Args {
     let mut args = Args {
         experiment: "all".to_string(),
@@ -179,9 +175,7 @@ fn parse_args() -> Args {
         rounds: 5_000,
         shards: 0,
         workers: 0,
-        exec_workers: 1,
         chunk: 0,
-        serial: false,
         no_baseline: false,
         archive: false,
         budget_secs: 10,
@@ -233,19 +227,12 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--workers needs a number");
             }
-            "--exec-workers" => {
-                args.exec_workers = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exec-workers needs a number");
-            }
             "--chunk" => {
                 args.chunk = iter
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--chunk needs a number");
             }
-            "--serial" => args.serial = true,
             "--no-baseline" => args.no_baseline = true,
             "--archive" => args.archive = true,
             "--budget-secs" => {
@@ -311,7 +298,10 @@ fn parse_args() -> Args {
                     .expect("--serve-secs needs a number");
             }
             other if !other.starts_with('-') => positionals.push(other.to_string()),
-            other => panic!("unknown flag {other}"),
+            other => {
+                eprintln!("unknown flag {other}; {USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     match positionals.as_slice() {
@@ -322,10 +312,7 @@ fn parse_args() -> Args {
             args.replay = Some(path.clone());
         }
         other => {
-            eprintln!(
-                "unexpected arguments {other:?}; usage: experiments [EXPERIMENT] [flags] \
-                 or experiments check replay FILE"
-            );
+            eprintln!("unexpected arguments {other:?}; {USAGE}");
             std::process::exit(2);
         }
     }
@@ -430,90 +417,75 @@ fn run_experiments(args: &Args) {
         seed: args.seed,
         ..SynthConfig::default()
     };
-    let study = if args.serial {
-        eprintln!(
-            "generating history (serial): {} payments, seed {} ...",
-            args.payments, args.seed
-        );
-        Study::generate(config)
-    } else {
-        eprintln!(
-            "generating history (pipelined): {} payments, seed {} ...",
-            args.payments, args.seed
-        );
-        let pipeline = PipelineConfig {
-            workers: args.workers,
-            chunk_size: args.chunk,
-            archive: args.archive,
-            exec_workers: args.exec_workers,
-            ..PipelineConfig::default()
-        };
-        let mut run = match Generator::new(config.clone()).run_pipelined(&pipeline) {
-            Ok(run) => run,
-            Err(err) => {
-                eprintln!("pipelined generation failed: {err}");
-                std::process::exit(1);
-            }
-        };
-        let mut bench = run.bench.clone();
-        let archive_bytes = run.archive.take();
-        let study = Study::from_pipeline(run);
-        if let Some(bytes) = &archive_bytes {
-            match std::fs::write("BENCH_synth.archive", bytes) {
-                Ok(()) => {
-                    // Report the real on-disk size, not the in-memory length.
-                    let on_disk = std::fs::metadata("BENCH_synth.archive")
-                        .map(|m| m.len() as usize)
-                        .unwrap_or(bytes.len());
-                    bench.archive_bytes = on_disk;
-                    eprintln!("wrote BENCH_synth.archive ({on_disk} bytes)");
-                }
-                Err(err) => eprintln!("could not write BENCH_synth.archive: {err}"),
-            }
-        }
-        eprintln!(
-            "pipeline: {} payments in {:.3}s ({:.0}/s) | script {:.3}s, exec {:.3}s \
-             (spec {:.3}s), sink {:.3}s | {} workers x {} chunks | {} exec workers, \
-             {} conflicts, {} retried",
-            bench.payments,
-            bench.total_secs,
-            bench.payments_per_sec(),
-            bench.script_secs,
-            bench.exec_secs,
-            bench.spec_secs,
-            bench.sink_secs,
-            bench.workers,
-            bench.chunks,
-            bench.exec_workers,
-            bench.conflicts,
-            bench.retried_payments
-        );
-        let serial_secs = if args.no_baseline {
-            None
-        } else {
-            // The pipelined sink always runs the archive encoder (that is
-            // how `encoded_bytes` is measured), so the baseline must do the
-            // same work for the speedup to compare like with like.
-            eprintln!("timing serial baseline (generate + archive encode) ...");
-            let t = Instant::now();
-            let out = Generator::new(config).run();
-            let records = out
-                .write_archive(std::io::sink())
-                .expect("serial baseline archive encode");
-            let secs = t.elapsed().as_secs_f64();
-            eprintln!(
-                "serial baseline: {} events encoded as {records} records in {secs:.3}s",
-                out.events.len()
-            );
-            Some(secs)
-        };
-        let json = synth_json(args, &bench, serial_secs);
-        match std::fs::write("BENCH_synth.json", json) {
-            Ok(()) => eprintln!("wrote BENCH_synth.json"),
-            Err(err) => eprintln!("could not write BENCH_synth.json: {err}"),
-        }
-        study
+    eprintln!(
+        "generating history (pipelined): {} payments, seed {} ...",
+        args.payments, args.seed
+    );
+    let pipeline = PipelineConfig {
+        workers: args.workers,
+        chunk_size: args.chunk,
+        archive: args.archive,
+        ..PipelineConfig::default()
     };
+    let mut run = match Generator::new(config.clone()).run_pipelined(&pipeline) {
+        Ok(run) => run,
+        Err(err) => {
+            eprintln!("pipelined generation failed: {err}");
+            std::process::exit(1);
+        }
+    };
+    let mut bench = run.bench.clone();
+    let archive_bytes = run.archive.take();
+    let study = Study::from_pipeline(run);
+    if let Some(bytes) = &archive_bytes {
+        match std::fs::write("BENCH_synth.archive", bytes) {
+            Ok(()) => {
+                // Report the real on-disk size, not the in-memory length.
+                let on_disk = std::fs::metadata("BENCH_synth.archive")
+                    .map(|m| m.len() as usize)
+                    .unwrap_or(bytes.len());
+                bench.archive_bytes = on_disk;
+                eprintln!("wrote BENCH_synth.archive ({on_disk} bytes)");
+            }
+            Err(err) => eprintln!("could not write BENCH_synth.archive: {err}"),
+        }
+    }
+    eprintln!(
+        "pipeline: {} payments in {:.3}s ({:.0}/s) | script {:.3}s, exec {:.3}s, \
+         sink {:.3}s | {} workers x {} chunks",
+        bench.payments,
+        bench.total_secs,
+        bench.payments_per_sec(),
+        bench.script_secs,
+        bench.exec_secs,
+        bench.sink_secs,
+        bench.workers,
+        bench.chunks
+    );
+    let serial_secs = if args.no_baseline {
+        None
+    } else {
+        // The pipelined sink always runs the archive encoder (that is
+        // how `encoded_bytes` is measured), so the baseline must do the
+        // same work for the speedup to compare like with like.
+        eprintln!("timing serial baseline (generate + archive encode) ...");
+        let t = Instant::now();
+        let out = Generator::new(config).run();
+        let records = out
+            .write_archive(std::io::sink())
+            .expect("serial baseline archive encode");
+        let secs = t.elapsed().as_secs_f64();
+        eprintln!(
+            "serial baseline: {} events encoded as {records} records in {secs:.3}s",
+            out.events.len()
+        );
+        Some(secs)
+    };
+    let json = synth_json(args, &bench, serial_secs);
+    match std::fs::write("BENCH_synth.json", json) {
+        Ok(()) => eprintln!("wrote BENCH_synth.json"),
+        Err(err) => eprintln!("could not write BENCH_synth.json: {err}"),
+    }
     eprintln!("history ready: {} events", study.output().events.len());
 
     // `fig3` runs first and alone: it asserts engine/serial equivalence and
@@ -576,16 +548,12 @@ fn synth_json(args: &Args, bench: &SynthBench, serial_secs: Option<f64>) -> Stri
     w.field_u64("payments", bench.payments as u64);
     w.field_u64("seed", args.seed);
     w.field_u64("workers", bench.workers as u64);
-    w.field_u64("exec_workers", bench.exec_workers as u64);
     w.field_u64("chunks", bench.chunks as u64);
     w.field_u64("chunk_size", bench.chunk_size as u64);
     w.key("pipeline");
     w.begin_object();
     w.field_f64("script_secs", bench.script_secs, 6);
     w.field_f64("exec_secs", bench.exec_secs, 6);
-    w.field_f64("spec_secs", bench.spec_secs, 6);
-    w.field_u64("conflicts", bench.conflicts);
-    w.field_u64("retried_payments", bench.retried_payments);
     w.field_f64("sink_secs", bench.sink_secs, 6);
     w.field_f64("total_secs", bench.total_secs, 6);
     w.field_f64("payments_per_sec", bench.payments_per_sec(), 1);
@@ -608,15 +576,6 @@ fn synth_json(args: &Args, bench: &SynthBench, serial_secs: Option<f64>) -> Stri
             w.field_null("speedup_vs_serial");
         }
     }
-    w.field_str(
-        "note",
-        "speedup_vs_serial compares the pipelined generator against the serial \
-         generate+encode baseline on this host; with --exec-workers 1 (the \
-         default) or on a single-core runner the pipeline pays its coordination \
-         cost without parallel execution, so values below 1.0 are expected \
-         there. Multi-core speedups require --exec-workers > 1 on a multi-core \
-         host.",
-    );
     w.end_object();
     w.finish()
 }
@@ -636,29 +595,20 @@ fn liquidity_experiment(args: &Args) {
         users: args.payments.max(4_000),
         ..SynthConfig::default()
     };
-    let output = if args.serial {
-        eprintln!(
-            "generating history (serial): {} payments, {} users, seed {} ...",
-            args.payments, config.users, args.seed
-        );
-        Generator::new(config).run()
-    } else {
-        eprintln!(
-            "generating history (pipelined): {} payments, {} users, seed {} ...",
-            args.payments, config.users, args.seed
-        );
-        let pipeline = PipelineConfig {
-            workers: args.workers,
-            chunk_size: args.chunk,
-            exec_workers: args.exec_workers,
-            ..PipelineConfig::default()
-        };
-        match Generator::new(config).run_pipelined(&pipeline) {
-            Ok(run) => run.output,
-            Err(err) => {
-                eprintln!("pipelined generation failed: {err}");
-                std::process::exit(1);
-            }
+    eprintln!(
+        "generating history (pipelined): {} payments, {} users, seed {} ...",
+        args.payments, config.users, args.seed
+    );
+    let pipeline = PipelineConfig {
+        workers: args.workers,
+        chunk_size: args.chunk,
+        ..PipelineConfig::default()
+    };
+    let output = match Generator::new(config).run_pipelined(&pipeline) {
+        Ok(run) => run.output,
+        Err(err) => {
+            eprintln!("pipelined generation failed: {err}");
+            std::process::exit(1);
         }
     };
 

@@ -1,1 +1,1 @@
-//! Experiment harness (see the `experiments` binary and benches).
+//! Experiment harness (see the `experiments` binary).

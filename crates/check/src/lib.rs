@@ -14,8 +14,6 @@
 //!   against the chaos campaign's no-fork invariant;
 //! - [`storefuzz`] — corruption corpora through the archive reader's
 //!   resync path;
-//! - [`parexec`] — the sharded parallel executor differentially tested
-//!   against the serial path for byte-identical histories;
 //! - [`diff::run_router_plan`] — the cached capacity-aware router
 //!   (`ripple_paths::Router`) against a cold cache-off search, the
 //!   max-flow oracle, and a full `PaymentEngine::pay` replay, across
@@ -36,7 +34,6 @@ pub mod explore;
 pub mod gen;
 pub mod model;
 pub mod oracle;
-pub mod parexec;
 pub mod run;
 pub mod shrink;
 pub mod storefuzz;

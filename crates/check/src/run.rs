@@ -1,4 +1,4 @@
-//! The budgeted check runner: round-robins the seven differential targets,
+//! The budgeted check runner: round-robins the differential [`TARGETS`],
 //! shrinks any divergence with [`ddmin`], and packages the result as a
 //! replayable [`CheckCase`].
 
@@ -13,7 +13,6 @@ use crate::gen::{
     gen_book_plan, gen_engine_plan, gen_ledger_plan, gen_router_plan, BookPlan, EnginePlan,
     LedgerCasePlan, RouterPlan,
 };
-use crate::parexec::{gen_parexec_plan, run_parexec_plan, shrink_parexec_plan};
 use crate::shrink::ddmin;
 use crate::storefuzz::{gen_store_plan, run_store_plan, StorePlan};
 
@@ -22,15 +21,7 @@ static DIVERGENCES: LazyCounter = LazyCounter::new("check.divergences");
 static SHRINK_STEPS: LazyCounter = LazyCounter::new("check.shrink.steps");
 
 /// The differential targets the runner cycles through.
-pub const TARGETS: [&str; 7] = [
-    "ledger",
-    "engine",
-    "book",
-    "store",
-    "consensus",
-    "parexec",
-    "router",
-];
+pub const TARGETS: [&str; 6] = ["ledger", "engine", "book", "store", "consensus", "router"];
 
 /// Configuration for one [`run_check`] campaign.
 #[derive(Debug, Clone)]
@@ -66,7 +57,7 @@ pub struct CheckReport {
     /// Total cases executed, across all targets.
     pub cases_run: u64,
     /// Cases executed per target, indexed like [`TARGETS`].
-    pub per_target: [u64; 7],
+    pub per_target: [u64; TARGETS.len()],
     /// Every divergence found, shrunk and replayable.
     pub divergences: Vec<CheckCase>,
     /// Total shrink-candidate evaluations spent minimizing divergences.
@@ -90,9 +81,9 @@ fn mix(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one budgeted differential campaign over all seven targets.
+/// Runs one budgeted differential campaign over all [`TARGETS`].
 ///
-/// Case `i` exercises target `i % 7` with seed `mix(config.seed, i)`, so a
+/// Case `i` exercises target `i % TARGETS.len()` with seed `mix(config.seed, i)`, so a
 /// campaign with the same seed and budget ordering is deterministic in
 /// which cases it generates (the budget only decides how many run). Every
 /// divergence is shrunk to a minimal plan before being reported.
@@ -105,7 +96,7 @@ pub fn run_check(config: &CheckConfig) -> CheckReport {
     SHRINK_STEPS.add(0);
     let mut report = CheckReport {
         cases_run: 0,
-        per_target: [0; 7],
+        per_target: [0; TARGETS.len()],
         divergences: Vec::new(),
         shrink_steps: 0,
         elapsed: Duration::ZERO,
@@ -115,7 +106,7 @@ pub fn run_check(config: &CheckConfig) -> CheckReport {
             break;
         }
         let case_seed = mix(config.seed, i);
-        let target = (i % 7) as usize;
+        let target = (i % TARGETS.len() as u64) as usize;
         report.cases_run += 1;
         report.per_target[target] += 1;
         CASES_RUN.add(1);
@@ -125,7 +116,6 @@ pub fn run_check(config: &CheckConfig) -> CheckReport {
             2 => check_book(case_seed, &mut report),
             3 => check_store(case_seed, &mut report),
             4 => check_consensus(case_seed, &mut report),
-            5 => check_parexec(case_seed, &mut report),
             _ => check_router(case_seed, &mut report),
         };
         if let Some(case) = found {
@@ -273,19 +263,6 @@ fn check_consensus(seed: u64, report: &mut CheckReport) -> Option<CheckCase> {
     })
 }
 
-fn check_parexec(seed: u64, report: &mut CheckReport) -> Option<CheckCase> {
-    let plan = gen_parexec_plan(seed);
-    run_parexec_plan(&plan)?;
-    let (shrunk, steps) = shrink_parexec_plan(&plan);
-    note_steps(report, steps);
-    let divergence = run_parexec_plan(&shrunk).expect("shrunk case still fails");
-    Some(CheckCase {
-        seed,
-        divergence,
-        payload: CasePayload::Parexec(shrunk),
-    })
-}
-
 fn check_router(seed: u64, report: &mut CheckReport) -> Option<CheckCase> {
     let plan = gen_router_plan(seed);
     run_router_plan(&plan)?;
@@ -343,12 +320,12 @@ mod tests {
             seed: 7,
             ops: 20,
             budget: Duration::ZERO,
-            min_cases: 21,
-            max_cases: 21,
+            min_cases: 18,
+            max_cases: 18,
         };
         let a = run_check(&config);
-        assert_eq!(a.cases_run, 21);
-        assert_eq!(a.per_target, [3, 3, 3, 3, 3, 3, 3]);
+        assert_eq!(a.cases_run, 18);
+        assert_eq!(a.per_target, [3; 6]);
         assert!(
             a.clean(),
             "differential smoke campaign diverged: {}",

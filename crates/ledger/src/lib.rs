@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod amount;
 pub mod currency;
 pub mod fees;
@@ -53,7 +52,6 @@ pub mod state;
 pub mod time;
 pub mod tx;
 
-pub use access::{shard_of, tx_access, AccessKey, AccessSet, SHARD_COUNT};
 pub use amount::{Amount, Drops, IouAmount, Value, ValueParseError};
 pub use currency::Currency;
 pub use fees::FeeSchedule;

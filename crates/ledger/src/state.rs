@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::access::{shard_of, SHARD_COUNT};
 use crate::amount::{Amount, Drops, Value};
 use crate::currency::Currency;
 use crate::fees::FeeSchedule;
@@ -186,12 +185,23 @@ fn pair_key(
     }
 }
 
+/// Number of internal state shards. Power of two so the shard index is a
+/// single mask of the account's first byte.
+const SHARD_COUNT: usize = 16;
+
+/// Maps an account to the shard that owns its root, declared trust lines,
+/// offers, and (as the lexicographically-low party) pair balances.
+#[inline]
+fn shard_of(id: &AccountId) -> usize {
+    (id.as_bytes()[0] as usize) & (SHARD_COUNT - 1)
+}
+
 /// One partition of the ledger's keyed state. Every map is owned by the
 /// shard of its *first* key component: account roots by the account, trust
 /// lines by the truster, pair balances by the lexicographically-low party,
-/// offers by their owner. This keeps each mutation confined to the shards
-/// of the accounts it names, which is what makes optimistic parallel
-/// execution's conflict analysis tractable (see [`crate::access`]).
+/// offers by their owner. The partitioning fixes the order in which
+/// [`LedgerState::accounts`] and [`LedgerState::trust_lines`] iterate,
+/// which output digests observe, so the layout stays as it is.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     accounts: FxHashMap<AccountId, AccountRoot>,
@@ -203,8 +213,8 @@ struct Shard {
     offers: BTreeMap<(AccountId, u32), Offer>,
 }
 
-/// The full mutable ledger state, partitioned into [`SHARD_COUNT`] shards
-/// by account owner ([`shard_of`]).
+/// The full mutable ledger state, partitioned into 16 shards by account
+/// owner.
 ///
 /// See the crate-level example for typical usage.
 #[derive(Debug, Clone)]
@@ -913,19 +923,6 @@ impl LedgerState {
         Ok(TxResult::Applied)
     }
 
-    /// Like [`LedgerState::apply`] but records the transaction's static
-    /// access footprint ([`crate::access::tx_access`]) into `trace` before
-    /// applying — the plumbing the parallel executor uses to build
-    /// per-payment read/write sets.
-    pub fn apply_traced(
-        &mut self,
-        tx: &Transaction,
-        trace: &mut crate::access::AccessSet,
-    ) -> Result<TxResult, LedgerError> {
-        crate::access::tx_access_into(tx, trace);
-        self.apply(tx)
-    }
-
     fn charge_fee(&mut self, account: AccountId, fee: Drops) {
         let root = self.account_mut(&account).expect("caller validated");
         root.balance = root.balance.checked_sub(fee).expect("caller validated fee");
@@ -1399,36 +1396,6 @@ mod tests {
         assert_eq!(order, sorted);
         assert_eq!(order.len(), 5);
         assert_eq!(s.offer_count(), 5);
-    }
-
-    #[test]
-    fn apply_traced_records_footprint_and_matches_apply() {
-        use crate::access::{tx_access, AccessSet};
-        use crate::tx::{Transaction, TxKind};
-        use ripple_crypto::SimKeypair;
-        let keys = SimKeypair::from_seed(b"traced");
-        let who = AccountId::from_public_key(&keys.public_key());
-        let mut s = LedgerState::new();
-        s.create_account(who, Drops::from_xrp(100));
-        s.create_account(acct(9), Drops::from_xrp(100));
-        let tx = Transaction::build(
-            who,
-            1,
-            Drops::new(10),
-            TxKind::Payment {
-                destination: acct(9),
-                amount: Amount::Xrp(Drops::from_xrp(1)),
-                send_max: None,
-                paths: Vec::new(),
-            },
-        )
-        .signed(&keys);
-        let mut trace = AccessSet::new();
-        s.apply_traced(&tx, &mut trace).unwrap();
-        let expected = tx_access(&tx);
-        assert_eq!(trace.len(), expected.len());
-        assert!(trace.intersects(&expected));
-        assert_eq!(s.account(&acct(9)).unwrap().balance, Drops::from_xrp(101));
     }
 
     #[test]

@@ -201,15 +201,18 @@ fn respond(stream: &mut TcpStream, response: &Response) -> io::Result<bool> {
     // back for the next probe.
     stream.set_nonblocking(false)?;
     let keep = !response.close;
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    // Head and body leave in one write: split across two, the second
+    // small segment waits out Nagle + the peer's delayed ACK (~40 ms) on
+    // every keep-alive reply.
+    let reply = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
         response.status,
         status_text(response.status),
         response.body.len(),
         if keep { "keep-alive" } else { "close" },
+        response.body,
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
+    stream.write_all(reply.as_bytes())?;
     stream.flush()?;
     if keep {
         stream.set_nonblocking(true)?;
@@ -548,14 +551,24 @@ mod tests {
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = std::io::BufReader::new(stream);
-        for i in 0..3 {
-            write!(writer, "GET /ping?n={i} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            writer.flush().unwrap();
+        let started = std::time::Instant::now();
+        for i in 0..50 {
+            // One write per request (`write!` on a raw socket splits at
+            // every format argument), so only the reply can stall.
+            let request = format!("GET /ping?n={i} HTTP/1.1\r\nHost: t\r\n\r\n");
+            writer.write_all(request.as_bytes()).unwrap();
             let (status, body, connection) = read_response(&mut reader);
             assert_eq!(status, 200);
             assert_eq!(connection, "keep-alive");
             assert!(body.contains(&format!("\"query\": \"n={i}\"")), "{body}");
         }
+        // A reply split across two writes stalls ~44 ms per request on
+        // Nagle + delayed ACK (2.2 s for 50); one write takes microseconds.
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "50 keep-alive requests took {elapsed:?}"
+        );
         server.shutdown();
     }
 

@@ -40,7 +40,6 @@ pub mod cast;
 pub mod config;
 pub mod dist;
 pub mod generate;
-mod parexec;
 pub mod pipeline;
 pub mod probes;
 pub mod script;

@@ -13,13 +13,7 @@
 //!    fuses the serial generator's `ensure_hop` + `ripple_hop` pair into
 //!    a single capacity probe plus a direct balance adjustment, and
 //!    membership checks run against the precomputed gateway set instead
-//!    of scanning the cast. With
-//!    [`PipelineConfig::exec_workers`]` > 1` the stage switches to the
-//!    optimistic parallel executor in [`crate::parexec`]: batches of
-//!    chunks speculate in parallel against the frozen committed state and
-//!    a serial commit walk (in deterministic chunk-then-index order)
-//!    validates or re-runs each payment, so the merged event stream stays
-//!    byte-identical for any worker count.
+//!    of scanning the cast.
 //! 3. **Sink** — archive encoding ([`ripple_store::Writer`]) and
 //!    incremental analytics tallies run on their own threads, overlapping
 //!    the executor.
@@ -51,7 +45,6 @@ use crate::cast::Cast;
 use crate::generate::{
     amount_for, build_menus, place_resident_offers, top_up_xrp, Generator, MaxOne, SynthOutput,
 };
-use crate::parexec::ParExecutor;
 use crate::script::{
     account_from_seed, build_chunk, chunk_count, derive_seed, CastIndex, ScriptChunk, ScriptedBody,
     ScriptedPayment,
@@ -67,11 +60,6 @@ pub struct PipelineConfig {
     /// Whether to encode the archive on the sink stage (the encoded bytes
     /// are returned in [`PipelineRun::archive`]).
     pub archive: bool,
-    /// Execution worker threads: `1` (the default) keeps the classic serial
-    /// executor, larger values run the optimistic parallel executor with
-    /// that many speculation threads, and `0` means "one per available
-    /// core". The produced history is byte-identical either way.
-    pub exec_workers: usize,
     /// Test hook: makes the scripting worker that picks up this chunk index
     /// panic, to exercise the pipeline's failure propagation.
     #[doc(hidden)]
@@ -84,7 +72,6 @@ impl Default for PipelineConfig {
             workers: 0,
             chunk_size: 0,
             archive: true,
-            exec_workers: 1,
             inject_chunk_panic: None,
         }
     }
@@ -106,16 +93,6 @@ impl PipelineConfig {
             self.chunk_size
         } else {
             8192
-        }
-    }
-
-    fn resolved_exec_workers(&self) -> usize {
-        if self.exec_workers > 0 {
-            self.exec_workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
         }
     }
 }
@@ -167,17 +144,11 @@ pub struct SynthBench {
     pub chunk_size: usize,
     /// Scripting workers used.
     pub workers: usize,
-    /// Execution workers used (1 = serial executor).
-    pub exec_workers: usize,
-    /// Wall-clock seconds spent in parallel speculation barriers (0 for
-    /// the serial executor).
-    pub spec_secs: f64,
-    /// Payments whose access set collided with another chunk's commits and
-    /// had their recorded checks re-evaluated (0 for the serial executor).
+    /// Always `0`: the serial executor has no conflicts. Read by
+    /// `benchmark/src/workloads/history_build.rs` as
+    /// `synth.conflict_share`; goes when a `benchmark` issue drops that
+    /// name.
     pub conflicts: u64,
-    /// Conflicting payments whose checks failed and were re-run serially
-    /// (0 for the serial executor).
-    pub retried_payments: u64,
     /// Bytes the archive encoding produced. The encoder always runs, so
     /// this is non-zero whether or not the bytes were retained.
     pub encoded_bytes: usize,
@@ -327,7 +298,6 @@ impl Generator {
         let chunk_size = pcfg.resolved_chunk_size();
         let n_chunks = chunk_count(config.payments, chunk_size);
         let workers = pcfg.resolved_workers().max(1).min(n_chunks);
-        let exec_workers = pcfg.resolved_exec_workers().max(1);
 
         // Serial setup, consuming the master RNG exactly as `run` does so
         // the cast, resident offers and menus are shared with the serial
@@ -353,10 +323,7 @@ impl Generator {
         struct ScopeOut {
             script_secs: f64,
             exec_secs: f64,
-            spec_secs: f64,
             sink_secs: f64,
-            conflicts: u64,
-            retried: u64,
             encoded_bytes: usize,
             archive: Option<Vec<u8>>,
             tallies: HistoryTallies,
@@ -462,9 +429,6 @@ impl Generator {
 
             // --- Stage 2: the executor (this thread) --------------------
             let mut exec_secs = 0.0f64;
-            let mut spec_secs = 0.0f64;
-            let mut conflicts = 0u64;
-            let mut retried = 0u64;
             let mut pending: BTreeMap<usize, ScriptChunk> = BTreeMap::new();
             let mut batch: EventBatch = Vec::with_capacity(BATCH_EVENTS);
             // The setup events head the stream, exactly as in `run`.
@@ -476,79 +440,30 @@ impl Generator {
                     SINK_QUEUE.add(1);
                 }
             };
-            let (snapshot, final_state) = if exec_workers <= 1 {
-                // Serial executor: one chunk at a time against the live
-                // state.
-                let mut exec = Executor::new(config, &cast, &index, state, treasury);
-                let mut next = 0usize;
-                while next < n_chunks {
-                    let chunk = match recv_in_order(&chunk_rx, &mut pending, next) {
-                        Ok(c) => c,
-                        Err(()) => {
-                            drop(chunk_rx);
-                            return Err(script_failure(script_handles));
-                        }
-                    };
-                    let t = Instant::now();
-                    {
-                        let _span = span("synth", "exec_chunk");
-                        exec.run_chunk(&chunk, &mut batch);
+            // One chunk at a time against the live state.
+            let mut exec = Executor::new(config, &cast, &index, state, treasury);
+            for next in 0..n_chunks {
+                let chunk = match recv_in_order(&chunk_rx, &mut pending, next) {
+                    Ok(c) => c,
+                    Err(()) => {
+                        drop(chunk_rx);
+                        return Err(script_failure(script_handles));
                     }
-                    let dt = t.elapsed();
-                    exec_secs += dt.as_secs_f64();
-                    EXEC_CHUNKS.add(1);
-                    EXEC_PAYMENTS.add(chunk.entries.len() as u64);
-                    EXEC_CHUNK_NS.record(dt);
-                    next += 1;
-                    flush(&mut batch, false);
+                };
+                let t = Instant::now();
+                {
+                    let _span = span("synth", "exec_chunk");
+                    exec.run_chunk(&chunk, &mut batch);
                 }
-                (exec.snapshot.take(), exec.into_state())
-            } else {
-                // Parallel executor: gather a batch of chunks, speculate
-                // them concurrently against the frozen committed state,
-                // then commit serially in deterministic order.
-                let mut par = ParExecutor::new(config, &cast, &index, state, treasury);
-                let batch_target = (exec_workers * 2).max(2);
-                let mut next = 0usize;
-                while next < n_chunks {
-                    let mut gathered: Vec<ScriptChunk> = Vec::with_capacity(batch_target);
-                    while gathered.len() < batch_target && next + gathered.len() < n_chunks {
-                        match recv_in_order(&chunk_rx, &mut pending, next + gathered.len()) {
-                            Ok(c) => gathered.push(c),
-                            Err(()) => {
-                                drop(chunk_rx);
-                                return Err(script_failure(script_handles));
-                            }
-                        }
-                    }
-                    par.begin_batch();
-                    let t = Instant::now();
-                    let specs = par.speculate(&gathered, exec_workers);
-                    spec_secs += t.elapsed().as_secs_f64();
-                    let mut batch_conflicts = 0u64;
-                    let mut batch_payments = 0u64;
-                    for (chunk, spec) in gathered.iter().zip(specs) {
-                        let t = Instant::now();
-                        let chunk_conflicts = {
-                            let _span = span("synth", "exec_chunk");
-                            par.commit_chunk(chunk, spec, &mut batch)
-                        };
-                        let dt = t.elapsed();
-                        exec_secs += dt.as_secs_f64();
-                        EXEC_CHUNKS.add(1);
-                        EXEC_PAYMENTS.add(chunk.entries.len() as u64);
-                        EXEC_CHUNK_NS.record(dt);
-                        batch_conflicts += chunk_conflicts;
-                        batch_payments += chunk.entries.len() as u64;
-                        flush(&mut batch, false);
-                    }
-                    par.observe_batch(batch_conflicts, batch_payments);
-                    next += gathered.len();
-                }
-                conflicts = par.stats.conflicts;
-                retried = par.stats.retried;
-                (par.snapshot.take(), par.into_state())
-            };
+                let dt = t.elapsed();
+                exec_secs += dt.as_secs_f64();
+                EXEC_CHUNKS.add(1);
+                EXEC_PAYMENTS.add(chunk.entries.len() as u64);
+                EXEC_CHUNK_NS.record(dt);
+                flush(&mut batch, false);
+            }
+            let snapshot = exec.snapshot.take();
+            let final_state = exec.into_state();
             flush(&mut batch, true);
             drop(sink_tx);
             drop(chunk_rx);
@@ -564,10 +479,7 @@ impl Generator {
             Ok(ScopeOut {
                 script_secs,
                 exec_secs,
-                spec_secs,
                 sink_secs: enc_busy + tally_busy,
-                conflicts,
-                retried,
                 encoded_bytes,
                 archive: bytes,
                 tallies,
@@ -596,10 +508,7 @@ impl Generator {
             chunks: n_chunks,
             chunk_size,
             workers,
-            exec_workers,
-            spec_secs: out.spec_secs,
-            conflicts: out.conflicts,
-            retried_payments: out.retried,
+            conflicts: 0,
             encoded_bytes: out.encoded_bytes,
             archive_bytes: out.archive.as_ref().map_or(0, Vec::len),
         };
@@ -1053,10 +962,6 @@ mod tests {
     use ripple_crypto::sha512_half;
 
     fn run(workers: usize, payments: usize, seed: u64) -> PipelineRun {
-        run_exec(workers, 1, payments, seed)
-    }
-
-    fn run_exec(workers: usize, exec_workers: usize, payments: usize, seed: u64) -> PipelineRun {
         let config = SynthConfig {
             seed,
             ..SynthConfig::small(payments)
@@ -1066,7 +971,6 @@ mod tests {
                 workers,
                 chunk_size: 512,
                 archive: true,
-                exec_workers,
                 ..PipelineConfig::default()
             })
             .expect("pipeline")
@@ -1092,19 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_worker_count_does_not_change_the_history() {
-        let serial = run_exec(2, 1, 1_200, 12);
-        let parallel = run_exec(2, 4, 1_200, 12);
-        assert_eq!(serial.output.events, parallel.output.events);
-        assert_eq!(
-            sha512_half(serial.archive.as_ref().unwrap()),
-            sha512_half(parallel.archive.as_ref().unwrap()),
-        );
-        assert_eq!(serial.bench.conflicts, 0);
-        assert_eq!(parallel.bench.exec_workers, 4);
-    }
-
-    #[test]
     fn scripting_panic_surfaces_as_an_error() {
         let config = SynthConfig {
             seed: 16,
@@ -1116,7 +1007,6 @@ mod tests {
                 chunk_size: 512,
                 archive: false,
                 inject_chunk_panic: Some(1),
-                ..PipelineConfig::default()
             })
             .unwrap_err();
         assert_eq!(err.stage, "script");
