@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use ripple_crypto::AccountId;
-use ripple_ledger::{LedgerState, PaymentRecord, Value};
+use ripple_ledger::{Currency, LedgerState, PaymentRecord, Value};
 use ripple_orderbook::RateTable;
 
 /// One row of the Figure 7 panels.
@@ -76,14 +76,39 @@ pub fn hub_report<'a>(
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.truncate(top);
 
-    // Trust aggregation over the final ledger state.
+    // Trust aggregation over the final ledger state. The same pass notes
+    // the currencies each listed account has a trust line in: only those
+    // count towards its balance, as in `balance_in_reference`.
     let mut trust_received: HashMap<AccountId, Value> = HashMap::new();
     let mut trust_given: HashMap<AccountId, Value> = HashMap::new();
+    let mut positions: HashMap<AccountId, Vec<(Currency, Value)>> = ranked
+        .iter()
+        .map(|&(account, _)| (account, Vec::new()))
+        .collect();
     for line in state.trust_lines() {
         let recv = trust_received.entry(line.trustee).or_insert(Value::ZERO);
         *recv = *recv + line.limit;
         let given = trust_given.entry(line.truster).or_insert(Value::ZERO);
         *given = *given + line.limit;
+        for party in [line.truster, line.trustee] {
+            if let Some(held) = positions.get_mut(&party) {
+                if !held.iter().any(|&(currency, _)| currency == line.currency) {
+                    held.push((line.currency, Value::ZERO));
+                }
+            }
+        }
+    }
+    // One pass over the pair balances nets every listed account's position
+    // per currency (positive = the system owes the account).
+    for (low, high, currency, balance) in state.pair_balances() {
+        for (party, signed) in [(low, balance), (high, -balance)] {
+            let position = positions
+                .get_mut(&party)
+                .and_then(|held| held.iter_mut().find(|(c, _)| *c == currency));
+            if let Some((_, position)) = position {
+                *position = *position + signed;
+            }
+        }
     }
 
     let rows: Vec<HubRow> = ranked
@@ -101,7 +126,10 @@ pub fn hub_report<'a>(
                 hop_count,
                 trust_received: trust_received.get(&account).copied().unwrap_or(Value::ZERO),
                 trust_given: trust_given.get(&account).copied().unwrap_or(Value::ZERO),
-                balance_eur: balance_in_reference(state, account, rates),
+                balance_eur: positions[&account]
+                    .iter()
+                    .map(|&(currency, position)| rates.to_reference(currency, position))
+                    .sum(),
             }
         })
         .collect();
@@ -130,9 +158,12 @@ pub fn hub_report<'a>(
 
 /// Net position of `account` across all currencies, converted into the
 /// rate table's reference currency (EUR in the paper's Fig. 7c).
+///
+/// One account at a time this rescans the ledger once per currency;
+/// [`hub_report`] nets all its rows in one pass and is tested against this.
 pub fn balance_in_reference(state: &LedgerState, account: AccountId, rates: &RateTable) -> Value {
     let mut total = Value::ZERO;
-    let mut currencies: Vec<ripple_ledger::Currency> = Vec::new();
+    let mut currencies: Vec<Currency> = Vec::new();
     for line in state.trust_lines() {
         if (line.truster == account || line.trustee == account)
             && !currencies.contains(&line.currency)
@@ -173,7 +204,7 @@ pub fn hub_table(report: &HubReport) -> String {
 mod tests {
     use super::*;
     use ripple_crypto::sha512_half;
-    use ripple_ledger::{Currency, Drops, PathSummary, RippleTime};
+    use ripple_ledger::{Drops, PathSummary, RippleTime};
 
     fn acct(n: u8) -> AccountId {
         AccountId::from_bytes([n; 20])
@@ -265,6 +296,65 @@ mod tests {
         assert!(user.is_positive(), "user holds claims: {user}");
         // 50 USD at 0.9 = 45 EUR.
         assert_eq!(user, "45".parse().unwrap());
+    }
+
+    fn assert_balances_match_the_oracle(report: &HubReport, state: &LedgerState) {
+        let rates = RateTable::eur_2015();
+        for row in &report.rows {
+            assert_eq!(
+                row.balance_eur,
+                balance_in_reference(state, row.account, &rates),
+                "{}",
+                row.label
+            );
+        }
+    }
+
+    #[test]
+    fn balances_match_the_per_account_oracle_on_a_generated_history() {
+        use ripple_synth::{Generator, SynthConfig};
+        let output = Generator::new(SynthConfig {
+            seed: 31_337,
+            ..SynthConfig::small(6_000)
+        })
+        .run();
+        let report = hub_report(
+            output.payments(),
+            &output.final_state,
+            &HashMap::new(),
+            &RateTable::eur_2015(),
+            50,
+        );
+        assert_eq!(report.rows.len(), 50);
+        assert!(report.rows.iter().any(|r| r.balance_eur.is_negative()));
+        assert!(report.rows.iter().any(|r| r.balance_eur.is_positive()));
+        assert_balances_match_the_oracle(&report, &output.final_state);
+    }
+
+    #[test]
+    fn balance_without_a_trust_line_in_its_currency_stays_excluded() {
+        let mut state = simple_state();
+        // 1 withdraws its USD trust in 3 while still holding 3's fifty USD,
+        // and opens an unrelated EUR line: 1 is listed, but not for USD.
+        state
+            .set_trust(acct(1), acct(3), Currency::USD, Value::ZERO)
+            .unwrap();
+        state
+            .set_trust(acct(1), acct(4), Currency::EUR, "10".parse().unwrap())
+            .unwrap();
+        let records = [rec(vec![acct(1), acct(3)])];
+        let report = hub_report(
+            records.iter(),
+            &state,
+            &HashMap::new(),
+            &RateTable::eur_2015(),
+            10,
+        );
+        let user = report.rows.iter().find(|r| r.account == acct(1)).unwrap();
+        assert_eq!(user.balance_eur, Value::ZERO);
+        let gateway = report.rows.iter().find(|r| r.account == acct(3)).unwrap();
+        assert_eq!(gateway.balance_eur, "-45".parse().unwrap());
+        assert_balances_match_the_oracle(&report, &state);
     }
 
     #[test]
