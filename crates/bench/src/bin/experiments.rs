@@ -671,13 +671,15 @@ fn liquidity_experiment(args: &Args) {
         );
     }
     println!(
-        "router: {} queries in {:.3}s ({:.0}/s, {} hits, {} misses) | oracle: {} queries in \
-         {:.3}s ({:.1}/s) | speedup {:.1}x",
+        "router: {} queries in {:.3}s ({:.0}/s, {} hits, {} misses, {} graph builds, {} edges \
+         refreshed) | oracle: {} queries in {:.3}s ({:.1}/s) | speedup {:.1}x",
         perf.router_queries,
         perf.router_secs,
         perf.router_queries as f64 / perf.router_secs.max(1e-9),
         perf.router_stats.hits,
         perf.router_stats.misses,
+        perf.router_stats.graph_builds,
+        perf.router_stats.edges_refreshed,
         perf.oracle_queries,
         perf.oracle_secs,
         perf.oracle_queries as f64 / perf.oracle_secs.max(1e-9),
@@ -719,6 +721,8 @@ fn liquidity_json(outcome: &ripple_core::LiquidityOutcome) -> String {
     w.field_u64("cache_hits", perf.router_stats.hits);
     w.field_u64("cache_misses", perf.router_stats.misses);
     w.field_u64("cache_invalidations", perf.router_stats.invalidations);
+    w.field_u64("graph_builds", perf.router_stats.graph_builds);
+    w.field_u64("edges_refreshed", perf.router_stats.edges_refreshed);
     w.field_str(
         "note",
         "speedup_vs_oracle compares per-query wall time of the cached router \

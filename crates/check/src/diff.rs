@@ -302,9 +302,12 @@ pub fn run_engine_plan(plan: &EnginePlan) -> Option<String> {
 /// of queries interleaved with trust mutations, and every answer must
 /// (1) equal a cold cache-off [`find_payment_paths`] search, (2) never
 /// carry more than the max-flow oracle allows, and (3) agree with a
-/// [`PaymentEngine::pay`] replay — full plans execute and deliver exactly
-/// the requested amount, partial plans fail as `NoPath` with the same
-/// carried total.
+/// [`PaymentEngine::pay`] replay — full plans execute the cold plan's
+/// paths and deliver exactly the requested amount, partial plans fail as
+/// `NoPath` with the same carried total. Steps with an even amount replay
+/// on the live ledger through one long-lived engine, so later steps meet
+/// the debt they left and that engine's router is edge-patched rather
+/// than rebuilt; the others replay on a clone through a second engine.
 pub fn run_router_plan(plan: &RouterPlan) -> Option<String> {
     if plan.genesis.is_empty() {
         return None;
@@ -317,6 +320,7 @@ pub fn run_router_plan(plan: &RouterPlan) -> Option<String> {
     let currency = case_currency(plan.currency % 3);
     let mut router = Router::new(limits);
     let engine = PaymentEngine::with_limits(limits);
+    let live_engine = PaymentEngine::with_limits(limits);
     for (step, q) in plan.queries.iter().enumerate() {
         if q.mutate_limit >= 0 {
             let _ = state.set_trust(
@@ -361,13 +365,27 @@ pub fn run_router_plan(plan: &RouterPlan) -> Option<String> {
             source_currency: None,
             send_max: None,
         };
-        let mut work = state.clone();
-        match engine.pay(&mut work, &request) {
+        let paid = if q.amount % 2 == 0 {
+            live_engine.pay(&mut state, &request)
+        } else {
+            engine.pay(&mut state.clone(), &request)
+        };
+        match paid {
             Ok(executed) => {
                 if carried < amount {
                     return Some(format!(
                         "query {step}: router carried only {carried} of {amount} \
                          but the engine delivered the payment"
+                    ));
+                }
+                if !executed
+                    .paths
+                    .iter()
+                    .eq(cold.iter().map(|p| &p.intermediates))
+                {
+                    return Some(format!(
+                        "query {step}: engine executed paths {:?}, cold search planned {cold:?}",
+                        executed.paths
                     ));
                 }
                 if executed.delivered != amount {

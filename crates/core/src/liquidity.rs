@@ -37,16 +37,6 @@
 //! timing data enters the report. Wall-clock measurements live in the
 //! separate [`LiquidityPerf`] so the report bytes stay stable across
 //! hosts, repeats, and pipeline worker counts.
-//!
-//! # Router cache lineage
-//!
-//! The campaigns mutate *clones* of the final state. Generation counters
-//! are copied by `clone`, so two diverged clones can reach the same
-//! [`ripple_ledger::LedgerState::credit_generation`] value with different
-//! contents. A router cache must therefore never be shared across
-//! lineages: the suite dedicates a fresh [`Router`] to every cloned
-//! state and only reuses a router across mutations of that same clone
-//! (where generations stay monotone).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -246,8 +236,7 @@ pub struct LiquidityOutcome {
 }
 
 /// Measures the probe stream's deliverability against `state` through
-/// `router`. The router must be dedicated to `state`'s mutation lineage
-/// (see the module docs on cache lineage).
+/// `router`.
 fn measure(state: &LedgerState, router: &mut Router, probes: &[PaymentProbe]) -> DeliveryPoint {
     let mut point = DeliveryPoint::default();
     for p in probes {
@@ -366,7 +355,7 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
     let requested_raw: i128 = probes.iter().map(|p| p.amount.raw()).sum();
 
     // Baseline deliverability and the timed router pass share one router:
-    // the final state is never mutated, so its lineage is trivially safe.
+    // the final state is never mutated, so every repeat query is a hit.
     let mut router = Router::new(config.limits);
     let router_timer = Instant::now();
     let delivery = measure(state, &mut router, &probes);
@@ -392,8 +381,7 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
     let gateways = gateway_health(output, &mut router, config.redeem_holders_per_gateway);
 
     // Gateway insolvency cascade: sever in descending-issuance order on a
-    // single clone, measuring after each wave. One dedicated router rides
-    // the clone's monotone mutation lineage.
+    // single clone, measuring after each wave.
     let mut order: Vec<(i128, String, AccountId)> = output
         .cast
         .gateways

@@ -11,6 +11,7 @@
 //! netting of mutual debt.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -213,6 +214,28 @@ struct Shard {
     offers: BTreeMap<(AccountId, u32), Offer>,
 }
 
+/// Process-unique identity of one [`LedgerState`] value. `Clone` hands out
+/// a fresh id instead of copying, so a state and its clone — which start
+/// with equal [`LedgerState::credit_generation`]s and may diverge to equal
+/// ones again — never share a `(lineage, generation)` stamp.
+#[derive(Debug)]
+struct Lineage(u64);
+
+impl Lineage {
+    fn fresh() -> Lineage {
+        // Relaxed: the counter publishes no other data; the atomic
+        // read-modify-write alone makes every id distinct.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Lineage(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for Lineage {
+    fn clone(&self) -> Lineage {
+        Lineage::fresh()
+    }
+}
+
 /// The full mutable ledger state, partitioned into 16 shards by account
 /// owner.
 ///
@@ -229,6 +252,8 @@ pub struct LedgerState {
     /// account severing). Path caches stamp their entries with this and
     /// treat a mismatch as an invalidation.
     credit_generation: u64,
+    /// Which state value this is; see [`LedgerState::lineage`].
+    lineage: Lineage,
 }
 
 impl Default for LedgerState {
@@ -238,6 +263,7 @@ impl Default for LedgerState {
             fees: FeeSchedule::default(),
             burned: Drops::ZERO,
             credit_generation: 0,
+            lineage: Lineage::fresh(),
         }
     }
 }
@@ -312,10 +338,19 @@ impl LedgerState {
     /// [`LedgerState::ripple_hop`] and IOU payments under
     /// [`LedgerState::apply`] — and [`LedgerState::sever_account`]).
     /// XRP transfers and offer bookkeeping leave it untouched. Routers
-    /// stamp cached paths with this value and discard entries whose stamp
-    /// no longer matches.
+    /// stamp cached paths with `(lineage, credit_generation)` and discard
+    /// entries whose stamp no longer matches.
     pub fn credit_generation(&self) -> u64 {
         self.credit_generation
+    }
+
+    /// A process-unique id of this state value: every new state and every
+    /// `clone` gets a fresh one, so two states whose
+    /// [`LedgerState::credit_generation`]s coincide are still told apart.
+    /// Equal `(lineage, credit_generation)` pairs imply equal credit
+    /// networks.
+    pub fn lineage(&self) -> u64 {
+        self.lineage.0
     }
 
     /// Number of accounts.
@@ -950,6 +985,21 @@ mod tests {
             s.create_account(acct(i), Drops::from_xrp(1_000));
         }
         s
+    }
+
+    #[test]
+    fn every_state_value_has_its_own_lineage() {
+        let mut a = funded_state(2);
+        let b = a.clone();
+        assert_eq!(a.credit_generation(), b.credit_generation());
+        assert_ne!(a.lineage(), b.lineage(), "a clone is a new lineage");
+        assert_ne!(a.lineage(), LedgerState::new().lineage());
+        assert_ne!(b.lineage(), b.clone().lineage());
+        // Mutation moves the generation, never the lineage.
+        let before = a.lineage();
+        a.set_trust(acct(1), acct(2), Currency::USD, "5".parse().unwrap())
+            .unwrap();
+        assert_eq!(a.lineage(), before);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use ripple_orderbook::{BookSet, FillPart};
 
 use crate::fees::{find_cheapest_path, TransferFees};
 use crate::find::{carried, FoundPath, PathLimits};
-use crate::router::{Router, RouterStats};
+use crate::router::{stamp_of, Router, RouterStats};
 use std::cell::RefCell;
 
 /// A payment to execute.
@@ -219,7 +219,8 @@ pub struct PaymentEngine {
     /// Cached capacity-aware router for the fee-less IOU hot paths. Interior
     /// mutability keeps `pay(&self, …)` stable; the engine is a
     /// single-threaded object (it was never `Sync`-dependent) and the cache
-    /// self-invalidates via [`LedgerState::credit_generation`].
+    /// checks every ledger it is shown against its `(lineage, generation)`
+    /// stamp.
     router: RefCell<Router>,
 }
 
@@ -364,6 +365,18 @@ impl PaymentEngine {
             request.currency,
             request.amount,
         );
+        self.settle(state, request, paths)
+    }
+
+    /// Executes a fee-less same-currency plan for `request`, all or
+    /// nothing: a plan that carries too little is `NoPath`, and a hop the
+    /// ledger refuses undoes the hops before it.
+    fn settle(
+        &self,
+        state: &mut LedgerState,
+        request: &PaymentRequest,
+        paths: Vec<FoundPath>,
+    ) -> Result<ExecutedPayment, PaymentError> {
         let total = carried(&paths);
         if total < request.amount {
             return Err(PaymentError::NoPath {
@@ -372,15 +385,16 @@ impl PaymentEngine {
             });
         }
         let mut undo = UndoLog::default();
-        for path in &paths {
-            apply_iou_path(
-                state,
-                &mut undo,
-                request.sender,
-                request.destination,
-                request.currency,
-                path,
-            )?;
+        if let Err(e) = self.apply_routed(
+            state,
+            &mut undo,
+            request.sender,
+            request.destination,
+            request.currency,
+            &paths,
+        ) {
+            undo.rollback(state);
+            return Err(e);
         }
         Ok(ExecutedPayment {
             delivered: request.amount,
@@ -390,6 +404,33 @@ impl PaymentEngine {
             paths: paths.into_iter().map(|p| p.intermediates).collect(),
             cross_currency: false,
         })
+    }
+
+    /// Applies a routed plan hop by hop, recording undo operations, then
+    /// hands the router the pairs those hops moved so it can patch its
+    /// credit graph instead of rebuilding it (see the `router` module docs).
+    fn apply_routed(
+        &self,
+        state: &mut LedgerState,
+        undo: &mut UndoLog,
+        from: AccountId,
+        to: AccountId,
+        currency: Currency,
+        paths: &[FoundPath],
+    ) -> Result<(), PaymentError> {
+        let before = stamp_of(state);
+        let mark = undo.ops.len();
+        for path in paths {
+            apply_iou_path(state, undo, from, to, currency, path)?;
+        }
+        let moved = undo.ops[mark..].iter().filter_map(|op| match op {
+            UndoOp::Pair(holder, counterparty, ..) => Some((*holder, *counterparty)),
+            _ => None,
+        });
+        self.router
+            .borrow_mut()
+            .refresh_pairs(state, before, currency, moved);
+        Ok(())
     }
 
     fn pay_cross_currency(
@@ -664,12 +705,8 @@ impl PaymentEngine {
                 requested: amount,
             });
         }
-        let mut hops = Vec::new();
-        for path in &paths {
-            apply_iou_path(state, undo, from, to, currency, path)?;
-            hops.extend(path.intermediates.iter().copied());
-        }
-        Ok(hops)
+        self.apply_routed(state, undo, from, to, currency, &paths)?;
+        Ok(paths.into_iter().flat_map(|p| p.intermediates).collect())
     }
 }
 
@@ -878,6 +915,93 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PaymentError::NoPath { .. }));
         assert_eq!(s.iou_balance(acct(2), acct(1), Currency::USD), Value::ZERO);
+    }
+
+    /// Everything `credit_generation` covers, in a comparable form.
+    fn credit_network(s: &LedgerState) -> (Vec<String>, Vec<String>) {
+        let mut lines: Vec<String> = s.trust_lines().map(|l| format!("{l:?}")).collect();
+        let mut balances: Vec<String> = s.pair_balances().map(|b| format!("{b:?}")).collect();
+        lines.sort();
+        balances.sort();
+        (lines, balances)
+    }
+
+    #[test]
+    fn refused_hop_rolls_back_the_paths_before_it() {
+        // Two 10-USD routes 1->2->4 and 1->3->4, and a plan whose second
+        // path overdraws its route: the first path's hops must be undone.
+        let mut s = LedgerState::new();
+        for i in 1..=4 {
+            s.create_account(acct(i), Drops::from_xrp(100));
+        }
+        for hub in [2u8, 3] {
+            s.set_trust(acct(hub), acct(1), Currency::USD, v("10"))
+                .unwrap();
+            s.set_trust(acct(4), acct(hub), Currency::USD, v("10"))
+                .unwrap();
+        }
+        let before = credit_network(&s);
+        let plan = vec![
+            FoundPath {
+                intermediates: vec![acct(2)],
+                amount: v("5"),
+            },
+            FoundPath {
+                intermediates: vec![acct(3)],
+                amount: v("50"),
+            },
+        ];
+        let engine = PaymentEngine::new();
+        let err = engine
+            .settle(&mut s, &request(1, 4, Currency::USD, "55"), plan)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            PaymentError::Ledger(LedgerError::TrustLimitExceeded { .. })
+        ));
+        assert_eq!(
+            credit_network(&s),
+            before,
+            "on error the ledger is untouched"
+        );
+        // The engine's router saw none of it: the next payment routes on
+        // the restored ledger like a fresh engine would.
+        let done = engine
+            .pay(&mut s, &request(1, 4, Currency::USD, "20"))
+            .unwrap();
+        assert_eq!(done.paths, vec![vec![acct(2)], vec![acct(3)]]);
+    }
+
+    #[test]
+    fn own_payments_patch_the_router_instead_of_rebuilding_it() {
+        // 1 -> 2 -> 3 with 10 USD per leg, driven back and forth so the
+        // patch updates, inserts and removes edges; a fresh engine on a
+        // clone is the reference for every step.
+        let mut s = LedgerState::new();
+        for i in 1..=3 {
+            s.create_account(acct(i), Drops::from_xrp(100));
+        }
+        s.set_trust(acct(2), acct(1), Currency::USD, v("10"))
+            .unwrap();
+        s.set_trust(acct(3), acct(2), Currency::USD, v("10"))
+            .unwrap();
+        let engine = PaymentEngine::new();
+        let steps = [
+            (1, 3, "4"),  // creates the debt edges 3 -> 2 and 2 -> 1
+            (1, 3, "7"),  // over what is left: NoPath carrying 6
+            (3, 1, "4"),  // rides the debt edges back and removes them
+            (3, 1, "1"),  // which leaves nothing to ride
+            (1, 3, "10"), // and the full forward capacity again
+        ];
+        for (from, to, amount) in steps {
+            let req = request(from, to, Currency::USD, amount);
+            let fresh = PaymentEngine::new().pay(&mut s.clone(), &req);
+            assert_eq!(engine.pay(&mut s, &req), fresh, "{from}->{to} {amount}");
+        }
+        let stats = engine.router_stats();
+        assert_eq!(stats.graph_builds, 1, "every later graph was patched");
+        assert_eq!(stats.edges_refreshed, 3 * 2 * 2, "3 delivered x 2 hops");
+        assert_eq!(stats.misses, 5);
     }
 
     #[test]

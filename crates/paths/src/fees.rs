@@ -17,7 +17,7 @@ use std::collections::{BinaryHeap, HashMap};
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, LedgerState, Value};
 
-use crate::find::PathLimits;
+use crate::find::{build_adjacency, PathLimits};
 
 /// Fee charged by each account for rippling *through* it, in basis points.
 /// Accounts not listed charge nothing.
@@ -107,32 +107,9 @@ pub fn find_cheapest_path(
     limits: PathLimits,
     fees: &TransferFees,
 ) -> Option<CheapestPath> {
-    // Adjacency as in the BFS finder: trust edges plus debt-implied edges.
-    let mut adjacency: HashMap<AccountId, Vec<AccountId>> = HashMap::new();
-    let mut add_edge = |from: AccountId, to: AccountId| {
-        let entry = adjacency.entry(from).or_default();
-        if !entry.contains(&to) {
-            entry.push(to);
-        }
-    };
-    for line in state.trust_lines() {
-        if line.currency == currency {
-            add_edge(line.trustee, line.truster);
-        }
-    }
-    for (low, high, cur, balance) in state.pair_balances() {
-        if cur != currency {
-            continue;
-        }
-        if balance.is_positive() {
-            add_edge(low, high);
-        } else if balance.is_negative() {
-            add_edge(high, low);
-        }
-    }
-    for edges in adjacency.values_mut() {
-        edges.sort(); // deterministic exploration order
-    }
+    // The BFS finder's adjacency (trust edges plus debt-implied edges,
+    // neighbour lists ascending for a deterministic exploration order).
+    let adjacency = build_adjacency(state, currency);
 
     // Dijkstra on (cost, hops). Cost of reaching a node = product of fees
     // of the intermediaries *behind* it (the node's own fee applies only

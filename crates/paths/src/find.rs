@@ -77,18 +77,18 @@ impl Residual {
 /// Builds the outgoing-edge adjacency of the trust graph for one currency:
 /// from X to every Y that trusts X, plus the edges implied by existing debt
 /// — if X holds Y's IOUs (e.g. a deposit at a gateway), X can push value to
-/// Y up to that claim even when Y declares no trust. Capacities are *not*
-/// recorded here; they are evaluated live against a [`Residual`] overlay.
+/// Y up to that claim even when Y declares no trust. Every neighbour list
+/// is ascending and duplicate-free, so exploration order — and with it
+/// every tie-break among equal-length paths — is a function of the
+/// ledger's contents, not of its hash-table layout. Capacities are *not*
+/// recorded here; callers evaluate them live.
 pub(crate) fn build_adjacency(
     state: &LedgerState,
     currency: Currency,
 ) -> HashMap<AccountId, Vec<AccountId>> {
     let mut adjacency: HashMap<AccountId, Vec<AccountId>> = HashMap::new();
     let mut add_edge = |from: AccountId, to: AccountId| {
-        let entry = adjacency.entry(from).or_default();
-        if !entry.contains(&to) {
-            entry.push(to);
-        }
+        adjacency.entry(from).or_default().push(to);
     };
     for line in state.trust_lines() {
         if line.currency == currency {
@@ -105,32 +105,38 @@ pub(crate) fn build_adjacency(
             add_edge(high, low);
         }
     }
+    for nexts in adjacency.values_mut() {
+        nexts.sort_unstable();
+        nexts.dedup();
+    }
     adjacency
 }
 
-/// The shared augmenting-path loop behind [`find_payment_paths`] and the
-/// cached [`crate::router::Router`]: repeated shortest-augmenting-path BFS
-/// over the residual graph, shortest paths first, until `cap` is covered
-/// (`None` = enumerate until liquidity or `limits.max_paths` is exhausted).
+/// Finds up to `limits.max_paths` paths able to carry `amount` of
+/// `currency` from `sender` to `destination`, shortest first, splitting
+/// across parallel paths when a single one lacks capacity.
 ///
-/// Returns `(chain, reserved)` pairs where `chain` runs sender..destination
-/// inclusive and `reserved` is the amount reserved on that chain — the full
-/// bottleneck when unbounded, `min(bottleneck, remaining)` on the final
-/// path of a capped search.
-pub(crate) fn augmenting_paths(
+/// This is the cold reference search the cached [`crate::router::Router`]
+/// is checked against: it rebuilds the adjacency and runs repeated
+/// shortest-augmenting-path BFS over the residual graph, reserving the
+/// full bottleneck on every path but the last (which takes the remainder).
+///
+/// Returns the (possibly partial) path set; the caller checks whether the
+/// carried total covers the amount.
+pub fn find_payment_paths(
     state: &LedgerState,
-    adjacency: &HashMap<AccountId, Vec<AccountId>>,
     sender: AccountId,
     destination: AccountId,
     currency: Currency,
-    cap: Option<Value>,
+    amount: Value,
     limits: PathLimits,
-) -> Vec<(Vec<AccountId>, Value)> {
+) -> Vec<FoundPath> {
+    let adjacency = build_adjacency(state, currency);
     let mut residual = Residual::default();
-    let mut found: Vec<(Vec<AccountId>, Value)> = Vec::new();
-    let mut remaining = cap;
+    let mut found: Vec<FoundPath> = Vec::new();
+    let mut remaining = amount;
 
-    while remaining.is_none_or(|r| r.is_positive()) && found.len() < limits.max_paths {
+    while remaining.is_positive() && found.len() < limits.max_paths {
         // BFS for the shortest path with positive residual capacity.
         let mut parent: HashMap<AccountId, AccountId> = HashMap::new();
         let mut queue = VecDeque::new();
@@ -173,57 +179,27 @@ pub(crate) fn augmenting_paths(
         if chain.len() > limits.max_hops + 2 {
             break;
         }
-        let mut bottleneck: Option<Value> = remaining;
+        let mut bottleneck = remaining;
         for pair in chain.windows(2) {
             let cap = residual.capacity(state, pair[0], pair[1], currency);
-            if bottleneck.is_none_or(|b| cap < b) {
-                bottleneck = Some(cap);
+            if cap < bottleneck {
+                bottleneck = cap;
             }
         }
-        let Some(bottleneck) = bottleneck else { break };
         if !bottleneck.is_positive() {
             break;
         }
         for pair in chain.windows(2) {
             residual.reserve(pair[0], pair[1], bottleneck);
         }
-        remaining = remaining.map(|r| r - bottleneck);
-        found.push((chain, bottleneck));
+        remaining = remaining - bottleneck;
+        found.push(FoundPath {
+            intermediates: chain[1..chain.len() - 1].to_vec(),
+            amount: bottleneck,
+        });
     }
 
     found
-}
-
-/// Finds up to `limits.max_paths` paths able to carry `amount` of
-/// `currency` from `sender` to `destination`, shortest first, splitting
-/// across parallel paths when a single one lacks capacity.
-///
-/// Returns the (possibly partial) path set; the caller checks whether the
-/// carried total covers the amount.
-pub fn find_payment_paths(
-    state: &LedgerState,
-    sender: AccountId,
-    destination: AccountId,
-    currency: Currency,
-    amount: Value,
-    limits: PathLimits,
-) -> Vec<FoundPath> {
-    let adjacency = build_adjacency(state, currency);
-    augmenting_paths(
-        state,
-        &adjacency,
-        sender,
-        destination,
-        currency,
-        Some(amount),
-        limits,
-    )
-    .into_iter()
-    .map(|(chain, amount)| FoundPath {
-        intermediates: chain[1..chain.len() - 1].to_vec(),
-        amount,
-    })
-    .collect()
 }
 
 /// Total amount carried by a path set.

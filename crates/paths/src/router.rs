@@ -2,24 +2,42 @@
 //!
 //! [`find_payment_paths`](crate::find_payment_paths) rebuilds the trust
 //! graph and re-runs the augmenting-path search for every payment. The
-//! [`Router`] keeps two generation-stamped caches instead:
+//! [`Router`] keeps, per currency,
 //!
-//! * a per-currency adjacency graph (one O(E) build amortized over every
-//!   query in the same ledger generation), and
-//! * a per-`(source, currency)` table of *enumerated* candidate paths per
-//!   destination: the full shortest-first augmenting-path decomposition,
-//!   computed once without an amount bound and then *allocated* against
-//!   any requested amount in O(paths).
+//! * one **dense credit graph**: the accounts with an edge, interned to
+//!   `u32` ids in ascending [`AccountId`] order (a sorted table searched by
+//!   bisection), and per-id neighbour lists, ascending, with the live
+//!   [`LedgerState::hop_capacity`] stored on the edge — so a search reads
+//!   no ledger map at all; and
+//! * a table of *enumerated* candidate paths per `(source, destination)`:
+//!   the full shortest-first augmenting-path decomposition, computed once
+//!   without an amount bound and then *allocated* against any requested
+//!   amount in O(paths).
 //!
-//! Both caches are stamped with [`LedgerState::credit_generation`] — the
-//! ledger bumps it on every trust-line write, pair-balance adjustment and
-//! account severing — so a stale entry is detected and rebuilt lazily on
-//! the next query; no mutation hook-up is needed.
+//! # Staying current
+//!
+//! Everything cached mirrors one ledger at one moment, named by the stamp
+//! `(`[`LedgerState::lineage`]`, `[`LedgerState::credit_generation`]`)`.
+//! The ledger bumps the generation on every trust-line write, pair-balance
+//! adjustment and account severing, and `clone` hands out a new lineage, so
+//! a query that presents any other stamp — a mutated ledger or a different
+//! one — drops every graph and enumeration and rebuilds lazily.
+//!
+//! [`PaymentEngine`](crate::PaymentEngine) avoids the rebuild for its own
+//! writes: it notes the stamp before it applies a routed plan and
+//! afterwards hands over the hop pairs it pushed. If the router's stamp is
+//! still that "before" value, the ledger differs from the mirror in those
+//! pairs only, so the router re-reads just them (update, insert or remove
+//! the two directed edges of each), drops the enumerations of that one
+//! currency and advances its stamp. Anything else — `set_trust`,
+//! `sever_account`, a rollback, a caller that bypasses the engine — still
+//! shows up as a stamp mismatch.
 //!
 //! # Exactness
 //!
 //! [`Router::route`] returns byte-for-byte the same plan a cold
-//! [`find_payment_paths`](crate::find_payment_paths) call would: the
+//! [`find_payment_paths`](crate::find_payment_paths) call would: both
+//! explore neighbours in ascending [`AccountId`] order, and the
 //! amount-capped search reserves the *full* bottleneck on every path
 //! except the last (where it reserves only the remainder and then stops
 //! searching), so its residual state — and therefore every BFS it runs —
@@ -27,15 +45,16 @@
 //! Greedily allocating `min(remaining, bottleneck)` over the cached
 //! enumeration reproduces the capped search exactly. The `router` target
 //! of the differential harness (`experiments check`) enforces this
-//! equivalence continuously against randomized ledgers.
+//! equivalence continuously against randomized ledgers, patched graphs
+//! included.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, LedgerState, Value};
 
-use crate::find::{augmenting_paths, build_adjacency, FoundPath, PathLimits};
+use crate::find::{build_adjacency, FoundPath, PathLimits};
 
 /// Cache and query counters for one [`Router`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,40 +65,293 @@ pub struct RouterStats {
     pub hits: u64,
     /// Queries that enumerated paths afresh.
     pub misses: u64,
-    /// Cache entries discarded because the ledger generation moved.
+    /// Cached graphs and enumerations discarded because the ledger moved.
     pub invalidations: u64,
+    /// Full builds of one currency's credit graph.
+    pub graph_builds: u64,
+    /// Directed edges re-read from the ledger by edge patches.
+    pub edges_refreshed: u64,
+}
+
+/// `(lineage, credit_generation)`: names one ledger at one moment.
+pub(crate) type Stamp = (u64, u64);
+
+pub(crate) fn stamp_of(state: &LedgerState) -> Stamp {
+    (state.lineage(), state.credit_generation())
 }
 
 /// Shortest-first `(chain, bottleneck)` enumeration toward one destination.
 /// Each chain runs source..destination inclusive.
-type RouteSet = Arc<[(Vec<AccountId>, Value)]>;
+type RouteSet = Vec<(Vec<AccountId>, Value)>;
 
-/// Cached candidate paths out of one `(source, currency)` pair.
-#[derive(Debug, Clone, Default)]
-struct SourceRoutes {
-    by_destination: HashMap<AccountId, RouteSet>,
+/// "Not visited" in [`Scratch::parent`].
+const UNSEEN: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: u32,
+    /// Live `hop_capacity(from, to)`; may be zero or negative (a full
+    /// line), which a reverse reservation can still lift above zero.
+    capacity: Value,
 }
 
-/// Per-currency adjacency snapshot.
+/// One currency's credit graph in dense form.
 #[derive(Debug, Clone)]
-struct GraphEntry {
-    generation: u64,
-    adjacency: Arc<HashMap<AccountId, Vec<AccountId>>>,
+struct CreditGraph {
+    /// Every account with an edge when the graph was built, ascending; the
+    /// index is the dense id.
+    accounts: Vec<AccountId>,
+    /// Outgoing edges per dense id, ascending by `to`.
+    edges: Vec<Vec<Edge>>,
 }
 
-/// A capacity-aware router with per-`(source, currency)` path caching.
+/// One edge's tentative reservation during an enumeration: the residual
+/// capacity `live - used` is written to the edge so the BFS reads it
+/// there, and `live` is written back when the enumeration ends.
+#[derive(Debug, Clone, Copy)]
+struct Reserved {
+    from: u32,
+    slot: usize,
+    live: Value,
+    used: Value,
+}
+
+/// Search buffers reused across enumerations.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// BFS tree, `UNSEEN` everywhere between sweeps.
+    parent: Vec<u32>,
+    /// BFS queue; doubles as the list of `parent` entries to reset.
+    queue: Vec<u32>,
+    reserved: Vec<Reserved>,
+}
+
+impl CreditGraph {
+    fn build(state: &LedgerState, currency: Currency) -> CreditGraph {
+        let adjacency = build_adjacency(state, currency);
+        let mut accounts: Vec<AccountId> = adjacency
+            .iter()
+            .flat_map(|(from, nexts)| std::iter::once(from).chain(nexts))
+            .copied()
+            .collect();
+        accounts.sort_unstable();
+        accounts.dedup();
+        accounts.shrink_to_fit();
+        let id = |account: &AccountId| {
+            accounts
+                .binary_search(account)
+                .expect("every endpoint was interned") as u32
+        };
+        let edges = accounts
+            .iter()
+            .map(|from| {
+                let nexts = adjacency.get(from).map(Vec::as_slice).unwrap_or_default();
+                // `nexts` ascends by account, so it ascends by id too.
+                nexts
+                    .iter()
+                    .map(|to| Edge {
+                        to: id(to),
+                        capacity: state.hop_capacity(*from, *to, currency),
+                    })
+                    .collect()
+            })
+            .collect();
+        CreditGraph { accounts, edges }
+    }
+
+    fn id(&self, account: AccountId) -> Option<u32> {
+        self.accounts.binary_search(&account).ok().map(|i| i as u32)
+    }
+
+    fn slot(&self, from: u32, to: u32) -> Result<usize, usize> {
+        self.edges[from as usize].binary_search_by_key(&to, |e| e.to)
+    }
+
+    /// Re-reads the two directed edges between `a` and `b`, the ends of a
+    /// hop the ledger just executed. Both are interned: a hop needs
+    /// capacity, which takes a trust line or a debt between its ends — an
+    /// edge — at build time or from an earlier hop over the same pair.
+    fn refresh_pair(
+        &mut self,
+        state: &LedgerState,
+        currency: Currency,
+        a: AccountId,
+        b: AccountId,
+    ) {
+        let id = |account| self.id(account).expect("a hop's ends have an edge");
+        let (a_id, b_id) = (id(a), id(b));
+        for (from, to, from_id, to_id) in [(a, b, a_id, b_id), (b, a, b_id, a_id)] {
+            // `build_adjacency`'s rule: `to` declared trust in `from` (a
+            // stored line always has a positive limit) or `from` holds
+            // `to`'s IOUs.
+            let exists = state.trust_limit(to, from, currency).is_positive()
+                || state.iou_balance(from, to, currency).is_positive();
+            let capacity = state.hop_capacity(from, to, currency);
+            let slot = self.slot(from_id, to_id);
+            let edges = &mut self.edges[from_id as usize];
+            match (slot, exists) {
+                (Ok(slot), true) => edges[slot].capacity = capacity,
+                (Ok(slot), false) => {
+                    edges.remove(slot);
+                }
+                (Err(slot), true) => edges.insert(
+                    slot,
+                    Edge {
+                        to: to_id,
+                        capacity,
+                    },
+                ),
+                (Err(_), false) => {}
+            }
+        }
+    }
+
+    /// Reserves `amount` on the edge at `(from, slot)` (`forward`) or
+    /// credits it back (a reservation on the reverse hop nets against it,
+    /// exactly as existing pair debt nets in `hop_capacity`).
+    fn reserve(
+        &mut self,
+        reserved: &mut Vec<Reserved>,
+        from: u32,
+        slot: usize,
+        amount: Value,
+        forward: bool,
+    ) {
+        let edge = &mut self.edges[from as usize][slot];
+        let at = reserved
+            .iter()
+            .position(|r| r.from == from && r.slot == slot)
+            .unwrap_or_else(|| {
+                reserved.push(Reserved {
+                    from,
+                    slot,
+                    live: edge.capacity,
+                    used: Value::ZERO,
+                });
+                reserved.len() - 1
+            });
+        let entry = &mut reserved[at];
+        entry.used = if forward {
+            entry.used + amount
+        } else {
+            entry.used - amount
+        };
+        edge.capacity = entry.live - entry.used;
+    }
+
+    /// The unbounded shortest-first augmenting-path enumeration from
+    /// `sender` to `destination`: the loop of
+    /// [`find_payment_paths`](crate::find_payment_paths) without an amount
+    /// cap, on dense ids. Leaves the graph as it found it.
+    fn enumerate(
+        &mut self,
+        scratch: &mut Scratch,
+        sender: AccountId,
+        destination: AccountId,
+        limits: PathLimits,
+    ) -> RouteSet {
+        let (Some(source), Some(target)) = (self.id(sender), self.id(destination)) else {
+            return Vec::new();
+        };
+        let Scratch {
+            parent,
+            queue,
+            reserved,
+        } = scratch;
+        if parent.len() < self.accounts.len() {
+            parent.resize(self.accounts.len(), UNSEEN);
+        }
+        let mut found: RouteSet = Vec::new();
+        while found.len() < limits.max_paths {
+            // BFS for the shortest path with positive residual capacity,
+            // level by level; nodes deeper than `max_hops` are not expanded.
+            queue.clear();
+            queue.push(source);
+            parent[source as usize] = source;
+            let (mut head, mut depth, mut reached) = (0, 0, false);
+            'bfs: while head < queue.len() && depth <= limits.max_hops {
+                let level_end = queue.len();
+                while head < level_end {
+                    let node = queue[head];
+                    head += 1;
+                    for edge in &self.edges[node as usize] {
+                        if parent[edge.to as usize] != UNSEEN || !edge.capacity.is_positive() {
+                            continue;
+                        }
+                        parent[edge.to as usize] = node;
+                        queue.push(edge.to);
+                        if edge.to == target {
+                            reached = true;
+                            break 'bfs;
+                        }
+                    }
+                }
+                depth += 1;
+            }
+            let mut chain = vec![target];
+            if reached {
+                let mut cursor = target;
+                while cursor != source {
+                    cursor = parent[cursor as usize];
+                    chain.push(cursor);
+                }
+                chain.reverse();
+            }
+            for &seen in queue.iter() {
+                parent[seen as usize] = UNSEEN;
+            }
+            if !reached {
+                break;
+            }
+
+            let slots: Vec<usize> = chain
+                .windows(2)
+                .map(|hop| self.slot(hop[0], hop[1]).expect("the BFS walked this edge"))
+                .collect();
+            let bottleneck = chain
+                .iter()
+                .zip(&slots)
+                .map(|(&from, &slot)| self.edges[from as usize][slot].capacity)
+                .min()
+                .expect("a chain has at least one hop");
+            for (hop, &slot) in chain.windows(2).zip(&slots) {
+                self.reserve(reserved, hop[0], slot, bottleneck, true);
+                if let Ok(back) = self.slot(hop[1], hop[0]) {
+                    self.reserve(reserved, hop[1], back, bottleneck, false);
+                }
+            }
+            let chain = chain.iter().map(|&id| self.accounts[id as usize]).collect();
+            found.push((chain, bottleneck));
+        }
+        for r in reserved.drain(..) {
+            self.edges[r.from as usize][r.slot].capacity = r.live;
+        }
+        found
+    }
+}
+
+/// What the router holds for one currency.
+#[derive(Debug, Clone)]
+struct CurrencyCache {
+    graph: CreditGraph,
+    /// `(source, destination)` -> enumeration.
+    routes: HashMap<(AccountId, AccountId), RouteSet>,
+}
+
+/// A capacity-aware router with cached credit graphs and path
+/// enumerations.
 ///
 /// See the module docs for the cache design. Construct one per logical
 /// payment stream ([`crate::PaymentEngine`] embeds one) and call
-/// [`Router::route`]; invalidation is automatic via the ledger's
-/// credit generation.
+/// [`Router::route`] with whatever ledger the query is about; a ledger
+/// other than the one the cache mirrors is detected by its stamp.
 #[derive(Debug, Clone, Default)]
 pub struct Router {
     limits: PathLimits,
-    /// `(source, currency)` -> generation-stamped candidate paths.
-    cache: HashMap<(AccountId, Currency), (u64, SourceRoutes)>,
-    /// Currency -> generation-stamped adjacency.
-    graphs: HashMap<Currency, GraphEntry>,
+    /// The ledger moment every cached graph and enumeration mirrors.
+    stamp: Stamp,
+    caches: HashMap<Currency, CurrencyCache>,
+    scratch: Scratch,
     stats: RouterStats,
 }
 
@@ -106,8 +378,7 @@ impl Router {
 
     /// Drops every cached graph and path enumeration (counters survive).
     pub fn clear(&mut self) {
-        self.cache.clear();
-        self.graphs.clear();
+        self.caches.clear();
     }
 
     /// Routes `amount` of `currency` from `sender` to `destination`:
@@ -127,9 +398,9 @@ impl Router {
         if sender == destination || currency.is_xrp() || !amount.is_positive() {
             return Vec::new();
         }
-        let generation = state.credit_generation();
-        let enumeration = self.enumeration(state, generation, sender, destination, currency);
-        allocate(&enumeration, amount, self.limits.max_paths)
+        let max_paths = self.limits.max_paths;
+        let enumeration = self.enumeration(state, sender, destination, currency);
+        allocate(enumeration, amount, max_paths)
     }
 
     /// The full deliverable amount from `sender` to `destination` under
@@ -146,81 +417,75 @@ impl Router {
         if sender == destination || currency.is_xrp() {
             return Value::ZERO;
         }
-        let generation = state.credit_generation();
-        let enumeration = self.enumeration(state, generation, sender, destination, currency);
+        let enumeration = self.enumeration(state, sender, destination, currency);
         enumeration.iter().map(|(_, cap)| *cap).sum()
     }
 
     /// Returns the (cached or freshly computed) unbounded path enumeration
-    /// for `(sender, destination, currency)` at `generation`.
+    /// for `(sender, destination, currency)` on `state`.
     fn enumeration(
         &mut self,
         state: &LedgerState,
-        generation: u64,
         sender: AccountId,
         destination: AccountId,
         currency: Currency,
-    ) -> Arc<[(Vec<AccountId>, Value)]> {
-        let entry = self
-            .cache
-            .entry((sender, currency))
-            .or_insert_with(|| (generation, SourceRoutes::default()));
-        if entry.0 != generation {
-            self.stats.invalidations += 1;
-            *entry = (generation, SourceRoutes::default());
+    ) -> &[(Vec<AccountId>, Value)] {
+        let stamp = stamp_of(state);
+        if self.stamp != stamp {
+            // One graph plus its enumerations per currency.
+            let dropped = self.caches.values().map(|c| 1 + c.routes.len() as u64);
+            self.stats.invalidations += dropped.sum::<u64>();
+            self.caches.clear();
+            self.stamp = stamp;
         }
-        if let Some(cached) = entry.1.by_destination.get(&destination) {
-            self.stats.hits += 1;
-            return Arc::clone(cached);
+        let cache = self.caches.entry(currency).or_insert_with(|| {
+            self.stats.graph_builds += 1;
+            CurrencyCache {
+                graph: CreditGraph::build(state, currency),
+                routes: HashMap::new(),
+            }
+        });
+        match cache.routes.entry((sender, destination)) {
+            Entry::Occupied(cached) => {
+                self.stats.hits += 1;
+                cached.into_mut()
+            }
+            Entry::Vacant(vacant) => {
+                self.stats.misses += 1;
+                let limits = self.limits;
+                vacant.insert(
+                    cache
+                        .graph
+                        .enumerate(&mut self.scratch, sender, destination, limits),
+                )
+            }
         }
-        self.stats.misses += 1;
-        let adjacency = self.graph(state, generation, currency);
-        let enumeration: Arc<[(Vec<AccountId>, Value)]> = augmenting_paths(
-            state,
-            &adjacency,
-            sender,
-            destination,
-            currency,
-            None,
-            self.limits,
-        )
-        .into();
-        // The entry may have been touched by `graph`'s borrow dance; re-fetch.
-        let entry = self
-            .cache
-            .entry((sender, currency))
-            .or_insert_with(|| (generation, SourceRoutes::default()));
-        entry
-            .1
-            .by_destination
-            .insert(destination, Arc::clone(&enumeration));
-        enumeration
     }
 
-    /// The (cached or freshly built) adjacency for `currency` at
-    /// `generation`.
-    fn graph(
+    /// The engine's edge patch: `state` was at `before` and has since
+    /// changed in nothing but the pair balances of `pairs`, all in
+    /// `currency`. If the cache mirrors `before`, those pairs are re-read
+    /// and the cache mirrors `state` again; if not, it is left alone and
+    /// the next query's stamp check rebuilds it.
+    pub(crate) fn refresh_pairs(
         &mut self,
         state: &LedgerState,
-        generation: u64,
+        before: Stamp,
         currency: Currency,
-    ) -> Arc<HashMap<AccountId, Vec<AccountId>>> {
-        match self.graphs.get(&currency) {
-            Some(entry) if entry.generation == generation => Arc::clone(&entry.adjacency),
-            stale => {
-                if stale.is_some() {
-                    self.stats.invalidations += 1;
-                }
-                let adjacency = Arc::new(build_adjacency(state, currency));
-                self.graphs.insert(
-                    currency,
-                    GraphEntry {
-                        generation,
-                        adjacency: Arc::clone(&adjacency),
-                    },
-                );
-                adjacency
-            }
+        pairs: impl Iterator<Item = (AccountId, AccountId)>,
+    ) {
+        if self.stamp != before {
+            return;
+        }
+        self.stamp = stamp_of(state);
+        let Some(cache) = self.caches.get_mut(&currency) else {
+            return;
+        };
+        self.stats.invalidations += cache.routes.len() as u64;
+        cache.routes.clear();
+        for (a, b) in pairs {
+            cache.graph.refresh_pair(state, currency, a, b);
+            self.stats.edges_refreshed += 2;
         }
     }
 }
@@ -320,6 +585,37 @@ mod tests {
         assert_eq!(after, cold);
         assert_eq!(after.len(), 1, "only the 1->2->4 leg remains");
         assert!(router.stats().invalidations > 0);
+    }
+
+    #[test]
+    fn equal_generation_of_another_lineage_rebuilds() {
+        let mut a = diamond();
+        let mut b = a.clone();
+        // Same generation, different trust: `a` rewrites a limit it already
+        // had, `b` drops a leg.
+        a.set_trust(acct(4), acct(2), Currency::USD, v("10"))
+            .unwrap();
+        b.set_trust(acct(4), acct(3), Currency::USD, Value::ZERO)
+            .unwrap();
+        assert_eq!(a.credit_generation(), b.credit_generation());
+
+        let mut router = Router::new(PathLimits::default());
+        let on_a = router.route(&a, acct(1), acct(4), Currency::USD, v("20"));
+        assert_eq!(on_a.len(), 2);
+        assert_eq!(router.stats().graph_builds, 1);
+        let on_b = router.route(&b, acct(1), acct(4), Currency::USD, v("20"));
+        assert_eq!(on_b.len(), 1, "only the 1->2->4 leg exists in b");
+        assert_eq!(router.stats().graph_builds, 2);
+        assert_eq!(router.stats().invalidations, 2, "a's graph and enumeration");
+        assert_eq!(
+            router.route(&a, acct(1), acct(4), Currency::USD, v("20")),
+            on_a
+        );
+        assert_eq!(router.stats().graph_builds, 3);
+        assert_eq!(
+            (router.stats().hits, router.stats().edges_refreshed),
+            (0, 0)
+        );
     }
 
     #[test]

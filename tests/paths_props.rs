@@ -144,6 +144,98 @@ proptest! {
         }
     }
 
+    /// Routing is a function of the ledger's contents, not of its hash
+    /// tables' layout: a ledger whose trust lines went in in the opposite
+    /// order, into tables grown and emptied by lines and debts that were
+    /// removed again, returns the same plans — tie-breaks among
+    /// equal-length paths included — from the cold search and the router.
+    #[test]
+    fn plans_do_not_depend_on_insertion_history(
+        accounts in 5u8..=8,
+        trust in vec((0u8..8, 0u8..8, 0u8..6, 1i128..50_000_000), 10..28),
+        hops in vec((0u8..8, 0u8..8, 0u8..6, 1i128..20_000_000), 0..6),
+        cur in 0u8..3,
+        amount in 1i128..40_000_000,
+    ) {
+        // Two lines in three are in the queried currency, so that it has
+        // equal-length paths to choose between.
+        let currency = |n: u8| currency(if n < 3 { n } else { cur });
+        // Ids that share one ledger shard, so the tables' layout (not the
+        // shard order) decides the order the ledger iterates in.
+        let who = |n: u8| AccountId::from_bytes([(n % accounts) << 4; 20]);
+        // One write per trust line, so the order of writes is free.
+        let mut lines: Vec<(AccountId, AccountId, Currency, Value)> = Vec::new();
+        for &(truster, trustee, c, limit) in &trust {
+            let key = (who(truster), who(trustee), currency(c));
+            if !lines.iter().any(|&(a, b, c, _)| (a, b, c) == key) {
+                lines.push((key.0, key.1, key.2, Value::from_raw(limit)));
+            }
+        }
+        let every_line = || {
+            (0..accounts).flat_map(move |a| {
+                (0..accounts).flat_map(move |b| (0..3).map(move |c| (who(a), who(b), currency(c))))
+            })
+        };
+        let build = |churn: bool| {
+            let mut state = LedgerState::new();
+            for i in 0..accounts {
+                state.create_account(who(i), Drops::new(1_000_000_000));
+            }
+            if churn {
+                for (a, b, c) in every_line() {
+                    let _ = state.set_trust(a, b, c, Value::from_raw(1));
+                    if a != b {
+                        state.adjust_pair_balance(a, b, c, Value::from_raw(1));
+                    }
+                }
+                for &(truster, trustee, c, limit) in lines.iter().rev() {
+                    let _ = state.set_trust(truster, trustee, c, limit);
+                }
+                for (a, b, c) in every_line() {
+                    if !lines.iter().any(|&(x, y, z, _)| (x, y, z) == (a, b, c)) {
+                        let _ = state.set_trust(a, b, c, Value::ZERO);
+                    }
+                    if a != b {
+                        state.adjust_pair_balance(a, b, c, Value::from_raw(-1));
+                    }
+                }
+            } else {
+                for &(truster, trustee, c, limit) in &lines {
+                    let _ = state.set_trust(truster, trustee, c, limit);
+                }
+            }
+            for &(from, to, c, hop) in &hops {
+                let _ = state.ripple_hop(who(from), who(to), currency(c), Value::from_raw(hop));
+            }
+            state
+        };
+        let (straight, churned) = (build(false), build(true));
+        let contents = |s: &LedgerState| {
+            let mut lines: Vec<_> = s
+                .trust_lines()
+                .map(|l| (l.truster, l.trustee, l.currency, l.limit))
+                .collect();
+            let mut balances: Vec<_> = s.pair_balances().collect();
+            lines.sort();
+            balances.sort();
+            (lines, balances)
+        };
+        prop_assert_eq!(contents(&straight), contents(&churned));
+
+        let limits = PathLimits::default();
+        let (cur, amount) = (currency(cur), Value::from_raw(amount));
+        let (mut router_a, mut router_b) = (Router::new(limits), Router::new(limits));
+        for (sender, destination, _) in every_line().filter(|&(a, b, c)| a != b && c == cur) {
+            let cold = find_payment_paths(&straight, sender, destination, cur, amount, limits);
+            prop_assert_eq!(
+                &find_payment_paths(&churned, sender, destination, cur, amount, limits),
+                &cold
+            );
+            prop_assert_eq!(&router_a.route(&straight, sender, destination, cur, amount), &cold);
+            prop_assert_eq!(&router_b.route(&churned, sender, destination, cur, amount), &cold);
+        }
+    }
+
     /// `deliverable` is monotone under trust growth: raising a limit
     /// never shrinks what the router says it can deliver (capacity is
     /// never driven negative by cache reuse), and is never negative.
