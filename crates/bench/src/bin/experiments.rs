@@ -911,6 +911,17 @@ fn store_experiment(args: &Args) {
         load.scan_us[2],
         load.cache_hit_rate
     );
+    let block_records = engine.postings().block_records();
+    println!(
+        "scans: {} examined {} frames -> {:.1} frames/scan \
+         (bound {} = limit {} + block {} + 1)",
+        load.range_scans,
+        load.scan_frames,
+        load.scan_frames as f64 / load.range_scans.max(1) as f64,
+        query::load::SCAN_LIMIT as u32 + block_records + 1,
+        query::load::SCAN_LIMIT,
+        block_records
+    );
 
     let json = store_json(
         args,
@@ -919,6 +930,7 @@ fn store_experiment(args: &Args) {
         generate_secs,
         encode_secs,
         &build,
+        block_records,
         &baseline,
         &point_phase,
         &load,
@@ -952,6 +964,7 @@ fn store_json(
     generate_secs: f64,
     encode_secs: f64,
     build: &ripple_core::query::BuildReport,
+    block_records: u32,
     baseline: &StoreBaseline,
     point_phase: &ripple_core::query::LoadReport,
     load: &ripple_core::query::LoadReport,
@@ -975,6 +988,7 @@ fn store_json(
     w.field_u64("accounts", build.accounts);
     w.field_u64("flow_classes", build.flow_classes);
     w.field_u64("blocks", build.blocks);
+    w.field_u64("block_records", u64::from(block_records));
     w.field_u64("skipped_bytes", build.skipped_bytes);
     w.field_u64("corrupt_regions", build.corrupt_regions);
     w.end_object();
@@ -1016,6 +1030,8 @@ fn store_json(
     w.field_u64("point_pct", u64::from(args.mix));
     w.field_u64("point_lookups", load.point_lookups);
     w.field_u64("range_scans", load.range_scans);
+    w.field_u64("scan_limit", query::load::SCAN_LIMIT as u64);
+    w.field_u64("scan_frames", load.scan_frames);
     w.field_u64("flow_lookups", load.flow_lookups);
     w.field_u64("class_lookups", load.class_lookups);
     w.field_u64("events_visited", load.events_visited);

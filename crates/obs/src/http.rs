@@ -3,7 +3,8 @@
 //!
 //! The workspace forbids `unsafe`, which rules out `epoll` FFI; readiness
 //! is polled the portable way instead — a non-blocking listener, a `peek`
-//! probe per connection, and a caller-owned idle sleep. The transport
+//! probe per connection, and a caller-owned idle sleep ([`serve`]'s own
+//! loop sleeps only once traffic has paused). The transport
 //! lives here (it was first hand-rolled inside `crates/query/src/http.rs`
 //! and is now shared with every `ripple-node` admin endpoint); routing
 //! stays with the caller as a `FnMut(&Request) -> Response` handler.
@@ -25,7 +26,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -42,6 +43,15 @@ const MAX_CONNS: usize = 64;
 
 /// Keep-alive connections quiet for longer than this are reaped.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// [`serve`]'s sleep between polls that find nothing to do.
+const IDLE_SLEEP: Duration = Duration::from_millis(2);
+
+/// After a poll that served a request, [`serve`] keeps polling with
+/// `yield_now` for this long before it falls back to [`IDLE_SLEEP`]: a
+/// closed-loop client sends its next request microseconds after the
+/// reply, and one sleep per request would be all of its latency.
+const HOT_WINDOW: Duration = Duration::from_millis(1);
 
 static HTTP_REQUESTS: LazyCounter = LazyCounter::new("obs.http.requests");
 static HTTP_ERRORS: LazyCounter = LazyCounter::new("obs.http.errors");
@@ -434,6 +444,7 @@ pub fn timeseries_response(series: &TimeSeries, query: &str) -> Response {
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    polls: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -441,6 +452,12 @@ impl HttpServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Polls the serve loop has made so far — about one per 2 ms while
+    /// idle; a climbing rate without traffic would mean the loop spins.
+    pub fn polls(&self) -> u64 {
+        self.polls.load(Ordering::Relaxed)
     }
 
     /// Stops the serve loop and joins the server thread.
@@ -476,12 +493,20 @@ where
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = stop.clone();
+    let polls = Arc::new(AtomicU64::new(0));
+    let poll_count = polls.clone();
     let handle = std::thread::Builder::new()
         .name(thread_name.to_string())
         .spawn(move || {
+            let mut hot_until = Instant::now();
             while !stop_flag.load(Ordering::SeqCst) {
-                if server.poll(&mut handler) == 0 {
-                    std::thread::sleep(Duration::from_millis(2));
+                poll_count.fetch_add(1, Ordering::Relaxed);
+                if server.poll(&mut handler) > 0 {
+                    hot_until = Instant::now() + HOT_WINDOW;
+                } else if Instant::now() < hot_until {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(IDLE_SLEEP);
                 }
             }
         })
@@ -489,6 +514,7 @@ where
     Ok(HttpServer {
         addr,
         stop,
+        polls,
         handle: Some(handle),
     })
 }
@@ -563,11 +589,24 @@ mod tests {
             assert!(body.contains(&format!("\"query\": \"n={i}\"")), "{body}");
         }
         // A reply split across two writes stalls ~44 ms per request on
-        // Nagle + delayed ACK (2.2 s for 50); one write takes microseconds.
+        // Nagle + delayed ACK (2.2 s for 50), and an idle sleep after
+        // every reply costs 2 ms per request; neither takes microseconds.
         let elapsed = started.elapsed();
         assert!(
-            elapsed < std::time::Duration::from_secs(1),
+            elapsed < Duration::from_millis(250),
             "50 keep-alive requests took {elapsed:?}"
+        );
+
+        // The hot window is bounded: left without traffic, the loop is
+        // back to one poll per idle sleep (a spin would read thousands).
+        std::thread::sleep(HOT_WINDOW * 10);
+        let (before, idle_from) = (server.polls(), Instant::now());
+        std::thread::sleep(Duration::from_millis(50));
+        let (idle_polls, idle) = (server.polls() - before, idle_from.elapsed());
+        let sleeps = (idle.as_millis() / IDLE_SLEEP.as_millis()) as u64;
+        assert!(
+            idle_polls <= sleeps + 2,
+            "{idle_polls} polls in an idle {idle:?}"
         );
         server.shutdown();
     }

@@ -1,22 +1,32 @@
 //! The query engine: secondary indexes + block cache over one archive.
 //!
 //! [`QueryEngine::open`] takes the raw archive bytes, builds the postings
-//! sidecar and sparse time index, and then serves four query families:
+//! sidecar, reads the first timestamp of every postings block, and then
+//! serves four query families:
 //!
 //! * **account history** — postings offsets resolved through the block
-//!   cache, so each block decodes once however many accounts live in it;
-//! * **`[from, to)` windows** — time-index seek, then a block walk through
-//!   the cache (repeated dashboards hit decoded blocks);
+//!   cache, so each hot block decodes once however many accounts live in
+//!   it;
+//! * **`[from, to)` windows** — an exact seek to the last block that
+//!   starts before `from`, then a frame walk that stops at `limit` or the
+//!   first event at or past `to`;
 //! * **(currency, day) flows** — answered entirely from the sidecar;
 //! * **fingerprint classes** — the paper's ⟨Am, Tsc, C, D⟩ attack ladder,
 //!   served live by memoized [`DeanonIndex`]es sharing one record arena.
 //!
+//! Both archive-touching families go through the same admission-gated
+//! probe: a resident block is read in place, a cold one is not
+//! materialised — only the frames the query needs are decoded — and a
+//! block is promoted into the cache once it has missed often enough, so
+//! a scan cannot evict the point-lookup working set.
+//!
 //! The visitor-style `visit_*` methods are the hot path: they hand out
-//! borrowed events from cached blocks without cloning. The owning
-//! wrappers (`account_history`, `range`) clone for callers that want
-//! vectors.
+//! borrowed events without cloning. The owning wrappers
+//! (`account_history`, `range`) clone for callers that want vectors.
 
 use std::collections::HashMap;
+use std::io::Read;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -24,15 +34,15 @@ use ripple_crypto::AccountId;
 use ripple_deanon::{DeanonIndex, Observation, ResolutionSpec};
 use ripple_ledger::{Currency, PaymentRecord, RippleTime};
 use ripple_obs::{LazyCounter, LazyTimer};
-use ripple_store::postings::{
-    decode_block, decode_frame_at, FlowStat, PostingsConfig, PostingsIndex,
-};
-use ripple_store::{ArchiveIndex, HistoryEvent, ReadMode, Reader, StoreError};
+use ripple_store::postings::{decode_frame_at, FlowStat, PostingsConfig, PostingsIndex};
+use ripple_store::stream::MAGIC;
+use ripple_store::{HistoryEvent, ReadMode, Reader, StoreError};
 
 use crate::cache::{Block, BlockCache};
 
 static LOOKUPS: LazyCounter = LazyCounter::new("query.engine.lookups");
 static RANGE_SCANS: LazyCounter = LazyCounter::new("query.engine.range_scans");
+static RANGE_FRAMES: LazyCounter = LazyCounter::new("query.engine.range_frames");
 static CLASS_QUERIES: LazyCounter = LazyCounter::new("query.engine.class_queries");
 static CLASS_INDEX_BUILDS: LazyCounter = LazyCounter::new("query.engine.class_index_builds");
 static BUILD_TIMER: LazyTimer = LazyTimer::new("query.engine.build");
@@ -40,24 +50,21 @@ static BUILD_TIMER: LazyTimer = LazyTimer::new("query.engine.build");
 /// How [`QueryEngine::open`] builds its indexes and cache.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Sparse time-index stride (records per entry).
-    pub time_stride: usize,
     /// Threads decoding payloads during the postings build.
     pub build_shards: usize,
-    /// Records per cache block.
+    /// Records per cache block — also the granularity of a window seek.
     pub block_records: usize,
     /// Block-cache budget in bytes.
     pub cache_bytes: usize,
     /// Block-cache lock shards.
     pub cache_shards: usize,
-    /// Corruption handling for the build and for linear rescans.
+    /// Corruption handling for the build and for every later frame read.
     pub mode: ReadMode,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
-            time_stride: 512,
             build_shards: 1,
             block_records: 64,
             cache_bytes: 64 * 1024 * 1024,
@@ -70,7 +77,8 @@ impl Default for EngineConfig {
 /// What [`QueryEngine::open`] measured while building.
 #[derive(Debug, Clone, Copy)]
 pub struct BuildReport {
-    /// Wall-clock seconds spent building both indexes.
+    /// Wall-clock seconds spent building the postings and reading the
+    /// block start times.
     pub build_secs: f64,
     /// Encoded size of the postings sidecar in bytes.
     pub sidecar_bytes: u64,
@@ -93,10 +101,14 @@ pub struct BuildReport {
 pub struct QueryEngine {
     archive: Vec<u8>,
     postings: PostingsIndex,
-    time_index: ArchiveIndex,
+    /// First event timestamp of every postings block, in block order —
+    /// non-decreasing, because the postings build rejects regressions.
+    block_times: Vec<RippleTime>,
     cache: BlockCache,
     mode: ReadMode,
     time_bounds: Option<(RippleTime, RippleTime)>,
+    range_scans: AtomicU64,
+    range_frames: AtomicU64,
     class_indexes: Mutex<HashMap<ResolutionSpec, Arc<DeanonIndex>>>,
     arena: OnceLock<Arc<[PaymentRecord]>>,
 }
@@ -122,8 +134,11 @@ impl QueryEngine {
                 block_records: config.block_records,
             },
         )?;
-        let (time_index, _) =
-            ArchiveIndex::build_with_mode(&archive, config.time_stride, config.mode)?;
+        let block_times = postings
+            .blocks()
+            .iter()
+            .map(|&start| Ok(decode_frame_at(&archive, start)?.0.timestamp()))
+            .collect::<Result<Vec<_>, StoreError>>()?;
         let build_secs = started.elapsed().as_secs_f64();
         BUILD_TIMER.record(started.elapsed());
         let sidecar_bytes = postings.to_bytes().len() as u64;
@@ -138,31 +153,29 @@ impl QueryEngine {
             skipped_bytes: stats.skipped_bytes,
             corrupt_regions: stats.corrupt_regions,
         };
-        let time_bounds = Self::probe_time_bounds(&archive, &postings);
-        let engine = QueryEngine {
+        let mut engine = QueryEngine {
             archive,
             postings,
-            time_index,
+            block_times,
             cache: BlockCache::new(config.cache_bytes, config.cache_shards),
             mode: config.mode,
-            time_bounds,
+            time_bounds: None,
+            range_scans: AtomicU64::new(0),
+            range_frames: AtomicU64::new(0),
             class_indexes: Mutex::new(HashMap::new()),
             arena: OnceLock::new(),
         };
+        // The archive is time-ordered, so the bounds are the first block's
+        // first event and the last block's last.
+        if let Some(&first) = engine.block_times.first() {
+            let mut last = first;
+            engine.walk_block(engine.block_times.len() - 1, |_, event| {
+                last = event.timestamp();
+                true
+            })?;
+            engine.time_bounds = Some((first, last));
+        }
         Ok((engine, report))
-    }
-
-    /// First and last event timestamps, from the first and last blocks.
-    fn probe_time_bounds(
-        archive: &[u8],
-        postings: &PostingsIndex,
-    ) -> Option<(RippleTime, RippleTime)> {
-        let blocks = postings.blocks();
-        let first_block = decode_block(archive, *blocks.first()?, archive.len() as u64).ok()?;
-        let last_block = decode_block(archive, *blocks.last()?, archive.len() as u64).ok()?;
-        let first = first_block.first()?.1.timestamp();
-        let last = last_block.last()?.1.timestamp();
-        Some((first, last))
     }
 
     /// The raw archive bytes.
@@ -190,49 +203,96 @@ impl QueryEngine {
         self.time_bounds
     }
 
-    /// Fetches the block containing `offset` through the cache.
-    fn block_at(&self, offset: u64) -> Result<Arc<Block>, StoreError> {
-        let (id, start, end) = self.postings.block_span(offset);
-        self.cache.get_or_insert(id, || {
-            let events = decode_block(&self.archive, start, end)?;
-            Ok(Block::new(start, (end - start) as usize, events))
-        })
+    /// Range scans served by this engine.
+    pub fn range_scans(&self) -> u64 {
+        self.range_scans.load(Ordering::Relaxed)
     }
 
-    /// Fetches block `id` (by table position) through the cache.
-    fn block_by_id(&self, id: usize) -> Result<Arc<Block>, StoreError> {
-        let start = self.postings.blocks()[id];
-        let end = self
-            .postings
-            .blocks()
+    /// Frames those scans examined, decoded cold or read from a resident
+    /// block — per scan at most `limit + block_records + 1`.
+    pub fn range_frames(&self) -> u64 {
+        self.range_frames.load(Ordering::Relaxed)
+    }
+
+    /// Archive span `[start, end)` of block `id`.
+    fn block_bounds(&self, id: usize) -> (u64, u64) {
+        let blocks = self.postings.blocks();
+        let end = blocks
             .get(id + 1)
             .copied()
             .unwrap_or(self.postings.archive_len());
-        self.cache.get_or_insert(id, || {
-            let events = decode_block(&self.archive, start, end)?;
-            Ok(Block::new(start, (end - start) as usize, events))
-        })
+        (blocks[id], end)
     }
 
-    /// Two-tier probe for point lookups: the cached block if resident,
-    /// a freshly decoded (and admitted) one once the block has missed
-    /// often enough to earn promotion, `None` otherwise — in which case
-    /// the caller should decode just the frames it needs. Keeps one-off
-    /// touches from paying whole-block decodes or evicting hot blocks.
+    /// Hands the frames of block `id` to `step` in offset order until it
+    /// returns `false`; `Ok(true)` means the block was walked to its end.
+    /// Every frame is CRC-verified before its payload is parsed. This is
+    /// the engine's only block reader, and it honours the read mode: in
+    /// [`ReadMode::Resync`] it rides the recovering [`Reader`] from the
+    /// block start, so it yields exactly the frames the postings build
+    /// indexed there, however the bytes between them are damaged.
+    fn walk_block(
+        &self,
+        id: usize,
+        mut step: impl FnMut(u64, HistoryEvent) -> bool,
+    ) -> Result<bool, StoreError> {
+        let (start, end) = self.block_bounds(id);
+        match self.mode {
+            ReadMode::Strict => {
+                let mut pos = start;
+                while pos < end {
+                    let (event, frame_len) = decode_frame_at(&self.archive, pos)?;
+                    if !step(pos, event) {
+                        return Ok(false);
+                    }
+                    pos += u64::from(frame_len);
+                }
+            }
+            ReadMode::Resync => {
+                // A virtual archive that begins at the block: the reader's
+                // offsets count its magic, the block's do not. The source
+                // runs to the end of the archive and the walk stops by
+                // offset, so a damaged length field near the block's end is
+                // judged against the same bytes the build saw.
+                let tail = &self.archive[start as usize..];
+                let mut reader = Reader::recovering(MAGIC.as_slice().chain(tail))?;
+                while let Some((at, event)) = reader.next_event_at()? {
+                    let offset = start + at - MAGIC.len() as u64;
+                    if offset >= end {
+                        break;
+                    }
+                    if !step(offset, event) {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Decodes block `id` whole, for insertion into the cache.
+    fn decode_block(&self, id: usize) -> Result<Block, StoreError> {
+        let (start, end) = self.block_bounds(id);
+        let mut events = Vec::new();
+        self.walk_block(id, |offset, event| {
+            events.push((offset, event));
+            true
+        })?;
+        Ok(Block::new(start, (end - start) as usize, events))
+    }
+
+    /// Two-tier probe shared by point lookups and range scans: the cached
+    /// block if resident, a freshly decoded (and admitted) one once the
+    /// block has missed often enough to earn promotion, `None` otherwise —
+    /// in which case the caller should decode just the frames it needs.
+    /// Keeps one-off touches from paying whole-block decodes or evicting
+    /// hot blocks.
     fn block_if_hot(&self, id: usize) -> Result<Option<Arc<Block>>, StoreError> {
         if let Some(block) = self.cache.get_if_present(id) {
             return Ok(Some(block));
         }
         if self.cache.note_miss(id) {
-            let start = self.postings.blocks()[id];
-            let end = self
-                .postings
-                .blocks()
-                .get(id + 1)
-                .copied()
-                .unwrap_or(self.postings.archive_len());
-            let events = decode_block(&self.archive, start, end)?;
-            let block = Arc::new(Block::new(start, (end - start) as usize, events));
+            let block = Arc::new(self.decode_block(id)?);
             self.cache.insert(id, Arc::clone(&block));
             return Ok(Some(block));
         }
@@ -247,7 +307,8 @@ impl QueryEngine {
     /// [`StoreError::Corrupt`] if `offset` is not a frame boundary.
     pub fn event_at(&self, offset: u64) -> Result<HistoryEvent, StoreError> {
         LOOKUPS.add(1);
-        let block = self.block_at(offset)?;
+        let (id, _, _) = self.postings.block_span(offset);
+        let block = self.cache.get_or_insert(id, || self.decode_block(id))?;
         block
             .event_at(offset)
             .cloned()
@@ -328,13 +389,19 @@ impl QueryEngine {
         Ok(out)
     }
 
-    /// Visits events with `from <= timestamp < to` in time order, through
-    /// the block cache, stopping after `limit` matches. Returns the number
-    /// visited.
+    /// Visits events with `from <= timestamp < to` in time order, stopping
+    /// after `limit` matches. Returns the number visited.
+    ///
+    /// The scan starts at the last block whose first timestamp is below
+    /// `from` — strictly below, so equal timestamps that straddle a block
+    /// seam are all seen — and examines at most `limit` matches, the
+    /// `block_records` frames of that one block, and one terminator.
+    /// Resident blocks are read in place; cold ones are decoded a frame at
+    /// a time and earn promotion through the cache's admission counter.
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from block decode.
+    /// Any [`StoreError`] from frame decode.
     pub fn visit_range(
         &self,
         from: RippleTime,
@@ -343,29 +410,42 @@ impl QueryEngine {
         mut visit: impl FnMut(u64, &HistoryEvent),
     ) -> Result<usize, StoreError> {
         RANGE_SCANS.add(1);
-        let seek = self.time_index.seek_offset(from);
-        if seek >= self.postings.archive_len() || self.postings.blocks().is_empty() {
+        self.range_scans.fetch_add(1, Ordering::Relaxed);
+        if from >= to || limit == 0 {
             return Ok(0);
         }
-        let (mut id, _, _) = self.postings.block_span(seek);
         let mut matched = 0usize;
-        while id < self.postings.blocks().len() && matched < limit {
-            let block = self.block_by_id(id)?;
-            for (offset, event) in &block.events {
-                let t = event.timestamp();
-                if t >= to {
-                    return Ok(matched);
-                }
-                if t >= from {
-                    visit(*offset, event);
-                    matched += 1;
-                    if matched == limit {
-                        return Ok(matched);
-                    }
-                }
+        let mut frames = 0u64;
+        let mut step = |offset: u64, event: &HistoryEvent| {
+            frames += 1;
+            let t = event.timestamp();
+            if t >= to {
+                return false;
             }
-            id += 1;
+            if t >= from {
+                visit(offset, event);
+                matched += 1;
+            }
+            matched < limit
+        };
+        let first = self
+            .block_times
+            .partition_point(|&t| t < from)
+            .saturating_sub(1);
+        for id in first..self.block_times.len() {
+            let more = match self.block_if_hot(id)? {
+                Some(block) => block
+                    .events
+                    .iter()
+                    .all(|(offset, event)| step(*offset, event)),
+                None => self.walk_block(id, |offset, event| step(offset, &event))?,
+            };
+            if !more {
+                break;
+            }
         }
+        RANGE_FRAMES.add(frames);
+        self.range_frames.fetch_add(frames, Ordering::Relaxed);
         Ok(matched)
     }
 
@@ -493,19 +573,26 @@ mod tests {
         })
     }
 
-    fn engine(events: &[HistoryEvent], config: &EngineConfig) -> QueryEngine {
+    fn archive(events: &[HistoryEvent]) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut writer = Writer::new(&mut buf);
         for e in events {
             writer.write(e).unwrap();
         }
         writer.finish().unwrap();
-        QueryEngine::open(buf, config).unwrap().0
+        buf
+    }
+
+    fn engine(events: &[HistoryEvent], config: &EngineConfig) -> QueryEngine {
+        QueryEngine::open(archive(events), config).unwrap().0
+    }
+
+    fn secs(n: u64) -> RippleTime {
+        RippleTime::from_seconds(n)
     }
 
     fn small_config() -> EngineConfig {
         EngineConfig {
-            time_stride: 4,
             block_records: 8,
             ..EngineConfig::default()
         }
@@ -558,6 +645,101 @@ mod tests {
         let capped = engine.range(from, to, 7).unwrap();
         assert_eq!(capped.len(), 7);
         assert_eq!(capped[0].1.timestamp().seconds(), 1020);
+    }
+
+    /// Timestamps (seconds) of the events `range` returns.
+    fn window(engine: &QueryEngine, from: u64, to: u64, limit: usize) -> Vec<u64> {
+        let events = engine.range(secs(from), secs(to), limit).unwrap();
+        events
+            .iter()
+            .map(|(_, e)| e.timestamp().seconds())
+            .collect()
+    }
+
+    #[test]
+    fn duplicate_timestamps_are_fine() {
+        // Page-sharing payments carry identical close times; with two
+        // records per block the run of 10s straddles a block seam.
+        let times = [10, 10, 10, 20, 20];
+        let events: Vec<HistoryEvent> = times.iter().map(|&t| payment(1, 2, t, "1")).collect();
+        let config = EngineConfig {
+            block_records: 2,
+            ..EngineConfig::default()
+        };
+        let engine = engine(&events, &config);
+        assert_eq!(window(&engine, 10, 11, usize::MAX), [10, 10, 10]);
+        assert_eq!(window(&engine, 20, 21, usize::MAX), [20, 20]);
+        assert_eq!(window(&engine, 10, 21, 4), [10, 10, 10, 20]);
+    }
+
+    #[test]
+    fn empty_and_out_of_range_scans() {
+        let events: Vec<HistoryEvent> = [10, 20, 30]
+            .iter()
+            .map(|&t| payment(1, 2, t, "1"))
+            .collect();
+        let served = engine(&events, &small_config());
+        assert!(
+            window(&served, 100, 200, usize::MAX).is_empty(),
+            "after the last event"
+        );
+        assert!(
+            window(&served, 5, 10, usize::MAX).is_empty(),
+            "before the first event"
+        );
+        assert!(window(&served, 30, 10, usize::MAX).is_empty(), "from > to");
+        assert!(
+            window(&served, 20, 20, usize::MAX).is_empty(),
+            "empty window"
+        );
+        assert!(window(&served, 0, 100, 0).is_empty(), "limit 0");
+        assert_eq!(
+            window(&served, 0, 25, usize::MAX),
+            [10, 20],
+            "opens before the first event"
+        );
+
+        let empty = engine(&[], &small_config());
+        assert!(window(&empty, 0, 100, 10).is_empty());
+        assert_eq!(empty.time_bounds(), None);
+    }
+
+    #[test]
+    fn resync_engine_serves_a_damaged_block() {
+        // Regression: block promotion and range scans walked strictly by
+        // `frame_len`, so a Resync engine failed on the damaged block —
+        // `range` always, `account_history` each time the admission
+        // counter promoted it (every third call).
+        let events: Vec<HistoryEvent> = (0..40).map(|i| payment(1, 2, 1000 + i, "2")).collect();
+        let mut bytes = archive(&events);
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x20;
+        let config = EngineConfig {
+            mode: ReadMode::Resync,
+            ..small_config()
+        };
+        assert!(QueryEngine::open(bytes.clone(), &small_config()).is_err());
+        let (engine, report) = QueryEngine::open(bytes.clone(), &config).unwrap();
+        assert_eq!(report.records, 39);
+        assert_eq!(report.corrupt_regions, 1);
+        assert_eq!(report.skipped_bytes, 123, "exactly the damaged frame");
+
+        let rescan = engine.rescan_account_history(&acct(1)).unwrap();
+        assert_eq!(rescan.len(), 39);
+        for call in 0..12 {
+            let history = engine.account_history(&acct(1), usize::MAX).unwrap();
+            assert_eq!(history, rescan, "call {call}");
+        }
+        // Hot (promoted above) and cold (fresh engine) range walks agree.
+        let cold = QueryEngine::open(bytes, &config).unwrap().0;
+        let salvaged: Vec<u64> = (1000..1040).filter(|&t| t != 1019).collect();
+        for engine in [&engine, &cold] {
+            let all = engine.range(secs(0), secs(u64::MAX), usize::MAX).unwrap();
+            assert_eq!(all, rescan);
+            assert_eq!(window(engine, 0, u64::MAX, usize::MAX), salvaged);
+            assert_eq!(window(engine, 1015, 1025, usize::MAX), salvaged[15..24]);
+        }
+        assert_eq!(engine.time_bounds(), Some((secs(1000), secs(1039))));
     }
 
     #[test]

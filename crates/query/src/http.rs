@@ -19,7 +19,7 @@
 //! | `/health` | — | liveness + record count |
 //! | `/stats` | — | index + cache counters |
 //! | `/account/<hex40>` | `limit` | account history (postings + block cache) |
-//! | `/range` | `from`, `to`, `limit` | `[from, to)` window (time index) |
+//! | `/range` | `from`, `to`, `limit` | `[from, to)` window (exact block seek + admission-gated frame walk) |
 //! | `/flow` | `currency`, `day` | per-(currency, day) flow aggregate |
 //! | `/class` | `amount`, `time`, `currency`, `strength`, `dest`, `spec` | fingerprint-class candidates |
 //! | `/metrics` | — | full metrics-registry snapshot |
@@ -209,6 +209,8 @@ fn stats_body(engine: &QueryEngine) -> String {
     w.field_u64("archive_bytes", postings.archive_len());
     w.field_u64("skipped_bytes", stats.skipped_bytes);
     w.field_u64("corrupt_regions", stats.corrupt_regions);
+    w.field_u64("range_scans", engine.range_scans());
+    w.field_u64("range_frames", engine.range_frames());
     w.key("cache");
     w.begin_object();
     w.field_u64("hits", cache.hits());
@@ -514,7 +516,6 @@ mod tests {
         }
         writer.finish().unwrap();
         let config = EngineConfig {
-            time_stride: 4,
             block_records: 8,
             ..EngineConfig::default()
         };
@@ -590,6 +591,11 @@ mod tests {
         let (status, body) = get(addr, "/range?from=1100&to=1150");
         assert_eq!(status, 200);
         assert!(body.contains("\"returned\": 5"), "{body}");
+        // Two frames of the seek block skipped, five matched, one
+        // terminator.
+        let (_, body) = get(addr, "/stats");
+        assert!(body.contains("\"range_scans\": 1"), "{body}");
+        assert!(body.contains("\"range_frames\": 8"), "{body}");
 
         let (status, body) = get(addr, "/flow?currency=USD&day=1000");
         assert_eq!(status, 200);

@@ -7,12 +7,13 @@
 //! rescanning the file per query:
 //!
 //! - [`engine::QueryEngine`] — opens an archive, builds the postings
-//!   sidecar ([`ripple_store::PostingsIndex`]) and the time index in one
-//!   pass, and serves account history, time windows, per-(currency, day)
-//!   flow aggregates and fingerprint-class lookups (reusing
-//!   `ripple-deanon`'s resolution ladder).
+//!   sidecar ([`ripple_store::PostingsIndex`]) in one pass — its block
+//!   table doubles as the time index — and serves account history, time
+//!   windows, per-(currency, day) flow aggregates and fingerprint-class
+//!   lookups (reusing `ripple-deanon`'s resolution ladder).
 //! - [`cache::BlockCache`] — fixed-budget shard-locked LRU over decoded
-//!   frame blocks, so skewed traffic decodes each hot block once.
+//!   frame blocks with adaptive admission, so skewed traffic decodes each
+//!   hot block once and one-off scans decode only the frames they return.
 //! - [`http`] — routing and body builders over the shared
 //!   [`ripple_obs::http`] keep-alive server (admin plane included);
 //!   every response is byte-stable JSON.

@@ -35,7 +35,7 @@ pub static CLASS_NS: LazyHistogram = LazyHistogram::new("query.load.class_ns");
 const POINT_LIMIT: usize = 1;
 
 /// Events walked per range scan before the visitor stops.
-const SCAN_LIMIT: usize = 128;
+pub const SCAN_LIMIT: usize = 128;
 
 /// Load-generator knobs.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +71,9 @@ pub struct LoadReport {
     pub point_lookups: u64,
     /// Range scans issued.
     pub range_scans: u64,
+    /// Frames those scans examined (decoded cold or read from a resident
+    /// block): at most `SCAN_LIMIT + block_records + 1` per scan.
+    pub scan_frames: u64,
     /// Flow aggregates issued.
     pub flow_lookups: u64,
     /// Fingerprint-class queries issued.
@@ -196,6 +199,7 @@ pub fn run(engine: &Arc<QueryEngine>, config: &LoadConfig) -> LoadReport {
 
     let hits_before = engine.cache().hits();
     let misses_before = engine.cache().misses();
+    let frames_before = engine.range_frames();
 
     let points = AtomicU64::new(0);
     let point_ns = AtomicU64::new(0);
@@ -313,6 +317,7 @@ pub fn run(engine: &Arc<QueryEngine>, config: &LoadConfig) -> LoadReport {
         ops,
         point_lookups: point_count,
         range_scans: scans.load(Ordering::Relaxed),
+        scan_frames: engine.range_frames() - frames_before,
         flow_lookups: flows.load(Ordering::Relaxed),
         class_lookups: classes.load(Ordering::Relaxed),
         events_visited: visited.load(Ordering::Relaxed),
@@ -371,7 +376,6 @@ mod tests {
         }
         writer.finish().unwrap();
         let config = EngineConfig {
-            time_stride: 16,
             block_records: 8,
             cache_bytes: 1 << 20,
             ..EngineConfig::default()
@@ -399,6 +403,16 @@ mod tests {
         assert!(report.lookups_per_sec > 0.0);
         assert!(report.point_lookups_per_sec > 0.0);
         assert!(report.events_visited > 0);
+        // Exact seeks: a scan examines its matches, at most one block of
+        // skipped frames (8 records here) and one terminator.
+        assert!(
+            report.range_scans > 0 && report.scan_frames > 0,
+            "{report:?}"
+        );
+        assert!(
+            report.scan_frames <= report.range_scans * (SCAN_LIMIT as u64 + 8 + 1),
+            "{report:?}"
+        );
         // 80% mix must dominate.
         assert!(report.point_lookups >= 700, "{report:?}");
         // Skewed repeats on a small archive must hit the cache.

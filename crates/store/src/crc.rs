@@ -1,26 +1,63 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial), slicing-by-8 over compile-time tables.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC state after byte `b` and then `k` zero bytes, which lets
+/// [`update`] fold eight input bytes per step with eight independent
+/// lookups.
+static TABLES: [[u32; 256]; 8] = tables();
+
+const fn tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        t
-    })
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Advances the raw (pre-inversion) CRC `state` over `data`.
+fn update(mut state: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ state;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        state = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        state = (state >> 8) ^ TABLES[0][((state ^ byte as u32) & 0xFF) as usize];
+    }
+    state
 }
 
 /// Computes the CRC-32 of `data`.
@@ -32,12 +69,7 @@ fn table() -> &'static [u32; 256] {
 /// assert_eq!(ripple_store::crc::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ t[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
+    !update(0xFFFF_FFFF, data)
 }
 
 /// Incremental CRC-32 hasher.
@@ -60,10 +92,7 @@ impl Crc32 {
 
     /// Absorbs more input.
     pub fn update(&mut self, data: &[u8]) {
-        let t = table();
-        for &byte in data {
-            self.state = (self.state >> 8) ^ t[((self.state ^ byte as u32) & 0xFF) as usize];
-        }
+        self.state = update(self.state, data);
     }
 
     /// Finishes, producing the checksum.
@@ -76,6 +105,30 @@ impl Crc32 {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop `update` replaced, with its table entry
+    /// computed inline so the reference shares nothing with [`TABLES`].
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            let mut entry = (crc ^ byte as u32) & 0xFF;
+            for _ in 0..8 {
+                entry = if entry & 1 != 0 {
+                    (entry >> 1) ^ POLY
+                } else {
+                    entry >> 1
+                };
+            }
+            crc = (crc >> 8) ^ entry;
+        }
+        !crc
+    }
+
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
+    }
+
     #[test]
     fn known_vectors() {
         assert_eq!(crc32(b""), 0);
@@ -87,12 +140,31 @@ mod tests {
     }
 
     #[test]
+    fn sliced_matches_bytewise_at_every_length_and_alignment() {
+        let buf = patterned(8 + 130);
+        for start in 0..8 {
+            for len in 0..=130 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_reference(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let mut h = Crc32::new();
-        h.update(&data[..123]);
-        h.update(&data[123..]);
-        assert_eq!(h.finalize(), crc32(&data));
+        let data = patterned(1000);
+        let whole = crc32_reference(&data);
+        assert_eq!(crc32(&data), whole);
+        for split in 0..=data.len() {
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), whole, "split at {split}");
+        }
     }
 
     #[test]

@@ -58,13 +58,11 @@ pub mod chaos;
 pub mod codec;
 pub mod crc;
 pub mod event;
-pub mod index;
 pub mod postings;
 pub mod stream;
 
 pub use chaos::{corrupt_bytes, CorruptingWriter, CorruptionOp, CorruptionPlan};
 pub use event::HistoryEvent;
-pub use index::ArchiveIndex;
 pub use postings::{
     decode_block, decode_frame_at, FlowStat, PostingsConfig, PostingsIndex, SIDECAR_MAGIC,
 };

@@ -15,6 +15,11 @@
 //! * **a block table** — every `block_records`-th frame offset, defining
 //!   the fixed decode units the block cache works in.
 //!
+//! Archives must be time-ordered (the generator emits them that way): the
+//! query layer serves `[from, to)` windows by seeking through the block
+//! table on each block's first timestamp, so [`PostingsIndex::build`]
+//! rejects a timestamp regression instead of indexing it.
+//!
 //! The index persists as a *sidecar*: its own magic, then CRC-framed
 //! sections in the archive's `tag | len | payload | crc32` framing, so it
 //! loads (and fails loudly on corruption) without touching event frames.
@@ -124,10 +129,42 @@ pub struct PostingsIndex {
 struct ShardPartial {
     accounts: BTreeMap<AccountId, Vec<u64>>,
     flows: BTreeMap<(Currency, u64), FlowStat>,
+    /// Archive record number of the next event absorbed.
+    next_record: u64,
+    /// Record number and timestamp of the first event absorbed and the
+    /// timestamp of the last, for the time-order checks.
+    span: Option<(u64, RippleTime, RippleTime)>,
+}
+
+fn not_time_ordered(record: u64, t: RippleTime, prev: RippleTime) -> StoreError {
+    StoreError::corrupt(format!(
+        "archive is not time-ordered at record {record}: {t} < {prev}"
+    ))
 }
 
 impl ShardPartial {
-    fn absorb(&mut self, offset: u64, event: &HistoryEvent) {
+    /// A shard whose first event is archive record `first_record`.
+    fn starting_at(first_record: u64) -> ShardPartial {
+        ShardPartial {
+            next_record: first_record,
+            ..ShardPartial::default()
+        }
+    }
+
+    /// Indexes the event framed at `offset`, rejecting a timestamp below
+    /// its predecessor's: window queries seek by block start time, so a
+    /// regression would make them silently wrong.
+    fn absorb(&mut self, offset: u64, event: &HistoryEvent) -> Result<(), StoreError> {
+        let t = event.timestamp();
+        let (first_record, first) = match self.span {
+            Some((_, _, last)) if t < last => {
+                return Err(not_time_ordered(self.next_record, t, last))
+            }
+            Some((record, first, _)) => (record, first),
+            None => (self.next_record, t),
+        };
+        self.span = Some((first_record, first, t));
+        self.next_record += 1;
         match event {
             HistoryEvent::Payment(p) => {
                 self.post(p.sender, offset);
@@ -151,17 +188,27 @@ impl ShardPartial {
             }
             HistoryEvent::AccountCreated { account, .. } => self.post(*account, offset),
         }
+        Ok(())
     }
 
     fn post(&mut self, account: AccountId, offset: u64) {
         self.accounts.entry(account).or_default().push(offset);
     }
 
+    /// Appends this shard to the merged maps, checking time order across
+    /// the seam with the shards merged before it.
     fn merge_into(
         self,
         accounts: &mut BTreeMap<AccountId, Vec<u64>>,
         flows: &mut BTreeMap<(Currency, u64), FlowStat>,
-    ) {
+        last_time: &mut Option<RippleTime>,
+    ) -> Result<(), StoreError> {
+        if let Some((record, first, last)) = self.span {
+            match *last_time {
+                Some(prev) if first < prev => return Err(not_time_ordered(record, first, prev)),
+                _ => *last_time = Some(last),
+            }
+        }
         for (account, offsets) in self.accounts {
             accounts.entry(account).or_default().extend(offsets);
         }
@@ -171,7 +218,34 @@ impl ShardPartial {
             flow.total_raw += partial.total_raw;
             flow.offsets.extend(partial.offsets);
         }
+        Ok(())
     }
+}
+
+/// Verifies the frame at `pos` — header and body in bounds, length under
+/// the cap, CRC matching — and returns its total length. Every strict
+/// read in this module goes through here before a payload is parsed.
+fn checked_frame_len(archive: &[u8], pos: usize) -> Result<usize, StoreError> {
+    let rest = archive.get(pos..).unwrap_or_default();
+    let truncated = || StoreError::corrupt(format!("archive truncated mid-record at offset {pos}"));
+    if rest.len() < 5 {
+        return Err(truncated());
+    }
+    let len = u32::from_be_bytes(rest[1..5].try_into().expect("4-byte slice"));
+    if len > MAX_PAYLOAD {
+        return Err(StoreError::corrupt(format!(
+            "payload length {len} exceeds cap {MAX_PAYLOAD}"
+        )));
+    }
+    let crc_at = 5 + len as usize;
+    if rest.len() < crc_at + 4 {
+        return Err(truncated());
+    }
+    let stored = u32::from_be_bytes(rest[crc_at..crc_at + 4].try_into().expect("4-byte slice"));
+    if crc32(&rest[..crc_at]) != stored {
+        return Err(StoreError::corrupt(format!("CRC mismatch at offset {pos}")));
+    }
+    Ok(crc_at + 4)
 }
 
 /// Walks frame boundaries without decoding payloads: `(offset, frame_len)`
@@ -184,32 +258,7 @@ fn frame_table(archive: &[u8]) -> Result<Vec<(u64, u32)>, StoreError> {
     let mut pos = MAGIC.len();
     let mut out = Vec::new();
     while pos < archive.len() {
-        let remaining = archive.len() - pos;
-        if remaining < 5 {
-            return Err(StoreError::corrupt("archive truncated mid-record"));
-        }
-        let len = u32::from_be_bytes(archive[pos + 1..pos + 5].try_into().expect("4-byte slice"));
-        if len > MAX_PAYLOAD {
-            return Err(StoreError::corrupt(format!(
-                "payload length {len} exceeds cap {MAX_PAYLOAD}"
-            )));
-        }
-        let frame_len = 5 + len as usize + 4;
-        if remaining < frame_len {
-            return Err(StoreError::corrupt("archive truncated mid-record"));
-        }
-        let framed = &archive[pos..pos + 5 + len as usize];
-        let stored = u32::from_be_bytes(
-            archive[pos + 5 + len as usize..pos + frame_len]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        if crc32(framed) != stored {
-            return Err(StoreError::corrupt(format!(
-                "CRC mismatch in record {}",
-                out.len()
-            )));
-        }
+        let frame_len = checked_frame_len(archive, pos)?;
         out.push((pos as u64, frame_len as u32));
         pos += frame_len;
     }
@@ -223,31 +272,10 @@ fn frame_table(archive: &[u8]) -> Result<Vec<(u64, u32)>, StoreError> {
 ///
 /// [`StoreError::Corrupt`] on framing, CRC or payload failure.
 pub fn decode_frame_at(archive: &[u8], offset: u64) -> Result<(HistoryEvent, u32), StoreError> {
-    let pos = offset as usize;
-    if pos + 5 > archive.len() {
-        return Err(StoreError::corrupt("frame offset beyond archive"));
-    }
-    let tag = archive[pos];
-    let len = u32::from_be_bytes(archive[pos + 1..pos + 5].try_into().expect("4-byte slice"));
-    if len > MAX_PAYLOAD {
-        return Err(StoreError::corrupt(format!(
-            "payload length {len} exceeds cap {MAX_PAYLOAD}"
-        )));
-    }
-    let frame_len = 5 + len as usize + 4;
-    if pos + frame_len > archive.len() {
-        return Err(StoreError::corrupt("frame truncated at offset"));
-    }
-    let framed = &archive[pos..pos + 5 + len as usize];
-    let stored = u32::from_be_bytes(
-        archive[pos + 5 + len as usize..pos + frame_len]
-            .try_into()
-            .expect("4-byte slice"),
-    );
-    if crc32(framed) != stored {
-        return Err(StoreError::corrupt("CRC mismatch at offset"));
-    }
-    let event = HistoryEvent::decode_payload(tag, &framed[5..])?;
+    let pos = usize::try_from(offset).unwrap_or(usize::MAX);
+    let frame_len = checked_frame_len(archive, pos)?;
+    let payload = &archive[pos + 5..pos + frame_len - 4];
+    let event = HistoryEvent::decode_payload(archive[pos], payload)?;
     Ok((event, frame_len as u32))
 }
 
@@ -283,29 +311,34 @@ impl PostingsIndex {
     ///
     /// # Errors
     ///
-    /// Any [`StoreError`] from scanning; in strict mode the first corrupt
-    /// frame aborts the build.
+    /// * Any [`StoreError`] from scanning; in strict mode the first corrupt
+    ///   frame aborts the build.
+    /// * [`StoreError::Corrupt`] in either mode if an indexed event's
+    ///   timestamp is below its predecessor's, within a shard or across a
+    ///   shard seam (window queries seek by block start time).
     pub fn build(archive: &[u8], config: &PostingsConfig) -> Result<PostingsIndex, StoreError> {
         let block_records = config.block_records.max(1);
         let mut accounts = BTreeMap::new();
         let mut flows = BTreeMap::new();
+        let mut last_time = None;
         let (offsets, stats) = match config.mode {
             ReadMode::Strict => {
                 let table = frame_table(archive)?;
                 let shard_count = config.shards.max(1).min(table.len().max(1));
-                let chunk = table.len().div_ceil(shard_count);
+                let chunk = table.len().div_ceil(shard_count).max(1);
                 let partials: Vec<Result<ShardPartial, StoreError>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = table
-                        .chunks(chunk.max(1))
-                        .map(|range| {
+                        .chunks(chunk)
+                        .enumerate()
+                        .map(|(shard, range)| {
                             scope.spawn(move || {
-                                let mut partial = ShardPartial::default();
+                                let mut partial = ShardPartial::starting_at((shard * chunk) as u64);
                                 for &(offset, frame_len) in range {
                                     let pos = offset as usize;
                                     let tag = archive[pos];
                                     let payload = &archive[pos + 5..pos + frame_len as usize - 4];
                                     let event = HistoryEvent::decode_payload(tag, payload)?;
-                                    partial.absorb(offset, &event);
+                                    partial.absorb(offset, &event)?;
                                 }
                                 Ok(partial)
                             })
@@ -317,7 +350,7 @@ impl PostingsIndex {
                         .collect()
                 });
                 for partial in partials {
-                    partial?.merge_into(&mut accounts, &mut flows);
+                    partial?.merge_into(&mut accounts, &mut flows, &mut last_time)?;
                 }
                 let offsets: Vec<u64> = table.iter().map(|&(o, _)| o).collect();
                 let stats = RecoveryStats {
@@ -331,10 +364,10 @@ impl PostingsIndex {
                 let mut partial = ShardPartial::default();
                 let mut offsets = Vec::new();
                 while let Some((offset, event)) = reader.next_event_at()? {
-                    partial.absorb(offset, &event);
+                    partial.absorb(offset, &event)?;
                     offsets.push(offset);
                 }
-                partial.merge_into(&mut accounts, &mut flows);
+                partial.merge_into(&mut accounts, &mut flows, &mut last_time)?;
                 (offsets, reader.stats())
             }
         };
@@ -981,6 +1014,60 @@ mod tests {
         // Round trip survives with the salvage counters intact.
         let back = PostingsIndex::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(back.stats().skipped_bytes, u64::from(len30));
+    }
+
+    /// `AccountCreated` events at the given second marks.
+    fn timed_archive(times: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = Writer::new(&mut buf);
+        for &secs in times {
+            writer
+                .write(&HistoryEvent::AccountCreated {
+                    account: acct((secs % 251) as u8),
+                    timestamp: RippleTime::from_seconds(secs),
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        buf
+    }
+
+    #[test]
+    fn unordered_archive_is_rejected() {
+        let buf = timed_archive(&[10, 5]);
+        let err = PostingsIndex::build(&buf, &PostingsConfig::default()).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(msg) if msg.contains("time-ordered")));
+        // Page-sharing events carry identical close times: not a regression.
+        let buf = timed_archive(&[10, 10, 10, 20, 20]);
+        let index = PostingsIndex::build(&buf, &PostingsConfig::default()).unwrap();
+        assert_eq!(index.records(), 5);
+    }
+
+    #[test]
+    fn time_regression_on_a_shard_seam_is_rejected() {
+        // 16 records, ordered except that record 8 — the first record of a
+        // shard for 2 and for 8 shards — is below record 7.
+        let mut times: Vec<u64> = (0..16).map(|i| 100 + i * 10).collect();
+        times[8] = times[7] - 1;
+        let buf = timed_archive(&times);
+        let modes = [
+            (1, ReadMode::Strict),
+            (2, ReadMode::Strict),
+            (8, ReadMode::Strict),
+            (1, ReadMode::Resync),
+        ];
+        for (shards, mode) in modes {
+            let config = PostingsConfig {
+                shards,
+                mode,
+                ..PostingsConfig::default()
+            };
+            let err = PostingsIndex::build(&buf, &config).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(msg) if msg.contains("time-ordered at record 8")),
+                "{shards} shards, {mode:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use ripple_core::deanon::ResolutionSpec;
 use ripple_core::ledger::{Currency, FeeSchedule};
 use ripple_core::orderbook::{find_two_leg, BookSet};
 use ripple_core::paths::{PaymentEngine, PaymentRequest, TransferFees};
-use ripple_core::store::ArchiveIndex;
+use ripple_core::query::{EngineConfig, QueryEngine};
 use ripple_core::{PaymentRecord, Study, SynthConfig};
 
 fn study() -> Study {
@@ -21,8 +21,9 @@ fn archive_index_window_matches_linear_filter() {
     let study = study();
     let mut buf = Vec::new();
     study.output().write_archive(&mut buf).expect("write");
-    let index = ArchiveIndex::build(&buf, 64).expect("time-ordered archive");
-    assert_eq!(index.records() as usize, study.output().events.len());
+    let (engine, report) =
+        QueryEngine::open(buf, &EngineConfig::default()).expect("time-ordered archive");
+    assert_eq!(report.records as usize, study.output().events.len());
 
     let (from, to) = {
         let payments = study.payments();
@@ -30,7 +31,7 @@ fn archive_index_window_matches_linear_filter() {
         let b = payments[3 * payments.len() / 4].timestamp;
         (a, b)
     };
-    let windowed = index.scan_range(&buf, from, to).expect("scan");
+    let windowed = engine.range(from, to, usize::MAX).expect("scan");
     let linear = study
         .output()
         .events
