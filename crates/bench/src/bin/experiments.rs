@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [EXPERIMENT] [--payments N] [--seed S] [--rounds R] [--shards S]
-//!             [--workers W] [--chunk C] [--no-baseline] [--archive]
+//!             [--workers W] [--chunk C] [--archive]
 //!             [--budget-secs B] [--ops N]
 //!             [--trace PATH] [--metrics PATH] [--validators N]
 //!             [--round-ms MS] [--plan FILE] [--clients C] [--mix M]
@@ -28,12 +28,10 @@
 //! reproduces byte-for-byte (see EXPERIMENTS.md "Correctness harness").
 //!
 //! History generation runs through the pipelined generator (`--workers`
-//! scripting threads, `--chunk` payments per chunk).
-//! Every generation also times the serial generator as a
-//! baseline (skippable with `--no-baseline`) and writes `BENCH_synth.json`
-//! (see EXPERIMENTS.md for the schema). Under `all`, the history-backed
-//! studies execute concurrently over the shared payment arena, with their
-//! reports printed in presentation order.
+//! scripting threads, `--chunk` payments per chunk) and writes its stage
+//! timings to `BENCH_synth.json` (see EXPERIMENTS.md for the schema). Under
+//! `all`, the history-backed studies execute concurrently over the shared
+//! payment arena, with their reports printed in presentation order.
 //!
 //! `fig3` additionally writes `BENCH_fig3.json` — a machine-readable dump
 //! of the sharded IG engine's row metrics and throughput (see
@@ -147,7 +145,6 @@ struct Args {
     shards: usize,
     workers: usize,
     chunk: usize,
-    no_baseline: bool,
     archive: bool,
     budget_secs: u64,
     ops: usize,
@@ -176,7 +173,6 @@ fn parse_args() -> Args {
         shards: 0,
         workers: 0,
         chunk: 0,
-        no_baseline: false,
         archive: false,
         budget_secs: 10,
         ops: 40,
@@ -233,7 +229,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--chunk needs a number");
             }
-            "--no-baseline" => args.no_baseline = true,
             "--archive" => args.archive = true,
             "--budget-secs" => {
                 args.budget_secs = iter
@@ -427,7 +422,7 @@ fn run_experiments(args: &Args) {
         archive: args.archive,
         ..PipelineConfig::default()
     };
-    let mut run = match Generator::new(config.clone()).run_pipelined(&pipeline) {
+    let mut run = match Generator::new(config).run_pipelined(&pipeline) {
         Ok(run) => run,
         Err(err) => {
             eprintln!("pipelined generation failed: {err}");
@@ -462,26 +457,7 @@ fn run_experiments(args: &Args) {
         bench.workers,
         bench.chunks
     );
-    let serial_secs = if args.no_baseline {
-        None
-    } else {
-        // The pipelined sink always runs the archive encoder (that is
-        // how `encoded_bytes` is measured), so the baseline must do the
-        // same work for the speedup to compare like with like.
-        eprintln!("timing serial baseline (generate + archive encode) ...");
-        let t = Instant::now();
-        let out = Generator::new(config).run();
-        let records = out
-            .write_archive(std::io::sink())
-            .expect("serial baseline archive encode");
-        let secs = t.elapsed().as_secs_f64();
-        eprintln!(
-            "serial baseline: {} events encoded as {records} records in {secs:.3}s",
-            out.events.len()
-        );
-        Some(secs)
-    };
-    let json = synth_json(args, &bench, serial_secs);
+    let json = synth_json(args, &bench);
     match std::fs::write("BENCH_synth.json", json) {
         Ok(()) => eprintln!("wrote BENCH_synth.json"),
         Err(err) => eprintln!("could not write BENCH_synth.json: {err}"),
@@ -541,7 +517,7 @@ fn run_experiments(args: &Args) {
 /// `BENCH_synth.json` schema documented in EXPERIMENTS.md, through the
 /// shared `ripple-obs` JSON writer (the vendored serde has no JSON
 /// backend).
-fn synth_json(args: &Args, bench: &SynthBench, serial_secs: Option<f64>) -> String {
+fn synth_json(args: &Args, bench: &SynthBench) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.field_str("experiment", "synth");
@@ -561,21 +537,6 @@ fn synth_json(args: &Args, bench: &SynthBench, serial_secs: Option<f64>) -> Stri
     w.field_u64("encoded_bytes", bench.encoded_bytes as u64);
     w.field_u64("archive_bytes", bench.archive_bytes as u64);
     w.end_object();
-    match serial_secs {
-        Some(secs) => {
-            let speedup = if bench.total_secs > 0.0 {
-                secs / bench.total_secs
-            } else {
-                0.0
-            };
-            w.field_f64("serial_secs", secs, 6);
-            w.field_f64("speedup_vs_serial", speedup, 2);
-        }
-        None => {
-            w.field_null("serial_secs");
-            w.field_null("speedup_vs_serial");
-        }
-    }
     w.end_object();
     w.finish()
 }

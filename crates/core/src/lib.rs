@@ -3,8 +3,9 @@
 //! (ICDCS 2017) as a Rust workspace.
 //!
 //! This facade crate re-exports every subsystem and provides [`Study`], the
-//! one-stop pipeline that generates a calibrated history and reproduces all
-//! of the paper's tables and figures:
+//! one-stop pipeline that generates a calibrated history (through the one
+//! pipelined executor, [`Generator::run_pipelined`]) and reproduces all of
+//! the paper's tables and figures:
 //!
 //! | Experiment | Paper artifact | Accessor |
 //! |---|---|---|
@@ -27,13 +28,15 @@
 //! let fig3 = study.figure3();
 //! // The strongest attacker de-anonymizes nearly everything.
 //! assert!(fig3[0].1.fraction() > 0.9);
+//! // Figure 4 is answered from the tallies the generator's sink kept.
+//! assert_eq!(study.figure4().iter().map(|&(_, n)| n).sum::<u64>(), 2_000);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub mod liquidity;
 
@@ -72,26 +75,27 @@ pub use ripple_synth::{
 #[derive(Debug)]
 pub struct Study {
     output: SynthOutput,
-    payment_arena: OnceLock<Arc<[PaymentRecord]>>,
-    /// Streaming tallies from a pipelined generation, when available. The
-    /// figure-4/5/6 accessors answer from these instead of re-scanning the
-    /// history.
-    tallies: Option<HistoryTallies>,
+    payment_arena: Arc<[PaymentRecord]>,
+    /// Streaming tallies from the generator's sink stage. The figure-4/5/6
+    /// accessors answer from these instead of re-scanning the history.
+    tallies: HistoryTallies,
 }
 
 impl Study {
-    /// Generates a history with the given configuration.
+    /// Generates a history with the given configuration: the pipeline
+    /// defaults, archive bytes not retained (the events [`Generator::run`]
+    /// produces).
     pub fn generate(config: SynthConfig) -> Study {
-        Study {
-            output: Generator::new(config).run(),
-            payment_arena: OnceLock::new(),
-            tallies: None,
-        }
+        let pipeline = PipelineConfig {
+            archive: false,
+            ..PipelineConfig::default()
+        };
+        Study::generate_pipelined(config, &pipeline).0
     }
 
-    /// Generates a history with the pipelined parallel generator, seeding
-    /// the study's shared arena and analytics tallies from the run. Returns
-    /// the study plus the run's stage timings.
+    /// Generates a history under explicit pipeline settings, seeding the
+    /// study's shared arena and analytics tallies from the run. Returns the
+    /// study plus the run's stage timings.
     pub fn generate_pipelined(
         config: SynthConfig,
         pipeline: &PipelineConfig,
@@ -103,24 +107,13 @@ impl Study {
         (Study::from_pipeline(run), bench)
     }
 
-    /// Wraps a pipelined run: the payment arena and streaming tallies are
-    /// taken from the run instead of being rebuilt on first use.
+    /// Wraps a generation run, taking its payment arena and streaming
+    /// tallies.
     pub fn from_pipeline(run: PipelineRun) -> Study {
-        let arena = OnceLock::new();
-        arena.set(run.arena).expect("fresh lock");
         Study {
             output: run.output,
-            payment_arena: arena,
-            tallies: Some(run.tallies),
-        }
-    }
-
-    /// Wraps an existing generation run.
-    pub fn from_output(output: SynthOutput) -> Study {
-        Study {
-            output,
-            payment_arena: OnceLock::new(),
-            tallies: None,
+            payment_arena: run.arena,
+            tallies: run.tallies,
         }
     }
 
@@ -134,14 +127,11 @@ impl Study {
         self.output.payments().collect()
     }
 
-    /// The payment records as a shared arena. The arena is materialized on
-    /// first use and then shared: ten attack indexes (one per Figure 3 row)
-    /// hold one copy of the history between them instead of cloning it per
-    /// spec.
+    /// The payment records as a shared arena, filled by the generator's
+    /// sink stage: ten attack indexes (one per Figure 3 row) hold one copy
+    /// of the history between them instead of cloning it per spec.
     pub fn payment_arena(&self) -> Arc<[PaymentRecord]> {
-        self.payment_arena
-            .get_or_init(|| self.output.payments().cloned().collect())
-            .clone()
+        self.payment_arena.clone()
     }
 
     /// E1 — Figure 2: runs the three collection periods for `rounds`
@@ -170,18 +160,16 @@ impl Study {
         ripple_deanon::figure3_sweep(&records, config)
     }
 
-    /// E4 — Figure 4: ranked currency usage. Answered from the streaming
-    /// tallies when the history came from the pipelined generator.
+    /// E4 — Figure 4: ranked currency usage, from the streaming tallies.
     pub fn figure4(&self) -> Vec<(Currency, u64)> {
-        match &self.tallies {
-            Some(t) => {
-                let mut out: Vec<(Currency, u64)> =
-                    t.currency_counts.iter().map(|(&c, &n)| (c, n)).collect();
-                out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                out
-            }
-            None => ripple_analytics::currency_usage(self.output.payments()),
-        }
+        let mut out: Vec<(Currency, u64)> = self
+            .tallies
+            .currency_counts
+            .iter()
+            .map(|(&c, &n)| (c, n))
+            .collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        out
     }
 
     /// E5 — Figure 5: survival curves for the paper's leading currencies
@@ -196,32 +184,20 @@ impl Study {
             Currency::USD,
             Currency::XRP,
         ];
-        if let Some(t) = &self.tallies {
-            let mut out = vec![(
-                None,
-                ripple_analytics::SurvivalCurve::from_amounts(t.amounts.clone()),
-            )];
-            for currency in currencies {
-                let amounts = t
-                    .amounts_by_currency
-                    .get(&currency)
-                    .cloned()
-                    .unwrap_or_default();
-                out.push((
-                    Some(currency),
-                    ripple_analytics::SurvivalCurve::from_amounts(amounts),
-                ));
-            }
-            return out;
-        }
+        let t = &self.tallies;
         let mut out = vec![(
             None,
-            ripple_analytics::SurvivalCurve::build(self.output.payments(), None),
+            ripple_analytics::SurvivalCurve::from_amounts(t.amounts.clone()),
         )];
         for currency in currencies {
+            let amounts = t
+                .amounts_by_currency
+                .get(&currency)
+                .cloned()
+                .unwrap_or_default();
             out.push((
                 Some(currency),
-                ripple_analytics::SurvivalCurve::build(self.output.payments(), Some(currency)),
+                ripple_analytics::SurvivalCurve::from_amounts(amounts),
             ));
         }
         out
@@ -229,18 +205,12 @@ impl Study {
 
     /// E6 — Figure 6(a): payment paths per intermediate-hop count.
     pub fn figure6a(&self) -> BTreeMap<usize, u64> {
-        match &self.tallies {
-            Some(t) => t.hop_histogram.clone(),
-            None => ripple_analytics::path_hop_histogram(self.output.payments()),
-        }
+        self.tallies.hop_histogram.clone()
     }
 
     /// E7 — Figure 6(b): payments per parallel-path count.
     pub fn figure6b(&self) -> BTreeMap<usize, u64> {
-        match &self.tallies {
-            Some(t) => t.parallel_histogram.clone(),
-            None => ripple_analytics::parallel_path_histogram(self.output.payments()),
-        }
+        self.tallies.parallel_histogram.clone()
     }
 
     /// E8 — Table II: the Market-Maker-removal replay over the post-snapshot

@@ -678,8 +678,7 @@ mod tests {
         // The final exit wave severs every Market Maker — it must match
         // Study::table2's all-at-once removal.
         if let Some(last) = report.mm_exit_waves.last() {
-            let output = Generator::new(SynthConfig::small(1_500)).run();
-            let study = crate::Study::from_output(output);
+            let study = crate::Study::generate(SynthConfig::small(1_500));
             let table2 = study.table2().expect("snapshot exists");
             assert_eq!(last.makers_severed as usize, table2.makers_severed);
             assert_eq!(last.cross_submitted, table2.stats.cross_submitted);

@@ -19,18 +19,32 @@
 //!   amounts) that give the fingerprint-collision structure behind the
 //!   paper's Figure 3 information-gain profile.
 //!
+//! There is one history executor, the three-stage [`pipeline`] (parallel
+//! scripting, serial execution against the live ledger, overlapped archive
+//! and tally sinks). [`Generator::run`] is that pipeline with default
+//! settings returning the [`SynthOutput`] alone;
+//! [`Generator::run_pipelined`] also hands back the shared payment arena,
+//! the streaming tallies, the archive bytes and the stage timings. Both
+//! produce the same events for the same [`SynthConfig`].
+//!
 //! # Examples
 //!
 //! ```
-//! use ripple_synth::{Generator, SynthConfig};
+//! use ripple_synth::{Generator, PipelineConfig, SynthConfig};
 //!
 //! let config = SynthConfig {
 //!     payments: 2_000,
 //!     ..SynthConfig::default()
 //! };
-//! let out = Generator::new(config).run();
+//! let out = Generator::new(config.clone()).run();
 //! assert_eq!(out.payments().count(), 2_000);
 //! assert!(out.final_state.account_count() > 100);
+//!
+//! let run = Generator::new(config)
+//!     .run_pipelined(&PipelineConfig::default())
+//!     .unwrap();
+//! assert_eq!(run.output.events, out.events);
+//! assert_eq!(run.tallies.payments, 2_000);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -10,19 +10,22 @@
 //! 2. **Execution** — the main thread applies scripted payments to the
 //!    live [`LedgerState`] in chunk order (a reorder buffer absorbs
 //!    out-of-order chunk arrivals). The hop fast path ([`apply_hop`])
-//!    fuses the serial generator's `ensure_hop` + `ripple_hop` pair into
-//!    a single capacity probe plus a direct balance adjustment, and
+//!    fuses "ensure the hop has capacity" and [`LedgerState::ripple_hop`]
+//!    into a single capacity probe plus a direct balance adjustment, and
 //!    membership checks run against the precomputed gateway set instead
 //!    of scanning the cast.
 //! 3. **Sink** — archive encoding ([`ripple_store::Writer`]) and
 //!    incremental analytics tallies run on their own threads, overlapping
 //!    the executor.
 //!
-//! Determinism: for a fixed config, every worker count (and the repeat of
-//! any run) produces the identical event sequence and archive bytes. The
-//! pipelined history is *not* guaranteed to equal `Generator::run`'s
-//! serial history — the scripting stage draws from per-chunk RNG streams —
-//! but it is drawn from the same calibrated marginals.
+//! Determinism: this is the repo's only history executor
+//! ([`Generator::run`] is this pipeline with default settings), and for a
+//! fixed [`SynthConfig`](crate::config::SynthConfig) and chunk size every
+//! worker count, and the repeat of any run, produces the identical event
+//! sequence and archive bytes: the master RNG drives only the serial set-up,
+//! and chunk `c` is scripted from its own `derive_seed(seed, "chunk", c)`
+//! stream. The chunk size *is* part of the history's identity: it decides
+//! the chunks' time windows and RNG streams.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -144,7 +147,7 @@ pub struct SynthBench {
     pub chunk_size: usize,
     /// Scripting workers used.
     pub workers: usize,
-    /// Always `0`: the serial executor has no conflicts. Read by
+    /// Always `0`: the one serial execution stage has no conflicts. Read by
     /// `benchmark/src/workloads/history_build.rs` as
     /// `synth.conflict_share`; goes when a `benchmark` issue drops that
     /// name.
@@ -217,7 +220,7 @@ impl HistoryTallies {
 /// Everything a pipelined run produces.
 #[derive(Debug)]
 pub struct PipelineRun {
-    /// The generated history (same shape as the serial generator's).
+    /// The generated history (what [`Generator::run`] returns alone).
     pub output: SynthOutput,
     /// The payment records as a shared arena, ready for concurrent studies.
     pub arena: Arc<[PaymentRecord]>,
@@ -299,9 +302,8 @@ impl Generator {
         let n_chunks = chunk_count(config.payments, chunk_size);
         let workers = pcfg.resolved_workers().max(1).min(n_chunks);
 
-        // Serial setup, consuming the master RNG exactly as `run` does so
-        // the cast, resident offers and menus are shared with the serial
-        // generator.
+        // Serial setup: the only consumer of the master RNG (cast,
+        // resident offers, menus, in that order).
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut state = LedgerState::new();
         let mut setup_events: Vec<HistoryEvent> = Vec::new();
@@ -431,7 +433,7 @@ impl Generator {
             let mut exec_secs = 0.0f64;
             let mut pending: BTreeMap<usize, ScriptChunk> = BTreeMap::new();
             let mut batch: EventBatch = Vec::with_capacity(BATCH_EVENTS);
-            // The setup events head the stream, exactly as in `run`.
+            // The setup events head the stream.
             batch.append(&mut setup_events);
             let flush = |batch: &mut EventBatch, force: bool| {
                 if batch.len() >= BATCH_EVENTS || (force && !batch.is_empty()) {
@@ -633,10 +635,10 @@ impl<'a> Executor<'a> {
             });
         }
 
-        // The 44-intermediate probe substitutes for the first eligible IOU
-        // slot in the second half of the history (mirrors the serial
-        // generator's placement; the probe RNG is its own derived stream so
-        // the substitution is independent of chunking).
+        // One crafted 44-intermediate payment per history, the lone outlier
+        // on Fig. 6(a)'s x-axis: it substitutes for the first eligible IOU
+        // slot in the second half of the history (the probe RNG is its own
+        // derived stream so the substitution is independent of chunking).
         let probe = !self.probe_emitted
             && global_index >= self.config.payments / 2
             && matches!(entry.body, ScriptedBody::Iou { is_cck: false, .. });
@@ -878,25 +880,23 @@ impl<'a> Executor<'a> {
                     cross.then(|| src_currency.unwrap_or(*currency)),
                 )
             }
-            ScriptedBody::Probe { amount } => {
-                // Scripted probes never appear in chunks (the executor
-                // substitutes them), but execute one defensively anyway.
-                let _ = amount;
-                self.run_probe(entry, events)
-            }
         }
     }
 }
 
-/// The fused hop fast path: `ensure_hop` + `ripple_hop` in one pass.
+/// The fused hop fast path: guarantees that the hop `from -> to` can carry
+/// `amount` of `currency`, then moves it, in one pass.
 ///
-/// The serial generator probes capacity in `ensure_hop`, then `ripple_hop`
-/// re-validates with two more map lookups before adjusting the balance.
-/// Here the single up-front [`LedgerState::hop_capacity`] probe decides
-/// everything, the gateway membership test is a hash-set hit instead of a
-/// cast scan, and the balance moves via
+/// Deposits are topped up when the receiving side is a gateway (gateways
+/// do not extend trust), and trust limits are raised organically otherwise.
+/// Done as two steps — ensure capacity, then [`LedgerState::ripple_hop`] —
+/// the hop re-validates with two more map lookups before adjusting the
+/// balance. Here the single up-front [`LedgerState::hop_capacity`] probe
+/// decides everything, the gateway membership test is a hash-set hit
+/// instead of a cast scan, and the balance moves via
 /// [`LedgerState::adjust_pair_balance`] directly. The resulting ledger
-/// mutations are identical to the serial pair's.
+/// mutations are identical to the two-step pair's, which the test module
+/// keeps as the reference.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_hop(
     state: &mut LedgerState,
@@ -958,7 +958,6 @@ pub(crate) fn apply_hop(
 mod tests {
     use super::*;
     use crate::config::SynthConfig;
-    use crate::generate::ensure_hop;
     use ripple_crypto::sha512_half;
 
     fn run(workers: usize, payments: usize, seed: u64) -> PipelineRun {
@@ -1075,6 +1074,65 @@ mod tests {
         assert_eq!(out.tallies.hop_histogram, recount.hop_histogram);
         assert_eq!(out.tallies.parallel_histogram, recount.parallel_histogram);
         assert_eq!(out.tallies.amounts.len(), recount.amounts.len());
+    }
+
+    /// The unfused reference for [`apply_hop`]: only guarantees that the hop
+    /// `from -> to` can carry `amount` of `currency` (scanning the cast for
+    /// gateway membership); the caller then runs the validating `ripple_hop`.
+    #[allow(clippy::too_many_arguments)]
+    fn ensure_hop(
+        state: &mut LedgerState,
+        events: &mut Vec<HistoryEvent>,
+        cast: &Cast,
+        from: AccountId,
+        to: AccountId,
+        currency: Currency,
+        amount: Value,
+        now: RippleTime,
+    ) {
+        let capacity = state.hop_capacity(from, to, currency);
+        if capacity >= amount {
+            return;
+        }
+        let shortfall = amount - capacity;
+        let is_gateway = cast.gateways.iter().any(|g| g.account == to);
+        if is_gateway {
+            // `from` deposits at the gateway: the gateway issues IOUs to `from`
+            // (needs `from` to trust the gateway in this currency).
+            let boost = Value::from_raw(shortfall.raw().saturating_mul(50)).max_one();
+            let limit = state.trust_limit(from, to, currency);
+            let claim = state.iou_balance(from, to, currency);
+            if limit - claim < boost {
+                let new_limit = (claim + boost + boost).max_one();
+                state
+                    .set_trust(from, to, currency, new_limit)
+                    .expect("parties exist");
+                events.push(HistoryEvent::TrustSet {
+                    truster: from,
+                    trustee: to,
+                    currency,
+                    limit: new_limit,
+                    timestamp: now,
+                });
+            }
+            state
+                .ripple_hop(to, from, currency, boost)
+                .expect("trust was just raised");
+        } else {
+            // Raise `to`'s declared trust in `from` (organic trust growth).
+            let claim = state.iou_balance(to, from, currency);
+            let new_limit = (claim + Value::from_raw(amount.raw().saturating_mul(50))).max_one();
+            state
+                .set_trust(to, from, currency, new_limit)
+                .expect("parties exist");
+            events.push(HistoryEvent::TrustSet {
+                truster: to,
+                trustee: from,
+                currency,
+                limit: new_limit,
+                timestamp: now,
+            });
+        }
     }
 
     #[test]

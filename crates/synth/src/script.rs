@@ -30,8 +30,8 @@ use crate::cast::Cast;
 use crate::config::SynthConfig;
 use crate::dist::{Categorical, LogNormal, Zipf};
 use crate::generate::{
-    amount_for, build_menus, convert, exp_sample, place_resident_offers, sample_route_depth,
-    Generator, KindBudgets, MaxOne, OfferChurn, PaymentKind,
+    amount_for, build_menus, convert, exp_sample, kind_budgets, place_resident_offers,
+    sample_route_depth, KindBudgets, MaxOne, OfferChurn, PaymentKind,
 };
 
 /// Derives an independent RNG seed from the master seed, a purpose label and
@@ -47,16 +47,15 @@ pub fn derive_seed(seed: u64, label: &str, n: u64) -> u64 {
 
 /// Precomputed lookup structures over a [`Cast`]: per-community member and
 /// gateway lists, the gateway set, the shared samplers and merchant menus.
-/// Built once (serially) and shared read-only by every scripting worker —
-/// this is what removes the `pin_to_community` linear scans from the hot
-/// loop.
+/// Built once (serially) and shared read-only by every scripting worker, so
+/// `pin_to_community` is a map probe, not a cast scan, in the hot loop.
 #[derive(Debug)]
 pub struct CastIndex {
     /// Per community: member accounts (users first, then merchants).
     pub(crate) members: Vec<Vec<AccountId>>,
     /// Community of every user and merchant.
     pub(crate) community_of: FxHashMap<AccountId, usize>,
-    /// Every gateway account (the `ensure_hop` membership probe).
+    /// Every gateway account (the `apply_hop` membership probe).
     pub(crate) gateway_set: FxHashSet<AccountId>,
     /// Per community: its gateway accounts, in cast order.
     pub(crate) community_gateways: Vec<Vec<AccountId>>,
@@ -102,7 +101,7 @@ impl CastIndex {
             mm_zipf: Zipf::new(cast.market_makers.len(), 1.0),
             parallel_dist: Categorical::new([(1usize, 0.18), (2, 0.17), (3, 0.15), (4, 0.50)]),
             iou_mix: Categorical::new(config.iou_currency_mix()),
-            churn: OfferChurn::new(config, cast, &rates),
+            churn: OfferChurn::new(cast, &rates),
             menus,
             rates,
         }
@@ -198,18 +197,11 @@ pub enum ScriptedBody {
         issuer: AccountId,
         /// Whether currencies were crossed.
         cross: bool,
-        /// Whether this slot came from the CCK budget (excluded from the
-        /// long-chain probe substitution).
+        /// Whether this slot came from the CCK budget (the executor never
+        /// substitutes the 44-intermediate probe over a CCK slot).
         is_cck: bool,
         /// The planned parallel paths.
         paths: Vec<ScriptedPath>,
-    },
-    /// The crafted 44-intermediate probe payment (at most one per history;
-    /// substituted by the executor over the first eligible IOU slot in the
-    /// second half).
-    Probe {
-        /// Delivered USD amount.
-        amount: Value,
     },
 }
 
@@ -287,8 +279,7 @@ fn chunk_window(config: &SynthConfig, c: usize, n_chunks: usize) -> (RippleTime,
     )
 }
 
-/// Simulated-account derivation (same construction the serial generator
-/// uses for one-time and probe accounts).
+/// Simulated-account derivation for one-time and probe accounts.
 pub(crate) fn account_from_seed(seed: &str) -> AccountId {
     AccountId::from_public_key(&SimKeypair::from_seed(seed.as_bytes()).public_key())
 }
@@ -302,7 +293,7 @@ pub fn build_chunk(
     c: usize,
     n_chunks: usize,
 ) -> ScriptChunk {
-    let global = Generator::new(config.clone()).kind_budgets();
+    let global = kind_budgets(config);
     let mut budgets = chunk_budgets(&global, c, n_chunks);
     let total: usize = budgets.counts.iter().map(|&(_, n)| n).sum();
     let base_index = chunk_base_index(&global, c, n_chunks);
@@ -322,6 +313,8 @@ pub fn build_chunk(
 
     let mut entries: Vec<ScriptedPayment> = Vec::with_capacity(total);
     while entries.len() < total {
+        // Pick the kind, possibly continuing a spam burst; every draw
+        // consumes the kind's budget so fractions stay exact.
         let kind = if burst_left > 0 && budgets.take(burst_kind) {
             burst_left -= 1;
             burst_kind
@@ -331,6 +324,8 @@ pub fn build_chunk(
             match k {
                 PaymentKind::Mtl => {
                     burst_kind = k;
+                    // ~1/3 of spam pages carry a single payment; the rest
+                    // are bursts sharing one page and one sink.
                     burst_left = if rng.gen_bool(0.35) {
                         0
                     } else {
@@ -347,9 +342,10 @@ pub fn build_chunk(
             k
         };
 
-        // Chunk-local adaptive pacing, identical to the serial generator's
-        // but bounded by the chunk window (bursts and ping-pong bounces stay
-        // on the current page, so pages never straddle chunks).
+        // Chunk-local adaptive pacing, bounded by the chunk window (bursts
+        // and ping-pong bounces stay on the current page, so pages never
+        // straddle chunks). The gap mean is recomputed from the remaining
+        // span and the observed advance rate, so the chunk reaches `w_end`.
         let in_burst = burst_left > 0;
         let same_page = (in_burst && burst_kind == PaymentKind::Mtl)
             || (kind == PaymentKind::XrpZeroBounce && !zero_outbound)
@@ -360,6 +356,11 @@ pub fn build_chunk(
             let remaining_span = (w_end.seconds().saturating_sub(now.seconds())) as f64;
             let mean_gap = (remaining_span / (remaining_payments * advance_rate)).max(1.0);
             let mut gap = exp_sample(&mut rng, mean_gap).max(page as f64);
+            // Cap the jump so the expected remaining advances still fit in
+            // the window. Without the cap one long exponential draw near
+            // `w_end` pushes `now` past it, after which the clamp below
+            // re-fires on every later draw and stamps the rest of the chunk
+            // onto its final page.
             let expected_advances = (remaining_payments * advance_rate).max(1.0);
             let reserve = ((expected_advances - 1.0) * page as f64).min(remaining_span);
             gap = gap.min((remaining_span - reserve).max(page as f64));
@@ -483,8 +484,9 @@ fn script_churn(config: &SynthConfig, index: &CastIndex, rng: &mut StdRng) -> Ve
     out
 }
 
-/// Scripts one IOU payment (forced CCK or free), mirroring the serial
-/// `gen_iou` draw-for-draw but via the precomputed index.
+/// Scripts one IOU payment (forced CCK or free): a same-community payment
+/// through one or two shared gateways, or a routed payment through
+/// Market-Maker / hub connectors at a drawn depth and parallel-path count.
 fn script_iou(
     config: &SynthConfig,
     cast: &Cast,
@@ -556,6 +558,9 @@ fn script_iou(
             None => (sender_community, forced_currency.unwrap_or(src_currency)),
         }
     };
+    // A share of cross-currency traffic delivers one of Figure 4's
+    // long-tail currencies instead of the destination community's home
+    // money (issued on demand by the destination's gateway).
     let currency = forced_currency.unwrap_or_else(|| {
         if cross && rng.gen_bool(0.45) {
             let tail = *index.iou_mix.sample(rng);
@@ -587,6 +592,9 @@ fn script_iou(
         amount
     };
     let src_share = Value::from_raw(src_amount.raw() / k as i128).max_one();
+    // Route depth: the number of intermediate hops, drawn from the
+    // decreasing trend of Fig. 6(a) (the 8-hop spike is the MTL campaign,
+    // scripted separately; a tail reaches 11).
     let depth = sample_route_depth(rng);
 
     let mut paths = Vec::with_capacity(k);
@@ -596,6 +604,10 @@ fn script_iou(
         } else {
             cast.market_makers[index.mm_zipf.sample(rng)]
         };
+        // Build `depth` intermediates around the converting connector:
+        //   1 => [conn]
+        //   2 => [gwA, conn]
+        //   d => [gwA, conn, (extra connectors…), gwB]
         let mut hops: Vec<AccountId> = Vec::with_capacity(depth);
         if depth >= 2 {
             hops.push(gw_a);
@@ -613,6 +625,8 @@ fn script_iou(
             if gw_b != gw_a && !hops.contains(&gw_b) {
                 hops.push(gw_b);
             } else {
+                // Degenerate same-gateway pair: pad with one more
+                // connector to keep the drawn depth.
                 let mut pad = cast.market_makers[index.mm_zipf.sample(rng)];
                 while hops.contains(&pad) {
                     pad = cast.market_makers[index.mm_zipf.sample(rng)];
@@ -620,6 +634,9 @@ fn script_iou(
                 hops.push(pad);
             }
         }
+        // The source-currency legs run sender→…→connector, the
+        // delivered-currency legs connector→…→destination: the connector
+        // (Market Maker or hub) converts internally.
         let conv_at = hops
             .iter()
             .position(|h| *h == connector)
@@ -642,8 +659,8 @@ fn script_iou(
     }
 }
 
-/// Destination + amount pick with merchant menus and chunk-local habits
-/// (mirrors the serial `pick_destination_and_amount`).
+/// Picks a destination and amount, applying merchant menus and chunk-local
+/// repeat habits (the structure the de-anonymization study exploits).
 fn pick_destination_and_amount(
     config: &SynthConfig,
     cast: &Cast,
@@ -685,8 +702,8 @@ fn pick_destination_and_amount(
     (dest, amount)
 }
 
-/// O(1) community pinning over the precomputed member lists (replaces the
-/// serial generator's linear cast scan).
+/// Keeps `candidate` if it already belongs to `community`; otherwise draws
+/// a member of the community, in O(1) over the precomputed member lists.
 fn pin_to_community(
     index: &CastIndex,
     candidate: AccountId,

@@ -79,6 +79,31 @@ fn pipelined_history_matches_the_pinned_digest() {
     assert_eq!(run.output.final_state.total_burned(), Drops::ZERO);
 }
 
+/// `Generator::run` and `Study::generate` are the pipeline with default
+/// settings, not a second generator: same events, same state, same
+/// figures as an explicit pipelined run of the pinned config.
+#[test]
+fn run_is_the_default_pipelined_run() {
+    let config = SynthConfig {
+        seed: 20130101,
+        ..SynthConfig::small(4_000)
+    };
+    let out = Generator::new(config.clone()).run();
+    let run = Generator::new(config.clone())
+        .run_pipelined(&PipelineConfig::default())
+        .expect("pipeline");
+    assert_eq!(out.events, run.output.events);
+    assert_eq!(
+        out.final_state.account_count(),
+        run.output.final_state.account_count()
+    );
+    assert!(out.snapshot.is_some() && run.output.snapshot.is_some());
+    assert_eq!(
+        Study::generate(config).figure4(),
+        Study::from_pipeline(run).figure4()
+    );
+}
+
 #[test]
 fn pipelined_study_answers_match_a_full_rescan() {
     let run = pipelined(3_000, 7, 4);
