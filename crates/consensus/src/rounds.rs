@@ -14,8 +14,33 @@
 //! validators (equivocating positions), crashed validators, partitions, and
 //! validators whose latency pushes their proposals past the iteration
 //! deadline.
+//!
+//! # Interned positions
+//!
+//! Positions only shrink within the union a round starts from: refinement
+//! keeps a subset of what a validator and its peers proposed, and a
+//! byzantine lie is a subset of the liar's own position. So
+//! [`RoundEngine::run_round`] interns the sorted, de-duplicated union of the
+//! initial positions once — the round's *candidate table* — and from then
+//! on a position is an ascending `Arc<[u32]>` of indices into it. A
+//! broadcast shares one buffer among its recipients, the inbox is a flat
+//! `n × n` table of those handles, and support is counted by
+//! `tally_support`, the one RPCA threshold rule in the workspace: a dense
+//! `support[ix] += 1` whose survivors come out already ascending.
+//! [`refine_position`] — what `ripple-node`'s live transport and
+//! [`run_unl_round`](crate::unl::run_unl_round) call — is that kernel behind
+//! a set-in, set-out adapter.
+//!
+//! One thing can bring a transaction from outside that union into a round: a
+//! proposal still in flight from an *earlier* round. Proposals are matched
+//! by iteration number alone, so one that is late by a round and a bit is
+//! counted. Every proposal therefore names the table its indices refer to;
+//! one that names another table than the round's current one is re-interned
+//! on receipt, and ids the round has never seen are appended to its table
+//! (which is why a position is sorted by id again when it is sealed).
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,6 +63,10 @@ static PROPOSALS_SENT: LazyCounter = LazyCounter::new("consensus.rounds.proposal
 static VALIDATIONS_SENT: LazyCounter = LazyCounter::new("consensus.rounds.validations_sent");
 static VALIDATION_MSGS_SEEN: LazyHistogram =
     LazyHistogram::new("consensus.rounds.validation_msgs_seen");
+// One per position buffer built (interned, refined, lied or re-interned).
+// Against `proposals_sent` it shows that a broadcast shares its buffer: an
+// honest round builds at most 5 n of them for 4 n (n - 1) proposals.
+static POSITION_ALLOCS: LazyCounter = LazyCounter::new("consensus.rounds.position_allocs");
 
 /// Messages exchanged during a round.
 #[derive(Debug, Clone)]
@@ -46,8 +75,11 @@ pub enum Msg {
     Proposal {
         /// Which RPCA iteration the proposal belongs to.
         iteration: usize,
-        /// The proposed transaction set.
-        position: BTreeSet<u64>,
+        /// The candidate table `position` indexes (transaction ids).
+        candidates: Arc<[u64]>,
+        /// The proposed transaction set, as ascending indices into
+        /// `candidates`. Shared by every recipient of a broadcast.
+        position: Arc<[u32]>,
     },
     /// A signed page announcement after the final iteration.
     Validation {
@@ -195,7 +227,16 @@ impl RoundEngine {
         ROUNDS_RUN.add(1);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.validators.len();
-        let mut positions: Vec<BTreeSet<u64>> = initial_positions.to_vec();
+        let mut candidates: Arc<[u64]> = intern(initial_positions).into();
+        let mut positions: Vec<Arc<[u32]>> = initial_positions
+            .iter()
+            .map(|set| indices(&candidates, set).into())
+            .collect();
+        POSITION_ALLOCS.add(n as u64);
+        // `received[to * n + from]`: what `to` last heard from `from` in the
+        // current iteration.
+        let mut received: Vec<Option<Arc<[u32]>>> = vec![None; n * n];
+        let mut support: Vec<u32> = Vec::new();
 
         for (iteration, &threshold) in RPCA_THRESHOLDS.iter().enumerate() {
             // Broadcast proposals. (Index-driven loops: `v` is a node id
@@ -213,16 +254,18 @@ impl RoundEngine {
                             if to == v {
                                 continue;
                             }
-                            let lie: BTreeSet<u64> = positions[v]
+                            let lie: Arc<[u32]> = positions[v]
                                 .iter()
                                 .copied()
                                 .filter(|_| rng.gen_bool(0.5))
                                 .collect();
+                            POSITION_ALLOCS.add(1);
                             self.network.send(
                                 NodeId(v),
                                 NodeId(to),
                                 Msg::Proposal {
                                     iteration,
+                                    candidates: Arc::clone(&candidates),
                                     position: lie,
                                 },
                                 &mut rng,
@@ -235,7 +278,8 @@ impl RoundEngine {
                             NodeId(v),
                             Msg::Proposal {
                                 iteration,
-                                position: positions[v].clone(),
+                                candidates: Arc::clone(&candidates),
+                                position: Arc::clone(&positions[v]),
                             },
                             &mut rng,
                         );
@@ -246,15 +290,22 @@ impl RoundEngine {
 
             // Collect proposals until the iteration deadline.
             let deadline = self.network.now() + self.iteration_timeout;
-            let mut received: Vec<HashMap<usize, BTreeSet<u64>>> = vec![HashMap::new(); n];
+            received.fill(None);
             while let Some((_, Delivery { from, to, msg })) = self.network.step_until(deadline) {
                 if let Msg::Proposal {
                     iteration: it,
+                    candidates: theirs,
                     position,
                 } = msg
                 {
                     if it == iteration {
-                        received[to.0].insert(from.0, position);
+                        let position = if Arc::ptr_eq(&theirs, &candidates) {
+                            position
+                        } else {
+                            POSITION_ALLOCS.add(1);
+                            reintern(&mut candidates, &theirs, &position)
+                        };
+                        received[to.0 * n + from.0] = Some(position);
                     }
                 }
             }
@@ -264,9 +315,11 @@ impl RoundEngine {
             self.network.advance_to(deadline);
 
             // Update positions: keep a transaction iff enough of the UNL
-            // (peers + self) proposed it.
+            // (peers + self) proposed it. In place: a validator's update
+            // reads only its own position and what it received, and what it
+            // received are handles taken when the proposals were sent.
             let required = self.required(threshold);
-            let mut next_positions = positions.clone();
+            support.resize(candidates.len(), 0);
             #[allow(clippy::needless_range_loop)]
             for v in 0..n {
                 if self.network.is_crashed(NodeId(v)) {
@@ -278,9 +331,15 @@ impl RoundEngine {
                 ) {
                     continue; // byzantine nodes keep their own plans
                 }
-                next_positions[v] = refine_position(&positions[v], received[v].values(), required);
+                let heard = received[v * n..(v + 1) * n].iter().flatten();
+                let refined = tally_support(
+                    &mut support,
+                    std::iter::once(&positions[v]).chain(heard).map(|p| &p[..]),
+                    required,
+                );
+                positions[v] = refined.into();
+                POSITION_ALLOCS.add(1);
             }
-            positions = next_positions;
         }
 
         // Validation phase: everyone seals its final position and broadcasts
@@ -291,7 +350,7 @@ impl RoundEngine {
             if self.network.is_crashed(NodeId(v)) {
                 continue;
             }
-            let page = page_hash(&positions[v]);
+            let page = hash_page(seal(&candidates, &positions[v]).into_iter());
             validations.insert(v, page);
             self.network
                 .broadcast(NodeId(v), Msg::Validation { page }, &mut rng);
@@ -321,10 +380,9 @@ impl RoundEngine {
             .map(|(&page, &count)| (page, count));
         let (committed, agreement) = match winner {
             Some((page, count)) if count >= quorum_needed => {
-                let set = positions
-                    .iter()
-                    .find(|p| page_hash(p) == page)
-                    .cloned()
+                let set = (0..n)
+                    .find(|v| validations.get(v) == Some(&page))
+                    .map(|v| seal(&candidates, &positions[v]).into_iter().collect())
                     .unwrap_or_default();
                 (Some((page, set)), count as f64 / n as f64)
             }
@@ -353,32 +411,110 @@ impl RoundEngine {
     }
 }
 
+/// The RPCA support kernel: counts, in the zeroed `support` (one slot per
+/// candidate), how many of `positions` hold each candidate, and returns the
+/// candidates held by at least `required` of them, ascending. `support` is
+/// zeroed again on return, so one buffer serves a whole round.
+fn tally_support<'a>(
+    support: &mut [u32],
+    positions: impl IntoIterator<Item = &'a [u32]>,
+    required: usize,
+) -> Vec<u32> {
+    for position in positions {
+        for &ix in position {
+            support[ix as usize] += 1;
+        }
+    }
+    // A candidate nobody holds is not proposed, whatever `required` says.
+    let required = required.max(1);
+    let kept = support
+        .iter()
+        .enumerate()
+        .filter(|&(_, &held)| held as usize >= required)
+        .map(|(ix, _)| ix as u32)
+        .collect();
+    support.fill(0);
+    kept
+}
+
+/// The candidate table of `sets`: their union, ascending.
+fn intern<'a>(sets: impl IntoIterator<Item = &'a BTreeSet<u64>>) -> Vec<u64> {
+    let mut ids: Vec<u64> = sets.into_iter().flatten().copied().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// `set` as ascending indices into `candidates`, an ascending table that
+/// holds all of it (one merge walk).
+fn indices(candidates: &[u64], set: &BTreeSet<u64>) -> Vec<u32> {
+    let mut at = 0;
+    set.iter()
+        .map(|tx| {
+            while candidates[at] != *tx {
+                at += 1;
+            }
+            u32::try_from(at).expect("a round has fewer than 2^32 candidates")
+        })
+        .collect()
+}
+
+/// Re-expresses `position`, interned against `theirs`, in `candidates`,
+/// appending the ids `candidates` does not hold yet (so only its initial
+/// prefix is ascending). Rare — only a proposal from another round, or from
+/// before the table last grew, names another table — hence the plain scan.
+fn reintern(candidates: &mut Arc<[u64]>, theirs: &[u64], position: &[u32]) -> Arc<[u32]> {
+    let mut ids = candidates.to_vec();
+    let mut ours: Vec<u32> = position
+        .iter()
+        .map(|&ix| {
+            let id = theirs[ix as usize];
+            let at = ids
+                .iter()
+                .position(|&known| known == id)
+                .unwrap_or_else(|| {
+                    ids.push(id);
+                    ids.len() - 1
+                });
+            u32::try_from(at).expect("a round has fewer than 2^32 candidates")
+        })
+        .collect();
+    ours.sort_unstable();
+    if ids.len() > candidates.len() {
+        *candidates = ids.into();
+    }
+    ours.into()
+}
+
+/// The transaction ids of `position`, ascending — what a page is hashed
+/// over and a committed set is built from.
+fn seal(candidates: &[u64], position: &[u32]) -> Vec<u64> {
+    let mut txs: Vec<u64> = position.iter().map(|&ix| candidates[ix as usize]).collect();
+    // Index order is id order except for re-interned ids (see `reintern`).
+    txs.sort_unstable();
+    txs
+}
+
 /// One RPCA position-refinement step: keep a transaction iff enough of
 /// the UNL (the validator's own position plus its peers') proposed it.
 ///
-/// This is the pure kernel of [`RoundEngine::run_round`]'s iteration
-/// update, shared with the live transport in `ripple-node` so the
-/// in-process simulator and real networked validators refine positions
-/// identically.
+/// This is [`RoundEngine::run_round`]'s iteration update (the same support
+/// kernel over a table interned from just these sets), shared with the live
+/// transport in `ripple-node` and with `run_unl_round` so the in-process
+/// simulator, the UNL analysis and real networked validators refine
+/// positions identically.
 pub fn refine_position<'a>(
     own: &BTreeSet<u64>,
     peers: impl IntoIterator<Item = &'a BTreeSet<u64>>,
     required: usize,
 ) -> BTreeSet<u64> {
-    let mut support: HashMap<u64, usize> = HashMap::new();
-    for tx in own {
-        *support.entry(*tx).or_insert(0) += 1;
-    }
-    for peer_position in peers {
-        for tx in peer_position {
-            *support.entry(*tx).or_insert(0) += 1;
-        }
-    }
-    support
-        .into_iter()
-        .filter(|&(_, count)| count >= required)
-        .map(|(tx, _)| tx)
-        .collect()
+    let peers: Vec<&BTreeSet<u64>> = peers.into_iter().collect();
+    let sets = || std::iter::once(own).chain(peers.iter().copied());
+    let candidates = intern(sets());
+    let positions: Vec<Vec<u32>> = sets().map(|set| indices(&candidates, set)).collect();
+    let mut support = vec![0; candidates.len()];
+    let kept = tally_support(&mut support, positions.iter().map(Vec::as_slice), required);
+    seal(&candidates, &kept).into_iter().collect()
 }
 
 /// How many of `n` UNL members must propose a transaction for it to
@@ -390,9 +526,13 @@ pub fn support_required(n: usize, threshold: f64) -> usize {
 
 /// Hash of a sealed transaction set.
 pub fn page_hash(txs: &BTreeSet<u64>) -> Digest256 {
-    let mut bytes = Vec::with_capacity(8 + txs.len() * 8);
+    hash_page(txs.iter().copied())
+}
+
+fn hash_page(ascending: impl ExactSizeIterator<Item = u64>) -> Digest256 {
+    let mut bytes = Vec::with_capacity(8 + ascending.len() * 8);
     bytes.extend_from_slice(b"RNDPAGE!");
-    for tx in txs {
+    for tx in ascending {
         bytes.extend_from_slice(&tx.to_be_bytes());
     }
     sha512_half(&bytes)
@@ -608,6 +748,104 @@ mod tests {
             refine_position(&own, peers.iter().copied(), 1),
             [1u64, 2, 3].into_iter().collect()
         );
+    }
+
+    /// The threshold rule as it was first written — a hashed support map —
+    /// kept as the oracle the dense kernel is compared against.
+    fn refine_naive<'a>(
+        own: &BTreeSet<u64>,
+        peers: impl IntoIterator<Item = &'a BTreeSet<u64>>,
+        required: usize,
+    ) -> BTreeSet<u64> {
+        let mut support: HashMap<u64, usize> = HashMap::new();
+        for tx in own {
+            *support.entry(*tx).or_insert(0) += 1;
+        }
+        for peer_position in peers {
+            for tx in peer_position {
+                *support.entry(*tx).or_insert(0) += 1;
+            }
+        }
+        support
+            .into_iter()
+            .filter(|&(_, count)| count >= required)
+            .map(|(tx, _)| tx)
+            .collect()
+    }
+
+    #[test]
+    fn support_kernel_matches_the_naive_tally() {
+        let mut rng = StdRng::seed_from_u64(0x7a11);
+        // One buffer for every case: the kernel must hand it back zeroed.
+        let mut support: Vec<u32> = Vec::new();
+        let draw = |rng: &mut StdRng| -> BTreeSet<u64> {
+            match rng.gen_range(0..8) {
+                0 => BTreeSet::new(),
+                _ => {
+                    let len = rng.gen_range(0..=80);
+                    (0..len).map(|_| 1_000 + rng.gen_range(0..120u64)).collect()
+                }
+            }
+        };
+        let mut kept_some = 0;
+        let mut dropped_some = 0;
+        for case in 0..2_500 {
+            let own = draw(&mut rng);
+            let peers: Vec<BTreeSet<u64>> =
+                (0..rng.gen_range(0..=40)).map(|_| draw(&mut rng)).collect();
+            let required = rng.gen_range(1..=peers.len() + 2);
+            let expected = refine_naive(&own, &peers, required);
+
+            let candidates = intern(std::iter::once(&own).chain(&peers));
+            let positions: Vec<Vec<u32>> = std::iter::once(&own)
+                .chain(&peers)
+                .map(|set| indices(&candidates, set))
+                .collect();
+            support.resize(candidates.len(), 0);
+            let kept = tally_support(&mut support, positions.iter().map(Vec::as_slice), required);
+            assert!(
+                kept.windows(2).all(|w| w[0] < w[1]),
+                "case {case}: ascending"
+            );
+            assert!(support.iter().all(|&held| held == 0), "case {case}: zeroed");
+            let kept: BTreeSet<u64> = seal(&candidates, &kept).into_iter().collect();
+            assert_eq!(kept, expected, "case {case}: kernel, required {required}");
+            assert_eq!(
+                refine_position(&own, &peers, required),
+                expected,
+                "case {case}: adapter, required {required}"
+            );
+            kept_some += usize::from(!expected.is_empty());
+            dropped_some += usize::from(expected.len() < candidates.len());
+        }
+        // The draw covers both sides of the threshold, many times over.
+        assert!(kept_some > 500 && dropped_some > 500);
+    }
+
+    #[test]
+    fn unsupported_candidates_never_survive() {
+        // `required = 0` keeps what somebody proposed, not the whole table.
+        let mut support = vec![0; 4];
+        assert_eq!(tally_support(&mut support, [&[1u32, 3][..]], 0), [1, 3]);
+        let own: BTreeSet<u64> = [5].into_iter().collect();
+        assert_eq!(refine_position(&own, [], 0), own);
+    }
+
+    #[test]
+    fn a_proposal_naming_another_table_is_reinterned() {
+        // The round's table is [10, 20, 30]; a proposal from an earlier
+        // round indexes [7, 20, 40]. Known ids keep their index, unknown
+        // ones are appended, and sealing sorts by id again.
+        let mut candidates: Arc<[u64]> = vec![10, 20, 30].into();
+        let theirs = [7u64, 20, 40];
+        let position = reintern(&mut candidates, &theirs, &[0, 1, 2]);
+        assert_eq!(&candidates[..], [10, 20, 30, 7, 40]);
+        assert_eq!(&position[..], [1, 3, 4]);
+        assert_eq!(seal(&candidates, &position), [7, 20, 40]);
+        // An appended id is found again, not appended twice.
+        let again = reintern(&mut candidates, &theirs, &[2, 0]);
+        assert_eq!(&candidates[..], [10, 20, 30, 7, 40]);
+        assert_eq!(&again[..], [3, 4]);
     }
 
     #[test]

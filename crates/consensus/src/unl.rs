@@ -12,11 +12,11 @@
 //! whether a correct validator could *detect* it (conflicting validations
 //! visible from its vantage point).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use ripple_crypto::Digest256;
 
-use crate::rounds::{page_hash, RPCA_THRESHOLDS};
+use crate::rounds::{page_hash, refine_position, support_required, RPCA_THRESHOLDS};
 
 /// Outcome of one UNL-aware round.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,7 +60,6 @@ pub fn run_unl_round(
     initial_positions: &[BTreeSet<u64>],
 ) -> UnlRoundOutcome {
     assert_eq!(unls.len(), initial_positions.len(), "one UNL per validator");
-    let n = unls.len();
     for (i, unl) in unls.iter().enumerate() {
         assert!(unl.contains(&i), "validator {i} must appear in its own UNL");
     }
@@ -69,18 +68,12 @@ pub fn run_unl_round(
     for &threshold in &RPCA_THRESHOLDS {
         let snapshot = positions.clone();
         for (i, unl) in unls.iter().enumerate() {
-            let required = (threshold * unl.len() as f64).ceil() as usize;
-            let mut support: HashMap<u64, usize> = HashMap::new();
-            for &peer in unl {
-                for &tx in &snapshot[peer] {
-                    *support.entry(tx).or_insert(0) += 1;
-                }
-            }
-            positions[i] = support
-                .into_iter()
-                .filter(|&(_, count)| count >= required)
-                .map(|(tx, _)| tx)
-                .collect();
+            let peers = unl.iter().filter(|&&peer| peer != i);
+            positions[i] = refine_position(
+                &snapshot[i],
+                peers.map(|&peer| &snapshot[peer]),
+                support_required(unl.len(), threshold),
+            );
         }
     }
 
@@ -94,7 +87,6 @@ pub fn run_unl_round(
         if agreeing * 10 >= unl.len() * 8 && !quorum_pages.contains(&mine) {
             quorum_pages.push(mine);
         }
-        let _ = n;
     }
     let forked = quorum_pages.len() > 1;
 

@@ -81,3 +81,42 @@ fn instrumented_run_emits_spans_for_every_pipeline_stage() {
     assert!(json.starts_with("{\"traceEvents\": ["));
     assert!(json.contains("\"ph\": \"X\""));
 }
+
+#[test]
+fn a_broadcast_shares_one_position_buffer() {
+    // Count gate for the message-level engine: an honest validator builds
+    // one position buffer per iteration and every recipient of its
+    // broadcast shares it, so buffers grow with n while proposals grow
+    // with n². Both are counts of a seeded simulation and repeat exactly.
+    use std::collections::BTreeSet;
+
+    use ripple_core::check::testkit::honest_validators;
+    use ripple_core::consensus::RoundEngine;
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 20usize;
+    let positions: Vec<BTreeSet<u64>> = (0..n as u64)
+        .map(|v| (0..49).chain([1_000 + v]).collect())
+        .collect();
+    let mut engine = RoundEngine::new(honest_validators(n));
+    metrics::reset();
+    metrics::set_enabled(true);
+    let outcome = engine.run_round(&positions, 20130101).expect("round");
+    let snap = metrics::snapshot();
+    metrics::set_enabled(false);
+
+    assert_eq!(outcome.committed.expect("commit").1, (0..49).collect());
+    let n = n as u64;
+    assert_eq!(
+        snap.counter("consensus.rounds.proposals_sent"),
+        Some(4 * n * (n - 1))
+    );
+    let allocs = snap
+        .counter("consensus.rounds.position_allocs")
+        .expect("counter registered");
+    assert!(
+        (1..=5 * n).contains(&allocs),
+        "{allocs} position buffers for {} proposals",
+        4 * n * (n - 1)
+    );
+}
