@@ -12,7 +12,7 @@
 //! (`loss_bits`) rather than decimal text, so they round-trip exactly.
 
 use ripple_netsim::{FaultEvent, NodeId, SimTime};
-use ripple_obs::json::JsonWriter;
+use ripple_obs::json::{JsonWriter, Value};
 
 use crate::diff::{run_book_plan, run_engine_plan, run_ledger_plan, run_router_plan};
 use crate::explore::{run_consensus_plan, ConsensusPlan};
@@ -118,7 +118,7 @@ impl CheckCase {
 
     /// Parses a `CHECK_CASE.json` document.
     pub fn from_json(doc: &str) -> Result<CheckCase, String> {
-        let root = parse_json(doc)?;
+        let root = ripple_obs::json::parse(doc)?;
         if get_u64(&root, "schema_version")? != SCHEMA_VERSION {
             return Err("unsupported schema_version".to_string());
         }
@@ -481,264 +481,55 @@ fn write_store(w: &mut JsonWriter, plan: &StorePlan) {
 
 // ---------------------------------------------------------------- parsing
 
-/// A parsed JSON value. Numbers are integers only — the writer never
-/// emits fractional values into case documents.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Int(i128),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+fn get<'a>(json: &'a Value, key: &str) -> Result<&'a Value, String> {
+    if json.as_obj().is_none() {
+        return Err(format!("expected object while reading {key:?}"));
+    }
+    json.get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn get_u64(json: &Value, key: &str) -> Result<u64, String> {
+    get(json, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not a u64"))
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of document".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected byte {:?} at {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("malformed literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits");
-        text.parse::<i128>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?,
-                            );
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at `b`.
-                    let width = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    self.pos = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..self.pos)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {:?}", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', found {:?}", other as char)),
-            }
-        }
-    }
-}
-
-fn parse_json(doc: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: doc.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", parser.pos));
-    }
-    Ok(value)
-}
-
-fn get<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    match json {
-        Json::Obj(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}")),
-        _ => Err(format!("expected object while reading {key:?}")),
-    }
-}
-
-fn get_u64(json: &Json, key: &str) -> Result<u64, String> {
-    match get(json, key)? {
-        Json::Int(v) if *v >= 0 && *v <= u64::MAX as i128 => Ok(*v as u64),
-        _ => Err(format!("field {key:?} is not a u64")),
-    }
-}
-
-fn get_u32(json: &Json, key: &str) -> Result<u32, String> {
+fn get_u32(json: &Value, key: &str) -> Result<u32, String> {
     u32::try_from(get_u64(json, key)?).map_err(|_| format!("field {key:?} overflows u32"))
 }
 
-fn get_u8(json: &Json, key: &str) -> Result<u8, String> {
+fn get_u8(json: &Value, key: &str) -> Result<u8, String> {
     u8::try_from(get_u64(json, key)?).map_err(|_| format!("field {key:?} overflows u8"))
 }
 
-fn get_str(json: &Json, key: &str) -> Result<String, String> {
-    match get(json, key)? {
-        Json::Str(s) => Ok(s.clone()),
-        _ => Err(format!("field {key:?} is not a string")),
-    }
+fn get_str(json: &Value, key: &str) -> Result<String, String> {
+    get(json, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("field {key:?} is not a string"))
 }
 
-fn get_raw(json: &Json, key: &str) -> Result<i128, String> {
-    match get(json, key)? {
-        Json::Str(s) => s
-            .parse::<i128>()
-            .map_err(|e| format!("field {key:?} is not a raw value: {e}")),
-        _ => Err(format!("field {key:?} is not a raw-value string")),
-    }
+fn get_raw(json: &Value, key: &str) -> Result<i128, String> {
+    get(json, key)?
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} is not a raw-value string"))?
+        .parse::<i128>()
+        .map_err(|e| format!("field {key:?} is not a raw value: {e}"))
 }
 
-fn get_arr<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    match get(json, key)? {
-        Json::Arr(items) => Ok(items),
-        _ => Err(format!("field {key:?} is not an array")),
-    }
+fn get_arr<'a>(json: &'a Value, key: &str) -> Result<&'a [Value], String> {
+    get(json, key)?
+        .as_arr()
+        .ok_or_else(|| format!("field {key:?} is not an array"))
 }
 
-fn as_u64(json: &Json, what: &str) -> Result<u64, String> {
-    match json {
-        Json::Int(v) if *v >= 0 && *v <= u64::MAX as i128 => Ok(*v as u64),
-        _ => Err(format!("{what} element is not a u64")),
-    }
+fn as_u64(json: &Value, what: &str) -> Result<u64, String> {
+    json.as_u64()
+        .ok_or_else(|| format!("{what} element is not a u64"))
 }
 
-fn read_amount(json: &Json, key: &str) -> Result<CaseAmount, String> {
+fn read_amount(json: &Value, key: &str) -> Result<CaseAmount, String> {
     let obj = get(json, key)?;
     Ok(CaseAmount {
         currency: get_u8(obj, "currency")?,
@@ -747,7 +538,7 @@ fn read_amount(json: &Json, key: &str) -> Result<CaseAmount, String> {
     })
 }
 
-fn read_ledger(json: &Json) -> Result<LedgerCasePlan, String> {
+fn read_ledger(json: &Value) -> Result<LedgerCasePlan, String> {
     let genesis = get_arr(json, "genesis")?
         .iter()
         .map(|v| as_u64(v, "genesis"))
@@ -759,7 +550,7 @@ fn read_ledger(json: &Json) -> Result<LedgerCasePlan, String> {
     Ok(LedgerCasePlan { genesis, ops })
 }
 
-fn read_op(json: &Json) -> Result<Op, String> {
+fn read_op(json: &Value) -> Result<Op, String> {
     let kind = match get_str(json, "op")?.as_str() {
         "xrp_pay" => OpKind::XrpPay {
             to: get_u8(json, "to")?,
@@ -799,7 +590,7 @@ fn read_op(json: &Json) -> Result<Op, String> {
     })
 }
 
-fn read_engine(json: &Json) -> Result<EnginePlan, String> {
+fn read_engine(json: &Value) -> Result<EnginePlan, String> {
     let genesis = get_arr(json, "genesis")?
         .iter()
         .map(|v| as_u64(v, "genesis"))
@@ -837,7 +628,7 @@ fn read_engine(json: &Json) -> Result<EnginePlan, String> {
     })
 }
 
-fn read_router(json: &Json) -> Result<RouterPlan, String> {
+fn read_router(json: &Value) -> Result<RouterPlan, String> {
     let genesis = get_arr(json, "genesis")?
         .iter()
         .map(|v| as_u64(v, "genesis"))
@@ -886,7 +677,7 @@ fn read_router(json: &Json) -> Result<RouterPlan, String> {
     })
 }
 
-fn read_book(json: &Json) -> Result<BookPlan, String> {
+fn read_book(json: &Value) -> Result<BookPlan, String> {
     let offers = get_arr(json, "offers")?
         .iter()
         .map(|entry| {
@@ -904,7 +695,7 @@ fn read_book(json: &Json) -> Result<BookPlan, String> {
     })
 }
 
-fn read_consensus(json: &Json) -> Result<ConsensusPlan, String> {
+fn read_consensus(json: &Value) -> Result<ConsensusPlan, String> {
     let events = get_arr(json, "events")?
         .iter()
         .map(read_fault_event)
@@ -917,14 +708,14 @@ fn read_consensus(json: &Json) -> Result<ConsensusPlan, String> {
     })
 }
 
-fn read_nodes(json: &Json, key: &str) -> Result<Vec<NodeId>, String> {
+fn read_nodes(json: &Value, key: &str) -> Result<Vec<NodeId>, String> {
     get_arr(json, key)?
         .iter()
         .map(|v| as_u64(v, key).map(|n| NodeId(n as usize)))
         .collect()
 }
 
-fn read_fault_event(json: &Json) -> Result<FaultEvent, String> {
+fn read_fault_event(json: &Value) -> Result<FaultEvent, String> {
     let ms =
         |key: &str| -> Result<SimTime, String> { Ok(SimTime::from_millis(get_u64(json, key)?)) };
     Ok(match get_str(json, "event")?.as_str() {
@@ -960,7 +751,7 @@ fn read_fault_event(json: &Json) -> Result<FaultEvent, String> {
     })
 }
 
-fn read_store(json: &Json) -> Result<StorePlan, String> {
+fn read_store(json: &Value) -> Result<StorePlan, String> {
     let ops = get_arr(json, "ops")?
         .iter()
         .map(|entry| {

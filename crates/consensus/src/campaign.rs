@@ -10,8 +10,8 @@
 //! * test-net validators sign the parallel test-net chain;
 //! * byzantine validators sign an arbitrary page.
 //!
-//! The main-chain page is *committed* only if at least `quorum` (80% by
-//! default) of the trusted UNL signed it — the paper: "only those pages that
+//! The main-chain page is *committed* only if at least [`QUORUM_PCT`]
+//! percent of the trusted UNL signed it — the paper: "only those pages that
 //! are signed by at least 80% of the validators end up in the distributed
 //! ledger".
 
@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 use ripple_crypto::{sha512_half, Digest256};
 
 use crate::metrics::ValidatorReport;
+use crate::rounds::{support_required, QUORUM_PCT};
 use crate::stream::{ValidationEvent, ValidationStream};
 use crate::validator::{Validator, ValidatorProfile};
 
@@ -31,7 +32,6 @@ use crate::validator::{Validator, ValidatorProfile};
 #[derive(Debug, Clone)]
 pub struct Campaign {
     validators: Vec<Validator>,
-    quorum: f64,
     outages: Vec<(usize, Range<u64>)>,
 }
 
@@ -55,15 +55,8 @@ impl Campaign {
     pub fn new(validators: Vec<Validator>) -> Campaign {
         Campaign {
             validators,
-            quorum: 0.8,
             outages: Vec::new(),
         }
-    }
-
-    /// Overrides the quorum fraction (0.0–1.0).
-    pub fn with_quorum(mut self, quorum: f64) -> Campaign {
-        self.quorum = quorum.clamp(0.0, 1.0);
-        self
     }
 
     /// Takes validator `index` offline for the given round range — failure
@@ -98,7 +91,7 @@ impl Campaign {
         let mut committed = HashSet::new();
         let mut failed_rounds = 0;
         let unl = self.unl();
-        let quorum_needed = (self.quorum * unl.len() as f64).ceil() as usize;
+        let quorum_needed = support_required(unl.len(), QUORUM_PCT);
 
         for round in 0..rounds {
             let main_hash = sha512_half(format!("main:{seed}:{round}").as_bytes());

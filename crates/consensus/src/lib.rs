@@ -57,8 +57,8 @@ pub use closer::{CloseOutcome, LedgerCloser};
 pub use metrics::{ValidatorReport, ValidatorRow};
 pub use rewards::{simulate_reward_economy, EconomyConfig, EconomyOutcome, RewardPolicy};
 pub use rounds::{
-    page_hash, refine_position, support_required, RoundEngine, RoundError, RoundOutcome,
-    RPCA_THRESHOLDS,
+    page_hash, refine_position, support_required, tally_validations, RoundEngine, RoundError,
+    RoundOutcome, ValidationTally, QUORUM_PCT, RPCA_THRESHOLDS,
 };
 pub use scenario::CollectionPeriod;
 pub use stream::{ValidationEvent, ValidationStream};

@@ -16,6 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::rounds::{support_required, QUORUM_PCT};
+
 /// The reward policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RewardPolicy {
@@ -100,14 +102,14 @@ impl EconomyOutcome {
     }
 }
 
-/// Probability that fewer than `ceil(0.8 n)` of `n` validators are up when
+/// Probability that fewer than a quorum ([`QUORUM_PCT`]) of `n` validators are up when
 /// each is independently available with probability `p` — the chance a
 /// round cannot reach its quorum.
 pub fn quorum_failure_probability(n: usize, p: f64) -> f64 {
     if n == 0 {
         return 1.0;
     }
-    let needed = (0.8 * n as f64).ceil() as usize;
+    let needed = support_required(n, QUORUM_PCT);
     let p = p.clamp(0.0, 1.0);
     // Degenerate availabilities first: the recursion below would produce
     // 0 · ∞ at the boundaries.

@@ -25,19 +25,24 @@
 //! on a position is an ascending `Arc<[u32]>` of indices into it. A
 //! broadcast shares one buffer among its recipients, the inbox is a flat
 //! `n × n` table of those handles, and support is counted by
-//! `tally_support`, the one RPCA threshold rule in the workspace: a dense
-//! `support[ix] += 1` whose survivors come out already ascending.
-//! [`refine_position`] — what `ripple-node`'s live transport and
-//! [`run_unl_round`](crate::unl::run_unl_round) call — is that kernel behind
-//! a set-in, set-out adapter.
+//! `tally_support`: a dense `support[ix] += 1` whose survivors come out
+//! already ascending. [`refine_position`] — what `ripple-node`'s live
+//! transport and [`run_unl_round`](crate::unl::run_unl_round) call — is that
+//! kernel behind a set-in, set-out adapter.
 //!
-//! One thing can bring a transaction from outside that union into a round: a
-//! proposal still in flight from an *earlier* round. Proposals are matched
-//! by iteration number alone, so one that is late by a round and a bit is
-//! counted. Every proposal therefore names the table its indices refer to;
-//! one that names another table than the round's current one is re-interned
-//! on receipt, and ids the round has never seen are appended to its table
-//! (which is why a position is sorted by id again when it is sealed).
+//! A proposal belongs to its round: it names the round it was sent in (the
+//! simulator's stand-in for the previous-ledger hash a real proposal
+//! carries), and one still in flight when a later round starts is dropped on
+//! receipt and counted in `consensus.rounds.stale_proposals` — so that union
+//! is the only id space a round ever sees.
+//!
+//! # One rulebook
+//!
+//! The thresholds are integer percent ([`RPCA_THRESHOLDS`], [`QUORUM_PCT`]),
+//! [`support_required`] is the one exact ceiling over them, and
+//! [`tally_validations`] is the one validation count. The simulator, the UNL
+//! analysis, the statistical campaign, `ripple-node` and its cluster harness
+//! all call these; none spells the rule itself.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -51,8 +56,12 @@ use ripple_obs::{span, LazyCounter, LazyHistogram};
 
 use crate::validator::{Validator, ValidatorProfile};
 
-/// The escalating agreement thresholds of RPCA.
-pub const RPCA_THRESHOLDS: [f64; 4] = [0.50, 0.55, 0.60, 0.80];
+/// The escalating agreement thresholds of RPCA, in percent of the UNL.
+pub const RPCA_THRESHOLDS: [u32; 4] = [50, 55, 60, 80];
+
+/// The share of the UNL, in percent, that must validate one page for it to
+/// be committed.
+pub const QUORUM_PCT: u32 = 80;
 
 // Round instrumentation: message accounting in the style of the per-round
 // bookkeeping that Amores-Sesar et al. and Chase & MacBrough lean on for
@@ -63,22 +72,26 @@ static PROPOSALS_SENT: LazyCounter = LazyCounter::new("consensus.rounds.proposal
 static VALIDATIONS_SENT: LazyCounter = LazyCounter::new("consensus.rounds.validations_sent");
 static VALIDATION_MSGS_SEEN: LazyHistogram =
     LazyHistogram::new("consensus.rounds.validation_msgs_seen");
-// One per position buffer built (interned, refined, lied or re-interned).
+// One per position buffer built (interned, refined or lied).
 // Against `proposals_sent` it shows that a broadcast shares its buffer: an
 // honest round builds at most 5 n of them for 4 n (n - 1) proposals.
 static POSITION_ALLOCS: LazyCounter = LazyCounter::new("consensus.rounds.position_allocs");
+// Proposals dropped because they name an earlier round. Registered by the
+// first one, so a run without any has no such key in its snapshot.
+static STALE_PROPOSALS: LazyCounter = LazyCounter::new("consensus.rounds.stale_proposals");
 
 /// Messages exchanged during a round.
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// A position broadcast during a proposal iteration.
     Proposal {
-        /// Which RPCA iteration the proposal belongs to.
+        /// Which of the engine's rounds the proposal was sent in.
+        round: u64,
+        /// Which RPCA iteration of that round the proposal belongs to.
         iteration: usize,
-        /// The candidate table `position` indexes (transaction ids).
-        candidates: Arc<[u64]>,
-        /// The proposed transaction set, as ascending indices into
-        /// `candidates`. Shared by every recipient of a broadcast.
+        /// The proposed transaction set, as ascending indices into that
+        /// round's candidate table. Shared by every recipient of a
+        /// broadcast.
         position: Arc<[u32]>,
     },
     /// A signed page announcement after the final iteration.
@@ -133,7 +146,8 @@ pub struct RoundEngine {
     validators: Vec<Validator>,
     network: Network<Msg>,
     iteration_timeout: SimTime,
-    quorum: f64,
+    /// Rounds started so far; the current round's number is this minus one.
+    rounds_started: u64,
 }
 
 impl std::fmt::Debug for RoundEngine {
@@ -141,7 +155,7 @@ impl std::fmt::Debug for RoundEngine {
         f.debug_struct("RoundEngine")
             .field("validators", &self.validators.len())
             .field("iteration_timeout", &self.iteration_timeout)
-            .field("quorum", &self.quorum)
+            .field("rounds_started", &self.rounds_started)
             .finish()
     }
 }
@@ -160,7 +174,7 @@ impl RoundEngine {
             validators,
             network,
             iteration_timeout: SimTime::from_millis(500),
-            quorum: 0.8,
+            rounds_started: 0,
         }
     }
 
@@ -197,10 +211,6 @@ impl RoundEngine {
         self.validators.len()
     }
 
-    fn required(&self, threshold: f64) -> usize {
-        support_required(self.validators.len(), threshold)
-    }
-
     /// Runs one full round from the given initial positions (one candidate
     /// transaction set per validator).
     ///
@@ -227,7 +237,9 @@ impl RoundEngine {
         ROUNDS_RUN.add(1);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.validators.len();
-        let mut candidates: Arc<[u64]> = intern(initial_positions).into();
+        let round = self.rounds_started;
+        self.rounds_started += 1;
+        let candidates = intern(initial_positions);
         let mut positions: Vec<Arc<[u32]>> = initial_positions
             .iter()
             .map(|set| indices(&candidates, set).into())
@@ -236,7 +248,7 @@ impl RoundEngine {
         // `received[to * n + from]`: what `to` last heard from `from` in the
         // current iteration.
         let mut received: Vec<Option<Arc<[u32]>>> = vec![None; n * n];
-        let mut support: Vec<u32> = Vec::new();
+        let mut support: Vec<u32> = vec![0; candidates.len()];
 
         for (iteration, &threshold) in RPCA_THRESHOLDS.iter().enumerate() {
             // Broadcast proposals. (Index-driven loops: `v` is a node id
@@ -264,8 +276,8 @@ impl RoundEngine {
                                 NodeId(v),
                                 NodeId(to),
                                 Msg::Proposal {
+                                    round,
                                     iteration,
-                                    candidates: Arc::clone(&candidates),
                                     position: lie,
                                 },
                                 &mut rng,
@@ -277,8 +289,8 @@ impl RoundEngine {
                         self.network.broadcast(
                             NodeId(v),
                             Msg::Proposal {
+                                round,
                                 iteration,
-                                candidates: Arc::clone(&candidates),
                                 position: Arc::clone(&positions[v]),
                             },
                             &mut rng,
@@ -293,18 +305,14 @@ impl RoundEngine {
             received.fill(None);
             while let Some((_, Delivery { from, to, msg })) = self.network.step_until(deadline) {
                 if let Msg::Proposal {
+                    round: sent_in,
                     iteration: it,
-                    candidates: theirs,
                     position,
                 } = msg
                 {
-                    if it == iteration {
-                        let position = if Arc::ptr_eq(&theirs, &candidates) {
-                            position
-                        } else {
-                            POSITION_ALLOCS.add(1);
-                            reintern(&mut candidates, &theirs, &position)
-                        };
+                    if sent_in != round {
+                        STALE_PROPOSALS.add(1);
+                    } else if it == iteration {
                         received[to.0 * n + from.0] = Some(position);
                     }
                 }
@@ -318,8 +326,7 @@ impl RoundEngine {
             // (peers + self) proposed it. In place: a validator's update
             // reads only its own position and what it received, and what it
             // received are handles taken when the proposals were sent.
-            let required = self.required(threshold);
-            support.resize(candidates.len(), 0);
+            let required = support_required(n, threshold);
             #[allow(clippy::needless_range_loop)]
             for v in 0..n {
                 if self.network.is_crashed(NodeId(v)) {
@@ -350,7 +357,7 @@ impl RoundEngine {
             if self.network.is_crashed(NodeId(v)) {
                 continue;
             }
-            let page = hash_page(seal(&candidates, &positions[v]).into_iter());
+            let page = hash_page(seal(&candidates, &positions[v]));
             validations.insert(v, page);
             self.network
                 .broadcast(NodeId(v), Msg::Validation { page }, &mut rng);
@@ -361,45 +368,34 @@ impl RoundEngine {
         let deadline = self.network.now() + self.iteration_timeout;
         let mut validation_messages_seen = 0usize;
         while let Some((_, delivery)) = self.network.step_until(deadline) {
-            if let Msg::Validation { page: _ } = delivery.msg {
-                validation_messages_seen += 1;
+            match delivery.msg {
+                Msg::Validation { .. } => validation_messages_seen += 1,
+                Msg::Proposal { round: sent_in, .. } if sent_in != round => STALE_PROPOSALS.add(1),
+                Msg::Proposal { .. } => {}
             }
         }
         VALIDATION_MSGS_SEEN.record(validation_messages_seen as u64);
         self.network.advance_to(deadline);
 
-        // Tally.
-        let mut tally: HashMap<Digest256, usize> = HashMap::new();
-        for page in validations.values() {
-            *tally.entry(*page).or_insert(0) += 1;
-        }
-        let quorum_needed = self.quorum_needed();
-        let winner = tally
-            .iter()
-            .max_by_key(|&(_, count)| *count)
-            .map(|(&page, &count)| (page, count));
-        let (committed, agreement) = match winner {
-            Some((page, count)) if count >= quorum_needed => {
-                let set = (0..n)
-                    .find(|v| validations.get(v) == Some(&page))
-                    .map(|v| seal(&candidates, &positions[v]).into_iter().collect())
-                    .unwrap_or_default();
-                (Some((page, set)), count as f64 / n as f64)
-            }
-            Some((_, count)) => (None, count as f64 / n as f64),
-            None => (None, 0.0),
-        };
+        let tally = tally_validations(validations.values().copied(), n);
+        let committed = tally.winner.filter(|_| tally.committed).map(|page| {
+            let set = (0..n)
+                .find(|v| validations.get(v) == Some(&page))
+                .map(|v| seal(&candidates, &positions[v]).collect())
+                .unwrap_or_default();
+            (page, set)
+        });
 
         Ok(RoundOutcome {
             committed,
             validations,
-            agreement,
+            agreement: tally.count as f64 / n as f64,
         })
     }
 
-    /// Quorum size in validators (ceil of the quorum fraction).
+    /// Quorum size in validators ([`QUORUM_PCT`] of them, rounded up).
     pub fn quorum_needed(&self) -> usize {
-        support_required(self.validators.len(), self.quorum)
+        support_required(self.validators.len(), QUORUM_PCT)
     }
 
     /// Which validators are honest (not byzantine) by profile.
@@ -459,40 +455,10 @@ fn indices(candidates: &[u64], set: &BTreeSet<u64>) -> Vec<u32> {
         .collect()
 }
 
-/// Re-expresses `position`, interned against `theirs`, in `candidates`,
-/// appending the ids `candidates` does not hold yet (so only its initial
-/// prefix is ascending). Rare — only a proposal from another round, or from
-/// before the table last grew, names another table — hence the plain scan.
-fn reintern(candidates: &mut Arc<[u64]>, theirs: &[u64], position: &[u32]) -> Arc<[u32]> {
-    let mut ids = candidates.to_vec();
-    let mut ours: Vec<u32> = position
-        .iter()
-        .map(|&ix| {
-            let id = theirs[ix as usize];
-            let at = ids
-                .iter()
-                .position(|&known| known == id)
-                .unwrap_or_else(|| {
-                    ids.push(id);
-                    ids.len() - 1
-                });
-            u32::try_from(at).expect("a round has fewer than 2^32 candidates")
-        })
-        .collect();
-    ours.sort_unstable();
-    if ids.len() > candidates.len() {
-        *candidates = ids.into();
-    }
-    ours.into()
-}
-
-/// The transaction ids of `position`, ascending — what a page is hashed
-/// over and a committed set is built from.
-fn seal(candidates: &[u64], position: &[u32]) -> Vec<u64> {
-    let mut txs: Vec<u64> = position.iter().map(|&ix| candidates[ix as usize]).collect();
-    // Index order is id order except for re-interned ids (see `reintern`).
-    txs.sort_unstable();
-    txs
+/// The transaction ids of `position`, ascending (index order is id order) —
+/// what a page is hashed over and a committed set is built from.
+fn seal<'a>(candidates: &'a [u64], position: &'a [u32]) -> impl ExactSizeIterator<Item = u64> + 'a {
+    position.iter().map(|&ix| candidates[ix as usize])
 }
 
 /// One RPCA position-refinement step: keep a transaction iff enough of
@@ -514,14 +480,47 @@ pub fn refine_position<'a>(
     let positions: Vec<Vec<u32>> = sets().map(|set| indices(&candidates, set)).collect();
     let mut support = vec![0; candidates.len()];
     let kept = tally_support(&mut support, positions.iter().map(Vec::as_slice), required);
-    seal(&candidates, &kept).into_iter().collect()
+    seal(&candidates, &kept).collect()
 }
 
-/// How many of `n` UNL members must propose a transaction for it to
-/// survive an iteration at `threshold` (ceil of the fraction) — also the
-/// quorum rule for the 80% validation phase.
-pub fn support_required(n: usize, threshold: f64) -> usize {
-    (threshold * n as f64).ceil() as usize
+/// How many of `n` UNL members are `pct` percent of them, rounded up: what a
+/// transaction needs to survive an iteration at that threshold, and — at
+/// [`QUORUM_PCT`] — what a page needs to be committed. Integer arithmetic,
+/// so exact at every `n`: `(0.55 * 100.0).ceil()` is 56.
+pub fn support_required(n: usize, pct: u32) -> usize {
+    (n * pct as usize).div_ceil(100)
+}
+
+/// The validation phase's count over one UNL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValidationTally {
+    /// The most-validated page (the smallest hash among equals), if anyone
+    /// validated at all.
+    pub winner: Option<Digest256>,
+    /// How many validated `winner`.
+    pub count: usize,
+    /// Whether `count` reaches [`QUORUM_PCT`] of the UNL.
+    pub committed: bool,
+}
+
+/// Counts one round's validations — one page per validator that signed —
+/// against a UNL of `unl_len` members.
+pub fn tally_validations(
+    pages: impl IntoIterator<Item = Digest256>,
+    unl_len: usize,
+) -> ValidationTally {
+    let mut pages: Vec<Digest256> = pages.into_iter().collect();
+    pages.sort_unstable();
+    let winner = pages
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .max_by_key(|&(page, count)| (count, std::cmp::Reverse(page)));
+    let count = winner.map_or(0, |(_, count)| count);
+    ValidationTally {
+        winner: winner.map(|(page, _)| page),
+        count,
+        committed: count > 0 && count >= support_required(unl_len, QUORUM_PCT),
+    }
 }
 
 /// Hash of a sealed transaction set.
@@ -808,7 +807,7 @@ mod tests {
                 "case {case}: ascending"
             );
             assert!(support.iter().all(|&held| held == 0), "case {case}: zeroed");
-            let kept: BTreeSet<u64> = seal(&candidates, &kept).into_iter().collect();
+            let kept: BTreeSet<u64> = seal(&candidates, &kept).collect();
             assert_eq!(kept, expected, "case {case}: kernel, required {required}");
             assert_eq!(
                 refine_position(&own, &peers, required),
@@ -832,28 +831,122 @@ mod tests {
     }
 
     #[test]
-    fn a_proposal_naming_another_table_is_reinterned() {
-        // The round's table is [10, 20, 30]; a proposal from an earlier
-        // round indexes [7, 20, 40]. Known ids keep their index, unknown
-        // ones are appended, and sealing sorts by id again.
-        let mut candidates: Arc<[u64]> = vec![10, 20, 30].into();
-        let theirs = [7u64, 20, 40];
-        let position = reintern(&mut candidates, &theirs, &[0, 1, 2]);
-        assert_eq!(&candidates[..], [10, 20, 30, 7, 40]);
-        assert_eq!(&position[..], [1, 3, 4]);
-        assert_eq!(seal(&candidates, &position), [7, 20, 40]);
-        // An appended id is found again, not appended twice.
-        let again = reintern(&mut candidates, &theirs, &[2, 0]);
-        assert_eq!(&candidates[..], [10, 20, 30, 7, 40]);
-        assert_eq!(&again[..], [3, 4]);
+    fn a_proposal_from_an_earlier_round_is_not_tallied() {
+        // Everything validator 4 hears is one round and a bit old, so each
+        // proposal arrives in the iteration it was sent for — of the next
+        // round. Matched by iteration number alone, round 0's {1, 2} would
+        // out-vote validator 4's own {3, 4} in round 1 and it would seal
+        // {1, 2}; named by round, they are dropped, it hears nothing, its
+        // lone vote clears no gate and it seals the empty page.
+        let mut engine = RoundEngine::new(honest(5));
+        let late = LatencyModel::Fixed(engine.round_duration() + SimTime::from_millis(100));
+        for from in 0..4 {
+            engine
+                .network_mut()
+                .set_link_latency(NodeId(from), NodeId(4), late);
+        }
+        engine.run_round(&positions(5, &[1, 2]), 1).unwrap();
+        let outcome = engine.run_round(&positions(5, &[3, 4]), 2).unwrap();
+        assert_eq!(outcome.validations[&4], page_hash(&BTreeSet::new()));
+        let (page, set) = outcome.committed.expect("four of five is a quorum");
+        assert_eq!(set, [3, 4].into_iter().collect());
+        assert!((0..4).all(|v| outcome.validations[&v] == page));
+        assert_eq!(outcome.agreement, 0.8);
     }
 
     #[test]
     fn support_required_rounds_up() {
-        assert_eq!(support_required(5, 0.50), 3);
-        assert_eq!(support_required(5, 0.80), 4);
-        assert_eq!(support_required(4, 0.80), 4);
-        assert_eq!(support_required(10, 0.55), 6);
+        for n in 1..=1_000usize {
+            for pct in RPCA_THRESHOLDS {
+                let required = support_required(n, pct);
+                // The least count whose share of n is at least pct percent.
+                assert!(required * 100 >= n * pct as usize, "n {n}, {pct}%");
+                assert!((required - 1) * 100 < n * pct as usize, "n {n}, {pct}%");
+            }
+        }
+        // `(0.55 * 100.0).ceil()` is 56.
+        assert_eq!(support_required(100, 55), 55);
+        assert_eq!(support_required(5, 50), 3);
+        assert_eq!(support_required(5, QUORUM_PCT), 4);
+        assert_eq!(support_required(4, QUORUM_PCT), 4);
+        assert_eq!(support_required(10, 55), 6);
+        assert_eq!(support_required(0, QUORUM_PCT), 0);
+    }
+
+    /// The validation count as `run_round`, `Node::finalize` and
+    /// `harness::run_cluster` each used to spell it: a hashed tally, its
+    /// maximum, the quorum test. Which of several equally validated pages
+    /// wins was left to the map's iteration order, so only the count and the
+    /// verdict are comparable on a tie.
+    fn tally_naive(pages: &[Digest256], unl_len: usize) -> (Vec<Digest256>, usize, bool) {
+        let mut tally: HashMap<Digest256, usize> = HashMap::new();
+        for page in pages {
+            *tally.entry(*page).or_insert(0) += 1;
+        }
+        let count = tally.values().copied().max().unwrap_or(0);
+        let mut winners: Vec<Digest256> = tally
+            .iter()
+            .filter(|&(_, &c)| c == count)
+            .map(|(&page, _)| page)
+            .collect();
+        winners.sort_unstable();
+        let committed = count > 0 && count >= support_required(unl_len, QUORUM_PCT);
+        (winners, count, committed)
+    }
+
+    #[test]
+    fn tally_validations_matches_the_three_bodies_it_replaces() {
+        let page = |i: u8| sha512_half(&[i]);
+        // Nobody validated.
+        assert_eq!(
+            tally_validations([], 5),
+            ValidationTally {
+                winner: None,
+                count: 0,
+                committed: false
+            }
+        );
+        assert!(!tally_validations([], 0).committed);
+        // Exactly at quorum, and one short of it.
+        let at = tally_validations([page(1), page(1), page(2), page(1), page(1)], 5);
+        assert_eq!(
+            (at.winner, at.count, at.committed),
+            (Some(page(1)), 4, true)
+        );
+        let short = tally_validations([page(1), page(2), page(1), page(1)], 5);
+        assert_eq!(
+            (short.winner, short.count, short.committed),
+            (Some(page(1)), 3, false)
+        );
+        // A tie goes to the smaller hash, whatever the arrival order.
+        let (lo, hi) = (page(1).min(page(2)), page(1).max(page(2)));
+        assert_eq!(tally_validations([hi, lo, hi, lo], 5).winner, Some(lo));
+        assert_eq!(tally_validations([lo, hi, lo, hi], 5).winner, Some(lo));
+
+        let mut rng = StdRng::seed_from_u64(0x7a117);
+        let mut ties = 0;
+        let mut commits = 0;
+        for case in 0..2_000 {
+            let unl_len = rng.gen_range(1..=12usize);
+            let distinct = rng.gen_range(1..=3u8);
+            let pages: Vec<Digest256> = (0..rng.gen_range(0..=unl_len))
+                .map(|_| page(rng.gen_range(0..distinct)))
+                .collect();
+            let (winners, count, committed) = tally_naive(&pages, unl_len);
+            let got = tally_validations(pages.iter().copied(), unl_len);
+            assert_eq!(got.winner, winners.first().copied(), "case {case}");
+            assert_eq!(
+                (got.count, got.committed),
+                (count, committed),
+                "case {case}"
+            );
+            ties += usize::from(winners.len() > 1);
+            commits += usize::from(committed);
+        }
+        assert!(
+            ties > 100 && commits > 100,
+            "{ties} ties, {commits} commits"
+        );
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //!
 //! Each validator trusts a *Unique Node List* (UNL) and counts support only
 //! within it. When UNLs overlap too little, two cliques can each reach
-//! their own 80% quorum on different pages — a fork. This module runs the
-//! round dynamics under configurable UNLs and reports both the fork and
-//! whether a correct validator could *detect* it (conflicting validations
-//! visible from its vantage point).
+//! their own 80% quorum ([`QUORUM_PCT`], counted by the same integer
+//! [`support_required`] as every proposal threshold) on different pages — a
+//! fork. This module runs the round dynamics under configurable UNLs and
+//! reports both the fork and whether a correct validator could *detect* it
+//! (conflicting validations visible from its vantage point).
 
 use std::collections::BTreeSet;
 
 use ripple_crypto::Digest256;
 
-use crate::rounds::{page_hash, refine_position, support_required, RPCA_THRESHOLDS};
+use crate::rounds::{page_hash, refine_position, support_required, QUORUM_PCT, RPCA_THRESHOLDS};
 
 /// Outcome of one UNL-aware round.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +85,7 @@ pub fn run_unl_round(
     for (i, unl) in unls.iter().enumerate() {
         let mine = pages[i];
         let agreeing = unl.iter().filter(|&&peer| pages[peer] == mine).count();
-        if agreeing * 10 >= unl.len() * 8 && !quorum_pages.contains(&mine) {
+        if agreeing >= support_required(unl.len(), QUORUM_PCT) && !quorum_pages.contains(&mine) {
             quorum_pages.push(mine);
         }
     }

@@ -35,7 +35,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ripple_consensus::{support_required, InvariantChecker, RoundOutcome, StallWindow};
+use ripple_consensus::{
+    support_required, tally_validations, InvariantChecker, RoundOutcome, StallWindow, QUORUM_PCT,
+};
 use ripple_crypto::Digest256;
 use ripple_netsim::live::{lower, LiveAction, LivePlan};
 use ripple_netsim::{FaultPlan, SimTime};
@@ -617,8 +619,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> std::io::Result<ClusterReport> {
     // Feed the wire-reassembled rounds to the simulator's checker, in
     // order from round 0 (the checker auto-increments its round index, so
     // rounds nobody reported still count — as stalls).
-    let quorum = support_required(n, 0.8);
-    let mut checker = InvariantChecker::new(vec![true; n], quorum);
+    let mut checker = InvariantChecker::new(vec![true; n], support_required(n, QUORUM_PCT));
     let last_round = validations.keys().next_back().copied().unwrap_or(0);
     let mut fork: Option<String> = None;
     let mut committed_rounds = 0u64;
@@ -627,18 +628,13 @@ pub fn run_cluster(cfg: &ClusterConfig) -> std::io::Result<ClusterReport> {
     let mut rounds_out: Vec<(u64, HashMap<usize, Digest256>)> = Vec::new();
     for round in 0..=last_round {
         let vals = validations.remove(&round).unwrap_or_default();
-        let mut tally: HashMap<Digest256, usize> = HashMap::new();
-        for page in vals.values() {
-            *tally.entry(*page).or_insert(0) += 1;
-        }
-        let winner = tally.into_iter().max_by_key(|&(_, c)| c);
+        let tally = tally_validations(vals.values().copied(), n);
         // Liveness comes from the nodes' own word, not an omniscient
         // tally: during a partition every node may seal the same
         // (deterministically derived) page, but no node can *collect* a
         // quorum of validations, so no node commits — that is the
         // paper's quorum stall, and the feed must not paper over it.
-        let committed = committed_on_wire.get(&round).copied().unwrap_or(false)
-            && winner.map(|(_, count)| count >= quorum).unwrap_or(false);
+        let committed = committed_on_wire.get(&round).copied().unwrap_or(false) && tally.committed;
         if committed {
             committed_rounds += 1;
             if round >= settle_round && first_commit_after_settle.is_none() {
@@ -646,15 +642,12 @@ pub fn run_cluster(cfg: &ClusterConfig) -> std::io::Result<ClusterReport> {
             }
         }
         let outcome = RoundOutcome {
-            committed: if committed {
-                winner.map(|(page, _)| (page, std::collections::BTreeSet::new()))
-            } else {
-                None
-            },
+            committed: tally
+                .winner
+                .filter(|_| committed)
+                .map(|page| (page, std::collections::BTreeSet::new())),
             validations: vals.clone(),
-            agreement: winner
-                .map(|(_, count)| count as f64 / n as f64)
-                .unwrap_or(0.0),
+            agreement: tally.count as f64 / n as f64,
         };
         if let Err(violation) = checker.observe(&outcome) {
             fork.get_or_insert_with(|| violation.to_string());

@@ -3,9 +3,11 @@
 //!
 //! The node runs a single-threaded event loop (see [`crate::poll`]) and
 //! drives the same position-refinement kernel as the in-process simulator
-//! ([`ripple_consensus::refine_position`]), but over real sockets with
-//! real failures. Rounds are anchored to a wall-clock epoch shared by the
-//! whole cluster: round `r` spans
+//! ([`ripple_consensus::refine_position`]) under the same rulebook
+//! (integer-percent [`RPCA_THRESHOLDS`] through [`support_required`],
+//! [`tally_validations`] at the close; proposals filed by the round they
+//! name), but over real sockets with real failures. Rounds are anchored
+//! to a wall-clock epoch shared by the whole cluster: round `r` spans
 //! `[epoch + r·round_ms, epoch + (r+1)·round_ms)`, split into the four
 //! proposal iterations plus the validation phase. Because the epoch rides
 //! on the command line, a validator that is `kill -9`ed and restarted
@@ -27,7 +29,9 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ripple_consensus::{page_hash, refine_position, support_required, RPCA_THRESHOLDS};
+use ripple_consensus::{
+    page_hash, refine_position, support_required, tally_validations, QUORUM_PCT, RPCA_THRESHOLDS,
+};
 use ripple_crypto::Digest256;
 use ripple_obs::http::{admin_response, timeseries_response, PollServer, Request, Response};
 use ripple_obs::json::JsonWriter;
@@ -104,7 +108,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     fn quorum_needed(&self) -> usize {
-        support_required(self.validators, 0.8)
+        support_required(self.validators, QUORUM_PCT)
     }
 
     fn phase_ms(&self) -> u64 {
@@ -650,19 +654,12 @@ impl Node {
             .get(&self.cfg.id)
             .copied()
             .unwrap_or_else(|| page_hash(&BTreeSet::new()));
-        let mut tally: HashMap<Digest256, usize> = HashMap::new();
-        for page in validations.values() {
-            *tally.entry(*page).or_insert(0) += 1;
+        let tally = tally_validations(validations.values().copied(), self.cfg.validators);
+        let committed = tally.committed;
+        let agreement_milli = (tally.count * 1_000 / n) as u32;
+        if let Some(page) = tally.winner.filter(|_| committed) {
+            self.last_committed = Some((round, page));
         }
-        let winner = tally.iter().max_by_key(|&(_, c)| *c);
-        let (committed, agreement_milli) = match winner {
-            Some((&page, &count)) if count >= self.cfg.quorum_needed() => {
-                self.last_committed = Some((round, page));
-                (true, (count * 1_000 / n) as u32)
-            }
-            Some((_, &count)) => (false, (count * 1_000 / n) as u32),
-            None => (false, 0),
-        };
         let connected = self.connected_peers();
         let degraded = (connected as usize + 1) < self.cfg.quorum_needed();
         if degraded {

@@ -381,9 +381,15 @@ impl Value {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level and its input is untrusted (`/trace` bodies, `check replay FILE`);
+/// nothing `JsonWriter` emits comes near this.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -416,8 +422,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
@@ -576,6 +596,7 @@ pub fn parse(doc: &str) -> Result<Value, String> {
     let mut parser = Parser {
         bytes: doc.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -711,5 +732,33 @@ mod tests {
         assert_eq!(v, Value::Int(9007199254740993));
         assert_eq!(parse("-3.25").unwrap(), Value::Float(-3.25));
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
+    }
+
+    #[test]
+    fn parse_caps_nesting_instead_of_overflowing_the_stack() {
+        // One recursion per level: uncapped, 100k levels of untrusted input
+        // overflow a 2 MB thread stack and abort the process.
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                [
+                    parse(&"[".repeat(100_000)),
+                    parse(&"{\"a\":".repeat(100_000)),
+                ]
+            })
+            .expect("spawn")
+            .join()
+            .expect("the parser returned");
+        for result in parsed {
+            let err = result.unwrap_err();
+            assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        }
+        // The cap itself: 128 levels parse, one more does not.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let deep = |levels: usize| "{\"a\":".repeat(levels) + "1" + &"}".repeat(levels);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
     }
 }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ripple_obs::{LazyCounter, LazyGauge};
-use ripple_store::{HistoryEvent, StoreError};
+use ripple_store::HistoryEvent;
 
 static CACHE_HITS: LazyCounter = LazyCounter::new("query.cache.hits");
 static CACHE_MISSES: LazyCounter = LazyCounter::new("query.cache.misses");
@@ -141,65 +141,6 @@ impl BlockCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Returns the cached block `id`, decoding it with `decode` on a miss.
-    /// Decode work runs outside the shard lock; if two threads race on the
-    /// same missing block, both decode and one result wins — wasted work,
-    /// never a wrong answer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the decode error on a miss.
-    pub fn get_or_insert(
-        &self,
-        id: usize,
-        decode: impl FnOnce() -> Result<Block, StoreError>,
-    ) -> Result<Arc<Block>, StoreError> {
-        let shard = &self.shards[id % self.shards.len()];
-        {
-            let mut guard = shard.lock().expect("cache shard poisoned");
-            guard.tick += 1;
-            let tick = guard.tick;
-            if let Some(entry) = guard.map.get_mut(&id) {
-                entry.last_used = tick;
-                let first_hit = std::mem::replace(&mut entry.fresh, false);
-                let block = entry.block.clone();
-                if first_hit {
-                    guard.promote_after = guard.promote_after.saturating_sub(1).max(PROMOTE_AFTER);
-                }
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CACHE_HITS.add(1);
-                return Ok(block);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        CACHE_MISSES.add(1);
-        let block = Arc::new(decode()?);
-        let mut guard = shard.lock().expect("cache shard poisoned");
-        guard.tick += 1;
-        let tick = guard.tick;
-        if let Some(entry) = guard.map.get_mut(&id) {
-            // A racing thread filled it first; adopt its copy.
-            entry.last_used = tick;
-            return Ok(entry.block.clone());
-        }
-        guard.bytes += block.bytes;
-        CACHE_BYTES.add(block.bytes as i64);
-        CACHE_BLOCKS.add(1);
-        guard.map.insert(
-            id,
-            Entry {
-                block: block.clone(),
-                last_used: tick,
-                fresh: true,
-            },
-        );
-        // Evict coldest-first until back under budget; the block just
-        // inserted is the warmest, so it survives unless it alone exceeds
-        // the budget.
-        Self::evict_over_budget(&mut guard, self.shard_budget);
-        Ok(block)
     }
 
     /// The cached block `id` if resident (bumping its recency), `None`
@@ -350,10 +291,10 @@ mod tests {
     #[test]
     fn hit_after_miss() {
         let cache = BlockCache::new(1 << 20, 4);
-        let a = cache.get_or_insert(7, || Ok(block(7, 100))).unwrap();
-        let b = cache
-            .get_or_insert(7, || panic!("must not decode twice"))
-            .unwrap();
+        assert!(cache.get_if_present(7).is_none());
+        let a = Arc::new(block(7, 100));
+        cache.insert(7, Arc::clone(&a));
+        let b = cache.get_if_present(7).expect("resident");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
@@ -364,34 +305,32 @@ mod tests {
     fn budget_evicts_coldest() {
         // One shard, budget for ~2 blocks of 100 bytes.
         let cache = BlockCache::new(250, 1);
-        cache.get_or_insert(1, || Ok(block(1, 100))).unwrap();
-        cache.get_or_insert(2, || Ok(block(2, 100))).unwrap();
+        cache.insert(1, Arc::new(block(1, 100)));
+        cache.insert(2, Arc::new(block(2, 100)));
         // Touch 1 so 2 is coldest, then insert 3 to force an eviction.
-        cache.get_or_insert(1, || panic!("hit")).unwrap();
-        cache.get_or_insert(3, || Ok(block(3, 100))).unwrap();
+        assert!(cache.get_if_present(1).is_some());
+        cache.insert(3, Arc::new(block(3, 100)));
         assert_eq!(cache.resident_blocks(), 2);
         assert!(cache.resident_bytes() <= 250);
-        // 2 was evicted: fetching it decodes again (and evicts 1, now the
-        // coldest of the survivors).
-        let mut decoded = false;
-        cache
-            .get_or_insert(2, || {
-                decoded = true;
-                Ok(block(2, 100))
-            })
-            .unwrap();
-        assert!(decoded, "coldest block should have been evicted");
+        // 2 was evicted: probing it misses, and putting it back evicts 1,
+        // now the coldest of the survivors.
+        assert!(
+            cache.get_if_present(2).is_none(),
+            "coldest block should have been evicted"
+        );
+        cache.insert(2, Arc::new(block(2, 100)));
         // 3 was warmest before the re-insert and must survive it.
-        cache.get_or_insert(3, || panic!("3 must survive")).unwrap();
+        assert!(cache.get_if_present(3).is_some(), "3 must survive");
+        assert!(cache.get_if_present(1).is_none());
     }
 
     #[test]
     fn oversized_block_still_served() {
         let cache = BlockCache::new(10, 1);
-        let b = cache.get_or_insert(1, || Ok(block(1, 1000))).unwrap();
-        assert_eq!(b.bytes, 1000);
+        cache.insert(1, Arc::new(block(1, 1000)));
         // It stays resident (evicting the only block would thrash).
-        cache.get_or_insert(1, || panic!("resident")).unwrap();
+        let b = cache.get_if_present(1).expect("resident");
+        assert_eq!(b.bytes, 1000);
     }
 
     fn touches_to_promote(cache: &BlockCache, id: usize) -> u32 {
@@ -421,14 +360,5 @@ mod tests {
             assert!(cache.get_if_present(3).is_some());
         }
         assert_eq!(touches_to_promote(&cache, 5), 11, "only first hits count");
-    }
-
-    #[test]
-    fn decode_error_propagates_and_is_not_cached() {
-        let cache = BlockCache::new(1 << 20, 2);
-        let err = cache.get_or_insert(5, || Err(StoreError::corrupt("boom")));
-        assert!(err.is_err());
-        let ok = cache.get_or_insert(5, || Ok(block(5, 10)));
-        assert!(ok.is_ok());
     }
 }

@@ -299,22 +299,6 @@ impl QueryEngine {
         Ok(None)
     }
 
-    /// The event framed at `offset` — one cached block decode plus a
-    /// binary search.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] if `offset` is not a frame boundary.
-    pub fn event_at(&self, offset: u64) -> Result<HistoryEvent, StoreError> {
-        LOOKUPS.add(1);
-        let (id, _, _) = self.postings.block_span(offset);
-        let block = self.cache.get_or_insert(id, || self.decode_block(id))?;
-        block
-            .event_at(offset)
-            .cloned()
-            .ok_or_else(|| StoreError::corrupt(format!("no frame at offset {offset}")))
-    }
-
     /// Visits the most recent `limit` events touching `account`, oldest
     /// first, without cloning. Passing `usize::MAX` visits the full
     /// history.
@@ -746,16 +730,23 @@ mod tests {
     fn point_lookups_hit_the_cache() {
         let events: Vec<HistoryEvent> = (0..64).map(|i| payment(1, 2, 100 + i, "3")).collect();
         let engine = engine(&events, &small_config());
-        let offsets: Vec<u64> = engine.postings.account_offsets(&acct(1)).to_vec();
-        let first = engine.event_at(offsets[0]).unwrap();
-        assert_eq!(first.timestamp().seconds(), 100);
-        let misses_after_first = engine.cache().misses();
+        let newest = || engine.account_history(&acct(1), 1).unwrap();
+        // Cold, a lookup decodes the one frame it needs and counts a miss
+        // on its block; the third miss earns the block its promotion.
+        let first = newest();
+        assert_eq!(first[0].1.timestamp().seconds(), 163);
+        assert_eq!(engine.cache().resident_blocks(), 0);
+        newest();
+        newest();
+        assert_eq!(engine.cache().resident_blocks(), 1);
+        let misses_after_promotion = engine.cache().misses();
+        assert_eq!(misses_after_promotion, 3);
         // Same block again: pure hits.
         for _ in 0..10 {
-            engine.event_at(offsets[0]).unwrap();
+            assert_eq!(newest(), first);
         }
-        assert_eq!(engine.cache().misses(), misses_after_first);
-        assert!(engine.cache().hits() >= 10);
+        assert_eq!(engine.cache().misses(), misses_after_promotion);
+        assert_eq!(engine.cache().hits(), 10);
     }
 
     #[test]

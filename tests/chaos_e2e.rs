@@ -94,11 +94,12 @@ fn chaos_loss_burst_degrades_but_never_forks() {
 // ---------------------------------------------------------------------
 #[test]
 fn chaos_delay_spike_stalls_only_while_messages_outrun_deadlines() {
-    // +600ms on every message while iteration deadlines are 100ms:
-    // proposals arrive an iteration too late and are discarded. With no
-    // peer support, every honest validator strips every transaction, so
-    // the spiked rounds close *empty* pages — the real network's response
-    // to disputed traffic — rather than forking or committing junk.
+    // +600ms on every message while rounds are 500ms: every proposal
+    // arrives in the next round, names the round it left, and is discarded
+    // for that — whatever iteration it lands in. With no peer support,
+    // every honest validator strips every transaction, so the spiked rounds
+    // close *empty* pages — the real network's response to disputed
+    // traffic — rather than forking or committing junk.
     let empty_page = ripple_consensus::rounds::page_hash(&BTreeSet::new());
     let plan = FaultPlan::new().delay_spike(ms(500), ms(1_500), ms(600));
     let outcome = run(plan, 8, 404);

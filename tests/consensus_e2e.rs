@@ -193,103 +193,122 @@ fn matrix_positions(n: usize, round: u64, split: Option<usize>) -> Vec<BTreeSet<
 fn round_outcomes_match_the_pinned_digest() {
     // Every fault mode `RoundEngine` models, at two sizes, eight
     // consecutive rounds on one engine each (so the clock and the network
-    // counters carry over). The digest covers everything a caller can
-    // observe; it moves if the order of RNG draws, the same-iteration
-    // overwrite rule, the threshold rule or the page encoding moves.
+    // counters carry over), one pinned digest per (size, scenario). A
+    // digest covers everything a caller can observe; it moves if the order
+    // of RNG draws, the same-iteration overwrite rule, the threshold rule,
+    // the stale-round rule or the page encoding moves.
     use ripple_core::consensus::{Validator, ValidatorProfile};
     use ripple_core::crypto::sha512_half;
     use ripple_core::netsim::{LatencyModel, SimTime};
 
-    const SCENARIOS: [&str; 8] = [
-        "honest",
-        "byzantine-1",
-        "byzantine-2",
-        "crashed",
-        "partition",
-        "slow-uplink",
-        "loss",
-        "late-inbox",
-    ];
+    // validators, scenario, digest. Only `late-inbox` delivers a proposal
+    // in the iteration it was sent for of a *later* round, so only those two
+    // rows depend on the stale-round rule.
+    const PINNED: &str = "
+         5 honest      bab36a54a901a5a4d3f880712b122e900080b1a61b86371bf71791f3cf0c3f1d
+         5 byzantine-1 b30be4647647defb204b7dfaea110f1aa73ccde53501a06d0ba8c179040c1925
+         5 byzantine-2 c207a623e80cfd84563249f1a5d0c93f485ffea17c60e0b6cd93efe1531b7f28
+         5 crashed     a333173bdd88a4ddf4d7a34b15542f6a98bce41c4f20f074d8550a5e6b7b4931
+         5 partition   068cea8e32b47dd724aadf33ac76bb37789b86234f7a5e25f90f0850f047f92b
+         5 slow-uplink aafc83262a1f66197a44114b717e5a116236e15006219c54f095c1888ecaed19
+         5 loss        4db930720311fa0ba1b01a71f36ac0dd5a70dc33352305a1fc1ab7163107af4a
+         5 late-inbox  83eca5f1e1a531d4bf54db21a327eb0f00eafbd0e5c840d1bcb2204e4ec7130c
+        20 honest      c428f57a1029460c268a20648b42972538c010ed8eead56e512f3d029a904141
+        20 byzantine-1 911732ee3e45894f0e2927c4b1fa8756a93a5607e2ebdc536ce49997dce1830d
+        20 byzantine-2 63e1be870f183c7c537c2737274041f5a0dd7a2e3e75dfc07c488bd2bad28789
+        20 crashed     7fa89342a64c8ee15d5bc03b36a8fc526b940d67f3eb692bcad239853828be80
+        20 partition   3c73812f278d588941d04bad0e77b900044b2eb210ed777c9b2f18cc4b8aae07
+        20 slow-uplink 6eed31c8ede7833d91122645dce4d7f2dc362471c3a601199eee86df818d3efe
+        20 loss        6a0f0ff412ff10a9a766082295ab91f483d9ce3640a7c4608575d53597fe6365
+        20 late-inbox  b761e5f6bac24dcae7dd8a06524f69560cb5cd7be7c64e40fa10d3f32ba68201";
     let byzantine =
         |i: usize| Validator::new(i, "byz", ValidatorProfile::Byzantine { availability: 1.0 });
 
-    let mut material = Vec::new();
     let mut committed_rounds = 0usize;
-    for n in [5usize, 20] {
-        for (s, scenario) in SCENARIOS.into_iter().enumerate() {
-            let mut validators = honest(n);
-            match scenario {
-                "byzantine-1" => validators[1] = byzantine(1),
-                "byzantine-2" => {
-                    validators[1] = byzantine(1);
-                    validators[n - 1] = byzantine(n - 1);
-                }
-                _ => {}
+    let mut moved = Vec::new();
+    for (s, row) in PINNED.lines().skip(1).enumerate() {
+        let [n, scenario, pinned] = row.split_whitespace().collect::<Vec<_>>()[..] else {
+            panic!("malformed row {row:?}");
+        };
+        let n: usize = n.parse().expect("validator count");
+        let mut validators = honest(n);
+        match scenario {
+            "byzantine-1" => validators[1] = byzantine(1),
+            "byzantine-2" => {
+                validators[1] = byzantine(1);
+                validators[n - 1] = byzantine(n - 1);
             }
-            let mut engine = RoundEngine::new(validators);
-            let mut split = None;
-            match scenario {
-                "crashed" => engine.network_mut().crash(NodeId(2)),
-                "partition" => {
-                    let at = n * 3 / 5;
-                    let left: Vec<NodeId> = (0..at).map(NodeId).collect();
-                    let right: Vec<NodeId> = (at..n).map(NodeId).collect();
-                    engine.network_mut().partition_groups(&left, &right);
-                    split = Some(at);
-                }
-                "slow-uplink" => {
-                    engine = engine.with_iteration_timeout(SimTime::from_millis(200));
-                    engine.network_mut().set_node_uplink_latency(
-                        NodeId(n - 1),
-                        LatencyModel::Fixed(SimTime::from_millis(5_000)),
-                    );
-                }
-                "loss" => engine.network_mut().set_default_loss(0.1),
-                "late-inbox" => {
-                    // Everything the last validator hears is one round
-                    // (and a little) old: proposals are matched by iteration
-                    // number alone, so it refines over the *previous*
-                    // round's transactions and seals a page of ids that are
-                    // in nobody's initial position this round.
-                    let late =
-                        LatencyModel::Fixed(engine.round_duration() + SimTime::from_millis(100));
-                    for from in 0..n - 1 {
-                        engine
-                            .network_mut()
-                            .set_link_latency(NodeId(from), NodeId(n - 1), late);
-                    }
-                }
-                _ => {}
+            _ => {}
+        }
+        let mut engine = RoundEngine::new(validators);
+        let mut split = None;
+        match scenario {
+            "crashed" => engine.network_mut().crash(NodeId(2)),
+            "partition" => {
+                let at = n * 3 / 5;
+                let left: Vec<NodeId> = (0..at).map(NodeId).collect();
+                let right: Vec<NodeId> = (at..n).map(NodeId).collect();
+                engine.network_mut().partition_groups(&left, &right);
+                split = Some(at);
             }
-            for round in 0..8u64 {
-                let positions = matrix_positions(n, round, split);
-                let seed = 0x5eed_0000 + 1_000 * n as u64 + 10 * s as u64 + round;
-                let outcome = engine.run_round(&positions, seed).unwrap();
-                match &outcome.committed {
-                    Some((page, set)) => {
-                        committed_rounds += 1;
-                        material.push(1);
-                        material.extend_from_slice(page.as_bytes());
-                        material.extend_from_slice(&(set.len() as u64).to_be_bytes());
-                        for tx in set {
-                            material.extend_from_slice(&tx.to_be_bytes());
-                        }
-                    }
-                    None => material.push(0),
+            "slow-uplink" => {
+                // The last validator's proposals land exactly five rounds
+                // late, on the deadline of the phase before the one they
+                // were sent for: the wrong round and the wrong iteration.
+                engine = engine.with_iteration_timeout(SimTime::from_millis(200));
+                engine.network_mut().set_node_uplink_latency(
+                    NodeId(n - 1),
+                    LatencyModel::Fixed(SimTime::from_millis(5_000)),
+                );
+            }
+            "loss" => engine.network_mut().set_default_loss(0.1),
+            "late-inbox" => {
+                // Everything the last validator hears is one round (and a
+                // little) old, so it names the previous round and is
+                // dropped: that validator hears nothing and seals its own
+                // initial position's survivors — nothing.
+                let late = LatencyModel::Fixed(engine.round_duration() + SimTime::from_millis(100));
+                for from in 0..n - 1 {
+                    engine
+                        .network_mut()
+                        .set_link_latency(NodeId(from), NodeId(n - 1), late);
                 }
-                let mut validations: Vec<_> = outcome.validations.iter().collect();
-                validations.sort();
-                material.extend_from_slice(&(validations.len() as u64).to_be_bytes());
-                for (validator, page) in validations {
-                    material.extend_from_slice(&(*validator as u64).to_be_bytes());
+            }
+            _ => {}
+        }
+        let mut material = Vec::new();
+        for round in 0..8u64 {
+            let positions = matrix_positions(n, round, split);
+            let seed = 0x5eed_0000 + 1_000 * n as u64 + 10 * (s % 8) as u64 + round;
+            let outcome = engine.run_round(&positions, seed).unwrap();
+            match &outcome.committed {
+                Some((page, set)) => {
+                    committed_rounds += 1;
+                    material.push(1);
                     material.extend_from_slice(page.as_bytes());
+                    material.extend_from_slice(&(set.len() as u64).to_be_bytes());
+                    for tx in set {
+                        material.extend_from_slice(&tx.to_be_bytes());
+                    }
                 }
-                material.extend_from_slice(&outcome.agreement.to_bits().to_be_bytes());
-                let network = engine.network();
-                material.extend_from_slice(&network.sent().to_be_bytes());
-                material.extend_from_slice(&network.dropped().to_be_bytes());
-                material.extend_from_slice(&network.now().as_millis().to_be_bytes());
+                None => material.push(0),
             }
+            let mut validations: Vec<_> = outcome.validations.iter().collect();
+            validations.sort();
+            material.extend_from_slice(&(validations.len() as u64).to_be_bytes());
+            for (validator, page) in validations {
+                material.extend_from_slice(&(*validator as u64).to_be_bytes());
+                material.extend_from_slice(page.as_bytes());
+            }
+            material.extend_from_slice(&outcome.agreement.to_bits().to_be_bytes());
+            let network = engine.network();
+            material.extend_from_slice(&network.sent().to_be_bytes());
+            material.extend_from_slice(&network.dropped().to_be_bytes());
+            material.extend_from_slice(&network.now().as_millis().to_be_bytes());
+        }
+        let got = sha512_half(&material).to_hex();
+        if got != pinned {
+            moved.push(format!("{n:>2} {scenario:<11} {got}"));
         }
     }
     // The matrix is not vacuous: most rounds commit, the blocked ones don't.
@@ -297,9 +316,9 @@ fn round_outcomes_match_the_pinned_digest() {
         (64..128).contains(&committed_rounds),
         "committed {committed_rounds} of 128 rounds"
     );
-    assert_eq!(
-        sha512_half(&material).to_hex(),
-        "7f56e75a3b338526bddf962258ab040bec4277755b14ba021c69a5aa9b273d4c",
-        "RoundEngine's observable behaviour moved"
+    assert!(
+        moved.is_empty(),
+        "RoundEngine's observable behaviour moved in these rows:\n{}",
+        moved.join("\n")
     );
 }

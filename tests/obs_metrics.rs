@@ -120,3 +120,53 @@ fn a_broadcast_shares_one_position_buffer() {
         4 * n * (n - 1)
     );
 }
+
+#[test]
+fn only_a_stale_proposal_registers_the_stale_counter() {
+    // A proposal names its round; one that arrives in a later round is
+    // dropped and counted. The counter is registered by the first drop, so
+    // a fault-free snapshot has no such key. (No other test in this binary
+    // delays a proposal past its round.)
+    use std::collections::BTreeSet;
+
+    use ripple_core::check::testkit::honest_validators;
+    use ripple_core::consensus::RoundEngine;
+    use ripple_core::netsim::{LatencyModel, NodeId, SimTime};
+
+    const STALE: &str = "consensus.rounds.stale_proposals";
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 5usize;
+    let positions = |txs: [u64; 2]| vec![BTreeSet::from(txs); n];
+
+    metrics::reset();
+    metrics::set_enabled(true);
+    let mut engine = RoundEngine::new(honest_validators(n));
+    for round in 0..3 {
+        engine.run_round(&positions([1, 2]), round).expect("round");
+    }
+    let honest = metrics::snapshot();
+    assert_eq!(honest.counter("consensus.rounds.run"), Some(3));
+    assert_eq!(honest.counter(STALE), None, "no drop, no key");
+
+    // Everything the last validator hears is one round and a bit old: the
+    // 4 iterations x 4 senders of round 0 reach it during round 1, the
+    // same of round 1 during round 2, and round 2's are still in flight.
+    let mut engine = RoundEngine::new(honest_validators(n));
+    let late = LatencyModel::Fixed(engine.round_duration() + SimTime::from_millis(100));
+    for from in 0..n - 1 {
+        engine
+            .network_mut()
+            .set_link_latency(NodeId(from), NodeId(n - 1), late);
+    }
+    metrics::reset();
+    let mut dropped = Vec::new();
+    for round in 0..3u64 {
+        let outcome = engine
+            .run_round(&positions([10 * round, 10 * round + 1]), round)
+            .expect("round");
+        assert_eq!(outcome.agreement, 0.8, "the other four still commit");
+        dropped.push(metrics::snapshot().counter(STALE).unwrap_or(0));
+    }
+    metrics::set_enabled(false);
+    assert_eq!(dropped, [0, 16, 32]);
+}
