@@ -1,32 +1,21 @@
-//! CRC-checked length-framed codec for the live socket transport.
-//!
-//! The wire format mirrors the store's archive framing discipline
-//! (`ripple_store::stream`), minus the file magic — a connection is a
-//! stream of frames, not a file:
-//!
-//! ```text
-//! frame := tag:u8, len:u32be, payload[len], crc32:u32be
-//! ```
-//!
-//! The CRC covers `tag + len + payload`, computed with the same IEEE
-//! CRC-32 as the archive ([`ripple_store::crc::crc32`]), so a frame
-//! damaged anywhere — including its header — fails verification.
+//! The live socket transport's framing: the workspace's one frame layout
+//! ([`ripple_store::frame`]) under a 1 MiB payload cap, and no file magic —
+//! a connection is a stream of frames, not a file.
 //!
 //! [`FrameDecoder`] is incremental: bytes arrive in whatever chunks the
 //! socket produces (`push`), and whole verified frames come out
 //! (`next_frame`). Torn reads and frames split across `read()` boundaries
-//! are the normal case, not an error. A CRC-corrupt frame triggers
-//! *resync-and-continue*: the decoder shifts forward one byte at a time
-//! until the next CRC-valid frame, exactly like the archive reader's
-//! `ReadMode::Resync`, and accounts for what it skipped in
-//! [`DecoderStats`].
+//! are the normal case, not an error. A frame that fails verification
+//! triggers *resync-and-continue*: the decoder tries
+//! [`ripple_store::frame::parse`] at successive offsets until the next
+//! CRC-valid frame and accounts for what it skipped in [`DecoderStats`].
+//! Unlike the archive reader's resync, it waits at a plausible but
+//! incomplete candidate, because more bytes may still arrive.
 
-use ripple_store::crc::crc32;
+use ripple_store::frame::{self, Parsed};
 
-/// Frame header size: tag byte plus big-endian payload length.
-pub const HEADER_LEN: usize = 5;
-/// Frame trailer size: the CRC-32.
-pub const TRAILER_LEN: usize = 4;
+pub use ripple_store::frame::{HEADER_LEN, TRAILER_LEN};
+
 /// Maximum payload a frame may carry. A corrupt length field must never
 /// stall the decoder waiting for gigabytes that will not come.
 pub const MAX_PAYLOAD: usize = 1 << 20;
@@ -37,17 +26,20 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 ///
 /// If `payload` exceeds [`MAX_PAYLOAD`].
 pub fn encode_frame(tag: u8, payload: &[u8], out: &mut Vec<u8>) {
+    encode_with(out, tag, |o| o.extend_from_slice(payload));
+}
+
+/// Appends one frame whose payload `body` writes in place.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_PAYLOAD`].
+pub(crate) fn encode_with(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let len = frame::encode(out, tag, body);
     assert!(
-        payload.len() <= MAX_PAYLOAD,
-        "frame payload over cap: {} > {MAX_PAYLOAD}",
-        payload.len()
+        len <= MAX_PAYLOAD,
+        "frame payload over cap: {len} > {MAX_PAYLOAD}"
     );
-    let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
 }
 
 /// One verified frame.
@@ -112,96 +104,53 @@ impl FrameDecoder {
     }
 
     /// Extracts the next verified frame, or `None` if the buffer holds no
-    /// complete valid frame yet. Corrupt data is skipped (shift-one-byte
-    /// resync scan, as in the archive reader) and never surfaces as a
-    /// frame.
+    /// complete valid frame yet. A frame that fails verification starts a
+    /// resync: each later offset is tried in turn until one verifies, and
+    /// corrupt data never surfaces as a frame.
     pub fn next_frame(&mut self) -> Option<Frame> {
-        if !self.resyncing {
-            let rem = &self.buf[self.pos..];
-            if rem.len() < HEADER_LEN {
-                return None;
-            }
-            let len = u32::from_be_bytes([rem[1], rem[2], rem[3], rem[4]]) as usize;
-            if len <= MAX_PAYLOAD {
-                let total = HEADER_LEN + len + TRAILER_LEN;
-                if rem.len() < total {
-                    // Partial frame: more bytes are coming.
-                    return None;
-                }
-                let expect = u32::from_be_bytes([
-                    rem[total - 4],
-                    rem[total - 3],
-                    rem[total - 2],
-                    rem[total - 1],
-                ]);
-                if crc32(&rem[..HEADER_LEN + len]) == expect {
-                    let frame = Frame {
-                        tag: rem[0],
-                        payload: rem[HEADER_LEN..HEADER_LEN + len].to_vec(),
-                    };
-                    self.pos += total;
-                    self.stats.frames += 1;
-                    return Some(frame);
-                }
-                // Complete candidate, bad CRC: one corrupt frame.
-                self.stats.crc_errors += 1;
-            }
-            // Bad CRC or an implausible length field (corruption by
-            // construction — do not wait for bytes that will never come):
-            // this offset is dead, start hunting.
-            self.resyncing = true;
-            self.pos += 1;
-            self.stats.skipped_bytes += 1;
-        }
-        self.resync_scan()
-    }
-
-    /// Shift-one-byte scan for the next CRC-valid frame. Consumes bytes
-    /// that can never start a valid frame; parks (without consuming) at
-    /// the earliest offset that could still complete into one once more
-    /// bytes arrive.
-    fn resync_scan(&mut self) -> Option<Frame> {
         let rem = &self.buf[self.pos..];
         // Offsets past this cannot even fit a header yet.
         let tail = rem.len().saturating_sub(HEADER_LEN - 1);
         let mut park: Option<usize> = None;
-        let mut offset = 0usize;
-        while offset + HEADER_LEN <= rem.len() {
-            let h = &rem[offset..];
-            let len = u32::from_be_bytes([h[1], h[2], h[3], h[4]]) as usize;
-            if len <= MAX_PAYLOAD {
-                let total = HEADER_LEN + len + TRAILER_LEN;
-                if offset + total <= rem.len() {
-                    let expect = u32::from_be_bytes([
-                        h[total - 4],
-                        h[total - 3],
-                        h[total - 2],
-                        h[total - 1],
-                    ]);
-                    if crc32(&h[..HEADER_LEN + len]) == expect {
-                        let frame = Frame {
-                            tag: h[0],
-                            payload: h[HEADER_LEN..HEADER_LEN + len].to_vec(),
-                        };
-                        self.stats.skipped_bytes += offset as u64;
-                        self.stats.frames += 1;
-                        self.stats.resyncs += 1;
+        for offset in 0..tail {
+            match frame::parse(&rem[offset..], MAX_PAYLOAD) {
+                Parsed::Frame { tag, payload, len } => {
+                    let frame = Frame {
+                        tag,
+                        payload: payload.to_vec(),
+                    };
+                    if self.resyncing {
                         self.resyncing = false;
-                        self.pos += offset + total;
-                        return Some(frame);
+                        self.stats.resyncs += 1;
                     }
-                } else {
-                    // Plausible but incomplete: cannot be judged until
-                    // more bytes arrive. Remember the earliest such spot
-                    // and keep scanning for a complete frame beyond it.
+                    self.stats.skipped_bytes += offset as u64;
+                    self.stats.frames += 1;
+                    self.pos += offset + len;
+                    return Some(frame);
+                }
+                // In sync, a partial frame is the normal case: wait for
+                // the rest.
+                Parsed::Short(_) if !self.resyncing => return None,
+                // Resyncing, a plausible but incomplete candidate cannot be
+                // judged until more bytes arrive. Remember the earliest such
+                // spot and keep scanning for a complete frame beyond it.
+                Parsed::Short(_) => {
                     park.get_or_insert(offset);
                 }
+                // Complete candidate, bad CRC: one corrupt frame.
+                Parsed::BadCrc if !self.resyncing => {
+                    self.stats.crc_errors += 1;
+                    self.resyncing = true;
+                }
+                // An implausible length field is corruption by
+                // construction: never wait for bytes that will not come.
+                Parsed::Oversize(_) => self.resyncing = true,
+                Parsed::BadCrc => {}
             }
-            offset += 1;
         }
-        // No complete valid frame in the buffer. Discard everything
-        // before the earliest still-plausible candidate (or all but a
-        // header's worth of tail bytes) so garbage cannot pile up.
+        // No complete valid frame in the buffer. Discard everything before
+        // the earliest still-plausible candidate (or all but a header's
+        // worth of tail bytes) so garbage cannot pile up.
         let keep_from = park.unwrap_or(tail);
         self.stats.skipped_bytes += keep_from as u64;
         self.pos += keep_from;
@@ -326,6 +275,42 @@ mod tests {
             let stats = dec.stats();
             assert_eq!(stats.frames, got.len() as u64);
             assert!(stats.crc_errors >= 1, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn ragged_chunks_yield_exactly_the_parse_walk() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let clean = frames(40);
+        let mut walk = Vec::new();
+        let mut pos = 0;
+        while let Parsed::Frame { tag, payload, len } = frame::parse(&clean[pos..], MAX_PAYLOAD) {
+            walk.push(Frame {
+                tag,
+                payload: payload.to_vec(),
+            });
+            pos += len;
+        }
+        assert_eq!((walk.len(), pos), (40, clean.len()));
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            let mut rest = clean.as_slice();
+            while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(97)));
+                dec.push(chunk);
+                got.extend(drain(&mut dec));
+                rest = tail;
+            }
+            assert_eq!(got, walk, "seed {seed}");
+            let stats = DecoderStats {
+                frames: 40,
+                ..DecoderStats::default()
+            };
+            assert_eq!(dec.stats(), stats, "seed {seed}");
         }
     }
 

@@ -5,8 +5,8 @@
 //! deterministic simulator; this crate proves the *robustness* story on
 //! real operating-system primitives. A validator here is a process
 //! ([`Node`], shipped as the `ripple-node` binary) speaking length-framed,
-//! CRC-checked messages ([`frame`], [`wire`] — the same framing discipline
-//! as the store's record log) over non-blocking sockets driven by a
+//! CRC-checked messages ([`frame`], [`wire`] — the store's one frame
+//! layout and field codec) over non-blocking sockets driven by a
 //! hand-rolled readiness-polling event loop ([`poll`]; the workspace
 //! forbids `unsafe`, so no `poll(2)` FFI).
 //!

@@ -1,8 +1,9 @@
 //! The validator wire protocol: typed messages over CRC-checked frames.
 //!
-//! Encoding follows the store codec's conventions — fixed field order,
-//! big-endian integers, `u32` length prefixes for variable-length parts —
-//! but is hand-rolled here so the transport layer stays dependency-free.
+//! Every field goes through the store's one field codec
+//! ([`ripple_store::codec`]: fixed field order, big-endian integers, `u32`
+//! count prefixes, 0/1 bytes for options and bools) and every message is
+//! one frame of the store's one frame layout ([`crate::frame`]).
 //! Decoding is total: any byte sequence either parses or returns a
 //! [`WireError`]; it never panics and never allocates proportionally to a
 //! corrupt length field.
@@ -10,8 +11,10 @@
 use std::collections::BTreeSet;
 
 use ripple_crypto::Digest256;
+use ripple_store::codec::{Decode, Encode};
+use ripple_store::StoreError;
 
-use crate::frame::encode_frame;
+use crate::frame::encode_with;
 
 /// Why a peer opened a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,84 +247,52 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn err<T>(msg: &str) -> Result<T, WireError> {
-    Err(WireError(msg.to_string()))
+impl From<StoreError> for WireError {
+    fn from(e: StoreError) -> WireError {
+        WireError(match e {
+            StoreError::Corrupt(msg) => msg,
+            other => other.to_string(),
+        })
+    }
 }
 
-// -- cursor helpers ---------------------------------------------------------
+impl Encode for LinkKind {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let byte: u8 = match self {
+            LinkKind::Validator => 0,
+            LinkKind::Control => 1,
+            LinkKind::Feed => 2,
+        };
+        byte.encode(out);
+    }
+}
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    match buf.split_first() {
-        Some((&b, rest)) => {
-            *buf = rest;
-            Ok(b)
+impl Decode for LinkKind {
+    fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
+        match u8::decode(buf)? {
+            0 => Ok(LinkKind::Validator),
+            1 => Ok(LinkKind::Control),
+            2 => Ok(LinkKind::Feed),
+            other => Err(StoreError::corrupt(format!("invalid link kind {other}"))),
         }
-        None => err("unexpected end of payload"),
     }
 }
 
-fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.len() < 4 {
-        return err("unexpected end of payload");
+impl Encode for Telemetry {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for v in self.fields() {
+            v.encode(out);
+        }
     }
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    Ok(u32::from_be_bytes([head[0], head[1], head[2], head[3]]))
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.len() < 8 {
-        return err("unexpected end of payload");
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(head);
-    Ok(u64::from_be_bytes(b))
-}
-
-fn get_digest(buf: &mut &[u8]) -> Result<Digest256, WireError> {
-    if buf.len() < 32 {
-        return err("unexpected end of payload");
-    }
-    let (head, rest) = buf.split_at(32);
-    *buf = rest;
-    let mut b = [0u8; 32];
-    b.copy_from_slice(head);
-    Ok(Digest256::from_bytes(b))
-}
-
-/// Reads a `u32`-prefixed list of `u64`s with an allocation guard: the
-/// claimed count must fit in the remaining bytes before anything is
-/// reserved.
-fn get_u64_list(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
-    let n = get_u32(buf)? as usize;
-    if buf.len() < n * 8 {
-        return err("list length exceeds payload");
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_u64(buf)?);
-    }
-    Ok(out)
-}
-
-fn get_u32_list(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
-    let n = get_u32(buf)? as usize;
-    if buf.len() < n * 4 {
-        return err("list length exceeds payload");
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_u32(buf)?);
-    }
-    Ok(out)
-}
-
-fn put_u64_list<'a>(items: impl ExactSizeIterator<Item = &'a u64>, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-    for v in items {
-        out.extend_from_slice(&v.to_be_bytes());
+impl Decode for Telemetry {
+    fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
+        let mut f = [0u64; 10];
+        for slot in &mut f {
+            *slot = u64::decode(buf)?;
+        }
+        Ok(Telemetry::from_fields(f))
     }
 }
 
@@ -344,16 +315,15 @@ impl WireMsg {
     }
 
     /// Appends this message as one complete frame to `out`.
+    ///
+    /// # Panics
+    ///
+    /// If the payload exceeds [`crate::frame::MAX_PAYLOAD`].
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::new();
-        match self {
+        encode_with(out, self.tag(), |out| match self {
             WireMsg::Hello { from, kind } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.push(match kind {
-                    LinkKind::Validator => 0,
-                    LinkKind::Control => 1,
-                    LinkKind::Feed => 2,
-                });
+                from.encode(out);
+                kind.encode(out);
             }
             WireMsg::Proposal {
                 from,
@@ -363,12 +333,12 @@ impl WireMsg {
                 sent_ms,
                 txs,
             } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.push(*iteration);
-                payload.extend_from_slice(&seq.to_be_bytes());
-                payload.extend_from_slice(&sent_ms.to_be_bytes());
-                put_u64_list(txs.iter(), &mut payload);
+                from.encode(out);
+                round.encode(out);
+                iteration.encode(out);
+                seq.encode(out);
+                sent_ms.encode(out);
+                txs.encode(out);
             }
             WireMsg::Validation {
                 from,
@@ -377,45 +347,32 @@ impl WireMsg {
                 sent_ms,
                 page,
             } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&seq.to_be_bytes());
-                payload.extend_from_slice(&sent_ms.to_be_bytes());
-                payload.extend_from_slice(page.as_bytes());
+                from.encode(out);
+                round.encode(out);
+                seq.encode(out);
+                sent_ms.encode(out);
+                page.encode(out);
             }
             WireMsg::Heartbeat {
                 from,
                 round,
                 sent_ms,
             } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(&sent_ms.to_be_bytes());
+                from.encode(out);
+                round.encode(out);
+                sent_ms.encode(out);
             }
-            WireMsg::StateRequest { from } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-            }
+            WireMsg::StateRequest { from } => from.encode(out),
             WireMsg::StateSnapshot {
                 from,
                 round,
                 last_committed,
             } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-                match last_committed {
-                    None => payload.push(0),
-                    Some(page) => {
-                        payload.push(1);
-                        payload.extend_from_slice(page.as_bytes());
-                    }
-                }
+                from.encode(out);
+                round.encode(out);
+                last_committed.encode(out);
             }
-            WireMsg::Ban { peers } | WireMsg::Unban { peers } => {
-                payload.extend_from_slice(&(peers.len() as u32).to_be_bytes());
-                for p in peers {
-                    payload.extend_from_slice(&p.to_be_bytes());
-                }
-            }
+            WireMsg::Ban { peers } | WireMsg::Unban { peers } => peers.encode(out),
             WireMsg::Shutdown => {}
             WireMsg::RoundReport {
                 from,
@@ -426,22 +383,19 @@ impl WireMsg {
                 degraded,
                 connected,
             } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                payload.extend_from_slice(&round.to_be_bytes());
-                payload.extend_from_slice(page.as_bytes());
-                payload.push(u8::from(*committed));
-                payload.extend_from_slice(&agreement_milli.to_be_bytes());
-                payload.push(u8::from(*degraded));
-                payload.extend_from_slice(&connected.to_be_bytes());
+                from.encode(out);
+                round.encode(out);
+                page.encode(out);
+                committed.encode(out);
+                agreement_milli.encode(out);
+                degraded.encode(out);
+                connected.encode(out);
             }
             WireMsg::TelemetryReport { from, counters } => {
-                payload.extend_from_slice(&from.to_be_bytes());
-                for v in counters.fields() {
-                    payload.extend_from_slice(&v.to_be_bytes());
-                }
+                from.encode(out);
+                counters.encode(out);
             }
-        }
-        encode_frame(self.tag(), &payload, out);
+        });
     }
 
     /// Encodes this message as one complete frame.
@@ -460,92 +414,62 @@ impl WireMsg {
     pub fn decode(frame_tag: u8, mut payload: &[u8]) -> Result<WireMsg, WireError> {
         let buf = &mut payload;
         let msg = match frame_tag {
-            tag::HELLO => {
-                let from = get_u32(buf)?;
-                let kind = match get_u8(buf)? {
-                    0 => LinkKind::Validator,
-                    1 => LinkKind::Control,
-                    2 => LinkKind::Feed,
-                    other => return err(&format!("invalid link kind {other}")),
-                };
-                WireMsg::Hello { from, kind }
-            }
+            tag::HELLO => WireMsg::Hello {
+                from: Decode::decode(buf)?,
+                kind: Decode::decode(buf)?,
+            },
             tag::PROPOSAL => WireMsg::Proposal {
-                from: get_u32(buf)?,
-                round: get_u64(buf)?,
-                iteration: get_u8(buf)?,
-                seq: get_u64(buf)?,
-                sent_ms: get_u64(buf)?,
-                txs: get_u64_list(buf)?.into_iter().collect(),
+                from: Decode::decode(buf)?,
+                round: Decode::decode(buf)?,
+                iteration: Decode::decode(buf)?,
+                seq: Decode::decode(buf)?,
+                sent_ms: Decode::decode(buf)?,
+                txs: Decode::decode(buf)?,
             },
             tag::VALIDATION => WireMsg::Validation {
-                from: get_u32(buf)?,
-                round: get_u64(buf)?,
-                seq: get_u64(buf)?,
-                sent_ms: get_u64(buf)?,
-                page: get_digest(buf)?,
+                from: Decode::decode(buf)?,
+                round: Decode::decode(buf)?,
+                seq: Decode::decode(buf)?,
+                sent_ms: Decode::decode(buf)?,
+                page: Decode::decode(buf)?,
             },
             tag::HEARTBEAT => WireMsg::Heartbeat {
-                from: get_u32(buf)?,
-                round: get_u64(buf)?,
-                sent_ms: get_u64(buf)?,
+                from: Decode::decode(buf)?,
+                round: Decode::decode(buf)?,
+                sent_ms: Decode::decode(buf)?,
             },
             tag::STATE_REQUEST => WireMsg::StateRequest {
-                from: get_u32(buf)?,
+                from: Decode::decode(buf)?,
             },
-            tag::STATE_SNAPSHOT => {
-                let from = get_u32(buf)?;
-                let round = get_u64(buf)?;
-                let last_committed = match get_u8(buf)? {
-                    0 => None,
-                    1 => Some(get_digest(buf)?),
-                    other => return err(&format!("invalid option byte {other}")),
-                };
-                WireMsg::StateSnapshot {
-                    from,
-                    round,
-                    last_committed,
-                }
-            }
+            tag::STATE_SNAPSHOT => WireMsg::StateSnapshot {
+                from: Decode::decode(buf)?,
+                round: Decode::decode(buf)?,
+                last_committed: Decode::decode(buf)?,
+            },
             tag::BAN => WireMsg::Ban {
-                peers: get_u32_list(buf)?,
+                peers: Decode::decode(buf)?,
             },
             tag::UNBAN => WireMsg::Unban {
-                peers: get_u32_list(buf)?,
+                peers: Decode::decode(buf)?,
             },
             tag::SHUTDOWN => WireMsg::Shutdown,
             tag::ROUND_REPORT => WireMsg::RoundReport {
-                from: get_u32(buf)?,
-                round: get_u64(buf)?,
-                page: get_digest(buf)?,
-                committed: match get_u8(buf)? {
-                    0 => false,
-                    1 => true,
-                    other => return err(&format!("invalid bool byte {other}")),
-                },
-                agreement_milli: get_u32(buf)?,
-                degraded: match get_u8(buf)? {
-                    0 => false,
-                    1 => true,
-                    other => return err(&format!("invalid bool byte {other}")),
-                },
-                connected: get_u32(buf)?,
+                from: Decode::decode(buf)?,
+                round: Decode::decode(buf)?,
+                page: Decode::decode(buf)?,
+                committed: Decode::decode(buf)?,
+                agreement_milli: Decode::decode(buf)?,
+                degraded: Decode::decode(buf)?,
+                connected: Decode::decode(buf)?,
             },
-            tag::TELEMETRY => {
-                let from = get_u32(buf)?;
-                let mut f = [0u64; 10];
-                for slot in &mut f {
-                    *slot = get_u64(buf)?;
-                }
-                WireMsg::TelemetryReport {
-                    from,
-                    counters: Telemetry::from_fields(f),
-                }
-            }
-            other => return err(&format!("unknown frame tag {other}")),
+            tag::TELEMETRY => WireMsg::TelemetryReport {
+                from: Decode::decode(buf)?,
+                counters: Decode::decode(buf)?,
+            },
+            other => return Err(WireError(format!("unknown frame tag {other}"))),
         };
         if !buf.is_empty() {
-            return err("trailing bytes after payload");
+            return Err(WireError("trailing bytes after payload".to_string()));
         }
         Ok(msg)
     }
@@ -642,6 +566,21 @@ mod tests {
         assert_eq!(got, msgs);
     }
 
+    /// Absolute pin of every sample's frame bytes: the wire format is
+    /// shared with the store's frame layout and field codec, and no byte
+    /// may move. Constant taken at commit a75b81f.
+    #[test]
+    fn sample_frames_match_the_pinned_digest() {
+        let mut stream = Vec::new();
+        for m in samples() {
+            m.encode_into(&mut stream);
+        }
+        assert_eq!(
+            sha512_half(&stream).to_hex(),
+            "7105e05337ba2f1d2aa65565fbfd4d6b38b9870e5c3eaa84d8e7684260f28e0b"
+        );
+    }
+
     #[test]
     fn unknown_tag_is_an_error() {
         assert!(WireMsg::decode(200, &[]).is_err());
@@ -666,7 +605,9 @@ mod tests {
     #[test]
     fn corrupt_list_length_fails_fast() {
         // A Proposal whose tx-count claims more items than the payload
-        // carries must error before allocating.
+        // carries must error. The codec grows collections as items decode,
+        // so the count alone allocates nothing
+        // (`codec::tests::huge_corrupt_length_does_not_allocate`).
         let msg = WireMsg::Proposal {
             from: 0,
             round: 1,
@@ -681,8 +622,7 @@ mod tests {
         // + seq(8) + sent_ms(8).
         payload[29] = 0xff;
         payload[30] = 0xff;
-        let e = WireMsg::decode(framed[0], &payload).unwrap_err();
-        assert!(e.to_string().contains("exceeds payload"), "{e}");
+        assert!(WireMsg::decode(framed[0], &payload).is_err());
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Field-level binary encoding.
 //!
 //! Every type encodes with a fixed field order and big-endian integers;
-//! variable-length parts carry `u32` length prefixes. The format favours
-//! sequential scan speed: a reader can skip any record from its frame
-//! header without decoding the payload.
+//! variable-length parts carry `u32` count prefixes, options and bools one
+//! 0/1 byte. Archive payloads, sidecar fields and the validator wire
+//! messages (`ripple_node::wire`) all use this one codec. The format
+//! favours sequential scan speed: a reader can skip any record from its
+//! frame header without decoding the payload.
+
+use std::collections::BTreeSet;
 
 use bytes::{Buf, BufMut};
 
@@ -36,30 +40,29 @@ fn need(buf: &&[u8], n: usize) -> Result<(), StoreError> {
     }
 }
 
-impl Encode for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u32(*self);
-    }
+/// Big-endian fixed-width integers.
+macro_rules! be_int {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Encode for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.$put(*self);
+            }
+        }
+
+        impl Decode for $t {
+            fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
+                need(buf, std::mem::size_of::<$t>())?;
+                Ok(buf.$get())
+            }
+        }
+    )*};
 }
 
-impl Decode for u32 {
-    fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
-        need(buf, 4)?;
-        Ok(buf.get_u32())
-    }
-}
-
-impl Encode for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u64(*self);
-    }
-}
-
-impl Decode for u64 {
-    fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
-        need(buf, 8)?;
-        Ok(buf.get_u64())
-    }
+be_int! {
+    u8: put_u8, get_u8;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    i128: put_i128, get_i128;
 }
 
 impl Encode for bool {
@@ -175,25 +178,46 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
+/// A `u32` count, then the items.
+fn encode_seq<'a, T: Encode + 'a>(items: impl ExactSizeIterator<Item = &'a T>, out: &mut Vec<u8>) {
+    (items.len() as u32).encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+/// Reads what [`encode_seq`] wrote. The collection grows as items decode:
+/// a corrupt count must not trigger a huge allocation up front.
+fn decode_seq<T: Decode, C: Default + Extend<T>>(buf: &mut &[u8]) -> Result<C, StoreError> {
+    let len = u32::decode(buf)?;
+    let mut out = C::default();
+    for _ in 0..len {
+        out.extend(Some(T::decode(buf)?));
+    }
+    Ok(out)
+}
+
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u32(self.len() as u32);
-        for item in self {
-            item.encode(out);
-        }
+        encode_seq(self.iter(), out);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
-        let len = u32::decode(buf)? as usize;
-        // Defensive cap: a corrupt length must not trigger a huge
-        // allocation. Grow lazily instead of reserving `len` up front.
-        let mut out = Vec::new();
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        decode_seq(buf)
+    }
+}
+
+impl<T: Encode> Encode for BTreeSet<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(self.iter(), out);
+    }
+}
+
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
+        decode_seq(buf)
     }
 }
 

@@ -17,6 +17,11 @@
 //! The CRC covers tag, length and payload. Integers are big-endian; strings
 //! and paths are length-prefixed.
 //!
+//! That record is the workspace's one frame layout ([`frame`]): the
+//! `RPLSIDX1` postings sidecar ([`postings`]) stores its sections in it and
+//! `ripple-node`'s socket transport sends its messages in it, each with its
+//! own payload cap, and all three encode fields with [`codec`].
+//!
 //! # Examples
 //!
 //! ```
@@ -58,6 +63,7 @@ pub mod chaos;
 pub mod codec;
 pub mod crc;
 pub mod event;
+pub mod frame;
 pub mod postings;
 pub mod stream;
 

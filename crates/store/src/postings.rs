@@ -20,9 +20,10 @@
 //! table on each block's first timestamp, so [`PostingsIndex::build`]
 //! rejects a timestamp regression instead of indexing it.
 //!
-//! The index persists as a *sidecar*: its own magic, then CRC-framed
-//! sections in the archive's `tag | len | payload | crc32` framing, so it
-//! loads (and fails loudly on corruption) without touching event frames.
+//! The index persists as a *sidecar*: its own magic, then sections in the
+//! archive's frame layout ([`crate::frame`]) with fields in
+//! [`crate::codec`], so it loads (and fails loudly on corruption) without
+//! touching event frames.
 //!
 //! # Determinism
 //!
@@ -38,8 +39,9 @@ use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, RippleTime, Value};
 use ripple_obs::LazyCounter;
 
-use crate::crc::crc32;
+use crate::codec::{Decode, Encode};
 use crate::event::HistoryEvent;
+use crate::frame::{self, Parsed};
 use crate::stream::{ReadMode, Reader, RecoveryStats, StoreError, MAGIC, MAX_PAYLOAD};
 
 static INDEX_BUILDS: LazyCounter = LazyCounter::new("store.postings.builds");
@@ -222,45 +224,45 @@ impl ShardPartial {
     }
 }
 
-/// Verifies the frame at `pos` — header and body in bounds, length under
-/// the cap, CRC matching — and returns its total length. Every strict
-/// read in this module goes through here before a payload is parsed.
-fn checked_frame_len(archive: &[u8], pos: usize) -> Result<usize, StoreError> {
-    let rest = archive.get(pos..).unwrap_or_default();
-    let truncated = || StoreError::corrupt(format!("archive truncated mid-record at offset {pos}"));
-    if rest.len() < 5 {
-        return Err(truncated());
+/// The frame at `pos` in `buf`, strictly: truncation, an over-cap length
+/// or a CRC mismatch is corruption. `what` names the input in the error.
+/// Every archive and sidecar read in this module goes through here before
+/// a payload is parsed.
+fn frame_at<'a>(
+    buf: &'a [u8],
+    pos: usize,
+    what: &str,
+) -> Result<(u8, &'a [u8], usize), StoreError> {
+    match frame::parse(buf.get(pos..).unwrap_or_default(), MAX_PAYLOAD) {
+        Parsed::Frame { tag, payload, len } => Ok((tag, payload, len)),
+        Parsed::Short(_) => Err(StoreError::corrupt(format!(
+            "{what} truncated mid-frame at offset {pos}"
+        ))),
+        Parsed::Oversize(len) => Err(StoreError::corrupt(format!(
+            "{what} payload length {len} exceeds cap {MAX_PAYLOAD}"
+        ))),
+        Parsed::BadCrc => Err(StoreError::corrupt(format!(
+            "{what} CRC mismatch at offset {pos}"
+        ))),
     }
-    let len = u32::from_be_bytes(rest[1..5].try_into().expect("4-byte slice"));
-    if len > MAX_PAYLOAD {
-        return Err(StoreError::corrupt(format!(
-            "payload length {len} exceeds cap {MAX_PAYLOAD}"
-        )));
-    }
-    let crc_at = 5 + len as usize;
-    if rest.len() < crc_at + 4 {
-        return Err(truncated());
-    }
-    let stored = u32::from_be_bytes(rest[crc_at..crc_at + 4].try_into().expect("4-byte slice"));
-    if crc32(&rest[..crc_at]) != stored {
-        return Err(StoreError::corrupt(format!("CRC mismatch at offset {pos}")));
-    }
-    Ok(crc_at + 4)
 }
 
-/// Walks frame boundaries without decoding payloads: `(offset, frame_len)`
-/// of every CRC-valid frame. Strict — any structural damage is fatal (the
-/// resync path uses the full [`Reader`] instead).
-fn frame_table(archive: &[u8]) -> Result<Vec<(u64, u32)>, StoreError> {
+/// `(offset, tag, payload)` of every frame of an archive, in order.
+type FrameTable<'a> = Vec<(u64, u8, &'a [u8])>;
+
+/// Walks frame boundaries without decoding payloads: the table of every
+/// CRC-valid frame. Strict — any structural damage is fatal (the resync
+/// path uses the full [`Reader`] instead).
+fn frame_table(archive: &[u8]) -> Result<FrameTable<'_>, StoreError> {
     if archive.len() < MAGIC.len() || &archive[..MAGIC.len()] != MAGIC {
         return Err(StoreError::corrupt("bad archive magic"));
     }
     let mut pos = MAGIC.len();
     let mut out = Vec::new();
     while pos < archive.len() {
-        let frame_len = checked_frame_len(archive, pos)?;
-        out.push((pos as u64, frame_len as u32));
-        pos += frame_len;
+        let (tag, payload, len) = frame_at(archive, pos, "archive")?;
+        out.push((pos as u64, tag, payload));
+        pos += len;
     }
     Ok(out)
 }
@@ -273,10 +275,8 @@ fn frame_table(archive: &[u8]) -> Result<Vec<(u64, u32)>, StoreError> {
 /// [`StoreError::Corrupt`] on framing, CRC or payload failure.
 pub fn decode_frame_at(archive: &[u8], offset: u64) -> Result<(HistoryEvent, u32), StoreError> {
     let pos = usize::try_from(offset).unwrap_or(usize::MAX);
-    let frame_len = checked_frame_len(archive, pos)?;
-    let payload = &archive[pos + 5..pos + frame_len - 4];
-    let event = HistoryEvent::decode_payload(archive[pos], payload)?;
-    Ok((event, frame_len as u32))
+    let (tag, payload, len) = frame_at(archive, pos, "archive")?;
+    Ok((HistoryEvent::decode_payload(tag, payload)?, len as u32))
 }
 
 /// Decodes every frame in `[start, end)`, returning `(offset, event)`
@@ -333,10 +333,7 @@ impl PostingsIndex {
                         .map(|(shard, range)| {
                             scope.spawn(move || {
                                 let mut partial = ShardPartial::starting_at((shard * chunk) as u64);
-                                for &(offset, frame_len) in range {
-                                    let pos = offset as usize;
-                                    let tag = archive[pos];
-                                    let payload = &archive[pos + 5..pos + frame_len as usize - 4];
+                                for &(offset, tag, payload) in range {
                                     let event = HistoryEvent::decode_payload(tag, payload)?;
                                     partial.absorb(offset, &event)?;
                                 }
@@ -352,7 +349,7 @@ impl PostingsIndex {
                 for partial in partials {
                     partial?.merge_into(&mut accounts, &mut flows, &mut last_time)?;
                 }
-                let offsets: Vec<u64> = table.iter().map(|&(o, _)| o).collect();
+                let offsets: Vec<u64> = table.iter().map(|&(o, ..)| o).collect();
                 let stats = RecoveryStats {
                     records: offsets.len() as u64,
                     ..RecoveryStats::default()
@@ -465,73 +462,39 @@ impl PostingsIndex {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SIDECAR_MAGIC);
-
-        let mut payload = Vec::new();
-        put_u32(&mut payload, SIDECAR_VERSION);
-        put_u64(&mut payload, self.records);
-        put_u64(&mut payload, self.archive_len);
-        put_u32(&mut payload, self.block_records);
-        put_u64(&mut payload, self.skipped_bytes);
-        put_u64(&mut payload, self.corrupt_regions);
-        put_u64(&mut payload, self.accounts.len() as u64);
-        put_u64(&mut payload, self.flows.len() as u64);
-        put_u64(&mut payload, self.blocks.len() as u64);
-        write_section(&mut out, SEC_HEADER, &payload);
-
-        payload.clear();
-        put_u32(&mut payload, self.blocks.len() as u32);
-        let mut prev = 0u64;
-        for &offset in &self.blocks {
-            put_varint(&mut payload, offset - prev);
-            prev = offset;
-        }
-        write_section(&mut out, SEC_BLOCKS, &payload);
-
-        payload.clear();
-        let mut in_section = 0u32;
-        for (account, offsets) in &self.accounts {
-            payload.extend_from_slice(account.as_bytes());
-            put_u32(&mut payload, offsets.len() as u32);
-            let mut prev = 0u64;
-            for &offset in offsets {
-                put_varint(&mut payload, offset - prev);
-                prev = offset;
-            }
-            in_section += 1;
-            if payload.len() >= SECTION_BUDGET {
-                write_counted_section(&mut out, SEC_ACCOUNTS, in_section, &payload);
-                payload.clear();
-                in_section = 0;
-            }
-        }
-        if in_section > 0 || self.accounts.is_empty() {
-            write_counted_section(&mut out, SEC_ACCOUNTS, in_section, &payload);
-        }
-
-        payload.clear();
-        in_section = 0;
-        for (&(currency, day), flow) in &self.flows {
-            payload.extend_from_slice(currency.as_bytes());
-            put_u64(&mut payload, day);
-            put_u64(&mut payload, flow.payments);
-            payload.extend_from_slice(&flow.total_raw.to_be_bytes());
-            put_u32(&mut payload, flow.offsets.len() as u32);
-            let mut prev = 0u64;
-            for &offset in &flow.offsets {
-                put_varint(&mut payload, offset - prev);
-                prev = offset;
-            }
-            in_section += 1;
-            if payload.len() >= SECTION_BUDGET {
-                write_counted_section(&mut out, SEC_FLOWS, in_section, &payload);
-                payload.clear();
-                in_section = 0;
-            }
-        }
-        if in_section > 0 || self.flows.is_empty() {
-            write_counted_section(&mut out, SEC_FLOWS, in_section, &payload);
-        }
-
+        frame::encode(&mut out, SEC_HEADER, |p| {
+            SIDECAR_VERSION.encode(p);
+            self.records.encode(p);
+            self.archive_len.encode(p);
+            self.block_records.encode(p);
+            self.skipped_bytes.encode(p);
+            self.corrupt_regions.encode(p);
+            (self.accounts.len() as u64).encode(p);
+            (self.flows.len() as u64).encode(p);
+            (self.blocks.len() as u64).encode(p);
+        });
+        frame::encode(&mut out, SEC_BLOCKS, |p| put_offsets(p, &self.blocks));
+        write_counted_sections(
+            &mut out,
+            SEC_ACCOUNTS,
+            self.accounts.iter(),
+            |p, (account, offsets)| {
+                account.encode(p);
+                put_offsets(p, offsets);
+            },
+        );
+        write_counted_sections(
+            &mut out,
+            SEC_FLOWS,
+            self.flows.iter(),
+            |p, (&(currency, day), flow)| {
+                currency.encode(p);
+                day.encode(p);
+                flow.payments.encode(p);
+                flow.total_raw.encode(p);
+                put_offsets(p, &flow.offsets);
+            },
+        );
         INDEX_BYTES.add(out.len() as u64);
         out
     }
@@ -541,7 +504,8 @@ impl PostingsIndex {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] on bad magic, CRC mismatch, malformed
-    /// sections, or counts disagreeing with the header.
+    /// sections, offsets past `u64::MAX`, or counts disagreeing with the
+    /// header.
     pub fn from_bytes(buf: &[u8]) -> Result<PostingsIndex, StoreError> {
         if buf.len() < SIDECAR_MAGIC.len() || &buf[..SIDECAR_MAGIC.len()] != SIDECAR_MAGIC {
             return Err(StoreError::corrupt("bad sidecar magic"));
@@ -552,94 +516,47 @@ impl PostingsIndex {
         let mut flows = BTreeMap::new();
         let mut blocks = Vec::new();
         while pos < buf.len() {
-            let (tag, payload, consumed) = read_section(&buf[pos..])?;
-            pos += consumed;
+            let (tag, payload, len) = frame_at(buf, pos, "sidecar")?;
+            pos += len;
             let mut p = payload;
             let p = &mut p;
             match tag {
                 SEC_HEADER => {
-                    let version = get_u32(p)?;
+                    let version = u32::decode(p)?;
                     if version != SIDECAR_VERSION {
                         return Err(StoreError::corrupt(format!(
                             "unsupported sidecar version {version}"
                         )));
                     }
                     header = Some((
-                        get_u64(p)?,
-                        get_u64(p)?,
-                        get_u32(p)?,
-                        get_u64(p)?,
-                        get_u64(p)?,
-                        get_u64(p)?,
-                        get_u64(p)?,
-                        get_u64(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
+                        Decode::decode(p)?,
                     ));
                 }
-                SEC_BLOCKS => {
-                    let count = get_u32(p)?;
-                    let mut prev = 0u64;
-                    for _ in 0..count {
-                        prev += get_varint(p)?;
-                        blocks.push(prev);
-                    }
-                }
+                SEC_BLOCKS => blocks.extend(get_offsets(p)?),
                 SEC_ACCOUNTS => {
-                    let count = get_u32(p)?;
-                    for _ in 0..count {
-                        if p.len() < 20 {
-                            return Err(StoreError::corrupt("truncated account posting"));
-                        }
-                        let mut id = [0u8; 20];
-                        id.copy_from_slice(&p[..20]);
-                        *p = &p[20..];
-                        let n = get_u32(p)?;
-                        let mut offsets = Vec::new();
-                        let mut prev = 0u64;
-                        for _ in 0..n {
-                            prev += get_varint(p)?;
-                            offsets.push(prev);
-                        }
-                        if accounts
-                            .insert(AccountId::from_bytes(id), offsets)
-                            .is_some()
-                        {
+                    for _ in 0..u32::decode(p)? {
+                        let account = AccountId::decode(p)?;
+                        if accounts.insert(account, get_offsets(p)?).is_some() {
                             return Err(StoreError::corrupt("duplicate account in sidecar"));
                         }
                     }
                 }
                 SEC_FLOWS => {
-                    let count = get_u32(p)?;
-                    for _ in 0..count {
-                        if p.len() < 3 {
-                            return Err(StoreError::corrupt("truncated flow posting"));
-                        }
-                        let mut code = [0u8; 3];
-                        code.copy_from_slice(&p[..3]);
-                        *p = &p[3..];
-                        let currency = std::str::from_utf8(&code)
-                            .ok()
-                            .and_then(Currency::try_code)
-                            .ok_or_else(|| StoreError::corrupt("invalid flow currency"))?;
-                        let day = get_u64(p)?;
-                        let payments = get_u64(p)?;
-                        if p.len() < 16 {
-                            return Err(StoreError::corrupt("truncated flow total"));
-                        }
-                        let total_raw = i128::from_be_bytes(p[..16].try_into().expect("16 bytes"));
-                        *p = &p[16..];
-                        let n = get_u32(p)?;
-                        let mut offsets = Vec::new();
-                        let mut prev = 0u64;
-                        for _ in 0..n {
-                            prev += get_varint(p)?;
-                            offsets.push(prev);
-                        }
+                    for _ in 0..u32::decode(p)? {
+                        let key = (Currency::decode(p)?, u64::decode(p)?);
                         let stat = FlowStat {
-                            payments,
-                            total_raw,
-                            offsets,
+                            payments: u64::decode(p)?,
+                            total_raw: i128::decode(p)?,
+                            offsets: get_offsets(p)?,
                         };
-                        if flows.insert((currency, day), stat).is_some() {
+                        if flows.insert(key, stat).is_some() {
                             return Err(StoreError::corrupt("duplicate flow class in sidecar"));
                         }
                     }
@@ -686,30 +603,61 @@ impl PostingsIndex {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, StoreError> {
-    if buf.len() < 4 {
-        return Err(StoreError::corrupt("unexpected end of sidecar payload"));
+/// Writes `entries` as `tag` sections of `count:u32 , entry*`, closing a
+/// section once its payload reaches [`SECTION_BUDGET`]. An empty map still
+/// writes one (empty) section.
+fn write_counted_sections<T>(
+    out: &mut Vec<u8>,
+    tag: u8,
+    entries: impl ExactSizeIterator<Item = T>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) {
+    let mut flush = |body: &mut Vec<u8>, count: u32| {
+        frame::encode(out, tag, |p| {
+            count.encode(p);
+            p.extend_from_slice(body);
+        });
+        body.clear();
+    };
+    let empty = entries.len() == 0;
+    let mut body = Vec::new();
+    let mut count = 0u32;
+    for entry in entries {
+        put(&mut body, entry);
+        count += 1;
+        if body.len() >= SECTION_BUDGET {
+            flush(&mut body, count);
+            count = 0;
+        }
     }
-    let v = u32::from_be_bytes(buf[..4].try_into().expect("4 bytes"));
-    *buf = &buf[4..];
-    Ok(v)
+    if count > 0 || empty {
+        flush(&mut body, count);
+    }
 }
 
-fn get_u64(buf: &mut &[u8]) -> Result<u64, StoreError> {
-    if buf.len() < 8 {
-        return Err(StoreError::corrupt("unexpected end of sidecar payload"));
+/// A `u32` count, then the ascending `offsets` as delta varints.
+fn put_offsets(out: &mut Vec<u8>, offsets: &[u64]) {
+    (offsets.len() as u32).encode(out);
+    let mut prev = 0u64;
+    for &offset in offsets {
+        put_varint(out, offset - prev);
+        prev = offset;
     }
-    let v = u64::from_be_bytes(buf[..8].try_into().expect("8 bytes"));
-    *buf = &buf[8..];
-    Ok(v)
+}
+
+/// Reads what [`put_offsets`] wrote. A delta that carries the running
+/// offset past `u64::MAX` is corruption, not a wrap.
+fn get_offsets(buf: &mut &[u8]) -> Result<Vec<u64>, StoreError> {
+    let count = u32::decode(buf)?;
+    let mut out = Vec::new();
+    let mut prev = 0u64;
+    for _ in 0..count {
+        prev = prev
+            .checked_add(get_varint(buf)?)
+            .ok_or_else(|| StoreError::corrupt("sidecar offset overflows u64"))?;
+        out.push(prev);
+    }
+    Ok(out)
 }
 
 /// LEB128 unsigned varint.
@@ -725,6 +673,8 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Reads a LEB128 varint of at most 64 bits: the tenth byte may carry only
+/// bit 63, so no set bit is ever dropped.
 fn get_varint(buf: &mut &[u8]) -> Result<u64, StoreError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
@@ -732,62 +682,15 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, StoreError> {
             return Err(StoreError::corrupt("truncated varint"));
         };
         *buf = &buf[1..];
+        if shift == 63 && byte > 1 {
+            return Err(StoreError::corrupt("varint longer than 64 bits"));
+        }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
     }
     Err(StoreError::corrupt("varint longer than 64 bits"))
-}
-
-/// Writes one CRC-framed section (`tag | len | payload | crc32`).
-fn write_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
-}
-
-/// Writes a section whose payload is `count` followed by `body` (the
-/// account/flow sections carry their own entry count).
-fn write_counted_section(out: &mut Vec<u8>, tag: u8, count: u32, body: &[u8]) {
-    let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&((body.len() + 4) as u32).to_be_bytes());
-    out.extend_from_slice(&count.to_be_bytes());
-    out.extend_from_slice(body);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
-}
-
-/// Parses one section off the front of `buf`: `(tag, payload, consumed)`.
-fn read_section(buf: &[u8]) -> Result<(u8, &[u8], usize), StoreError> {
-    if buf.len() < 5 {
-        return Err(StoreError::corrupt("sidecar truncated mid-section"));
-    }
-    let tag = buf[0];
-    let len = u32::from_be_bytes(buf[1..5].try_into().expect("4-byte slice"));
-    if len > MAX_PAYLOAD {
-        return Err(StoreError::corrupt(format!(
-            "sidecar section length {len} exceeds cap {MAX_PAYLOAD}"
-        )));
-    }
-    let frame_len = 5 + len as usize + 4;
-    if buf.len() < frame_len {
-        return Err(StoreError::corrupt("sidecar truncated mid-section"));
-    }
-    let framed = &buf[..5 + len as usize];
-    let stored = u32::from_be_bytes(
-        buf[5 + len as usize..frame_len]
-            .try_into()
-            .expect("4-byte slice"),
-    );
-    if crc32(framed) != stored {
-        return Err(StoreError::corrupt("sidecar section CRC mismatch"));
-    }
-    Ok((tag, &framed[5..], frame_len))
 }
 
 #[cfg(test)]
@@ -985,8 +888,8 @@ mod tests {
     fn resync_build_indexes_what_salvages() {
         let buf = mixed_archive(100);
         // Find frame 30's bounds via the strict table, then ruin it.
-        let table = frame_table(&buf).unwrap();
-        let (off30, len30) = table[30];
+        let (off30, ..) = frame_table(&buf).unwrap()[30];
+        let (_, len30) = decode_frame_at(&buf, off30).unwrap();
         let plan = crate::chaos::CorruptionPlan::new().flip_bit(off30 + 7, 1);
         let bad = crate::chaos::corrupt_bytes(&buf, &plan);
 
@@ -1092,5 +995,90 @@ mod tests {
         }
         let mut truncated: &[u8] = &[0x80];
         assert!(get_varint(&mut truncated).is_err());
+        // u64::MAX is nine 0xff bytes and a final 0x01; a tenth byte
+        // above 1 would carry bits past 64.
+        for tenth in [0x02, 0x7f, 0x81] {
+            let mut bytes = vec![0xffu8; 9];
+            bytes.push(tenth);
+            assert!(get_varint(&mut bytes.as_slice()).is_err(), "{tenth:#x}");
+        }
+    }
+
+    /// A sidecar holding only a blocks section with the given payload.
+    fn blocks_only_sidecar(payload: &[u8]) -> Vec<u8> {
+        let mut out = SIDECAR_MAGIC.to_vec();
+        frame::encode(&mut out, SEC_BLOCKS, |p| p.extend_from_slice(payload));
+        out
+    }
+
+    #[test]
+    fn offset_overflow_is_corrupt_not_a_wrap() {
+        // Count 2, deltas u64::MAX then 1: a valid CRC around a running
+        // offset that overflows (a debug panic, a release wrap, before).
+        let mut payload = 2u32.to_be_bytes().to_vec();
+        put_varint(&mut payload, u64::MAX);
+        put_varint(&mut payload, 1);
+        let err = PostingsIndex::from_bytes(&blocks_only_sidecar(&payload)).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(msg) if msg.contains("overflows")),
+            "{err}"
+        );
+        // The same overflow inside an account posting.
+        let mut payload = 1u32.to_be_bytes().to_vec();
+        payload.extend_from_slice(&[7; 20]);
+        payload.extend_from_slice(&2u32.to_be_bytes());
+        put_varint(&mut payload, u64::MAX);
+        put_varint(&mut payload, 1);
+        let mut sidecar = SIDECAR_MAGIC.to_vec();
+        frame::encode(&mut sidecar, SEC_ACCOUNTS, |p| {
+            p.extend_from_slice(&payload)
+        });
+        assert!(PostingsIndex::from_bytes(&sidecar).is_err());
+    }
+
+    /// Seeded offline fuzz of `from_bytes`: every truncation, every byte
+    /// of a sidecar XOR-ed, and random sections whose CRC is valid must
+    /// come back `Ok` or `Err`, never a panic.
+    #[test]
+    fn mutated_sidecars_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let buf = mixed_archive(60);
+        let clean = PostingsIndex::build(&buf, &PostingsConfig::default())
+            .unwrap()
+            .to_bytes();
+        for cut in 0..clean.len() {
+            assert!(PostingsIndex::from_bytes(&clean[..cut]).is_err());
+        }
+        let mut rng = StdRng::seed_from_u64(0x51DE);
+        let mut mutated = clean.clone();
+        for i in 0..clean.len() {
+            let mask = rng.gen_range(1..=255u8);
+            mutated[i] ^= mask;
+            let _ = PostingsIndex::from_bytes(&mutated);
+            mutated[i] ^= mask;
+        }
+        // Random bodies behind a valid CRC reach the section parsers.
+        for _ in 0..3_000 {
+            let tag = rng.gen_range(1..=5u8);
+            let len = rng.gen_range(0..48);
+            let mut body: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            // Small counts so the entry loops actually run.
+            if len >= 4 {
+                body[..4].copy_from_slice(&rng.gen_range(0u32..4).to_be_bytes());
+                // Some bodies end in near-maximal deltas, so running
+                // offsets overflow.
+                if rng.gen_bool(0.25) {
+                    body.truncate(4);
+                    for _ in 0..3 {
+                        put_varint(&mut body, u64::MAX - rng.gen_range(0..4));
+                    }
+                }
+            }
+            let mut sidecar = SIDECAR_MAGIC.to_vec();
+            frame::encode(&mut sidecar, tag, |p| p.extend_from_slice(&body));
+            let _ = PostingsIndex::from_bytes(&sidecar);
+        }
     }
 }

@@ -4,8 +4,8 @@ use std::io::{self, Read, Write};
 
 use ripple_obs::LazyCounter;
 
-use crate::crc::crc32;
 use crate::event::HistoryEvent;
+use crate::frame::{self, Parsed};
 
 static WRITER_FRAMES: LazyCounter = LazyCounter::new("store.writer.frames");
 static WRITER_BYTES: LazyCounter = LazyCounter::new("store.writer.bytes");
@@ -17,9 +17,9 @@ static READER_RESYNC_SCANS: LazyCounter = LazyCounter::new("store.reader.resync_
 /// The 8-byte archive magic.
 pub const MAGIC: &[u8; 8] = b"RPLSTOR1";
 
-/// Maximum payload size accepted by the reader (a corrupt length prefix must
-/// not trigger a giant allocation).
-pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
+/// Maximum payload size accepted by the archive and sidecar readers (a
+/// corrupt length prefix must not trigger a giant allocation).
+pub const MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 
 /// Errors from archive I/O.
 #[derive(Debug)]
@@ -103,20 +103,14 @@ impl<W: Write> Writer<W> {
     /// [`StoreError::Io`] on sink failure.
     pub fn write(&mut self, event: &HistoryEvent) -> Result<(), StoreError> {
         self.ensure_magic()?;
-        // Frame layout: tag, u32 BE payload length, payload — assembled in
-        // the reused scratch buffer with the length patched in afterwards.
         self.scratch.clear();
-        self.scratch.push(event.tag());
-        self.scratch.extend_from_slice(&[0u8; 4]);
-        event.encode_payload_into(&mut self.scratch);
-        let len = (self.scratch.len() - 5) as u32;
-        self.scratch[1..5].copy_from_slice(&len.to_be_bytes());
-        let crc = crc32(&self.scratch);
+        frame::encode(&mut self.scratch, event.tag(), |out| {
+            event.encode_payload_into(out)
+        });
         self.sink.write_all(&self.scratch)?;
-        self.sink.write_all(&crc.to_be_bytes())?;
         self.records += 1;
         WRITER_FRAMES.add(1);
-        WRITER_BYTES.add(self.scratch.len() as u64 + 4);
+        WRITER_BYTES.add(self.scratch.len() as u64);
         Ok(())
     }
 
@@ -172,7 +166,7 @@ enum Frame {
     /// Source ended mid-frame.
     Truncated,
     /// Length prefix above [`MAX_PAYLOAD`].
-    Oversize(u32),
+    Oversize(usize),
     /// Frame CRC does not match its contents.
     BadCrc,
     /// CRC passed but the payload would not decode.
@@ -285,37 +279,29 @@ impl<R: Read> Reader<R> {
         Ok(())
     }
 
-    /// Attempts to parse one frame at the cursor without consuming it.
+    /// Attempts to parse one frame at the cursor without consuming it. The
+    /// end of the source is final: a frame it cuts short is truncated.
     fn parse_frame(&mut self) -> Result<Frame, StoreError> {
-        self.fill_to(5)?;
+        self.fill_to(frame::HEADER_LEN)?;
         if self.available() == 0 {
             return Ok(Frame::Eof);
         }
-        if self.available() < 5 {
-            return Ok(Frame::Truncated);
-        }
-        let head = &self.buf[self.pos..self.pos + 5];
-        let tag = head[0];
-        let len = u32::from_be_bytes(head[1..5].try_into().expect("4-byte slice"));
-        if len > MAX_PAYLOAD {
-            return Ok(Frame::Oversize(len));
-        }
-        let frame_len = 5 + len as usize + 4;
-        self.fill_to(frame_len)?;
-        if self.available() < frame_len {
-            return Ok(Frame::Truncated);
-        }
-        let framed = &self.buf[self.pos..self.pos + 5 + len as usize];
-        let crc_bytes = &self.buf[self.pos + 5 + len as usize..self.pos + frame_len];
-        let stored_crc = u32::from_be_bytes(crc_bytes.try_into().expect("4-byte slice"));
-        if crc32(framed) != stored_crc {
-            return Ok(Frame::BadCrc);
-        }
-        let payload = &framed[5..];
-        match HistoryEvent::decode_payload(tag, payload) {
-            Ok(event) => Ok(Frame::Ok(Box::new(event), frame_len)),
-            Err(e) => Ok(Frame::BadPayload(e)),
-        }
+        let parsed = loop {
+            match frame::parse(&self.buf[self.pos..], MAX_PAYLOAD) {
+                Parsed::Short(need) if !self.source_eof => self.fill_to(need)?,
+                parsed => break parsed,
+            }
+        };
+        Ok(match parsed {
+            Parsed::Short(_) => Frame::Truncated,
+            Parsed::Oversize(len) => Frame::Oversize(len),
+            Parsed::BadCrc => Frame::BadCrc,
+            Parsed::Frame { tag, payload, len } => match HistoryEvent::decode_payload(tag, payload)
+            {
+                Ok(event) => Frame::Ok(Box::new(event), len),
+                Err(e) => Frame::BadPayload(e),
+            },
+        })
     }
 
     /// Consumes `frame_len` bytes and compacts the buffer when the dead

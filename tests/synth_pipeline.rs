@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use ripple_core::crypto::sha512_half;
 use ripple_core::ledger::Drops;
+use ripple_core::store::{PostingsConfig, PostingsIndex};
 use ripple_core::synth::{plan_history, PipelineConfig, PipelineRun, ScriptedBody};
 use ripple_core::{Generator, Study, SynthConfig};
 
@@ -77,6 +78,28 @@ fn pipelined_history_matches_the_pinned_digest() {
     );
     assert_eq!(run.output.events.len(), 18_469);
     assert_eq!(run.output.final_state.total_burned(), Drops::ZERO);
+}
+
+/// Absolute pin of the `RPLSIDX1` sidecar built over the pinned archive,
+/// so a change to the shared frame layout or field codec that moves a
+/// sidecar byte fails here. Constant taken at commit a75b81f.
+#[test]
+fn sidecar_over_the_pinned_archive_matches_its_pin() {
+    let config = SynthConfig {
+        seed: 20130101,
+        ..SynthConfig::small(4_000)
+    };
+    let run = Generator::new(config)
+        .run_pipelined(&PipelineConfig::default())
+        .expect("pipeline");
+    let archive = run.archive.as_ref().expect("archive on");
+    let sidecar = PostingsIndex::build(archive, &PostingsConfig::default())
+        .expect("postings build")
+        .to_bytes();
+    assert_eq!(
+        sha512_half(&sidecar).to_hex(),
+        "4629b282541b86bbc5f7bcdd9a216aaf538dd6776b19c53a7a6df1a783e3a781"
+    );
 }
 
 /// `Generator::run` and `Study::generate` are the pipeline with default
