@@ -43,9 +43,7 @@ pub fn mm_removal_replay<'a>(
 ) -> MmRemovalReport {
     let mut state = snapshot.clone();
     let offers_stripped = state.strip_all_offers();
-    for &mm in market_makers {
-        state.sever_account(mm);
-    }
+    state.sever_accounts(market_makers);
     let requests: Vec<PaymentRequest> = window.map(request_from_record).collect();
     let stats = replay(&mut state, &PaymentEngine::new(), &requests);
     MmRemovalReport {

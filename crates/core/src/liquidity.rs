@@ -46,6 +46,7 @@ use ripple_check::oracle::max_deliverable_sparse;
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, LedgerState, Value};
 use ripple_obs::json::JsonWriter;
+use ripple_obs::span;
 use ripple_paths::{PathLimits, Router, RouterStats};
 use ripple_synth::probes::{payment_probes, PaymentProbe};
 use ripple_synth::SynthOutput;
@@ -259,6 +260,26 @@ fn measure(state: &LedgerState, router: &mut Router, probes: &[PaymentProbe]) ->
     point
 }
 
+/// `state` with every trust line pushed `percent`% of its headroom toward
+/// its limit: the truster's claim on the trustee grows by that share.
+/// Drains are not cumulative — 50% means half the *original* headroom — so
+/// every debt is computed from the undrained `state`, and a pair with
+/// lines both ways drains the same whichever line comes first.
+fn drain(state: &LedgerState, percent: u32) -> LedgerState {
+    let mut drained = state.clone();
+    for line in state.trust_lines() {
+        let headroom = line.limit - state.iou_balance(line.truster, line.trustee, line.currency);
+        if !headroom.is_positive() {
+            continue;
+        }
+        let debt = headroom.mul_ratio(percent as u64, 100);
+        if debt.is_positive() {
+            drained.adjust_pair_balance(line.truster, line.trustee, line.currency, debt);
+        }
+    }
+    drained
+}
+
 /// Per-currency health metrics off one pass over the trust graph.
 fn currency_health(state: &LedgerState) -> Vec<CurrencyHealth> {
     let mut by_currency: BTreeMap<Currency, CurrencyHealth> = BTreeMap::new();
@@ -358,7 +379,10 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
     // the final state is never mutated, so every repeat query is a hit.
     let mut router = Router::new(config.limits);
     let router_timer = Instant::now();
-    let delivery = measure(state, &mut router, &probes);
+    let delivery = {
+        let _span = span("liquidity", "baseline");
+        measure(state, &mut router, &probes)
+    };
     let router_secs = router_timer.elapsed().as_secs_f64();
 
     // Oracle agreement + throughput sample: the same prefix of the same
@@ -396,6 +420,7 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
         })
         .collect();
     order.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let order: Vec<AccountId> = order.into_iter().map(|(_, _, account)| account).collect();
     let mut insolvency_cascade = Vec::new();
     if config.insolvency_waves > 0 && !order.is_empty() {
         let mut cascade_state = state.clone();
@@ -403,10 +428,9 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
         let per_wave = order.len().div_ceil(config.insolvency_waves);
         let mut severed = 0usize;
         while severed < order.len() {
+            let _span = span("liquidity", "insolvency_wave");
             let next = (severed + per_wave).min(order.len());
-            for &(_, _, account) in &order[severed..next] {
-                cascade_state.sever_account(account);
-            }
+            cascade_state.sever_accounts(&order[severed..next]);
             severed = next;
             insolvency_cascade.push(InsolvencyWave {
                 gateways_severed: severed as u64,
@@ -415,27 +439,12 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
         }
     }
 
-    // Trust-line drain: each fraction gets its own clone (drains are not
-    // cumulative — 50% means half the *original* headroom) and its own
-    // router.
+    // Trust-line drain: each fraction gets its own drained copy and its
+    // own router.
     let mut trust_drain = Vec::new();
     for &percent in &config.drain_percents {
-        let mut drained = state.clone();
-        let lines: Vec<_> = drained.trust_lines().collect();
-        for line in lines {
-            if !line.limit.is_positive() {
-                continue;
-            }
-            let held = drained.iou_balance(line.truster, line.trustee, line.currency);
-            let headroom = line.limit - held;
-            if !headroom.is_positive() {
-                continue;
-            }
-            let debt = headroom.mul_ratio(percent as u64, 100);
-            if debt.is_positive() {
-                drained.adjust_pair_balance(line.truster, line.trustee, line.currency, debt);
-            }
-        }
+        let _span = span("liquidity", "drain_point");
+        let drained = drain(state, percent);
         let mut drain_router = Router::new(config.limits);
         trust_drain.push(DrainPoint {
             drain_percent: percent,
@@ -453,6 +462,7 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
             let per_wave = makers.len().div_ceil(config.exit_waves);
             let mut severed = per_wave.min(makers.len());
             loop {
+                let _span = span("liquidity", "exit_wave");
                 let window = output.payments().filter(|p| {
                     p.timestamp >= *at
                         && !p.currency.is_xrp()
@@ -634,6 +644,33 @@ mod tests {
             ..LiquidityConfig::default()
         };
         run_liquidity(&output, &config)
+    }
+
+    #[test]
+    fn a_mutual_pair_drains_from_its_original_headroom() {
+        use ripple_ledger::Drops;
+        let v = |s: &str| -> Value { s.parse().unwrap() };
+        let (a, b) = (
+            AccountId::from_bytes([1; 20]),
+            AccountId::from_bytes([2; 20]),
+        );
+        // `x` trusts `y` for 100 and already holds 10 of its IOUs; `y`
+        // trusts `x` for 40. Trust lines iterate in their truster's shard
+        // order, so swapping the roles of `a` and `b` swaps which line the
+        // drain meets first.
+        for (x, y) in [(a, b), (b, a)] {
+            let mut s = LedgerState::new();
+            s.create_account(x, Drops::from_xrp(100));
+            s.create_account(y, Drops::from_xrp(100));
+            s.set_trust(x, y, Currency::USD, v("100")).unwrap();
+            s.set_trust(y, x, Currency::USD, v("40")).unwrap();
+            s.adjust_pair_balance(x, y, Currency::USD, v("10"));
+            let drained = drain(&s, 50);
+            // Headrooms 100 - 10 and 40 + 10, halved: 10 + 45 - 25.
+            assert_eq!(drained.iou_balance(x, y, Currency::USD), v("30"));
+            assert_eq!(drained.pair_balances().count(), 1);
+            assert_eq!(drained.trust_lines().count(), 2);
+        }
     }
 
     #[test]

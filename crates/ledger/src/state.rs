@@ -19,7 +19,7 @@ use crate::amount::{Amount, Drops, Value};
 use crate::currency::Currency;
 use crate::fees::FeeSchedule;
 use crate::tx::{Transaction, TxKind, TxResult};
-use ripple_crypto::{AccountId, FxHashMap};
+use ripple_crypto::{AccountId, FxHashMap, FxHashSet};
 
 /// Per-account ledger entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -336,7 +336,7 @@ impl LedgerState {
     /// change IOU routing capacity ([`LedgerState::set_trust`],
     /// [`LedgerState::adjust_pair_balance`] — and therefore
     /// [`LedgerState::ripple_hop`] and IOU payments under
-    /// [`LedgerState::apply`] — and [`LedgerState::sever_account`]).
+    /// [`LedgerState::apply`] — and [`LedgerState::sever_accounts`]).
     /// XRP transfers and offer bookkeeping leave it untouched. Routers
     /// stamp cached paths with `(lineage, credit_generation)` and discard
     /// entries whose stamp no longer matches.
@@ -790,37 +790,46 @@ impl LedgerState {
         n
     }
 
-    /// Disconnects an account from the credit network: removes every trust
-    /// line it declared or received and every pair balance it participates
-    /// in. The account itself and its XRP balance survive.
+    /// Disconnects one account from the credit network:
+    /// [`LedgerState::sever_accounts`] of a one-account set.
+    pub fn sever_account(&mut self, account: AccountId) {
+        self.sever_accounts(&[account]);
+    }
+
+    /// Disconnects a set of accounts from the credit network: removes every
+    /// trust line one of them declared or received and every pair balance
+    /// one of them participates in, each line's removal releasing one
+    /// owner-count slot of its truster. The accounts themselves and their
+    /// XRP balances survive. One scan of the trust lines and one of the
+    /// pair balances serve the whole set, and the outcome is the same as
+    /// severing its members one at a time, in any order; duplicates are
+    /// harmless. [`LedgerState::credit_generation`] moves once per call.
     ///
     /// This models the paper's Table II attack analysis ("by taking over or
     /// thwarting the functionality of a very small number of users […] an
     /// attacker could control or block" traffic): severed accounts can no
     /// longer forward IOU payments.
-    pub fn sever_account(&mut self, account: AccountId) {
-        let removed_trust: Vec<(AccountId, AccountId, Currency)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.trust.keys())
-            .filter(|&&(truster, trustee, _)| truster == account || trustee == account)
-            .copied()
-            .collect();
-        for key in removed_trust {
-            self.shards[shard_of(&key.0)].trust.remove(&key);
-            if let Some(root) = self.account_mut(&key.0) {
-                root.owner_count = root.owner_count.saturating_sub(1);
-            }
-        }
-        let removed_balances: Vec<(AccountId, AccountId, Currency)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.balances.keys())
-            .filter(|&&(low, high, _)| low == account || high == account)
-            .copied()
-            .collect();
-        for key in removed_balances {
-            self.shards[shard_of(&key.0)].balances.remove(&key);
+    pub fn sever_accounts(&mut self, accounts: &[AccountId]) {
+        let severed: FxHashSet<AccountId> = accounts.iter().copied().collect();
+        let touches = |a: &AccountId, b: &AccountId| severed.contains(a) || severed.contains(b);
+        for shard in &mut self.shards {
+            // A trust line lives in its truster's shard, beside the root.
+            let Shard {
+                accounts: roots,
+                trust,
+                balances,
+                ..
+            } = shard;
+            trust.retain(|(truster, trustee, _), _| {
+                if !touches(truster, trustee) {
+                    return true;
+                }
+                if let Some(root) = roots.get_mut(truster) {
+                    root.owner_count = root.owner_count.saturating_sub(1);
+                }
+                false
+            });
+            balances.retain(|(low, high, _), _| !touches(low, high));
         }
         self.credit_generation += 1;
     }
@@ -1280,6 +1289,104 @@ mod tests {
         assert_eq!(s.iou_balance(acct(1), acct(2), Currency::USD), Value::ZERO);
         assert_eq!(s.account(&acct(2)).unwrap().balance, xrp_before);
         assert_eq!(s.hop_capacity(acct(2), acct(1), Currency::USD), Value::ZERO);
+    }
+
+    /// The one-account severing before the set version: a scan of every
+    /// trust line and every pair balance per severed account.
+    fn sever_one_reference(s: &mut LedgerState, account: AccountId) {
+        let removed_trust: Vec<(AccountId, AccountId, Currency)> = s
+            .shards
+            .iter()
+            .flat_map(|shard| shard.trust.keys())
+            .filter(|&&(truster, trustee, _)| truster == account || trustee == account)
+            .copied()
+            .collect();
+        for key in removed_trust {
+            s.shards[shard_of(&key.0)].trust.remove(&key);
+            if let Some(root) = s.account_mut(&key.0) {
+                root.owner_count = root.owner_count.saturating_sub(1);
+            }
+        }
+        let removed_balances: Vec<(AccountId, AccountId, Currency)> = s
+            .shards
+            .iter()
+            .flat_map(|shard| shard.balances.keys())
+            .filter(|&&(low, high, _)| low == account || high == account)
+            .copied()
+            .collect();
+        for key in removed_balances {
+            s.shards[shard_of(&key.0)].balances.remove(&key);
+        }
+        s.credit_generation += 1;
+    }
+
+    type CreditView = (
+        Vec<(AccountId, AccountId, Currency, Value)>,
+        Vec<(AccountId, AccountId, Currency, Value)>,
+        Vec<(AccountId, u32)>,
+    );
+
+    /// Sorted trust lines, sorted pair balances and every owner count.
+    fn credit_view(s: &LedgerState) -> CreditView {
+        let mut lines: Vec<_> = s
+            .trust_lines()
+            .map(|l| (l.truster, l.trustee, l.currency, l.limit))
+            .collect();
+        let mut balances: Vec<_> = s.pair_balances().collect();
+        let mut owners: Vec<_> = s.accounts().map(|(a, r)| (*a, r.owner_count)).collect();
+        lines.sort_unstable();
+        balances.sort_unstable();
+        owners.sort_unstable();
+        (lines, balances, owners)
+    }
+
+    #[test]
+    fn severing_a_set_equals_severing_its_members_one_by_one() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let (mut empty, mut duplicated, mut shared) = (0, 0, 0);
+        for case in 0..500 {
+            let n = 3 + next(10);
+            let mut s = funded_state(n as u8);
+            for _ in 0..next(40) {
+                let (a, b) = (acct(1 + next(n) as u8), acct(1 + next(n) as u8));
+                let currency = [Currency::USD, Currency::EUR][next(2) as usize];
+                let amount = Value::from_raw((1 + next(20) as i128) * 1_000_000);
+                if next(2) == 0 {
+                    s.set_trust(a, b, currency, amount).unwrap();
+                } else {
+                    s.adjust_pair_balance(a, b, currency, amount);
+                }
+            }
+            let severed: Vec<AccountId> = (0..next(5)).map(|_| acct(1 + next(n) as u8)).collect();
+            let distinct: FxHashSet<AccountId> = severed.iter().copied().collect();
+            empty += usize::from(severed.is_empty());
+            duplicated += usize::from(distinct.len() < severed.len());
+            shared += s
+                .trust_lines()
+                .filter(|l| distinct.contains(&l.truster) && distinct.contains(&l.trustee))
+                .count();
+
+            let mut want = s.clone();
+            for &account in &severed {
+                sever_one_reference(&mut want, account);
+            }
+            s.sever_accounts(&severed);
+            assert_eq!(
+                credit_view(&s),
+                credit_view(&want),
+                "case {case}: severing {severed:?}"
+            );
+        }
+        assert!(
+            empty > 20 && duplicated > 20 && shared > 20,
+            "{empty} {duplicated} {shared}"
+        );
     }
 
     #[test]

@@ -144,10 +144,7 @@ pub fn find_cheapest_path(
             10_000 + fees.bps(node) as u128
         };
         let scale = if node == sender { 1 } else { 10_000 };
-        let Some(nexts) = adjacency.get(&node) else {
-            continue;
-        };
-        for &next in nexts {
+        for next in adjacency.neighbours(node) {
             // The hop node->next must carry the gross of everything
             // downstream; conservatively check against `amount` (the final
             // gross is validated at application time).

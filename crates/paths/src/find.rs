@@ -1,9 +1,11 @@
 //! Shortest-path routing over the trust graph.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use ripple_crypto::AccountId;
+use ripple_crypto::{AccountId, FxHashMap};
 use ripple_ledger::{Currency, LedgerState, Value};
+
+use crate::router::CreditGraph;
 
 /// Limits on the path search.
 #[derive(Debug, Clone, Copy)]
@@ -38,7 +40,7 @@ pub struct FoundPath {
 /// reservations without mutating the ledger.
 #[derive(Debug, Default)]
 pub(crate) struct Residual {
-    used: HashMap<(AccountId, AccountId), Value>,
+    used: FxHashMap<(AccountId, AccountId), Value>,
 }
 
 impl Residual {
@@ -74,42 +76,35 @@ impl Residual {
     }
 }
 
-/// Builds the outgoing-edge adjacency of the trust graph for one currency:
-/// from X to every Y that trusts X, plus the edges implied by existing debt
-/// — if X holds Y's IOUs (e.g. a deposit at a gateway), X can push value to
-/// Y up to that claim even when Y declares no trust. Every neighbour list
-/// is ascending and duplicate-free, so exploration order — and with it
-/// every tie-break among equal-length paths — is a function of the
-/// ledger's contents, not of its hash-table layout. Capacities are *not*
-/// recorded here; callers evaluate them live.
-pub(crate) fn build_adjacency(
-    state: &LedgerState,
-    currency: Currency,
-) -> HashMap<AccountId, Vec<AccountId>> {
-    let mut adjacency: HashMap<AccountId, Vec<AccountId>> = HashMap::new();
-    let mut add_edge = |from: AccountId, to: AccountId| {
-        adjacency.entry(from).or_default().push(to);
-    };
-    for line in state.trust_lines() {
-        if line.currency == currency {
-            add_edge(line.trustee, line.truster);
-        }
+/// The outgoing-edge adjacency of the trust graph for one currency: the
+/// router's [`CreditGraph`] read through account ids, capacities dropped,
+/// so the edge rule is written once. Callers evaluate capacities live.
+pub(crate) struct Adjacency {
+    graph: CreditGraph,
+    /// Dense id per account; a search looks up every node it expands.
+    ids: FxHashMap<AccountId, u32>,
+}
+
+/// Builds the [`Adjacency`] of `currency` on `state`.
+pub(crate) fn build_adjacency(state: &LedgerState, currency: Currency) -> Adjacency {
+    let graph = CreditGraph::build(state, currency);
+    let ids = graph.accounts.iter().copied().zip(0..).collect();
+    Adjacency { graph, ids }
+}
+
+impl Adjacency {
+    /// The accounts `from` has an edge to, ascending and duplicate-free, so
+    /// exploration order — and with it every tie-break among equal-length
+    /// paths — matches the router's. Empty for an account without edges.
+    pub(crate) fn neighbours(&self, from: AccountId) -> impl Iterator<Item = AccountId> + '_ {
+        let edges = match self.ids.get(&from) {
+            Some(&id) => &self.graph.edges[id as usize][..],
+            None => &[],
+        };
+        edges
+            .iter()
+            .map(|edge| self.graph.accounts[edge.to as usize])
     }
-    for (low, high, cur, balance) in state.pair_balances() {
-        if cur != currency {
-            continue;
-        }
-        if balance.is_positive() {
-            add_edge(low, high);
-        } else if balance.is_negative() {
-            add_edge(high, low);
-        }
-    }
-    for nexts in adjacency.values_mut() {
-        nexts.sort_unstable();
-        nexts.dedup();
-    }
-    adjacency
 }
 
 /// Finds up to `limits.max_paths` paths able to carry `amount` of
@@ -138,7 +133,7 @@ pub fn find_payment_paths(
 
     while remaining.is_positive() && found.len() < limits.max_paths {
         // BFS for the shortest path with positive residual capacity.
-        let mut parent: HashMap<AccountId, AccountId> = HashMap::new();
+        let mut parent: FxHashMap<AccountId, AccountId> = FxHashMap::default();
         let mut queue = VecDeque::new();
         queue.push_back((sender, 0usize));
         parent.insert(sender, sender);
@@ -151,10 +146,7 @@ pub fn find_payment_paths(
             if depth > limits.max_hops {
                 continue;
             }
-            let Some(nexts) = adjacency.get(&node) else {
-                continue;
-            };
-            for &next in nexts {
+            for next in adjacency.neighbours(node) {
                 if parent.contains_key(&next) {
                     continue;
                 }

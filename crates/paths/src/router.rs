@@ -8,7 +8,13 @@
 //!   `u32` ids in ascending [`AccountId`] order (a sorted table searched by
 //!   bisection), and per-id neighbour lists, ascending, with the live
 //!   [`LedgerState::hop_capacity`] stored on the edge — so a search reads
-//!   no ledger map at all; and
+//!   no ledger map at all. The graph is built in one scan of the ledger's
+//!   trust lines and pair balances: each record contributes a limit or a
+//!   claim to the directed pairs it touches, and two counting sorts by
+//!   dense id line them up to fold into edges whose capacities come from
+//!   the scan itself, with no `hop_capacity` lookup at build time. The
+//!   cold search reads the same graph through account ids
+//!   (`find::build_adjacency`), so the edge rule is written once; and
 //! * a table of *enumerated* candidate paths per `(source, destination)`:
 //!   the full shortest-first augmenting-path decomposition, computed once
 //!   without an amount bound and then *allocated* against any requested
@@ -30,7 +36,7 @@
 //! pairs only, so the router re-reads just them (update, insert or remove
 //! the two directed edges of each), drops the enumerations of that one
 //! currency and advances its stamp. Anything else — `set_trust`,
-//! `sever_account`, a rollback, a caller that bypasses the engine — still
+//! `sever_accounts`, a rollback, a caller that bypasses the engine — still
 //! shows up as a stamp mismatch.
 //!
 //! # Exactness
@@ -51,10 +57,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use ripple_crypto::AccountId;
+use ripple_crypto::{AccountId, FxHashMap};
 use ripple_ledger::{Currency, LedgerState, Value};
 
-use crate::find::{build_adjacency, FoundPath, PathLimits};
+use crate::find::{FoundPath, PathLimits};
 
 /// Cache and query counters for one [`Router`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,9 +93,9 @@ type RouteSet = Vec<(Vec<AccountId>, Value)>;
 /// "Not visited" in [`Scratch::parent`].
 const UNSEEN: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy)]
-struct Edge {
-    to: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Edge {
+    pub(crate) to: u32,
     /// Live `hop_capacity(from, to)`; may be zero or negative (a full
     /// line), which a reverse reservation can still lift above zero.
     capacity: Value,
@@ -97,12 +103,56 @@ struct Edge {
 
 /// One currency's credit graph in dense form.
 #[derive(Debug, Clone)]
-struct CreditGraph {
+pub(crate) struct CreditGraph {
     /// Every account with an edge when the graph was built, ascending; the
     /// index is the dense id.
-    accounts: Vec<AccountId>,
+    pub(crate) accounts: Vec<AccountId>,
     /// Outgoing edges per dense id, ascending by `to`.
-    edges: Vec<Vec<Edge>>,
+    pub(crate) edges: Vec<Vec<Edge>>,
+}
+
+/// What one ledger record says about one directed pair `from -> to`,
+/// between provisional ids while the scan runs and dense ids once the
+/// accounts are ranked.
+struct Part {
+    from: u32,
+    to: u32,
+    amount: Value,
+    says: Says,
+}
+
+/// Which of a directed pair's two amounts a [`Part`] carries.
+enum Says {
+    /// `to`'s declared trust in `from`, from a trust line: an edge.
+    Limit,
+    /// `to`'s claim on `from`, from a pair balance: an edge when `from`
+    /// holds `to`'s IOUs.
+    Held { edge: bool },
+}
+
+/// A stable counting sort of `items` by `digit`, whose values are below
+/// `n`. Also returns where each digit's run starts, `n + 1` entries.
+fn counting_sort(
+    items: impl Iterator<Item = u32> + Clone,
+    n: usize,
+    digit: impl Fn(u32) -> u32,
+) -> (Vec<u32>, Vec<usize>) {
+    let mut start = vec![0usize; n + 1];
+    for item in items.clone() {
+        start[digit(item) as usize] += 1;
+    }
+    let mut sum = 0;
+    for entry in &mut start {
+        (*entry, sum) = (sum, sum + *entry);
+    }
+    let mut sorted = vec![0; sum];
+    let mut fill = start.clone();
+    for item in items {
+        let slot = &mut fill[digit(item) as usize];
+        sorted[*slot] = item;
+        *slot += 1;
+    }
+    (sorted, start)
 }
 
 /// One edge's tentative reservation during an enumeration: the residual
@@ -127,33 +177,115 @@ struct Scratch {
 }
 
 impl CreditGraph {
-    fn build(state: &LedgerState, currency: Currency) -> CreditGraph {
-        let adjacency = build_adjacency(state, currency);
-        let mut accounts: Vec<AccountId> = adjacency
-            .iter()
-            .flat_map(|(from, nexts)| std::iter::once(from).chain(nexts))
-            .copied()
-            .collect();
-        accounts.sort_unstable();
-        accounts.dedup();
-        accounts.shrink_to_fit();
-        let id = |account: &AccountId| {
-            accounts
-                .binary_search(account)
-                .expect("every endpoint was interned") as u32
+    /// Builds one currency's graph in one scan of its trust lines and pair
+    /// balances. An edge runs from X to every Y that trusts X, and from X
+    /// to every Y whose IOUs X holds: a deposit at a gateway lets X push
+    /// value back up to that claim even when Y declares no trust. Its
+    /// capacity is `limit - held`, the expression
+    /// [`LedgerState::hop_capacity`] evaluates, over the same values.
+    /// Dense ids ascend with [`AccountId`], so neighbour order — and with it
+    /// every tie-break among equal-length paths — is a function of the
+    /// ledger's contents, not of its hash-table layout.
+    pub(crate) fn build(state: &LedgerState, currency: Currency) -> CreditGraph {
+        let mut provisional: FxHashMap<AccountId, u32> = FxHashMap::default();
+        let mut seen: Vec<AccountId> = Vec::new();
+        let mut id = |account: AccountId| {
+            *provisional.entry(account).or_insert_with(|| {
+                seen.push(account);
+                seen.len() as u32 - 1
+            })
         };
-        let edges = accounts
+        let mut parts: Vec<Part> = Vec::new();
+        for line in state.trust_lines() {
+            if line.currency == currency {
+                parts.push(Part {
+                    from: id(line.trustee),
+                    to: id(line.truster),
+                    amount: line.limit,
+                    says: Says::Limit,
+                });
+            }
+        }
+        for (low, high, cur, balance) in state.pair_balances() {
+            if cur != currency {
+                continue;
+            }
+            // `balance` is `low`'s claim on `high`: `high -> low` holds it
+            // and `low -> high` its negation, `iou_balance`'s flip. A
+            // self-pair is one unflipped direction.
+            let (low_id, high_id) = (id(low), id(high));
+            parts.push(Part {
+                from: high_id,
+                to: low_id,
+                amount: balance,
+                says: Says::Held {
+                    edge: balance.is_negative() || low == high,
+                },
+            });
+            if low != high {
+                parts.push(Part {
+                    from: low_id,
+                    to: high_id,
+                    amount: -balance,
+                    says: Says::Held {
+                        edge: balance.is_positive(),
+                    },
+                });
+            }
+        }
+
+        // Ascending `AccountId` bytes, compared as a big-endian integer pair
+        // (two compares instead of a `memcmp`), give the dense ids.
+        let mut sorted: Vec<((u128, u32), u32)> = seen
             .iter()
-            .map(|from| {
-                let nexts = adjacency.get(from).map(Vec::as_slice).unwrap_or_default();
-                // `nexts` ascends by account, so it ascends by id too.
-                nexts
-                    .iter()
-                    .map(|to| Edge {
-                        to: id(to),
-                        capacity: state.hop_capacity(*from, *to, currency),
-                    })
-                    .collect()
+            .map(|account| {
+                let [high @ .., a, b, c, d] = *account.as_bytes();
+                (u128::from_be_bytes(high), u32::from_be_bytes([a, b, c, d]))
+            })
+            .zip(0..)
+            .collect();
+        sorted.sort_unstable();
+        let mut rank = vec![0u32; sorted.len()];
+        for (dense, &(_, provisional)) in sorted.iter().enumerate() {
+            rank[provisional as usize] = dense as u32;
+        }
+        let accounts: Vec<AccountId> = sorted.iter().map(|&(_, i)| seen[i as usize]).collect();
+
+        for part in &mut parts {
+            part.from = rank[part.from as usize];
+            part.to = rank[part.to as usize];
+        }
+        // Part indices in `(from, to)` order, by two stable counting sorts,
+        // `to` then `from`; `start[f]..start[f + 1]` is then `f`'s run.
+        let n = accounts.len();
+        let (by_to, _) = counting_sort(0..parts.len() as u32, n, |i| parts[i as usize].to);
+        let (order, start) = counting_sort(by_to.iter().copied(), n, |i| parts[i as usize].from);
+
+        // A directed pair has at most one trust line and one pair balance,
+        // so its run holds at most one `limit` and one `held`.
+        let mut row: Vec<Edge> = Vec::new();
+        let edges = start
+            .windows(2)
+            .map(|run| {
+                let pairs = order[run[0]..run[1]]
+                    .chunk_by(|&a, &b| parts[a as usize].to == parts[b as usize].to);
+                row.clear();
+                for pair in pairs {
+                    let (mut limit, mut held, mut edge) = (Value::ZERO, Value::ZERO, false);
+                    for part in pair.iter().map(|&i| &parts[i as usize]) {
+                        match part.says {
+                            Says::Limit => (limit, edge) = (part.amount, true),
+                            Says::Held { edge: debt } => (held, edge) = (part.amount, edge || debt),
+                        }
+                    }
+                    if edge {
+                        row.push(Edge {
+                            to: parts[pair[0] as usize].to,
+                            capacity: limit - held,
+                        });
+                    }
+                }
+                row.to_vec()
             })
             .collect();
         CreditGraph { accounts, edges }
@@ -181,9 +313,9 @@ impl CreditGraph {
         let id = |account| self.id(account).expect("a hop's ends have an edge");
         let (a_id, b_id) = (id(a), id(b));
         for (from, to, from_id, to_id) in [(a, b, a_id, b_id), (b, a, b_id, a_id)] {
-            // `build_adjacency`'s rule: `to` declared trust in `from` (a
-            // stored line always has a positive limit) or `from` holds
-            // `to`'s IOUs.
+            // The build's rule: `to` declared trust in `from` (a stored
+            // line always has a positive limit) or `from` holds `to`'s
+            // IOUs.
             let exists = state.trust_limit(to, from, currency).is_positive()
                 || state.iou_balance(from, to, currency).is_positive();
             let capacity = state.hop_capacity(from, to, currency);
@@ -518,10 +650,132 @@ fn allocate(
 mod tests {
     use super::*;
     use crate::find::find_payment_paths;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ripple_ledger::Drops;
 
     fn acct(n: u8) -> AccountId {
         AccountId::from_bytes([n; 20])
+    }
+
+    /// The graph build before the one-scan rewrite: a hashed adjacency
+    /// with sorted neighbour lists, then one `hop_capacity` per edge.
+    fn build_reference(state: &LedgerState, currency: Currency) -> CreditGraph {
+        let mut adjacency: HashMap<AccountId, Vec<AccountId>> = HashMap::new();
+        let mut add_edge = |from: AccountId, to: AccountId| {
+            adjacency.entry(from).or_default().push(to);
+        };
+        for line in state.trust_lines() {
+            if line.currency == currency {
+                add_edge(line.trustee, line.truster);
+            }
+        }
+        for (low, high, cur, balance) in state.pair_balances() {
+            if cur != currency {
+                continue;
+            }
+            if balance.is_positive() {
+                add_edge(low, high);
+            } else if balance.is_negative() {
+                add_edge(high, low);
+            }
+        }
+        for nexts in adjacency.values_mut() {
+            nexts.sort_unstable();
+            nexts.dedup();
+        }
+        let mut accounts: Vec<AccountId> = adjacency
+            .iter()
+            .flat_map(|(from, nexts)| std::iter::once(from).chain(nexts))
+            .copied()
+            .collect();
+        accounts.sort_unstable();
+        accounts.dedup();
+        let id = |account: &AccountId| accounts.binary_search(account).unwrap() as u32;
+        let edges = accounts
+            .iter()
+            .map(|from| {
+                let nexts = adjacency.get(from).map(Vec::as_slice).unwrap_or_default();
+                nexts
+                    .iter()
+                    .map(|to| Edge {
+                        to: id(to),
+                        capacity: state.hop_capacity(*from, *to, currency),
+                    })
+                    .collect()
+            })
+            .collect();
+        CreditGraph { accounts, edges }
+    }
+
+    const CURRENCIES: [Currency; 3] = [Currency::USD, Currency::EUR, Currency::BTC];
+
+    /// A random credit network over up to 24 accounts in three currencies:
+    /// trust lines (some set twice, some removed again by a zero limit),
+    /// debt on and off those lines in both signs — pushed past the limit
+    /// now and then, so some lines are full — and the odd self-pair.
+    /// Returns the ledger and how many lines a zero limit removed.
+    fn seeded_ledger(seed: u64) -> (LedgerState, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = LedgerState::new();
+        let accounts: Vec<AccountId> = (0..rng.gen_range(2u8..=24))
+            .map(|i| {
+                let mut bytes = [i; 20];
+                bytes[0] = rng.gen();
+                AccountId::from_bytes(bytes)
+            })
+            .collect();
+        for &a in &accounts {
+            s.create_account(a, Drops::from_xrp(100));
+        }
+        let mut removed = 0;
+        for _ in 0..rng.gen_range(0..4 * accounts.len()) {
+            let a = accounts[rng.gen_range(0..accounts.len())];
+            let b = accounts[rng.gen_range(0..accounts.len())];
+            let currency = CURRENCIES[rng.gen_range(0..CURRENCIES.len())];
+            let amount = Value::from_raw(rng.gen_range(1i128..=50) * 1_000_000);
+            match rng.gen_range(0u8..10) {
+                0..=4 => s.set_trust(a, b, currency, amount).unwrap(),
+                5 => {
+                    let lines: Vec<_> = s.trust_lines().collect();
+                    if !lines.is_empty() {
+                        let line = lines[rng.gen_range(0..lines.len())];
+                        s.set_trust(line.truster, line.trustee, line.currency, Value::ZERO)
+                            .unwrap();
+                        removed += 1;
+                    }
+                }
+                _ => s.adjust_pair_balance(a, b, currency, amount),
+            }
+        }
+        (s, removed)
+    }
+
+    #[test]
+    fn one_scan_build_equals_the_reference_build() {
+        let (mut edges, mut full, mut debt_only, mut mutual, mut removed) = (0, 0, 0, 0, 0);
+        for seed in 0..600 {
+            let (s, zeroed) = seeded_ledger(seed);
+            removed += zeroed;
+            for currency in CURRENCIES {
+                let got = CreditGraph::build(&s, currency);
+                let want = build_reference(&s, currency);
+                assert_eq!(got.accounts, want.accounts, "seed {seed} {currency}");
+                assert_eq!(got.edges, want.edges, "seed {seed} {currency}");
+                for (from, out) in got.accounts.iter().zip(&got.edges) {
+                    for edge in out {
+                        let to = got.accounts[edge.to as usize];
+                        edges += 1;
+                        full += usize::from(!edge.capacity.is_positive());
+                        debt_only += usize::from(s.trust_limit(to, *from, currency).is_zero());
+                        mutual += usize::from(s.trust_limit(*from, to, currency).is_positive());
+                    }
+                }
+            }
+        }
+        // The generator reaches every edge shape the fold distinguishes.
+        let shapes = [edges, full, debt_only, mutual, removed];
+        assert!(shapes.iter().all(|&n| n > 300), "{shapes:?}");
     }
 
     fn v(s: &str) -> Value {

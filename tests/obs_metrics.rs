@@ -83,6 +83,50 @@ fn instrumented_run_emits_spans_for_every_pipeline_stage() {
 }
 
 #[test]
+fn liquidity_suite_emits_one_span_per_phase() {
+    use ripple_core::liquidity::{run_liquidity, LiquidityConfig};
+
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let output = Generator::new(SynthConfig {
+        seed: 20130101,
+        ..SynthConfig::small(1_500)
+    })
+    .run();
+    // Two waves over any population of two or more split it in two.
+    let config = LiquidityConfig {
+        probes: 16,
+        oracle_sample: 2,
+        insolvency_waves: 2,
+        drain_percents: vec![25, 50, 75],
+        exit_waves: 2,
+        redeem_holders_per_gateway: 1,
+        ..LiquidityConfig::default()
+    };
+    metrics::reset();
+    let _ = trace::drain();
+    trace::enable(trace::DEFAULT_CAPACITY);
+    let report = run_liquidity(&output, &config).report;
+    let events = trace::drain();
+
+    let count = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.cat == "liquidity" && e.name == name)
+            .count()
+    };
+    assert_eq!(count("baseline"), 1);
+    assert_eq!(count("insolvency_wave"), config.insolvency_waves);
+    assert_eq!(count("drain_point"), config.drain_percents.len());
+    assert_eq!(count("exit_wave"), config.exit_waves);
+    assert_eq!(
+        events.iter().filter(|e| e.cat == "liquidity").count(),
+        1 + config.insolvency_waves + config.drain_percents.len() + config.exit_waves
+    );
+    assert_eq!(report.insolvency_cascade.len(), config.insolvency_waves);
+    assert_eq!(report.mm_exit_waves.len(), config.exit_waves);
+}
+
+#[test]
 fn a_broadcast_shares_one_position_buffer() {
     // Count gate for the message-level engine: an honest validator builds
     // one position buffer per iteration and every recipient of its
