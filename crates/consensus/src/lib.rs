@@ -5,9 +5,9 @@
 //!
 //! * [`rounds::RoundEngine`] — a message-level implementation of RPCA over
 //!   the [`ripple_netsim`] network: proposal rounds with escalating agreement
-//!   thresholds (50% → 55% → 60% → 80%), ledger close, and signed
-//!   validations. Used to demonstrate protocol safety/liveness properties
-//!   (including byzantine and partition failure injection).
+//!   thresholds (50% → 55% → 60% → 80%) within each validator's UNL, ledger
+//!   close, and signed validations. The only in-process RPCA driver: the
+//!   safety/liveness demos and the [`unl`] fork analysis run on it.
 //! * [`campaign::Campaign`] — a round-granular statistical engine able to
 //!   run the paper's two-week collection periods (~250 000 consensus rounds)
 //!   quickly, producing the same [`stream::ValidationEvent`] schema a
@@ -58,7 +58,7 @@ pub use metrics::{ValidatorReport, ValidatorRow};
 pub use rewards::{simulate_reward_economy, EconomyConfig, EconomyOutcome, RewardPolicy};
 pub use rounds::{
     page_hash, refine_position, support_required, tally_validations, RoundEngine, RoundError,
-    RoundOutcome, ValidationTally, QUORUM_PCT, RPCA_THRESHOLDS,
+    RoundOutcome, ValidationTally, PHASES, QUORUM_PCT, RPCA_THRESHOLDS,
 };
 pub use scenario::CollectionPeriod;
 pub use stream::{ValidationEvent, ValidationStream};

@@ -13,7 +13,9 @@
 //! The engine supports the failure modes the paper worries about: byzantine
 //! validators (equivocating positions), crashed validators, partitions, and
 //! validators whose latency pushes their proposals past the iteration
-//! deadline.
+//! deadline. It is the only in-process RPCA driver: each validator counts
+//! its own UNL ([`RoundEngine::with_unls`]; by default everyone's), and the
+//! UNL analysis ([`run_unl_round`](crate::unl::run_unl_round)) is one round.
 //!
 //! # Interned positions
 //!
@@ -27,8 +29,7 @@
 //! `n × n` table of those handles, and support is counted by
 //! `tally_support`: a dense `support[ix] += 1` whose survivors come out
 //! already ascending. [`refine_position`] — what `ripple-node`'s live
-//! transport and [`run_unl_round`](crate::unl::run_unl_round) call — is that
-//! kernel behind a set-in, set-out adapter.
+//! transport calls — is that kernel behind a set-in, set-out adapter.
 //!
 //! A proposal belongs to its round: it names the round it was sent in (the
 //! simulator's stand-in for the previous-ledger hash a real proposal
@@ -62,6 +63,10 @@ pub const RPCA_THRESHOLDS: [u32; 4] = [50, 55, 60, 80];
 /// The share of the UNL, in percent, that must validate one page for it to
 /// be committed.
 pub const QUORUM_PCT: u32 = 80;
+
+/// Phases per round, simulated or wall-clock: the RPCA proposal iterations
+/// plus the validation phase.
+pub const PHASES: u64 = RPCA_THRESHOLDS.len() as u64 + 1;
 
 // Round instrumentation: message accounting in the style of the per-round
 // bookkeeping that Amores-Sesar et al. and Chase & MacBrough lean on for
@@ -114,6 +119,12 @@ pub enum RoundError {
     },
     /// The engine has no validators at all.
     NoValidators,
+    /// A validator's UNL is missing, omits it, or names a validator the
+    /// engine does not have.
+    InvalidUnl {
+        /// Whose UNL it is.
+        validator: usize,
+    },
 }
 
 impl std::fmt::Display for RoundError {
@@ -124,6 +135,10 @@ impl std::fmt::Display for RoundError {
                 "one initial position per validator: expected {expected}, got {actual}"
             ),
             RoundError::NoValidators => write!(f, "cannot run a round with zero validators"),
+            RoundError::InvalidUnl { validator } => write!(
+                f,
+                "validator {validator} must appear in its own UNL of known validators"
+            ),
         }
     }
 }
@@ -148,6 +163,10 @@ pub struct RoundEngine {
     iteration_timeout: SimTime,
     /// Rounds started so far; the current round's number is this minus one.
     rounds_started: u64,
+    /// `trusts[to * n + from]`: whether `from` is in `to`'s UNL.
+    trusts: Vec<bool>,
+    /// Each validator's UNL size, itself included.
+    unl_len: Vec<usize>,
 }
 
 impl std::fmt::Debug for RoundEngine {
@@ -165,7 +184,8 @@ impl RoundEngine {
     /// trusts every other (a single shared UNL, as in the study period's
     /// default configuration).
     pub fn new(validators: Vec<Validator>) -> RoundEngine {
-        let mut network = Network::new(validators.len());
+        let n = validators.len();
+        let mut network = Network::new(n);
         network.set_default_latency(LatencyModel::Jittered {
             base: SimTime::from_millis(20),
             jitter: SimTime::from_millis(30),
@@ -175,7 +195,32 @@ impl RoundEngine {
             network,
             iteration_timeout: SimTime::from_millis(500),
             rounds_started: 0,
+            trusts: vec![true; n * n],
+            unl_len: vec![n; n],
         }
+    }
+
+    /// Gives validator `v` its own UNL, `unls[v]`: it counts only those
+    /// validators' proposals, against `support_required(unls[v].len(), pct)`.
+    ///
+    /// # Errors
+    ///
+    /// [`RoundError::InvalidUnl`] unless each validator has one UNL, which
+    /// names it and only validators the engine has.
+    pub fn with_unls(mut self, unls: &[BTreeSet<usize>]) -> Result<RoundEngine, RoundError> {
+        let n = self.validators.len();
+        self.trusts.fill(false);
+        for validator in 0..n.max(unls.len()) {
+            let valid = |unl: &&BTreeSet<usize>| unl.contains(&validator) && unl.last() < Some(&n);
+            let Some(unl) = unls.get(validator).filter(valid) else {
+                return Err(RoundError::InvalidUnl { validator });
+            };
+            for &from in unl {
+                self.trusts[validator * n + from] = true;
+            }
+            self.unl_len[validator] = unl.len();
+        }
+        Ok(self)
     }
 
     /// Access to the underlying network for failure injection (partitions,
@@ -196,8 +241,7 @@ impl RoundEngine {
     /// makes timed [`FaultPlan`](ripple_netsim::FaultPlan) events land in
     /// predictable rounds.
     pub fn round_duration(&self) -> SimTime {
-        let phases = (RPCA_THRESHOLDS.len() + 1) as u64;
-        SimTime::from_millis(self.iteration_timeout.as_millis() * phases)
+        SimTime::from_millis(self.iteration_timeout.as_millis() * PHASES)
     }
 
     /// Overrides the per-iteration proposal deadline.
@@ -310,10 +354,11 @@ impl RoundEngine {
                     position,
                 } = msg
                 {
+                    let slot = to.0 * n + from.0;
                     if sent_in != round {
                         STALE_PROPOSALS.add(1);
-                    } else if it == iteration {
-                        received[to.0 * n + from.0] = Some(position);
+                    } else if it == iteration && self.trusts[slot] {
+                        received[slot] = Some(position);
                     }
                 }
             }
@@ -326,7 +371,6 @@ impl RoundEngine {
             // (peers + self) proposed it. In place: a validator's update
             // reads only its own position and what it received, and what it
             // received are handles taken when the proposals were sent.
-            let required = support_required(n, threshold);
             #[allow(clippy::needless_range_loop)]
             for v in 0..n {
                 if self.network.is_crashed(NodeId(v)) {
@@ -342,7 +386,7 @@ impl RoundEngine {
                 let refined = tally_support(
                     &mut support,
                     std::iter::once(&positions[v]).chain(heard).map(|p| &p[..]),
-                    required,
+                    support_required(self.unl_len[v], threshold),
                 );
                 positions[v] = refined.into();
                 POSITION_ALLOCS.add(1);
@@ -465,10 +509,9 @@ fn seal<'a>(candidates: &'a [u64], position: &'a [u32]) -> impl ExactSizeIterato
 /// the UNL (the validator's own position plus its peers') proposed it.
 ///
 /// This is [`RoundEngine::run_round`]'s iteration update (the same support
-/// kernel over a table interned from just these sets), shared with the live
-/// transport in `ripple-node` and with `run_unl_round` so the in-process
-/// simulator, the UNL analysis and real networked validators refine
-/// positions identically.
+/// kernel over a table interned from just these sets) for the live transport
+/// in `ripple-node`, so the in-process simulator and real networked
+/// validators refine positions identically.
 pub fn refine_position<'a>(
     own: &BTreeSet<u64>,
     peers: impl IntoIterator<Item = &'a BTreeSet<u64>>,
@@ -705,6 +748,33 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("expected 5, got 3"));
+    }
+
+    #[test]
+    fn a_bad_unl_is_an_error_not_a_panic() {
+        let refused = |sets: &[&[usize]]| {
+            let unls: Vec<BTreeSet<usize>> = sets
+                .iter()
+                .map(|set| set.iter().copied().collect())
+                .collect();
+            match RoundEngine::new(honest(3)).with_unls(&unls) {
+                Err(RoundError::InvalidUnl { validator }) => Some(validator),
+                _ => None,
+            }
+        };
+        assert_eq!(refused(&[&[0], &[0, 2], &[2]]), Some(1), "omits its owner");
+        assert_eq!(
+            refused(&[&[0, 1], &[1], &[1, 2, 7]]),
+            Some(2),
+            "names validator 7"
+        );
+        assert_eq!(refused(&[&[0], &[1]]), Some(2), "one UNL short");
+        assert_eq!(refused(&[&[0], &[1], &[2], &[3]]), Some(3), "one UNL over");
+        assert_eq!(refused(&[&[0, 1, 2], &[1], &[2, 0]]), None);
+        assert_eq!(
+            RoundError::InvalidUnl { validator: 1 }.to_string(),
+            "validator 1 must appear in its own UNL of known validators"
+        );
     }
 
     #[test]

@@ -30,7 +30,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ripple_consensus::{
-    page_hash, refine_position, support_required, tally_validations, QUORUM_PCT, RPCA_THRESHOLDS,
+    page_hash, refine_position, support_required, tally_validations, PHASES, QUORUM_PCT,
+    RPCA_THRESHOLDS,
 };
 use ripple_crypto::Digest256;
 use ripple_obs::http::{admin_response, timeseries_response, PollServer, Request, Response};
@@ -72,10 +73,6 @@ static SKEW_BOUND_MS: LazyGauge = LazyGauge::new("node.clock.skew_bound_ms");
 
 /// The supervisor link id used for the harness feed connection.
 pub const FEED_ID: u32 = u32::MAX;
-
-/// Number of wall-clock phases per round: the RPCA proposal iterations
-/// plus the validation phase (mirrors `RoundEngine::round_duration`).
-pub const PHASES: u64 = RPCA_THRESHOLDS.len() as u64 + 1;
 
 /// Everything a validator needs to join a cluster.
 #[derive(Debug, Clone)]

@@ -11,45 +11,13 @@
 //! machinery, and it keeps the transport layer entirely in safe std.
 
 use std::io::{self, Read};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
+/// The readiness probe is the admin HTTP server's: one copy, in `ripple-obs`.
+pub use ripple_obs::http::{probe, try_accept, Probe};
+
 use crate::frame::FrameDecoder;
-
-/// What a readiness probe saw on a stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// Bytes are waiting to be read.
-    Data,
-    /// Nothing to read right now.
-    Idle,
-    /// The peer closed the connection (or the socket errored).
-    Closed,
-}
-
-/// Probes a non-blocking stream for readability without consuming bytes.
-pub fn probe(stream: &TcpStream) -> Probe {
-    let mut byte = [0u8; 1];
-    match stream.peek(&mut byte) {
-        Ok(0) => Probe::Closed,
-        Ok(_) => Probe::Data,
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Probe::Idle,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Probe::Idle,
-        Err(_) => Probe::Closed,
-    }
-}
-
-/// Accepts one pending connection from a non-blocking listener, if any.
-/// The returned stream is already switched to non-blocking mode.
-pub fn try_accept(listener: &TcpListener) -> Option<TcpStream> {
-    match listener.accept() {
-        Ok((stream, _)) => {
-            stream.set_nonblocking(true).ok()?;
-            Some(stream)
-        }
-        Err(_) => None,
-    }
-}
 
 /// Outcome of draining a socket into a decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

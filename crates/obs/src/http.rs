@@ -6,7 +6,7 @@
 //! probe per connection, and a caller-owned idle sleep ([`serve`]'s own
 //! loop sleeps only once traffic has paused). The transport
 //! lives here (it was first hand-rolled inside `crates/query/src/http.rs`
-//! and is now shared with every `ripple-node` admin endpoint); routing
+//! and is now shared with `ripple-node`'s admin endpoints and sockets); routing
 //! stays with the caller as a `FnMut(&Request) -> Response` handler.
 //!
 //! Two integration shapes:
@@ -124,7 +124,8 @@ pub fn status_text(status: u16) -> &'static str {
 }
 
 /// Accepts one pending connection from a non-blocking listener, if any.
-fn try_accept(listener: &TcpListener) -> Option<TcpStream> {
+/// The returned stream is already switched to non-blocking mode.
+pub fn try_accept(listener: &TcpListener) -> Option<TcpStream> {
     match listener.accept() {
         Ok((stream, _)) => {
             stream.set_nonblocking(true).ok()?;
@@ -135,15 +136,18 @@ fn try_accept(listener: &TcpListener) -> Option<TcpStream> {
 }
 
 /// What a readiness probe saw on a stream.
-#[derive(PartialEq)]
-enum Probe {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// Bytes are waiting to be read.
     Data,
+    /// Nothing to read right now.
     Idle,
+    /// The peer closed the connection (or the socket errored).
     Closed,
 }
 
 /// Probes a non-blocking stream for readability without consuming bytes.
-fn probe(stream: &TcpStream) -> Probe {
+pub fn probe(stream: &TcpStream) -> Probe {
     let mut byte = [0u8; 1];
     match stream.peek(&mut byte) {
         Ok(0) => Probe::Closed,
