@@ -5,22 +5,27 @@
 //!             [--workers W] [--chunk C] [--archive]
 //!             [--budget-secs B] [--ops N]
 //!             [--trace PATH] [--metrics PATH] [--validators N]
-//!             [--round-ms MS] [--plan FILE] [--clients C] [--mix M]
-//!             [--lookups N] [--serve ADDR] [--serve-secs SECS]
+//!             [--round-ms MS] [--plan FILE] [--no-admin]
+//!             [--serve ADDR] [--serve-secs SECS]
 //! experiments check replay CHECK_CASE.json
 //! ```
 //!
-//! `EXPERIMENT` is one of the paper studies `fig2`, `table1`, `fig3`,
-//! `fig4`, `fig5`, `fig6a`, `fig6b`, `table2`, `fig7`, `offers`, or one of
+//! `EXPERIMENT` is a row of [`STUDIES`], the one table of studies, in
+//! presentation order: the paper's tables and figures `fig2`, `table1`,
+//! `fig3`, `fig4`, `fig5`, `fig6a`, `fig6b`, `table2`, `fig7`, `offers`;
 //! the extension studies `rewards` (§IV's proposed validator-reward
-//! system), `countermeasure` (§V's wallet-splitting discussion), `unl`
-//! (UNL-overlap fork analysis), `archive` (raw parse throughput),
+//! system), `unl` (UNL-overlap fork analysis), `countermeasure` (§V's
+//! wallet-splitting discussion), `archive` (raw parse throughput),
 //! `timeline` (payment/population trends), `synth` (history generation
 //! only, for benchmarking the pipeline itself) and `check` (the
 //! `ripple-check` correctness harness: differential models plus invariant
 //! oracles, `--budget-secs` wall-clock budget, `--ops` operations per
-//! generated case). `all` (the default) runs every paper study **and**
-//! every extension study, in that order.
+//! generated case); and `node`, `store` and `liquidity`, which build their
+//! own input and run only when named. `all` (the default) runs every other
+//! row: first the studies that need no payment history, then `fig3` alone
+//! (it prints its own wall-clock timings), then the remaining history-backed
+//! studies concurrently over the shared payment arena, their reports
+//! printed in table order.
 //!
 //! `check` exits non-zero on any divergence and writes the shrunk,
 //! replayable counterexample to `CHECK_CASE.json`; `check replay FILE`
@@ -29,45 +34,40 @@
 //!
 //! History generation runs through the pipelined generator (`--workers`
 //! scripting threads, `--chunk` payments per chunk) and writes its stage
-//! timings to `BENCH_synth.json` (see EXPERIMENTS.md for the schema). Under
-//! `all`, the history-backed studies execute concurrently over the shared
-//! payment arena, with their reports printed in presentation order.
+//! timings to `BENCH_synth.json` (see EXPERIMENTS.md for the schema).
 //!
-//! `fig3` additionally writes `BENCH_fig3.json` — a machine-readable dump
-//! of the sharded IG engine's row metrics and throughput (see
-//! EXPERIMENTS.md §E3 for the schema).
+//! `node` spawns a live cluster of `--validators` real `ripple-node`
+//! processes on loopback TCP, executes a fault plan as OS actions
+//! (`kill -9`, socket-level partitions, restarts with state resync;
+//! `--plan FILE` for a custom schedule, `--round-ms` for the wall-clock
+//! round length, `--rounds` defaulting to 12 here and to 5,000 for `fig2`),
+//! checks the no-fork invariant on the wire-reassembled rounds, and writes
+//! `BENCH_node.json` (see EXPERIMENTS.md §E16 for the schema and the
+//! plan-file grammar).
 //!
-//! `node` (never part of `all`) spawns a live cluster of `--validators`
-//! real `ripple-node` processes on loopback TCP, executes a fault plan as
-//! OS actions (`kill -9`, socket-level partitions, restarts with state
-//! resync; `--plan FILE` for a custom schedule, `--round-ms` for the
-//! wall-clock round length), checks the no-fork invariant on the
-//! wire-reassembled rounds, and writes `BENCH_node.json` (see
-//! EXPERIMENTS.md §E16 for the schema and the plan-file grammar).
+//! `store` encodes a freshly generated history to an archive, builds the
+//! `PostingsIndex` sidecar over it with `QueryEngine::open` and prints the
+//! build report; `--serve ADDR` then binds the HTTP/JSON API on `ADDR` (the
+//! bound address is echoed to `STORE_HTTP_ADDR.txt`) for `--serve-secs`
+//! seconds (see EXPERIMENTS.md §E17 for the endpoint table). Lookup
+//! throughput is measured by the benchmark's `archive_serve` workload.
 //!
-//! `store` (never part of `all`) builds the `PostingsIndex` sidecar over a
-//! freshly generated archive, measures indexed single-account history
-//! against a full linear rescan, runs a dedicated single-client
-//! point-lookup phase and then a closed-loop mixed load (`--clients`
-//! worker threads, `--mix` percent point lookups, `--lookups` total
-//! operations), and writes `BENCH_store.json`; `--serve ADDR` then binds
-//! the HTTP/JSON API on `ADDR` (the bound address is echoed to
-//! `STORE_HTTP_ADDR.txt`) for `--serve-secs` seconds (see EXPERIMENTS.md
-//! §E17 for the schema and the endpoint table).
-//!
-//! `liquidity` (never part of `all`) runs the credit-network liquidity
-//! suite at `--payments`-matched account scale: redeemability and health
-//! metrics, the gateway insolvency cascade, the trust-line drain curve,
-//! and the Market-Maker exit waves, with the capacity-aware router
-//! benchmarked against the brute-force max-flow oracle on a sample of
-//! the same probe stream. Writes `BENCH_liquidity.json` (see
-//! EXPERIMENTS.md §E18 for the schema).
+//! `liquidity` runs the credit-network liquidity suite at
+//! `--payments`-matched account scale: redeemability and health metrics,
+//! the gateway insolvency cascade, the trust-line drain curve, and the
+//! Market-Maker exit waves, with the capacity-aware router benchmarked
+//! against the brute-force max-flow oracle on a sample of the same probe
+//! stream. Writes `BENCH_liquidity.json` (see EXPERIMENTS.md §E18 for the
+//! schema).
 //!
 //! `--metrics PATH` enables the `ripple-obs` metrics registry and writes a
 //! schema-versioned `RUN_METRICS.json`-style snapshot to `PATH` on exit;
 //! `--trace PATH` additionally records spans and writes a
 //! `chrome://tracing`-loadable trace-event file (see EXPERIMENTS.md
 //! "Observability").
+//!
+//! An unknown flag or experiment, a missing or unparsable flag value and an
+//! unreadable `--plan` file print a message and exit 2.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -82,66 +82,71 @@ use ripple_core::deanon::{
     information_gain, sender_information_gain, AmountResolution, CurrencyStrength,
 };
 use ripple_core::ledger::Value;
+use ripple_core::node::ClusterConfig;
 use ripple_core::query;
 use ripple_core::{
     run_liquidity, CollectionPeriod, Currency, EngineConfig, Generator, LiquidityConfig,
     PipelineConfig, ResolutionSpec, Study, SynthBench, SynthConfig,
 };
 
-/// The paper's own tables and figures, in presentation order.
-const PAPER_STUDIES: &[&str] = &[
-    "fig2", "table1", "fig3", "fig4", "fig5", "fig6a", "fig6b", "table2", "fig7", "offers",
-];
+/// What a study reads, which decides where `all` runs it.
+enum Input {
+    /// No shared history: the study needs none, or builds its own input.
+    Args(fn(&Args)),
+    /// The shared history, read alone because the study prints its own
+    /// wall-clock timings.
+    Timed(fn(&Study, &Args)),
+    /// The shared history, read only: under `all` these studies run
+    /// concurrently and their reports print in table order.
+    Shared(fn(&Study) -> String),
+}
 
-/// Studies that go beyond the paper. `all` runs these too, after the paper
-/// set.
-const EXTENSION_STUDIES: &[&str] = &[
-    "rewards",
-    "unl",
-    "countermeasure",
-    "archive",
-    "timeline",
-    "synth",
-    "check",
-];
+/// One row of [`STUDIES`].
+struct Entry {
+    name: &'static str,
+    /// Whether `experiments all` runs it.
+    all: bool,
+    input: Input,
+}
 
-/// Studies that spawn live OS processes. Deliberately *not* part of
-/// `all`: a run that forks a 5-process cluster should be asked for by
-/// name (`experiments node`).
-const LIVE_STUDIES: &[&str] = &["node"];
+const fn row(name: &'static str, all: bool, input: Input) -> Entry {
+    Entry { name, all, input }
+}
 
-/// The indexed query-serving study. Also never part of `all`: it
-/// generates its own archive and drives a closed-loop lookup load
-/// (`experiments store`), writing `BENCH_store.json`.
-const STORE_STUDIES: &[&str] = &["store"];
-
-/// The credit-network liquidity suite (E18). Never part of `all`: it
-/// generates its own account-scaled history and runs the brute-force
-/// max-flow oracle alongside the router (`experiments liquidity`),
-/// writing `BENCH_liquidity.json`.
-const LIQUIDITY_STUDIES: &[&str] = &["liquidity"];
-
-/// Studies that require a generated payment history.
-const NEEDS_HISTORY: &[&str] = &[
-    "synth",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "table2",
-    "fig7",
-    "offers",
-    "countermeasure",
-    "archive",
-    "timeline",
+/// Every study, in presentation order: the paper's tables and figures, the
+/// extensions, and last the studies that build their own input — `node`
+/// forks a live cluster, `store` encodes and indexes its own archive,
+/// `liquidity` scales the account population to the payment count and runs
+/// the max-flow oracle — which run only when asked for by name.
+const STUDIES: &[Entry] = &[
+    row("fig2", true, Input::Args(fig2)),
+    row("table1", true, Input::Args(table1)),
+    row("fig3", true, Input::Timed(fig3)),
+    row("fig4", true, Input::Shared(fig4)),
+    row("fig5", true, Input::Shared(fig5)),
+    row("fig6a", true, Input::Shared(fig6a)),
+    row("fig6b", true, Input::Shared(fig6b)),
+    row("table2", true, Input::Shared(table2)),
+    row("fig7", true, Input::Shared(fig7)),
+    row("offers", true, Input::Shared(offers)),
+    row("rewards", true, Input::Args(rewards)),
+    row("unl", true, Input::Args(unl)),
+    row("countermeasure", true, Input::Shared(countermeasure)),
+    row("archive", true, Input::Shared(archive)),
+    row("timeline", true, Input::Shared(timeline)),
+    row("synth", true, Input::Shared(synth)),
+    row("check", true, Input::Args(check)),
+    row("node", false, Input::Args(node)),
+    row("store", false, Input::Args(store)),
+    row("liquidity", false, Input::Args(liquidity)),
 ];
 
 struct Args {
     experiment: String,
     payments: usize,
     seed: u64,
-    rounds: u64,
+    /// `--rounds`; `fig2` and `node` each default it themselves.
+    rounds: Option<u64>,
     shards: usize,
     workers: usize,
     chunk: usize,
@@ -155,21 +160,56 @@ struct Args {
     round_ms: u64,
     plan: Option<String>,
     no_admin: bool,
-    clients: usize,
-    mix: u32,
-    lookups: u64,
     serve: Option<String>,
     serve_secs: u64,
 }
 
+/// `fig2`'s consensus rounds per collection period without `--rounds`.
+const FIG2_ROUNDS: u64 = 5_000;
+
+/// `node`'s wall-clock rounds without `--rounds`.
+const NODE_ROUNDS: u64 = 12;
+
 const USAGE: &str = "usage: experiments [EXPERIMENT] [flags] or experiments check replay FILE";
 
-fn parse_args() -> Args {
+/// Prints `message` and the usage line, then exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}; {USAGE}");
+    std::process::exit(2);
+}
+
+/// Prints `message`, then exits 1: the run could not finish.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// The value following `flag`, parsed; a missing or unparsable one is a
+/// usage error.
+fn flag_value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    match argv.next().and_then(|value| value.parse().ok()) {
+        Some(value) => value,
+        None => usage_error(&format!("{flag} needs {what}")),
+    }
+}
+
+/// `all` followed by every row of [`STUDIES`], as the unknown-experiment
+/// message lists them.
+fn valid_experiments() -> String {
+    let names: Vec<&str> = STUDIES.iter().map(|e| e.name).collect();
+    format!("all, {}", names.join(", "))
+}
+
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Args {
     let mut args = Args {
         experiment: "all".to_string(),
         payments: 100_000,
         seed: 20130101,
-        rounds: 5_000,
+        rounds: None,
         shards: 0,
         workers: 0,
         chunk: 0,
@@ -183,120 +223,33 @@ fn parse_args() -> Args {
         round_ms: 500,
         plan: None,
         no_admin: false,
-        clients: 4,
-        mix: 90,
-        lookups: 200_000,
         serve: None,
         serve_secs: 0,
     };
+    let number = "a number";
     let mut positionals: Vec<String> = Vec::new();
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--payments" => {
-                args.payments = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--payments needs a number");
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number");
-            }
-            "--rounds" => {
-                args.rounds = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds needs a number");
-            }
-            "--shards" => {
-                args.shards = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards needs a number");
-            }
-            "--workers" => {
-                args.workers = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers needs a number");
-            }
-            "--chunk" => {
-                args.chunk = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--chunk needs a number");
-            }
+    while let Some(arg) = argv.next() {
+        let (argv, flag) = (&mut argv, arg.as_str());
+        match flag {
+            "--payments" => args.payments = flag_value(argv, flag, number),
+            "--seed" => args.seed = flag_value(argv, flag, number),
+            "--rounds" => args.rounds = Some(flag_value(argv, flag, number)),
+            "--shards" => args.shards = flag_value(argv, flag, number),
+            "--workers" => args.workers = flag_value(argv, flag, number),
+            "--chunk" => args.chunk = flag_value(argv, flag, number),
             "--archive" => args.archive = true,
-            "--budget-secs" => {
-                args.budget_secs = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--budget-secs needs a number");
-            }
-            "--ops" => {
-                args.ops = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--ops needs a number");
-            }
-            "--trace" => {
-                args.trace = Some(iter.next().expect("--trace needs a path"));
-            }
-            "--metrics" => {
-                args.metrics = Some(iter.next().expect("--metrics needs a path"));
-            }
-            "--validators" => {
-                args.validators = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--validators needs a number");
-            }
-            "--round-ms" => {
-                args.round_ms = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--round-ms needs a number");
-            }
-            "--plan" => {
-                args.plan = Some(iter.next().expect("--plan needs a path"));
-            }
+            "--budget-secs" => args.budget_secs = flag_value(argv, flag, number),
+            "--ops" => args.ops = flag_value(argv, flag, number),
+            "--trace" => args.trace = Some(flag_value(argv, flag, "a path")),
+            "--metrics" => args.metrics = Some(flag_value(argv, flag, "a path")),
+            "--validators" => args.validators = flag_value(argv, flag, number),
+            "--round-ms" => args.round_ms = flag_value(argv, flag, number),
+            "--plan" => args.plan = Some(flag_value(argv, flag, "a path")),
             "--no-admin" => args.no_admin = true,
-            "--clients" => {
-                args.clients = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients needs a number");
-            }
-            "--mix" => {
-                args.mix = iter
-                    .next()
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .filter(|m| *m <= 100)
-                    .expect("--mix needs a percentage 0..=100");
-            }
-            "--lookups" => {
-                args.lookups = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--lookups needs a number");
-            }
-            "--serve" => {
-                args.serve = Some(iter.next().expect("--serve needs an address"));
-            }
-            "--serve-secs" => {
-                args.serve_secs = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--serve-secs needs a number");
-            }
+            "--serve" => args.serve = Some(flag_value(argv, flag, "an address")),
+            "--serve-secs" => args.serve_secs = flag_value(argv, flag, number),
             other if !other.starts_with('-') => positionals.push(other.to_string()),
-            other => {
-                eprintln!("unknown flag {other}; {USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag {other}")),
         }
     }
     match positionals.as_slice() {
@@ -306,26 +259,13 @@ fn parse_args() -> Args {
             args.experiment = "check".to_string();
             args.replay = Some(path.clone());
         }
-        other => {
-            eprintln!("unexpected arguments {other:?}; {USAGE}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unexpected arguments {other:?}")),
     }
-    if args.experiment != "all"
-        && !PAPER_STUDIES.contains(&args.experiment.as_str())
-        && !EXTENSION_STUDIES.contains(&args.experiment.as_str())
-        && !LIVE_STUDIES.contains(&args.experiment.as_str())
-        && !STORE_STUDIES.contains(&args.experiment.as_str())
-        && !LIQUIDITY_STUDIES.contains(&args.experiment.as_str())
-    {
+    if args.experiment != "all" && !STUDIES.iter().any(|e| e.name == args.experiment) {
         eprintln!(
-            "unknown experiment `{}`; valid: all, {}, {}, {}, {}, {}",
+            "unknown experiment `{}`; valid: {}",
             args.experiment,
-            PAPER_STUDIES.join(", "),
-            EXTENSION_STUDIES.join(", "),
-            LIVE_STUDIES.join(", "),
-            STORE_STUDIES.join(", "),
-            LIQUIDITY_STUDIES.join(", ")
+            valid_experiments()
         );
         std::process::exit(2);
     }
@@ -333,7 +273,7 @@ fn parse_args() -> Args {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
     if let Some(path) = &args.replay {
         check_replay(path);
         return;
@@ -359,54 +299,60 @@ fn main() {
     }
 }
 
+/// The rows `experiment` names: one row, or under `all` every row marked
+/// for it, in table order.
+fn chosen(experiment: &str) -> Vec<&'static Entry> {
+    STUDIES
+        .iter()
+        .filter(|e| e.name == experiment || (experiment == "all" && e.all))
+        .collect()
+}
+
 fn run_experiments(args: &Args) {
-    let wants = |name: &str| args.experiment == "all" || args.experiment == name;
-
-    // Live-process studies run alone (never under `all`).
-    if args.experiment == "node" {
-        node_experiment(args);
+    let chosen = chosen(&args.experiment);
+    for entry in &chosen {
+        if let Input::Args(run) = entry.input {
+            run(args);
+        }
+    }
+    if chosen.iter().all(|e| matches!(e.input, Input::Args(_))) {
         return;
     }
+    let study = generate_history(args);
+    for entry in &chosen {
+        if let Input::Timed(run) = entry.input {
+            run(&study, args);
+        }
+    }
+    let jobs: Vec<fn(&Study) -> String> = chosen
+        .iter()
+        .filter_map(|e| match e.input {
+            Input::Shared(job) => Some(job),
+            _ => None,
+        })
+        .collect();
+    let study = &study;
+    let reports: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|&job| s.spawn(move || job(study)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    for report in reports {
+        print!("{report}");
+    }
+}
 
-    // The query-serving study also runs alone: it builds its own archive
-    // and drives a closed-loop load rather than sharing the Study arena.
-    if args.experiment == "store" {
-        store_experiment(args);
-        return;
-    }
-
-    // The liquidity suite runs alone too: it scales the account
-    // population to the payment count and runs the max-flow oracle,
-    // neither of which the shared Study arena wants.
-    if args.experiment == "liquidity" {
-        liquidity_experiment(args);
-        return;
-    }
-
-    // Studies that need no payment history: the consensus simulator and
-    // the static rounding grid.
-    if wants("fig2") {
-        fig2(args.rounds, args.seed);
-    }
-    if wants("table1") {
-        table1();
-    }
-    if wants("rewards") {
-        rewards();
-    }
-    if wants("unl") {
-        unl();
-    }
-    if wants("check") {
-        check(args);
-    }
-
-    let history_needed =
-        args.experiment == "all" || NEEDS_HISTORY.contains(&args.experiment.as_str());
-    if !history_needed {
-        return;
-    }
-
+/// Generates the history the `Timed` and `Shared` studies read, and writes
+/// the generation's stage timings to `BENCH_synth.json`.
+fn generate_history(args: &Args) -> Study {
     let config = SynthConfig {
         payments: args.payments,
         seed: args.seed,
@@ -422,13 +368,9 @@ fn run_experiments(args: &Args) {
         archive: args.archive,
         ..PipelineConfig::default()
     };
-    let mut run = match Generator::new(config).run_pipelined(&pipeline) {
-        Ok(run) => run,
-        Err(err) => {
-            eprintln!("pipelined generation failed: {err}");
-            std::process::exit(1);
-        }
-    };
+    let mut run = Generator::new(config)
+        .run_pipelined(&pipeline)
+        .unwrap_or_else(|err| fail(&format!("pipelined generation failed: {err}")));
     let mut bench = run.bench.clone();
     let archive_bytes = run.archive.take();
     let study = Study::from_pipeline(run);
@@ -463,54 +405,7 @@ fn run_experiments(args: &Args) {
         Err(err) => eprintln!("could not write BENCH_synth.json: {err}"),
     }
     eprintln!("history ready: {} events", study.output().events.len());
-
-    // `fig3` runs first and alone: it asserts engine/serial equivalence and
-    // writes its own benchmark file.
-    if wants("fig3") {
-        fig3(&study, args);
-    }
-
-    // The remaining history-backed studies only read the shared arena and
-    // the streaming tallies, so under `all` they execute concurrently; the
-    // reports print in presentation order regardless of finish order.
-    type StudyJob = fn(&Study) -> String;
-    let mut jobs: Vec<(&'static str, StudyJob)> = Vec::new();
-    for (name, job) in [
-        ("fig4", fig4 as fn(&Study) -> String),
-        ("fig5", fig5),
-        ("fig6a", fig6a),
-        ("fig6b", fig6b),
-        ("table2", table2),
-        ("fig7", fig7),
-        ("offers", offers),
-        ("countermeasure", countermeasure),
-        ("archive", archive),
-        ("timeline", timeline),
-    ] {
-        if wants(name) {
-            jobs.push((name, job));
-        }
-    }
-    if args.experiment == "all" && jobs.len() > 1 {
-        let study = &study;
-        let reports: Vec<String> = std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .iter()
-                .map(|&(_, job)| s.spawn(move || job(study)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("study thread panicked"))
-                .collect()
-        });
-        for report in reports {
-            print!("{report}");
-        }
-    } else {
-        for (_, job) in jobs {
-            print!("{}", job(&study));
-        }
-    }
+    study
 }
 
 /// Serializes a pipelined generation's telemetry into the
@@ -541,12 +436,18 @@ fn synth_json(args: &Args, bench: &SynthBench) -> String {
     w.finish()
 }
 
+/// `synth` measures the generation itself, which [`generate_history`]
+/// reports; once the history exists there is nothing left to print.
+fn synth(_: &Study) -> String {
+    String::new()
+}
+
 /// `experiments liquidity`: the E18 credit-network liquidity suite.
 /// Generates a history whose account population is scaled to the payment
 /// count, runs the scenario campaigns through the capacity-aware router,
 /// benchmarks the router against the sparse max-flow oracle on a sample
 /// of the same probe stream, and writes `BENCH_liquidity.json`.
-fn liquidity_experiment(args: &Args) {
+fn liquidity(args: &Args) {
     println!("== Liquidity: credit-network scenario suite (E18) ==\n");
     let config = SynthConfig {
         payments: args.payments,
@@ -565,13 +466,10 @@ fn liquidity_experiment(args: &Args) {
         chunk_size: args.chunk,
         ..PipelineConfig::default()
     };
-    let output = match Generator::new(config).run_pipelined(&pipeline) {
-        Ok(run) => run.output,
-        Err(err) => {
-            eprintln!("pipelined generation failed: {err}");
-            std::process::exit(1);
-        }
-    };
+    let output = Generator::new(config)
+        .run_pipelined(&pipeline)
+        .unwrap_or_else(|err| fail(&format!("pipelined generation failed: {err}")))
+        .output;
 
     let liquidity = LiquidityConfig {
         probes: (args.payments / 8).max(256),
@@ -696,36 +594,12 @@ fn liquidity_json(outcome: &ripple_core::LiquidityOutcome) -> String {
     w.finish()
 }
 
-/// One account's indexed-vs-rescan comparison.
-struct StoreAccountBaseline {
-    account: String,
-    events: usize,
-    rescan_secs: f64,
-    indexed_secs: f64,
-    speedup: f64,
-}
-
-/// The single-account baseline: a heavy (99th-percentile-activity)
-/// account is the headline number; the single busiest account (the hub)
-/// is reported alongside as the worst case — a hub touching a constant
-/// fraction of all records can never beat the records ratio, whatever
-/// the index does.
-struct StoreBaseline {
-    heavy: StoreAccountBaseline,
-    hub: StoreAccountBaseline,
-}
-
-/// `experiments store`: build an archive, index it, compare indexed
-/// account-history against a linear rescan, then drive a closed-loop
-/// lookup load and write `BENCH_store.json` (EXPERIMENTS.md §E17).
-fn store_experiment(args: &Args) {
-    use ripple_core::crypto::hex;
-    use std::sync::Arc;
-
-    // Latency percentiles come from ripple-obs histograms.
-    metrics::set_enabled(true);
+/// `experiments store`: encode a generated history to an archive, build
+/// its postings sidecar with `QueryEngine::open`, print the build report
+/// and, with `--serve ADDR`, serve the HTTP/JSON API for `--serve-secs`
+/// seconds (EXPERIMENTS.md §E17).
+fn store(args: &Args) {
     println!("== Store: indexed query serving over the history archive ==\n");
-
     let config = SynthConfig {
         payments: args.payments,
         seed: args.seed,
@@ -742,287 +616,54 @@ fn store_experiment(args: &Args) {
     let mut archive = Vec::new();
     let records = out
         .write_archive(&mut archive)
-        .expect("archive encode failed");
+        .unwrap_or_else(|err| fail(&format!("archive encode failed: {err}")));
     let encode_secs = t.elapsed().as_secs_f64();
-    let archive_bytes = archive.len();
-    eprintln!(
-        "archive: {records} records, {archive_bytes} bytes \
-         (generate {generate_secs:.3}s, encode {encode_secs:.3}s)"
+    println!(
+        "archive: {records} records, {} bytes (generate {generate_secs:.3}s, \
+         encode {encode_secs:.3}s)",
+        archive.len()
     );
     drop(out);
 
     let (engine, build) = query::QueryEngine::open(archive, &query::EngineConfig::default())
-        .expect("query engine open failed");
-    let engine = Arc::new(engine);
-    eprintln!(
-        "index: {} records, {} accounts, {} flow classes, {} blocks, \
-         {} sidecar bytes in {:.3}s",
+        .unwrap_or_else(|err| fail(&format!("query engine open failed: {err}")));
+    println!(
+        "index: {} records, {} accounts, {} flow classes, {} blocks of {} records, \
+         {} sidecar bytes in {:.3}s ({} bytes skipped, {} corrupt regions)",
         build.records,
         build.accounts,
         build.flow_classes,
         build.blocks,
+        engine.postings().block_records(),
         build.sidecar_bytes,
-        build.build_secs
+        build.build_secs,
+        build.skipped_bytes,
+        build.corrupt_regions
     );
-
-    // Single-account history, indexed vs a full linear rescan of the
-    // archive (what serving would cost without the postings sidecar).
-    // Accounts sorted by activity, ties broken on bytes for determinism:
-    // rank 0 is the hub, rank len/100 the 99th-percentile account.
-    let mut by_activity: Vec<(usize, ripple_core::AccountId)> = engine
-        .postings()
-        .iter_accounts()
-        .map(|(account, offsets)| (offsets.len(), *account))
-        .collect();
-    by_activity.sort_by(|a, b| {
-        b.0.cmp(&a.0)
-            .then_with(|| a.1.as_bytes().cmp(b.1.as_bytes()))
-    });
-    let measure = |label: &str, account: ripple_core::AccountId, events: usize| {
-        let t = Instant::now();
-        let rescan = engine
-            .rescan_account_history(&account)
-            .expect("linear rescan failed");
-        let rescan_secs = t.elapsed().as_secs_f64();
-        assert_eq!(rescan.len(), events, "rescan and postings disagree");
-        drop(rescan);
-        // Best of a few indexed passes: the first is cold, the rest
-        // measure the steady state a server actually runs in.
-        let mut indexed_secs = f64::MAX;
-        for _ in 0..8 {
-            let t = Instant::now();
-            let visited = engine
-                .visit_account_history(&account, usize::MAX, |_, _| {})
-                .expect("indexed history failed");
-            assert_eq!(visited, events, "indexed history and postings disagree");
-            indexed_secs = indexed_secs.min(t.elapsed().as_secs_f64());
-        }
-        let baseline = StoreAccountBaseline {
-            account: hex::encode(account.as_bytes()),
-            events,
-            rescan_secs,
-            indexed_secs,
-            speedup: rescan_secs / indexed_secs.max(1e-12),
-        };
-        println!(
-            "single-account history, {label} ({} events): rescan {:.4}s, \
-             indexed {:.6}s -> {:.0}x",
-            baseline.events, baseline.rescan_secs, baseline.indexed_secs, baseline.speedup
-        );
-        baseline
-    };
-    let heavy_rank = (by_activity.len() / 100).min(by_activity.len() - 1);
-    let (heavy_events, heavy_account) = by_activity[heavy_rank];
-    let (hub_events, hub_account) = by_activity[0];
-    let baseline = StoreBaseline {
-        heavy: measure("p99 account", heavy_account, heavy_events),
-        hub: measure("hub account", hub_account, hub_events),
-    };
-
-    // Dedicated point-lookup phase: one client, 100% points, so the rate
-    // is the point path itself rather than scheduler interference between
-    // closed-loop clients on a small host. Histograms are reset afterwards
-    // so the mixed-load percentiles below are the mixed load's own.
-    let point_config = query::LoadConfig {
-        clients: 1,
-        total_ops: args.lookups,
-        point_pct: 100,
-        seed: args.seed,
-    };
-    eprintln!(
-        "point-lookup phase: {} ops, 1 client ...",
-        point_config.total_ops
-    );
-    let point_phase = query::load::run(&engine, &point_config);
-    println!(
-        "point phase: {:.0} point-lookups/s over {:.3}s \
-         | p50/p90/p99 {} / {} / {} us | cache hit rate {:.3}",
-        point_phase.lookups_per_sec,
-        point_phase.wall_secs,
-        point_phase.point_us[0],
-        point_phase.point_us[1],
-        point_phase.point_us[2],
-        point_phase.cache_hit_rate
-    );
-    metrics::reset();
-
-    let load_config = query::LoadConfig {
-        clients: args.clients,
-        total_ops: args.lookups,
-        point_pct: args.mix,
-        seed: args.seed,
-    };
-    eprintln!(
-        "closed-loop load: {} ops, {} clients, {}% point lookups ...",
-        load_config.total_ops, load_config.clients, load_config.point_pct
-    );
-    let load = query::load::run(&engine, &load_config);
-    println!(
-        "load: {:.0} lookups/s ({:.0} point-lookups/s in-path) over {:.3}s \
-         | point p50/p90/p99 {} / {} / {} us \
-         | scan p50/p90/p99 {} / {} / {} us | cache hit rate {:.3}",
-        load.lookups_per_sec,
-        load.point_lookups_per_sec,
-        load.wall_secs,
-        load.point_us[0],
-        load.point_us[1],
-        load.point_us[2],
-        load.scan_us[0],
-        load.scan_us[1],
-        load.scan_us[2],
-        load.cache_hit_rate
-    );
-    let block_records = engine.postings().block_records();
-    println!(
-        "scans: {} examined {} frames -> {:.1} frames/scan \
-         (bound {} = limit {} + block {} + 1)",
-        load.range_scans,
-        load.scan_frames,
-        load.scan_frames as f64 / load.range_scans.max(1) as f64,
-        query::load::SCAN_LIMIT as u32 + block_records + 1,
-        query::load::SCAN_LIMIT,
-        block_records
-    );
-
-    let json = store_json(
-        args,
-        records,
-        archive_bytes,
-        generate_secs,
-        encode_secs,
-        &build,
-        block_records,
-        &baseline,
-        &point_phase,
-        &load,
-    );
-    match std::fs::write("BENCH_store.json", json) {
-        Ok(()) => eprintln!("wrote BENCH_store.json"),
-        Err(err) => eprintln!("could not write BENCH_store.json: {err}"),
-    }
 
     // Optional serving window so CI (or a human with curl) can hit the
-    // HTTP API of the archive just benchmarked.
-    if let Some(addr) = &args.serve {
-        let server = query::serve(engine.clone(), addr).expect("http bind failed");
-        let bound = server.addr();
-        if let Err(err) = std::fs::write("STORE_HTTP_ADDR.txt", format!("{bound}\n")) {
-            eprintln!("could not write STORE_HTTP_ADDR.txt: {err}");
-        }
-        eprintln!("serving http on {bound} for {}s ...", args.serve_secs);
-        std::thread::sleep(std::time::Duration::from_secs(args.serve_secs));
-        server.shutdown();
+    // HTTP API of the archive just indexed.
+    let Some(addr) = &args.serve else {
+        return;
+    };
+    let server = query::serve(std::sync::Arc::new(engine), addr)
+        .unwrap_or_else(|err| fail(&format!("could not serve on {addr}: {err}")));
+    let bound = server.addr();
+    if let Err(err) = std::fs::write("STORE_HTTP_ADDR.txt", format!("{bound}\n")) {
+        eprintln!("could not write STORE_HTTP_ADDR.txt: {err}");
     }
+    eprintln!("serving http on {bound} for {}s ...", args.serve_secs);
+    std::thread::sleep(std::time::Duration::from_secs(args.serve_secs));
+    server.shutdown();
 }
 
-/// Serializes a store run into the `BENCH_store.json` schema documented
-/// in EXPERIMENTS.md §E17.
-#[allow(clippy::too_many_arguments)]
-fn store_json(
-    args: &Args,
-    records: u64,
-    archive_bytes: usize,
-    generate_secs: f64,
-    encode_secs: f64,
-    build: &ripple_core::query::BuildReport,
-    block_records: u32,
-    baseline: &StoreBaseline,
-    point_phase: &ripple_core::query::LoadReport,
-    load: &ripple_core::query::LoadReport,
-) -> String {
-    let mut w = JsonWriter::pretty();
-    w.begin_object();
-    w.field_str("experiment", "store");
-    w.field_u64("payments", args.payments as u64);
-    w.field_u64("seed", args.seed);
-    w.key("archive");
-    w.begin_object();
-    w.field_u64("records", records);
-    w.field_u64("bytes", archive_bytes as u64);
-    w.field_f64("generate_secs", generate_secs, 6);
-    w.field_f64("encode_secs", encode_secs, 6);
-    w.end_object();
-    w.key("index");
-    w.begin_object();
-    w.field_f64("build_secs", build.build_secs, 6);
-    w.field_u64("sidecar_bytes", build.sidecar_bytes);
-    w.field_u64("accounts", build.accounts);
-    w.field_u64("flow_classes", build.flow_classes);
-    w.field_u64("blocks", build.blocks);
-    w.field_u64("block_records", u64::from(block_records));
-    w.field_u64("skipped_bytes", build.skipped_bytes);
-    w.field_u64("corrupt_regions", build.corrupt_regions);
-    w.end_object();
-    w.key("baseline");
-    w.begin_object();
-    for (key, side) in [("heavy", &baseline.heavy), ("hub", &baseline.hub)] {
-        w.key(key);
-        w.begin_object();
-        w.field_str("account", &side.account);
-        w.field_u64("events", side.events as u64);
-        w.field_f64("rescan_secs", side.rescan_secs, 6);
-        w.field_f64("indexed_secs", side.indexed_secs, 9);
-        w.field_f64("speedup", side.speedup, 1);
-        w.end_object();
-    }
-    // The headline number the acceptance gate reads: indexed single-account
-    // history vs linear rescan for the 99th-percentile-activity account.
-    w.field_f64("speedup", baseline.heavy.speedup, 1);
-    w.end_object();
-    // Single-client, 100%-point run: the point path's own service rate,
-    // free of scheduler interference between closed-loop clients.
-    w.key("point_phase");
-    w.begin_object();
-    w.field_u64("ops", point_phase.ops);
-    w.field_f64("wall_secs", point_phase.wall_secs, 6);
-    w.field_f64("lookups_per_sec", point_phase.lookups_per_sec, 1);
-    w.field_f64("cache_hit_rate", point_phase.cache_hit_rate, 4);
-    w.key("point_us");
-    w.begin_object();
-    w.field_u64("p50", point_phase.point_us[0]);
-    w.field_u64("p90", point_phase.point_us[1]);
-    w.field_u64("p99", point_phase.point_us[2]);
-    w.end_object();
-    w.end_object();
-    w.key("load");
-    w.begin_object();
-    w.field_u64("clients", args.clients as u64);
-    w.field_u64("ops", load.ops);
-    w.field_u64("point_pct", u64::from(args.mix));
-    w.field_u64("point_lookups", load.point_lookups);
-    w.field_u64("range_scans", load.range_scans);
-    w.field_u64("scan_limit", query::load::SCAN_LIMIT as u64);
-    w.field_u64("scan_frames", load.scan_frames);
-    w.field_u64("flow_lookups", load.flow_lookups);
-    w.field_u64("class_lookups", load.class_lookups);
-    w.field_u64("events_visited", load.events_visited);
-    w.field_f64("wall_secs", load.wall_secs, 6);
-    w.field_f64("lookups_per_sec", load.lookups_per_sec, 1);
-    w.field_f64("point_lookups_per_sec", load.point_lookups_per_sec, 1);
-    w.field_f64("cache_hit_rate", load.cache_hit_rate, 4);
-    w.key("point_us");
-    w.begin_object();
-    w.field_u64("p50", load.point_us[0]);
-    w.field_u64("p90", load.point_us[1]);
-    w.field_u64("p99", load.point_us[2]);
-    w.end_object();
-    w.key("scan_us");
-    w.begin_object();
-    w.field_u64("p50", load.scan_us[0]);
-    w.field_u64("p90", load.scan_us[1]);
-    w.field_u64("p99", load.scan_us[2]);
-    w.end_object();
-    w.end_object();
-    w.end_object();
-    w.finish()
-}
-
-fn fig2(rounds: u64, seed: u64) {
+fn fig2(args: &Args) {
+    let rounds = args.rounds.unwrap_or(FIG2_ROUNDS);
     println!("== Figure 2: pages signed by validators (total vs valid) ==");
     println!("   ({rounds} consensus rounds per period; the paper's captures span ~250k)\n");
     let mut reports = Vec::new();
     for period in CollectionPeriod::all() {
-        let outcome = period.run(rounds, seed);
+        let outcome = period.run(rounds, args.seed);
         let report = outcome.report();
         println!("-- {} --", period.name());
         print!("{}", report.to_table());
@@ -1046,7 +687,7 @@ fn fig2(rounds: u64, seed: u64) {
     );
 }
 
-fn table1() {
+fn table1(_: &Args) {
     println!("== Table I: rounding grid per currency-strength group ==\n");
     println!(
         "{:<10} {:<24} {:>8} {:>12} {:>8}",
@@ -1151,57 +792,6 @@ fn fig3(study: &Study, args: &Args) {
         "serial per-spec baseline (strict+sender, 20 passes): {serial_secs:.3}s \
          -> speedup {speedup:.1}x\n"
     );
-
-    let json = fig3_json(args, &sweep, serial_secs, speedup);
-    match std::fs::write("BENCH_fig3.json", json) {
-        Ok(()) => eprintln!("wrote BENCH_fig3.json"),
-        Err(err) => eprintln!("could not write BENCH_fig3.json: {err}"),
-    }
-}
-
-/// Serializes the sweep into the `BENCH_fig3.json` schema documented in
-/// EXPERIMENTS.md §E3, through the shared `ripple-obs` JSON writer (the
-/// vendored serde has no JSON backend).
-fn fig3_json(
-    args: &Args,
-    sweep: &ripple_core::Fig3Sweep,
-    serial_secs: f64,
-    speedup: f64,
-) -> String {
-    let stats = &sweep.stats;
-    let mut w = JsonWriter::pretty();
-    w.begin_object();
-    w.field_str("experiment", "fig3");
-    w.field_u64("payments", stats.payments);
-    w.field_u64("seed", args.seed);
-    w.key("engine");
-    w.begin_object();
-    w.field_u64("shards", stats.shards as u64);
-    w.field_u64("merge_ranges", stats.merge_ranges as u64);
-    w.field_f64("scan_secs", stats.scan_secs, 6);
-    w.field_f64("merge_secs", stats.merge_secs, 6);
-    w.field_f64("total_secs", stats.total_secs, 6);
-    w.field_f64("payments_per_sec", stats.payments_per_sec(), 1);
-    w.field_u64("peak_classes", stats.peak_classes);
-    w.end_object();
-    w.field_f64("serial_sweep_secs", serial_secs, 6);
-    w.field_f64("speedup_vs_serial", speedup, 2);
-    w.key("rows");
-    w.begin_array();
-    for row in &sweep.rows {
-        w.begin_inline_object();
-        w.field_str("label", row.label);
-        w.field_u64("total", row.strict.total);
-        w.field_u64("strict_unique", row.strict.unique);
-        w.field_f64("strict_percent", row.strict.percent(), 4);
-        w.field_u64("sender_unique", row.sender.unique);
-        w.field_f64("sender_percent", row.sender.percent(), 4);
-        w.field_u64("classes", row.classes);
-        w.end_inline_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
 }
 
 fn fig4(study: &Study) -> String {
@@ -1304,7 +894,7 @@ fn offers(study: &Study) -> String {
     out
 }
 
-fn rewards() {
+fn rewards(_: &Args) {
     use ripple_core::consensus::{simulate_reward_economy, EconomyConfig, RewardPolicy};
     println!("== Extension: the Section IV validator-reward proposal ==\n");
     println!(
@@ -1333,7 +923,7 @@ fn rewards() {
     println!("   the quorum-failure probability, as Section IV conjectures.\n");
 }
 
-fn unl() {
+fn unl(_: &Args) {
     use ripple_core::consensus::fork_sweep;
     println!("== Extension: UNL-overlap fork analysis ==\n");
     println!("two 5-validator cliques with conflicting transactions:");
@@ -1345,36 +935,21 @@ fn unl() {
     println!("   the paper's 'noticeable disagreement' needs straddling validators.\n");
 }
 
-/// `experiments node`: a live cluster of real `ripple-node` processes on
-/// loopback TCP, with the fault plan executed as OS actions. The default
-/// plan kills one validator mid-round, restarts it, then runs a
-/// partition/heal cycle — the full robustness tour. Writes
-/// `BENCH_node.json` (schema in EXPERIMENTS.md §E16).
-fn node_experiment(args: &Args) {
+/// The cluster `experiments node` launches: `--validators` processes for
+/// `--rounds` (default [`NODE_ROUNDS`]) rounds of `--round-ms`, under the
+/// `--plan` file or, without one, a plan that kills one validator
+/// mid-round, restarts it, then runs a partition/heal cycle — the full
+/// robustness tour.
+fn node_config(args: &Args) -> Result<ClusterConfig, String> {
     use ripple_core::netsim::live::parse_plan;
     use ripple_core::netsim::{FaultPlan, NodeId, SimTime};
-    use ripple_core::node::{run_cluster, ClusterConfig};
 
-    println!("== Live cluster: networked validators under OS-level faults ==\n");
     let n = args.validators.max(2);
-    // The global --rounds default (5 000) is sized for the simulator; a
-    // wall-clock cluster defaults to a dozen rounds instead.
-    let rounds = if args.rounds == 5_000 {
-        12
-    } else {
-        args.rounds
-    };
     let plan = match &args.plan {
         Some(path) => {
             let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|err| panic!("could not read --plan {path}: {err}"));
-            match parse_plan(&text) {
-                Ok(plan) => plan,
-                Err(err) => {
-                    eprintln!("bad --plan {path}: {err}");
-                    std::process::exit(2);
-                }
-            }
+                .map_err(|err| format!("could not read --plan {path}: {err}"))?;
+            parse_plan(&text).map_err(|err| format!("bad --plan {path}: {err}"))?
         }
         None => {
             // Times are in round units (sim_round_ms == round_ms below):
@@ -1391,9 +966,9 @@ fn node_experiment(args: &Args) {
                 .heal_at(SimTime::from_millis(8 * r))
         }
     };
-    let cfg = ClusterConfig {
+    Ok(ClusterConfig {
         validators: n,
-        rounds,
+        rounds: args.rounds.unwrap_or(NODE_ROUNDS),
         round_ms: args.round_ms,
         seed: args.seed,
         plan,
@@ -1401,12 +976,22 @@ fn node_experiment(args: &Args) {
         bin: None,
         instrument: !args.no_admin,
         flight_dir: None,
-    };
+    })
+}
+
+/// `experiments node`: a live cluster of real `ripple-node` processes on
+/// loopback TCP, with the fault plan executed as OS actions. Writes
+/// `BENCH_node.json` (schema in EXPERIMENTS.md §E16).
+fn node(args: &Args) {
+    use ripple_core::node::run_cluster;
+
+    println!("== Live cluster: networked validators under OS-level faults ==\n");
+    let cfg = node_config(args).unwrap_or_else(|err| usage_error(&err));
     println!(
         "{} validators, {} rounds of {}ms ({} plan events)\n",
-        n,
-        rounds,
-        args.round_ms,
+        cfg.validators,
+        cfg.rounds,
+        cfg.round_ms,
         cfg.plan.events().len()
     );
     let report = match run_cluster(&cfg) {
@@ -1599,13 +1184,15 @@ fn archive(study: &Study) -> String {
     let mut out = String::from("== Extension: archive write/scan throughput ==\n\n");
     let mut buf = Vec::new();
     let t0 = Instant::now();
-    let written = study.output().write_archive(&mut buf).expect("write");
+    let written = study
+        .output()
+        .write_archive(&mut buf)
+        .unwrap_or_else(|err| fail(&format!("archive write failed: {err}")));
     let write_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let events = ripple_core::store::Reader::new(buf.as_slice())
-        .expect("magic")
-        .read_all()
-        .expect("scan")
+        .and_then(ripple_core::store::Reader::read_all)
+        .unwrap_or_else(|err| fail(&format!("archive scan failed: {err}")))
         .len();
     let scan_secs = t1.elapsed().as_secs_f64();
     let mb = buf.len() as f64 / 1e6;
@@ -1652,4 +1239,77 @@ fn timeline(study: &Study) -> String {
     );
     out.push_str("(paper, Aug 2015: 165K users, 55K active ~ 33%)\n\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Args {
+        parse_args(argv.iter().map(|arg| arg.to_string()))
+    }
+
+    fn names(rows: &[&Entry], kind: fn(&Input) -> bool) -> Vec<&'static str> {
+        rows.iter()
+            .filter(|e| kind(&e.input))
+            .map(|e| e.name)
+            .collect()
+    }
+
+    #[test]
+    fn node_runs_the_rounds_it_is_given() {
+        let rounds = |argv: &[&str]| node_config(&parse(argv)).map(|cfg| cfg.rounds);
+        assert_eq!(rounds(&["node"]), Ok(NODE_ROUNDS));
+        // `fig2`'s default, given explicitly, is still what `node` runs.
+        assert_eq!(rounds(&["node", "--rounds", "5000"]), Ok(5_000));
+        assert_eq!(rounds(&["node", "--rounds", "3"]), Ok(3));
+        assert_eq!(parse(&["fig2"]).rounds, None);
+        assert_eq!(parse(&["fig2", "--rounds", "200"]).rounds, Some(200));
+    }
+
+    #[test]
+    fn an_unreadable_plan_is_an_error() {
+        let args = parse(&["node", "--plan", "/nonexistent/plan.txt"]);
+        let err = node_config(&args).map(|_| ()).unwrap_err();
+        assert!(err.starts_with("could not read --plan"), "{err}");
+    }
+
+    #[test]
+    fn all_keeps_its_order_and_leaves_out_the_self_contained_studies() {
+        let all = chosen("all");
+        assert_eq!(
+            names(&all, |i| matches!(i, Input::Args(_))),
+            ["fig2", "table1", "rewards", "unl", "check"]
+        );
+        assert_eq!(names(&all, |i| matches!(i, Input::Timed(_))), ["fig3"]);
+        assert_eq!(
+            names(&all, |i| matches!(i, Input::Shared(_))),
+            [
+                "fig4",
+                "fig5",
+                "fig6a",
+                "fig6b",
+                "table2",
+                "fig7",
+                "offers",
+                "countermeasure",
+                "archive",
+                "timeline",
+                "synth"
+            ]
+        );
+        for name in ["node", "store", "liquidity"] {
+            assert_eq!(names(&chosen(name), |_| true), [name]);
+        }
+    }
+
+    #[test]
+    fn every_study_name_is_listed_once() {
+        let listed = valid_experiments();
+        let mut names: Vec<&str> = listed.split(", ").collect();
+        assert_eq!(names.len(), STUDIES.len() + 1);
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), STUDIES.len() + 1, "{listed}");
+    }
 }

@@ -1,7 +1,7 @@
 //! The one JSON writer behind every machine-readable artifact.
 //!
 //! The workspace's vendored `serde` has no JSON backend, so the artifact
-//! schemas (`BENCH_synth.json`, `BENCH_fig3.json`, `RUN_METRICS.json`) were
+//! schemas (`BENCH_synth.json`, `BENCH_liquidity.json`, `RUN_METRICS.json`) were
 //! each hand-rolled in place. [`JsonWriter`] centralizes the three concerns
 //! they all share and must agree on:
 //!

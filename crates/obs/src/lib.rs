@@ -20,7 +20,7 @@
 //! * [`json`] + [`report`] — one hand-rolled JSON writer (escaping, fixed
 //!   float formatting, insertion-ordered keys) and a matching exact parser
 //!   behind every machine-readable artifact the workspace emits
-//!   (`BENCH_synth.json`, `BENCH_fig3.json`, `RUN_METRICS.json`), so
+//!   (`BENCH_synth.json`, `BENCH_liquidity.json`, `RUN_METRICS.json`), so
 //!   schemas stay byte-stable.
 //!
 //! Instrumentation is compiled in everywhere but costs one relaxed atomic

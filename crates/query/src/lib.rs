@@ -17,8 +17,9 @@
 //! - [`http`] — routing and body builders over the shared
 //!   [`ripple_obs::http`] keep-alive server (admin plane included);
 //!   every response is byte-stable JSON.
-//! - [`load`] — a closed-loop load generator that measures what the engine
-//!   sustains, feeding `BENCH_store.json`.
+//!
+//! What the engine sustains under load is measured by the benchmark's
+//! `archive_serve` workload, which drives it with loops of its own.
 //!
 //! # Examples
 //!
@@ -58,9 +59,7 @@
 pub mod cache;
 pub mod engine;
 pub mod http;
-pub mod load;
 
 pub use cache::{Block, BlockCache};
 pub use engine::{BuildReport, EngineConfig, QueryEngine};
 pub use http::{serve, HttpServer};
-pub use load::{LoadConfig, LoadReport};
