@@ -268,11 +268,6 @@ impl ChaosCampaign {
         self.engine.round_duration()
     }
 
-    /// The round that virtual time `t` falls into.
-    pub fn round_of(&self, t: SimTime) -> u64 {
-        t.as_millis() / self.engine.round_duration().as_millis().max(1)
-    }
-
     /// Candidate positions for round `r`: a shared core of transactions
     /// every validator gossips, plus one unique transaction per validator
     /// (which the thresholds strip, as in the paper's model).
@@ -433,6 +428,13 @@ mod tests {
     use super::*;
     use crate::validator::ValidatorProfile;
     use ripple_netsim::NodeId;
+
+    impl ChaosCampaign {
+        /// The round that virtual time `t` falls into.
+        fn round_of(&self, t: SimTime) -> u64 {
+            t.as_millis() / self.engine.round_duration().as_millis().max(1)
+        }
+    }
 
     fn honest(n: usize) -> Vec<Validator> {
         (0..n)

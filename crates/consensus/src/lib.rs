@@ -5,9 +5,12 @@
 //!
 //! * [`rounds::RoundEngine`] — a message-level implementation of RPCA over
 //!   the [`ripple_netsim`] network: proposal rounds with escalating agreement
-//!   thresholds (50% → 55% → 60% → 80%) within each validator's UNL, ledger
-//!   close, and signed validations. The only in-process RPCA driver: the
-//!   safety/liveness demos and the [`unl`] fork analysis run on it.
+//!   thresholds (50% → 55% → 60% → 80%) within each validator's UNL, and
+//!   signed validations. The only in-process RPCA driver: the
+//!   safety/liveness demos and the [`unl`] fork analysis run on it. Each of
+//!   its validators is a [`core::ValidatorCore`], the sans-IO state machine
+//!   `ripple-node` drives over TCP too; the engine keeps only what a
+//!   simulator alone has (crashes, byzantine lies, the omniscient outcome).
 //! * [`campaign::Campaign`] — a round-granular statistical engine able to
 //!   run the paper's two-week collection periods (~250 000 consensus rounds)
 //!   quickly, producing the same [`stream::ValidationEvent`] schema a
@@ -39,7 +42,7 @@
 
 pub mod campaign;
 pub mod chaos;
-pub mod closer;
+pub mod core;
 pub mod metrics;
 pub mod rewards;
 pub mod rounds;
@@ -53,12 +56,12 @@ pub use chaos::{
     ChaosCampaign, ChaosOutcome, ForkViolation, InvariantChecker, Recovery, RoundRecord,
     StallWindow,
 };
-pub use closer::{CloseOutcome, LedgerCloser};
+pub use core::{Refused, ValidatorCore};
 pub use metrics::{ValidatorReport, ValidatorRow};
 pub use rewards::{simulate_reward_economy, EconomyConfig, EconomyOutcome, RewardPolicy};
 pub use rounds::{
-    page_hash, refine_position, support_required, tally_validations, RoundEngine, RoundError,
-    RoundOutcome, ValidationTally, PHASES, QUORUM_PCT, RPCA_THRESHOLDS,
+    page_hash, support_required, tally_validations, RoundEngine, RoundError, RoundOutcome,
+    ValidationTally, PHASES, QUORUM_PCT, RPCA_THRESHOLDS,
 };
 pub use scenario::CollectionPeriod;
 pub use stream::{ValidationEvent, ValidationStream};

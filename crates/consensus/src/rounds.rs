@@ -17,19 +17,25 @@
 //! its own UNL ([`RoundEngine::with_unls`]; by default everyone's), and the
 //! UNL analysis ([`run_unl_round`](crate::unl::run_unl_round)) is one round.
 //!
+//! # One validator, two transports
+//!
+//! Each validator is a [`ValidatorCore`], as in `ripple-node`. The engine
+//! drives n of them over netsim and keeps only what a simulator alone has:
+//! crash skipping, byzantine lies (drawn from the round's RNG between
+//! sends) and the omniscient [`RoundOutcome`], tallied over every
+//! validator's sealed page.
+//!
 //! # Interned positions
 //!
 //! Positions only shrink within the union a round starts from: refinement
 //! keeps a subset of what a validator and its peers proposed, and a
 //! byzantine lie is a subset of the liar's own position. So
 //! [`RoundEngine::run_round`] interns the sorted, de-duplicated union of the
-//! initial positions once — the round's *candidate table* — and from then
-//! on a position is an ascending `Arc<[u32]>` of indices into it. A
-//! broadcast shares one buffer among its recipients, the inbox is a flat
-//! `n × n` table of those handles, and support is counted by
-//! `tally_support`: a dense `support[ix] += 1` whose survivors come out
-//! already ascending. [`refine_position`] — what `ripple-node`'s live
-//! transport calls — is that kernel behind a set-in, set-out adapter.
+//! initial positions once — the round's *candidate table*, one buffer every
+//! core shares — and from then on a position is an ascending `Arc<[u32]>`
+//! of indices into it. A broadcast shares one buffer among its recipients,
+//! and support is counted by the core's kernel: a dense `support[ix] += 1`
+//! whose survivors come out already ascending.
 //!
 //! A proposal belongs to its round: it names the round it was sent in (the
 //! simulator's stand-in for the previous-ledger hash a real proposal
@@ -41,9 +47,9 @@
 //!
 //! The thresholds are integer percent ([`RPCA_THRESHOLDS`], [`QUORUM_PCT`]),
 //! [`support_required`] is the one exact ceiling over them, and
-//! [`tally_validations`] is the one validation count. The simulator, the UNL
-//! analysis, the statistical campaign, `ripple-node` and its cluster harness
-//! all call these; none spells the rule itself.
+//! [`tally_validations`] is the one validation count. The validator core,
+//! the UNL analysis, the statistical campaign and `ripple-node`'s cluster
+//! harness all call these; none spells the rule itself.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -55,6 +61,7 @@ use ripple_crypto::{sha512_half, Digest256};
 use ripple_netsim::{Delivery, LatencyModel, Network, NodeId, SimTime};
 use ripple_obs::{span, LazyCounter, LazyHistogram};
 
+use crate::core::{Refused, ValidatorCore};
 use crate::validator::{Validator, ValidatorProfile};
 
 /// The escalating agreement thresholds of RPCA, in percent of the UNL.
@@ -163,10 +170,8 @@ pub struct RoundEngine {
     iteration_timeout: SimTime,
     /// Rounds started so far; the current round's number is this minus one.
     rounds_started: u64,
-    /// `trusts[to * n + from]`: whether `from` is in `to`'s UNL.
-    trusts: Vec<bool>,
-    /// Each validator's UNL size, itself included.
-    unl_len: Vec<usize>,
+    /// `cores[v]`: validator `v`'s UNL, position and filed proposals.
+    cores: Vec<ValidatorCore>,
 }
 
 impl std::fmt::Debug for RoundEngine {
@@ -190,13 +195,15 @@ impl RoundEngine {
             base: SimTime::from_millis(20),
             jitter: SimTime::from_millis(30),
         });
+        let everyone: BTreeSet<usize> = (0..n).collect();
         RoundEngine {
             validators,
             network,
             iteration_timeout: SimTime::from_millis(500),
             rounds_started: 0,
-            trusts: vec![true; n * n],
-            unl_len: vec![n; n],
+            cores: (0..n)
+                .filter_map(|v| ValidatorCore::new(v, &everyone, n))
+                .collect(),
         }
     }
 
@@ -209,17 +216,13 @@ impl RoundEngine {
     /// names it and only validators the engine has.
     pub fn with_unls(mut self, unls: &[BTreeSet<usize>]) -> Result<RoundEngine, RoundError> {
         let n = self.validators.len();
-        self.trusts.fill(false);
-        for validator in 0..n.max(unls.len()) {
-            let valid = |unl: &&BTreeSet<usize>| unl.contains(&validator) && unl.last() < Some(&n);
-            let Some(unl) = unls.get(validator).filter(valid) else {
-                return Err(RoundError::InvalidUnl { validator });
-            };
-            for &from in unl {
-                self.trusts[validator * n + from] = true;
-            }
-            self.unl_len[validator] = unl.len();
-        }
+        self.cores = (0..n.max(unls.len()))
+            .map(|validator| {
+                unls.get(validator)
+                    .and_then(|unl| ValidatorCore::new(validator, unl, n))
+                    .ok_or(RoundError::InvalidUnl { validator })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(self)
     }
 
@@ -283,25 +286,20 @@ impl RoundEngine {
         let n = self.validators.len();
         let round = self.rounds_started;
         self.rounds_started += 1;
-        let candidates = intern(initial_positions);
-        let mut positions: Vec<Arc<[u32]>> = initial_positions
-            .iter()
-            .map(|set| indices(&candidates, set).into())
-            .collect();
+        let table: Arc<[u64]> = intern(initial_positions).into();
+        for (core, set) in self.cores.iter_mut().zip(initial_positions) {
+            core.open_round(round, Arc::clone(&table), indices(&table, set).into());
+        }
         POSITION_ALLOCS.add(n as u64);
-        // `received[to * n + from]`: what `to` last heard from `from` in the
-        // current iteration.
-        let mut received: Vec<Option<Arc<[u32]>>> = vec![None; n * n];
-        let mut support: Vec<u32> = vec![0; candidates.len()];
+        let mut support: Vec<u32> = vec![0; table.len()];
 
-        for (iteration, &threshold) in RPCA_THRESHOLDS.iter().enumerate() {
-            // Broadcast proposals. (Index-driven loops: `v` is a node id
-            // used against several parallel arrays.)
-            #[allow(clippy::needless_range_loop)]
+        for iteration in 0..RPCA_THRESHOLDS.len() {
+            // Broadcast proposals.
             for v in 0..n {
                 if self.network.is_crashed(NodeId(v)) {
                     continue;
                 }
+                let position = Arc::clone(self.cores[v].position());
                 match self.validators[v].profile {
                     ValidatorProfile::Byzantine { .. } => {
                         // Equivocate: send a different random subset to each
@@ -310,7 +308,7 @@ impl RoundEngine {
                             if to == v {
                                 continue;
                             }
-                            let lie: Arc<[u32]> = positions[v]
+                            let lie: Arc<[u32]> = position
                                 .iter()
                                 .copied()
                                 .filter(|_| rng.gen_bool(0.5))
@@ -335,7 +333,7 @@ impl RoundEngine {
                             Msg::Proposal {
                                 round,
                                 iteration,
-                                position: Arc::clone(&positions[v]),
+                                position,
                             },
                             &mut rng,
                         );
@@ -344,64 +342,39 @@ impl RoundEngine {
                 }
             }
 
-            // Collect proposals until the iteration deadline.
+            // Hand each proposal to its recipient until the iteration
+            // deadline.
             let deadline = self.network.now() + self.iteration_timeout;
-            received.fill(None);
-            while let Some((_, Delivery { from, to, msg })) = self.network.step_until(deadline) {
-                if let Msg::Proposal {
-                    round: sent_in,
-                    iteration: it,
-                    position,
-                } = msg
-                {
-                    let slot = to.0 * n + from.0;
-                    if sent_in != round {
-                        STALE_PROPOSALS.add(1);
-                    } else if it == iteration && self.trusts[slot] {
-                        received[slot] = Some(position);
-                    }
-                }
+            while let Some((_, delivery)) = self.network.step_until(deadline) {
+                self.deliver(delivery);
             }
             // Idle out the remainder of the iteration window so every
             // iteration occupies exactly `iteration_timeout` of virtual
             // time (see `round_duration`).
             self.network.advance_to(deadline);
 
-            // Update positions: keep a transaction iff enough of the UNL
-            // (peers + self) proposed it. In place: a validator's update
-            // reads only its own position and what it received, and what it
-            // received are handles taken when the proposals were sent.
-            #[allow(clippy::needless_range_loop)]
+            // The deadline passes for every running honest validator
+            // (byzantine nodes keep their own plans).
             for v in 0..n {
-                if self.network.is_crashed(NodeId(v)) {
-                    continue;
-                }
-                if matches!(
+                let byzantine = matches!(
                     self.validators[v].profile,
                     ValidatorProfile::Byzantine { .. }
-                ) {
-                    continue; // byzantine nodes keep their own plans
-                }
-                let heard = received[v * n..(v + 1) * n].iter().flatten();
-                let refined = tally_support(
-                    &mut support,
-                    std::iter::once(&positions[v]).chain(heard).map(|p| &p[..]),
-                    support_required(self.unl_len[v], threshold),
                 );
-                positions[v] = refined.into();
-                POSITION_ALLOCS.add(1);
+                if !byzantine && !self.network.is_crashed(NodeId(v)) {
+                    self.cores[v].deadline(iteration, &mut support);
+                    POSITION_ALLOCS.add(1);
+                }
             }
         }
 
         // Validation phase: everyone seals its final position and broadcasts
         // a validation; collect with a generous deadline.
         let mut validations: HashMap<usize, Digest256> = HashMap::new();
-        #[allow(clippy::needless_range_loop)]
         for v in 0..n {
             if self.network.is_crashed(NodeId(v)) {
                 continue;
             }
-            let page = hash_page(seal(&candidates, &positions[v]));
+            let page = self.cores[v].seal();
             validations.insert(v, page);
             self.network
                 .broadcast(NodeId(v), Msg::Validation { page }, &mut rng);
@@ -414,8 +387,7 @@ impl RoundEngine {
         while let Some((_, delivery)) = self.network.step_until(deadline) {
             match delivery.msg {
                 Msg::Validation { .. } => validation_messages_seen += 1,
-                Msg::Proposal { round: sent_in, .. } if sent_in != round => STALE_PROPOSALS.add(1),
-                Msg::Proposal { .. } => {}
+                Msg::Proposal { .. } => self.deliver(delivery),
             }
         }
         VALIDATION_MSGS_SEEN.record(validation_messages_seen as u64);
@@ -425,7 +397,7 @@ impl RoundEngine {
         let committed = tally.winner.filter(|_| tally.committed).map(|page| {
             let set = (0..n)
                 .find(|v| validations.get(v) == Some(&page))
-                .map(|v| seal(&candidates, &positions[v]).collect())
+                .map(|v| self.cores[v].ids().into_iter().collect())
                 .unwrap_or_default();
             (page, set)
         });
@@ -435,6 +407,22 @@ impl RoundEngine {
             validations,
             agreement: tally.count as f64 / n as f64,
         })
+    }
+
+    /// Hands a delivered proposal to its recipient's core. One that names
+    /// an earlier round is dropped there, and counted.
+    fn deliver(&mut self, Delivery { from, to, msg }: Delivery<Msg>) {
+        if let Msg::Proposal {
+            round,
+            iteration,
+            position,
+        } = msg
+        {
+            let filed = self.cores[to.0].on_proposal(from.0, round, iteration, position);
+            if filed == Err(Refused::Stale) {
+                STALE_PROPOSALS.add(1);
+            }
+        }
     }
 
     /// Quorum size in validators ([`QUORUM_PCT`] of them, rounded up).
@@ -449,32 +437,6 @@ impl RoundEngine {
             .map(|v| !matches!(v.profile, ValidatorProfile::Byzantine { .. }))
             .collect()
     }
-}
-
-/// The RPCA support kernel: counts, in the zeroed `support` (one slot per
-/// candidate), how many of `positions` hold each candidate, and returns the
-/// candidates held by at least `required` of them, ascending. `support` is
-/// zeroed again on return, so one buffer serves a whole round.
-fn tally_support<'a>(
-    support: &mut [u32],
-    positions: impl IntoIterator<Item = &'a [u32]>,
-    required: usize,
-) -> Vec<u32> {
-    for position in positions {
-        for &ix in position {
-            support[ix as usize] += 1;
-        }
-    }
-    // A candidate nobody holds is not proposed, whatever `required` says.
-    let required = required.max(1);
-    let kept = support
-        .iter()
-        .enumerate()
-        .filter(|&(_, &held)| held as usize >= required)
-        .map(|(ix, _)| ix as u32)
-        .collect();
-    support.fill(0);
-    kept
 }
 
 /// The candidate table of `sets`: their union, ascending.
@@ -497,33 +459,6 @@ fn indices(candidates: &[u64], set: &BTreeSet<u64>) -> Vec<u32> {
             u32::try_from(at).expect("a round has fewer than 2^32 candidates")
         })
         .collect()
-}
-
-/// The transaction ids of `position`, ascending (index order is id order) —
-/// what a page is hashed over and a committed set is built from.
-fn seal<'a>(candidates: &'a [u64], position: &'a [u32]) -> impl ExactSizeIterator<Item = u64> + 'a {
-    position.iter().map(|&ix| candidates[ix as usize])
-}
-
-/// One RPCA position-refinement step: keep a transaction iff enough of
-/// the UNL (the validator's own position plus its peers') proposed it.
-///
-/// This is [`RoundEngine::run_round`]'s iteration update (the same support
-/// kernel over a table interned from just these sets) for the live transport
-/// in `ripple-node`, so the in-process simulator and real networked
-/// validators refine positions identically.
-pub fn refine_position<'a>(
-    own: &BTreeSet<u64>,
-    peers: impl IntoIterator<Item = &'a BTreeSet<u64>>,
-    required: usize,
-) -> BTreeSet<u64> {
-    let peers: Vec<&BTreeSet<u64>> = peers.into_iter().collect();
-    let sets = || std::iter::once(own).chain(peers.iter().copied());
-    let candidates = intern(sets());
-    let positions: Vec<Vec<u32>> = sets().map(|set| indices(&candidates, set)).collect();
-    let mut support = vec![0; candidates.len()];
-    let kept = tally_support(&mut support, positions.iter().map(Vec::as_slice), required);
-    seal(&candidates, &kept).collect()
 }
 
 /// How many of `n` UNL members are `pct` percent of them, rounded up: what a
@@ -571,7 +506,8 @@ pub fn page_hash(txs: &BTreeSet<u64>) -> Digest256 {
     hash_page(txs.iter().copied())
 }
 
-fn hash_page(ascending: impl ExactSizeIterator<Item = u64>) -> Digest256 {
+/// Hash of a page whose transaction ids arrive ascending.
+pub(crate) fn hash_page(ascending: impl ExactSizeIterator<Item = u64>) -> Digest256 {
     let mut bytes = Vec::with_capacity(8 + ascending.len() * 8);
     bytes.extend_from_slice(b"RNDPAGE!");
     for tx in ascending {
@@ -583,6 +519,7 @@ fn hash_page(ascending: impl ExactSizeIterator<Item = u64>) -> Digest256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::tally_support;
 
     fn honest(n: usize) -> Vec<Validator> {
         (0..n)
@@ -797,26 +734,44 @@ mod tests {
         assert_eq!(engine.network().now(), SimTime::from_millis(1_000));
     }
 
+    /// One refinement through a core's wire path, the one `ripple-node`
+    /// feeds: validator 0 holds `own` and validators `1..` propose `peers`,
+    /// in arrival order, for `iteration`, under a UNL of `unl_len` members
+    /// (the silent ones included). The table starts as `own` and grows by
+    /// each peer's new ids, so index order is not id order.
+    fn refine(
+        own: &BTreeSet<u64>,
+        peers: &[BTreeSet<u64>],
+        unl_len: usize,
+        iteration: usize,
+    ) -> BTreeSet<u64> {
+        let unl: BTreeSet<usize> = (0..unl_len).collect();
+        let mut core = ValidatorCore::new(0, &unl, unl_len).expect("valid UNL");
+        let table: Arc<[u64]> = own.iter().copied().collect();
+        core.open_round(0, table, (0..own.len() as u32).collect());
+        for (from, peer) in peers.iter().enumerate() {
+            core.on_wire_proposal(from + 1, 0, iteration, peer)
+                .expect("filed");
+        }
+        core.deadline(iteration, &mut Vec::new());
+        let ids = core.ids();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+        ids.into_iter().collect()
+    }
+
     #[test]
     fn refine_position_matches_threshold_semantics() {
         let own: BTreeSet<u64> = [1, 2].into_iter().collect();
         let a: BTreeSet<u64> = [1, 3].into_iter().collect();
         let b: BTreeSet<u64> = [1].into_iter().collect();
-        let peers = [&a, &b];
-        // tx 1 has support 3, tx 2 has 1, tx 3 has 1.
-        assert_eq!(
-            refine_position(&own, peers.iter().copied(), 3),
-            [1u64].into_iter().collect()
-        );
-        assert_eq!(
-            refine_position(&own, peers.iter().copied(), 4),
-            BTreeSet::new()
-        );
-        // required = 1 keeps everything anyone proposed.
-        assert_eq!(
-            refine_position(&own, peers.iter().copied(), 1),
-            [1u64, 2, 3].into_iter().collect()
-        );
+        let peers = [a.clone(), b];
+        // tx 1 has support 3, tx 2 has 1, tx 3 has 1. 50% of a 3-member
+        // UNL is 2.
+        assert_eq!(refine(&own, &peers, 3, 0), [1u64].into_iter().collect());
+        // 80% of a 5-member UNL is 4.
+        assert_eq!(refine(&own, &peers, 5, 3), BTreeSet::new());
+        // 50% of a 2-member UNL is 1: everything anyone proposed survives.
+        assert_eq!(refine(&own, &[a], 2, 0), [1u64, 2, 3].into_iter().collect());
     }
 
     /// The threshold rule as it was first written — a hashed support map —
@@ -845,6 +800,9 @@ mod tests {
     #[test]
     fn support_kernel_matches_the_naive_tally() {
         let mut rng = StdRng::seed_from_u64(0x7a11);
+        // The wire path's UNL and iteration, drawn apart so the cases stay
+        // the kernel's.
+        let mut knobs = StdRng::seed_from_u64(0x7a12);
         // One buffer for every case: the kernel must hand it back zeroed.
         let mut support: Vec<u32> = Vec::new();
         let draw = |rng: &mut StdRng| -> BTreeSet<u64> {
@@ -858,6 +816,8 @@ mod tests {
         };
         let mut kept_some = 0;
         let mut dropped_some = 0;
+        let mut wire_kept_some = 0;
+        let mut wire_dropped_some = 0;
         for case in 0..2_500 {
             let own = draw(&mut rng);
             let peers: Vec<BTreeSet<u64>> =
@@ -877,18 +837,32 @@ mod tests {
                 "case {case}: ascending"
             );
             assert!(support.iter().all(|&held| held == 0), "case {case}: zeroed");
-            let kept: BTreeSet<u64> = seal(&candidates, &kept).collect();
+            let kept: BTreeSet<u64> = kept.iter().map(|&ix| candidates[ix as usize]).collect();
             assert_eq!(kept, expected, "case {case}: kernel, required {required}");
-            assert_eq!(
-                refine_position(&own, &peers, required),
-                expected,
-                "case {case}: adapter, required {required}"
-            );
             kept_some += usize::from(!expected.is_empty());
             dropped_some += usize::from(expected.len() < candidates.len());
+
+            // The core's wire path, at the threshold its UNL sets.
+            let iteration = knobs.gen_range(0..RPCA_THRESHOLDS.len());
+            let unl_len = peers.len() + 1 + knobs.gen_range(0..=2);
+            let required = support_required(unl_len, RPCA_THRESHOLDS[iteration]);
+            let expected = refine_naive(&own, &peers, required);
+            assert_eq!(
+                refine(&own, &peers, unl_len, iteration),
+                expected,
+                "case {case}: wire path, required {required}"
+            );
+            wire_kept_some += usize::from(!expected.is_empty());
+            wire_dropped_some += usize::from(expected.len() < candidates.len());
         }
         // The draw covers both sides of the threshold, many times over.
         assert!(kept_some > 500 && dropped_some > 500);
+        // At RPCA's thresholds a candidate needs half the UNL or more, so
+        // fewer cases keep anything — but still hundreds.
+        assert!(
+            wire_kept_some > 300 && wire_dropped_some > 500,
+            "{wire_kept_some} kept, {wire_dropped_some} dropped"
+        );
     }
 
     #[test]
@@ -896,8 +870,9 @@ mod tests {
         // `required = 0` keeps what somebody proposed, not the whole table.
         let mut support = vec![0; 4];
         assert_eq!(tally_support(&mut support, [&[1u32, 3][..]], 0), [1, 3]);
+        // A UNL of one needs one holder: its owner's position survives.
         let own: BTreeSet<u64> = [5].into_iter().collect();
-        assert_eq!(refine_position(&own, [], 0), own);
+        assert_eq!(refine(&own, &[], 1, 0), own);
     }
 
     #[test]

@@ -62,14 +62,6 @@ impl ValidatorProfile {
             | ValidatorProfile::Byzantine { availability } => availability,
         }
     }
-
-    /// Whether this validator follows the main chain when in sync.
-    pub fn follows_main_chain(&self) -> bool {
-        matches!(
-            self,
-            ValidatorProfile::Reliable { .. } | ValidatorProfile::Lagging { .. }
-        )
-    }
 }
 
 /// A validator: identity, display label, and behaviour.
@@ -122,6 +114,16 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ValidatorProfile {
+        /// Whether this validator follows the main chain when in sync.
+        fn follows_main_chain(&self) -> bool {
+            matches!(
+                self,
+                ValidatorProfile::Reliable { .. } | ValidatorProfile::Lagging { .. }
+            )
+        }
+    }
 
     #[test]
     fn availability_accessor_covers_all_profiles() {

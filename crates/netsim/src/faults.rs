@@ -304,16 +304,18 @@ impl FaultPlan {
         }
         extra
     }
-
-    /// Resets the fired-event cursor so the plan can be replayed.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// Resets the fired-event cursor so the plan can be replayed.
+        fn rewind(&mut self) {
+            self.cursor = 0;
+        }
+    }
 
     fn ms(t: u64) -> SimTime {
         SimTime::from_millis(t)

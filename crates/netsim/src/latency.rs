@@ -57,15 +57,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The lowest latency the model can produce.
-    pub fn min_latency(&self) -> SimTime {
-        match *self {
-            LatencyModel::Fixed(t) => t,
-            LatencyModel::Jittered { base, .. } => base,
-            LatencyModel::Heavy { base, .. } => base,
-        }
-    }
 }
 
 impl Default for LatencyModel {
@@ -78,6 +69,17 @@ impl Default for LatencyModel {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl LatencyModel {
+        /// The lowest latency the model can produce.
+        fn min_latency(&self) -> SimTime {
+            match *self {
+                LatencyModel::Fixed(t) => t,
+                LatencyModel::Jittered { base, .. } => base,
+                LatencyModel::Heavy { base, .. } => base,
+            }
+        }
+    }
 
     #[test]
     fn fixed_is_constant() {

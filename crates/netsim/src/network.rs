@@ -66,16 +66,15 @@ impl DeliveryFate {
 /// A simulated network of `n` nodes.
 ///
 /// Messages are routed through the internal [`Simulation`]; call
-/// [`Network::step`] to advance to the next delivery. Links can be tuned
-/// per-pair, lossy links drop messages probabilistically, and partitions
-/// silently discard traffic between separated groups.
+/// [`Network::step`] to advance to the next delivery. Link latency can be
+/// tuned per pair, a lossy network drops messages probabilistically, and
+/// partitions silently discard traffic between separated groups.
 #[derive(Debug)]
 pub struct Network<M> {
     node_count: usize,
     sim: Simulation<Delivery<M>>,
     default_latency: LatencyModel,
     link_latency: HashMap<(NodeId, NodeId), LatencyModel>,
-    loss: HashMap<(NodeId, NodeId), f64>,
     default_loss: f64,
     partitioned: HashSet<(NodeId, NodeId)>,
     crashed: HashSet<NodeId>,
@@ -93,7 +92,6 @@ impl<M> Network<M> {
             sim: Simulation::new(),
             default_latency: LatencyModel::default(),
             link_latency: HashMap::new(),
-            loss: HashMap::new(),
             default_loss: 0.0,
             partitioned: HashSet::new(),
             crashed: HashSet::new(),
@@ -148,11 +146,6 @@ impl<M> Network<M> {
         self.default_loss = p.clamp(0.0, 1.0);
     }
 
-    /// Sets the loss probability of a directed link.
-    pub fn set_link_loss(&mut self, from: NodeId, to: NodeId, p: f64) {
-        self.loss.insert((from, to), p.clamp(0.0, 1.0));
-    }
-
     /// Severs communication between `a` and `b` in both directions.
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
         self.partitioned.insert((a, b));
@@ -171,12 +164,6 @@ impl<M> Network<M> {
     /// Heals all partitions.
     pub fn heal(&mut self) {
         self.partitioned.clear();
-    }
-
-    /// Heals the partition between `a` and `b` only, in both directions.
-    pub fn heal_pair(&mut self, a: NodeId, b: NodeId) {
-        self.partitioned.remove(&(a, b));
-        self.partitioned.remove(&(b, a));
     }
 
     /// Whether `a` and `b` are currently partitioned from each other.
@@ -239,8 +226,8 @@ impl<M> Network<M> {
     /// Decides what happens to a message from `from` to `to` sent now:
     /// the single authority for crash, partition, and loss checks.
     ///
-    /// The effective loss probability is the link's configured loss (or
-    /// the default) plus any active [`FaultPlan`] burst, clamped to
+    /// The effective loss probability is the default loss plus any active
+    /// [`FaultPlan`] burst, clamped to
     /// `[0, 1]`; the latency is the link model's sample plus any active
     /// delay spike and the sender's clock skew.
     pub fn delivery_fate<R: Rng + ?Sized>(
@@ -259,13 +246,8 @@ impl<M> Network<M> {
             return DeliveryFate::Partitioned;
         }
         let now = self.sim.now();
-        let base = self
-            .loss
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_loss);
         let extra = self.plan.as_ref().map_or(0.0, |p| p.extra_loss(now));
-        let loss = (base + extra).clamp(0.0, 1.0);
+        let loss = (self.default_loss + extra).clamp(0.0, 1.0);
         if loss > 0.0 && rng.gen_bool(loss) {
             return DeliveryFate::Lost;
         }
@@ -320,18 +302,6 @@ impl<M> Network<M> {
         }
     }
 
-    /// Schedules a local (self-addressed) event, e.g. a timer.
-    pub fn schedule_local(&mut self, node: NodeId, delay: SimTime, msg: M) {
-        self.sim.schedule_in(
-            delay,
-            Delivery {
-                from: node,
-                to: node,
-                msg,
-            },
-        );
-    }
-
     /// Whether a popped delivery must be discarded by delivery-time fault
     /// state. Only remote messages are affected — local timers fire even
     /// on crashed nodes, so actors can observe their own restart.
@@ -380,17 +350,32 @@ impl<M> Network<M> {
         self.sim.advance_to(t);
         self.apply_faults_until(self.sim.now());
     }
-
-    /// Number of in-flight messages.
-    pub fn in_flight(&self) -> usize {
-        self.sim.pending()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl<M> Network<M> {
+        /// Heals the partition between `a` and `b` only, in both directions.
+        fn heal_pair(&mut self, a: NodeId, b: NodeId) {
+            self.partitioned.remove(&(a, b));
+            self.partitioned.remove(&(b, a));
+        }
+
+        /// Schedules a local (self-addressed) event, e.g. a timer.
+        fn schedule_local(&mut self, node: NodeId, delay: SimTime, msg: M) {
+            self.sim.schedule_in(
+                delay,
+                Delivery {
+                    from: node,
+                    to: node,
+                    msg,
+                },
+            );
+        }
+    }
 
     type Rng = rand::rngs::StdRng;
 
@@ -458,7 +443,7 @@ mod tests {
     fn lossy_link_drops_roughly_half() {
         let mut rng = rng();
         let mut net: Network<u32> = Network::new(2);
-        net.set_link_loss(NodeId(0), NodeId(1), 0.5);
+        net.set_default_loss(0.5);
         let delivered = (0..1_000)
             .filter(|&i| net.send(NodeId(0), NodeId(1), i, &mut rng))
             .count();
@@ -534,23 +519,17 @@ mod tests {
             net.delivery_fate(NodeId(0), NodeId(1), &mut rng),
             DeliveryFate::Lost
         );
-        // A per-link override beats the default entirely.
-        net.set_link_loss(NodeId(0), NodeId(1), 0.0);
+        net.set_default_loss(0.0);
         assert!(net
             .delivery_fate(NodeId(0), NodeId(1), &mut rng)
             .is_delivered());
-        net.set_link_loss(NodeId(0), NodeId(1), 3.0);
-        assert_eq!(
-            net.delivery_fate(NodeId(0), NodeId(1), &mut rng),
-            DeliveryFate::Lost
-        );
     }
 
     #[test]
     fn loss_burst_stacks_on_link_loss_and_clamps() {
         let mut rng = rng();
         let mut net: Network<()> = Network::new(2);
-        net.set_link_loss(NodeId(0), NodeId(1), 0.6);
+        net.set_default_loss(0.6);
         net.install_plan(FaultPlan::new().loss_burst(SimTime::ZERO, SimTime::from_secs(10), 0.9));
         // 0.6 + 0.9 clamps to 1.0: every send inside the burst is lost.
         for _ in 0..50 {

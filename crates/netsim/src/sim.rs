@@ -134,11 +134,6 @@ impl<E> Simulation<E> {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to `now` (the event fires

@@ -1,14 +1,13 @@
 //! A live networked validator: wall-clock RPCA rounds over supervised
 //! TCP links.
 //!
-//! The node runs a single-threaded event loop (see [`crate::poll`]) and
-//! drives the same position-refinement kernel as the in-process simulator
-//! ([`ripple_consensus::refine_position`]) under the same rulebook
-//! (integer-percent [`RPCA_THRESHOLDS`] through [`support_required`],
-//! [`tally_validations`] at the close; proposals filed by the round they
-//! name), but over real sockets with real failures. Rounds are anchored
-//! to a wall-clock epoch shared by the whole cluster: round `r` spans
-//! `[epoch + r·round_ms, epoch + (r+1)·round_ms)`, split into the four
+//! The node runs a single-threaded event loop (see [`crate::poll`]) around
+//! one [`ValidatorCore`], the validator the in-process simulator runs n of:
+//! it files what arrives, refines at each deadline and tallies the close.
+//! This file is the transport: slot stepping, sockets (a consensus message
+//! must name its link's `Hello` peer), spans, timers and telemetry. Rounds
+//! are anchored to a wall-clock epoch shared by the whole cluster: round `r`
+//! spans `[epoch + r·round_ms, epoch + (r+1)·round_ms)`, split into the four
 //! proposal iterations plus the validation phase. Because the epoch rides
 //! on the command line, a validator that is `kill -9`ed and restarted
 //! recomputes the current round from the clock and rejoins mid-stream —
@@ -24,15 +23,13 @@
 //! * control-plane bans implement socket-level partitions: links are
 //!   dropped and refused until the heal.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use ripple_consensus::{
-    page_hash, refine_position, support_required, tally_validations, PHASES, QUORUM_PCT,
-    RPCA_THRESHOLDS,
-};
+use ripple_consensus::{ValidatorCore, PHASES};
 use ripple_crypto::Digest256;
 use ripple_obs::http::{admin_response, timeseries_response, PollServer, Request, Response};
 use ripple_obs::json::JsonWriter;
@@ -64,8 +61,8 @@ static PROPOSAL_DISPERSION_MS: LazyHistogram =
 /// milliseconds; includes residual clock skew.
 static VALIDATION_LATENCY_MS: LazyHistogram =
     LazyHistogram::new("node.round.validation_latency_ms");
-/// Time from the first validation seen for a round until quorum-many were
-/// collected, milliseconds.
+/// Time from the start of a round's validation phase until quorum-many of
+/// its validations were collected, milliseconds (0 if they all came early).
 static QUORUM_COLLECT_MS: LazyHistogram = LazyHistogram::new("node.round.quorum_collect_ms");
 /// Tightest `local_ms - sent_ms` observed over heartbeats: an upper bound
 /// on clock skew + one-way delay toward this node.
@@ -104,10 +101,6 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    fn quorum_needed(&self) -> usize {
-        support_required(self.validators, QUORUM_PCT)
-    }
-
     fn phase_ms(&self) -> u64 {
         (self.round_ms / PHASES).max(1)
     }
@@ -259,11 +252,11 @@ pub struct Node {
     supervisor: Supervisor,
     poller: Poller,
     banned: HashSet<u32>,
-    /// `(round, iteration) → proposer → position`.
-    proposals: HashMap<(u64, u8), HashMap<u32, BTreeSet<u64>>>,
-    /// `round → validator → page`.
-    validations: HashMap<u64, HashMap<u32, Digest256>>,
-    position: BTreeSet<u64>,
+    /// This validator: its position and what it filed of the open round
+    /// and the next.
+    core: ValidatorCore,
+    /// The core's support buffer, reused across deadlines.
+    support: Vec<u32>,
     /// `(round, phase)` most recently entered.
     slot: Option<(u64, u8)>,
     last_committed: Option<(u64, Digest256)>,
@@ -280,12 +273,9 @@ pub struct Node {
     msg_seq: u64,
     /// Open round spans, closed (and recorded) at finalize.
     round_spans: HashMap<u64, Span>,
-    /// `(round, iteration) → (first, last)` proposal-arrival unix-ms.
+    /// `(round, iteration) → (first, last)` arrival unix-ms of the
+    /// proposals the core filed.
     prop_arrivals: HashMap<(u64, u8), (u64, u64)>,
-    /// `round →` unix-ms when the first validation was seen.
-    val_first_ms: HashMap<u64, u64>,
-    /// Rounds whose quorum-collection time was already recorded.
-    quorum_recorded: HashSet<u64>,
     /// Tightest heartbeat `local_ms - sent_ms` seen so far.
     skew_bound_ms: Option<i64>,
 }
@@ -295,8 +285,12 @@ impl Node {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding `cfg.listen`.
+    /// I/O errors from binding `cfg.listen`; `InvalidInput` if `cfg.id` is
+    /// not below `cfg.validators`.
     pub fn bind(cfg: NodeConfig) -> io::Result<Node> {
+        let everyone = (0..cfg.validators).collect();
+        let core = ValidatorCore::new(cfg.id as usize, &everyone, cfg.validators);
+        let core = core.ok_or(io::ErrorKind::InvalidInput)?;
         let listener = TcpListener::bind(cfg.listen)?;
         listener.set_nonblocking(true)?;
         let mut ids: Vec<u32> = cfg.peers.iter().map(|&(id, _)| id).collect();
@@ -324,9 +318,8 @@ impl Node {
             supervisor,
             poller: Poller::default(),
             banned: HashSet::new(),
-            proposals: HashMap::new(),
-            validations: HashMap::new(),
-            position: BTreeSet::new(),
+            core,
+            support: Vec::new(),
             slot: None,
             last_committed: None,
             rounds_done: Vec::new(),
@@ -338,8 +331,6 @@ impl Node {
             msg_seq: 0,
             round_spans: HashMap::new(),
             prop_arrivals: HashMap::new(),
-            val_first_ms: HashMap::new(),
-            quorum_recorded: HashSet::new(),
             skew_bound_ms: None,
         })
     }
@@ -404,12 +395,7 @@ impl Node {
             self.slot.map(|(r, _)| r),
             &[("rounds_done", self.rounds_done.len() as i64)],
         );
-        let counters = self.full_telemetry();
-        self.send_feed(&WireMsg::TelemetryReport {
-            from: self.cfg.id,
-            counters,
-        });
-        self.mirror_metrics();
+        self.report_telemetry();
         let telemetry = self.telemetry_snapshot();
         Ok(NodeReport {
             id: self.cfg.id,
@@ -469,23 +455,18 @@ impl Node {
         t
     }
 
-    fn full_telemetry(&mut self) -> Telemetry {
-        // Fold in decoder stats that have not been harvested yet.
-        let mut t = {
-            let mut sum = Telemetry::default();
-            for conn in &mut self.inbound {
-                conn.harvest(&mut sum);
-            }
-            for conn in self.outbound.values_mut() {
-                conn.harvest(&mut sum);
-            }
-            sum
-        };
-        self.telemetry.frames_received += t.frames_received;
-        self.telemetry.crc_errors += t.crc_errors;
-        self.telemetry.resyncs += t.resyncs;
-        t = self.telemetry_snapshot();
-        t
+    /// Ships the counters over the feed, decoder stats not harvested yet
+    /// included, and mirrors them into the obs registry.
+    fn report_telemetry(&mut self) {
+        for conn in self.inbound.iter_mut().chain(self.outbound.values_mut()) {
+            conn.harvest(&mut self.telemetry);
+        }
+        let counters = self.telemetry_snapshot();
+        self.send_feed(&WireMsg::TelemetryReport {
+            from: self.cfg.id,
+            counters,
+        });
+        self.mirror_metrics();
     }
 
     /// Mirrors telemetry deltas into the obs metrics registry.
@@ -552,11 +533,10 @@ impl Node {
     /// validator derives from the round index, plus one transaction
     /// unique to this validator (which the 50% threshold strips — the
     /// same convergence shape the simulator tests use).
-    fn candidate(&self, round: u64) -> BTreeSet<u64> {
+    fn candidate(&self, round: u64) -> Arc<[u64]> {
         let base = round * 1_000;
-        let mut set: BTreeSet<u64> = (1..=3).map(|k| base + k).collect();
-        set.insert(base + 100 + u64::from(self.cfg.id));
-        set
+        let own = base + 100 + u64::from(self.cfg.id);
+        (1..=3).map(|k| base + k).chain([own]).collect()
     }
 
     fn enter_slot(&mut self, (round, phase): (u64, u8)) {
@@ -568,32 +548,22 @@ impl Node {
             self.round_spans
                 .entry(round)
                 .or_insert_with(|| trace::span_round("node", "round", round));
-            if let Some(prev) = round.checked_sub(1) {
-                // Seal the previous round if we took part in it.
-                if self
-                    .rounds_done
-                    .last()
-                    .map(|r| r.round < prev)
-                    .unwrap_or(true)
-                    && self.validations.contains_key(&prev)
-                {
-                    self.finalize(prev);
-                }
-            }
-            self.position = self.candidate(round);
-        } else {
+            self.finalize();
+        }
+        if phase == 0 || self.core.round() != Some(round) {
+            // A validator that joins a round part-way holds no position
+            // of its own in it.
+            let table = self.candidate(round);
+            let own = if phase == 0 { table.len() as u32 } else { 0 };
+            self.core.open_round(round, table, (0..own).collect());
+        }
+        if let Some(iteration) = phase.checked_sub(1) {
             // Refine using the proposals of the previous iteration.
-            let iteration = phase - 1;
-            let required =
-                support_required(self.cfg.validators, RPCA_THRESHOLDS[iteration as usize]);
-            let peers = self
-                .proposals
-                .remove(&(round, iteration))
-                .unwrap_or_default();
             if let Some((first, last)) = self.prop_arrivals.remove(&(round, iteration)) {
                 PROPOSAL_DISPERSION_MS.record(last.saturating_sub(first));
             }
-            self.position = refine_position(&self.position, peers.values(), required);
+            self.core
+                .deadline(usize::from(iteration), &mut self.support);
         }
 
         self.msg_seq += 1;
@@ -604,12 +574,12 @@ impl Node {
                 iteration: phase,
                 seq: self.msg_seq,
                 sent_ms: unix_ms(),
-                txs: self.position.clone(),
+                txs: self.core.ids().into_iter().collect(),
             });
         } else {
             // Validation phase: seal and announce the page.
-            let page = page_hash(&self.position);
-            self.note_validation(round, self.cfg.id, page, unix_ms());
+            let page = self.core.seal();
+            self.time_quorum(round, unix_ms());
             self.broadcast(&WireMsg::Validation {
                 from: self.cfg.id,
                 round,
@@ -620,45 +590,36 @@ impl Node {
         }
     }
 
-    /// Records one validation (own or a peer's) and, the moment
-    /// quorum-many have been collected for the round, the
-    /// quorum-collection time.
-    fn note_validation(&mut self, round: u64, from: u32, page: Digest256, now_ms: u64) {
-        self.val_first_ms.entry(round).or_insert(now_ms);
-        let seen = {
-            let entry = self.validations.entry(round).or_default();
-            entry.insert(from, page);
-            entry.len()
-        };
-        if seen >= self.cfg.quorum_needed() && self.quorum_recorded.insert(round) {
-            let first = self.val_first_ms.get(&round).copied().unwrap_or(now_ms);
-            QUORUM_COLLECT_MS.record(now_ms.saturating_sub(first));
+    /// Records the quorum-collection time the moment quorum-many
+    /// validations of `round` (the core's open round or the next) are filed.
+    fn time_quorum(&self, round: u64, now_ms: u64) {
+        if self.core.validated(round) == self.core.quorum() {
+            let sealing = round
+                .saturating_mul(self.cfg.round_ms)
+                .saturating_add((PHASES - 1) * self.cfg.phase_ms())
+                .saturating_add(self.cfg.epoch_ms);
+            QUORUM_COLLECT_MS.record(now_ms.saturating_sub(sealing));
         }
     }
 
     fn connected_peers(&self) -> u32 {
-        self.cfg
-            .peers
-            .iter()
-            .filter(|&&(id, _)| self.supervisor.is_connected(id))
-            .count() as u32
+        let feed = usize::from(self.supervisor.is_connected(FEED_ID));
+        (self.supervisor.connected_count() - feed) as u32
     }
 
-    fn finalize(&mut self, round: u64) {
-        let validations = self.validations.remove(&round).unwrap_or_default();
+    /// Closes the round the core holds, if this validator sealed it.
+    fn finalize(&mut self) {
+        let (Some(round), Some((own_page, tally))) = (self.core.round(), self.core.close()) else {
+            return;
+        };
         let n = self.cfg.validators.max(1);
-        let own_page = validations
-            .get(&self.cfg.id)
-            .copied()
-            .unwrap_or_else(|| page_hash(&BTreeSet::new()));
-        let tally = tally_validations(validations.values().copied(), self.cfg.validators);
         let committed = tally.committed;
         let agreement_milli = (tally.count * 1_000 / n) as u32;
         if let Some(page) = tally.winner.filter(|_| committed) {
             self.last_committed = Some((round, page));
         }
         let connected = self.connected_peers();
-        let degraded = (connected as usize + 1) < self.cfg.quorum_needed();
+        let degraded = (connected as usize + 1) < self.core.quorum();
         if degraded {
             self.telemetry.degraded_rounds += 1;
             ROUNDS_DEGRADED.add(1);
@@ -697,20 +658,11 @@ impl Node {
             degraded,
             connected,
         });
-        let counters = self.full_telemetry();
-        self.send_feed(&WireMsg::TelemetryReport {
-            from: self.cfg.id,
-            counters,
-        });
-        self.mirror_metrics();
+        self.report_telemetry();
         self.rounds_done.push(local);
-        // Prune stale per-round state.
-        self.proposals.retain(|&(r, _), _| r + 2 > round);
-        self.validations.retain(|&r, _| r + 2 > round);
-        self.prop_arrivals.retain(|&(r, _), _| r + 2 > round);
-        self.val_first_ms.retain(|&r, _| r + 2 > round);
-        self.quorum_recorded.retain(|&r| r + 2 > round);
-        self.round_spans.retain(|&r, _| r + 2 > round);
+        // Spans and arrival windows of rounds up to this one are done.
+        self.prop_arrivals.retain(|&(r, _), _| r > round);
+        self.round_spans.retain(|&r, _| r > round);
     }
 
     // -- transport ----------------------------------------------------------
@@ -743,16 +695,9 @@ impl Node {
                 Probe::Closed => false,
                 Probe::Data => {
                     any = true;
-                    let drained = {
-                        let conn = &mut self.inbound[i];
-                        let d = drain_into(&mut conn.stream, &mut conn.decoder);
-                        let mut t = Telemetry::default();
-                        conn.harvest(&mut t);
-                        self.telemetry.frames_received += t.frames_received;
-                        self.telemetry.crc_errors += t.crc_errors;
-                        self.telemetry.resyncs += t.resyncs;
-                        d
-                    };
+                    let conn = &mut self.inbound[i];
+                    let drained = drain_into(&mut conn.stream, &mut conn.decoder);
+                    conn.harvest(&mut self.telemetry);
                     let keep = self.dispatch_conn(i);
                     keep && !matches!(drained, Drained::Closed)
                 }
@@ -779,6 +724,8 @@ impl Node {
                 Ok(m) => m,
                 Err(_) => continue, // unknown/corrupt message: skip, keep link
             };
+            // A consensus message counts only from its link's peer.
+            let peer = self.inbound[i].peer.filter(|p| !self.banned.contains(p));
             match msg {
                 WireMsg::Hello { from, kind } => {
                     if kind == LinkKind::Validator && self.banned.contains(&from) {
@@ -790,34 +737,34 @@ impl Node {
                     from,
                     round,
                     iteration,
-                    seq: _,
-                    sent_ms: _,
                     txs,
+                    ..
                 } => {
-                    if !self.banned.contains(&from) {
+                    let it = usize::from(iteration);
+                    let core = &mut self.core;
+                    if peer == Some(from)
+                        && core
+                            .on_wire_proposal(from as usize, round, it, &txs)
+                            .is_ok()
+                    {
                         let now_ms = unix_ms();
-                        let window = self
-                            .prop_arrivals
-                            .entry((round, iteration))
-                            .or_insert((now_ms, now_ms));
-                        window.1 = now_ms;
-                        self.proposals
-                            .entry((round, iteration))
-                            .or_default()
-                            .insert(from, txs);
+                        let arrivals = self.prop_arrivals.entry((round, iteration));
+                        arrivals.or_insert((now_ms, now_ms)).1 = now_ms;
                     }
                 }
                 WireMsg::Validation {
                     from,
                     round,
-                    seq: _,
                     sent_ms,
                     page,
+                    ..
                 } => {
-                    if !self.banned.contains(&from) {
+                    if peer == Some(from)
+                        && self.core.on_validation(from as usize, round, page).is_ok()
+                    {
                         let now_ms = unix_ms();
                         VALIDATION_LATENCY_MS.record(now_ms.saturating_sub(sent_ms));
-                        self.note_validation(round, from, page, now_ms);
+                        self.time_quorum(round, now_ms);
                     }
                 }
                 WireMsg::Heartbeat { sent_ms, .. } => {
@@ -886,42 +833,35 @@ impl Node {
                     ) {
                         lost.push(id);
                     }
-                    let mut t = Telemetry::default();
-                    conn.harvest(&mut t);
-                    self.telemetry.frames_received += t.frames_received;
-                    self.telemetry.crc_errors += t.crc_errors;
-                    self.telemetry.resyncs += t.resyncs;
+                    conn.harvest(&mut self.telemetry);
                 }
             }
-        }
-        // Handle frames read off outbound links (state snapshots).
-        let mut snapshots: Vec<WireMsg> = Vec::new();
-        for conn in self.outbound.values_mut() {
+            // Frames read off outbound links are state snapshots.
             while let Some(frame) = conn.decoder.next_frame() {
-                if let Ok(msg) = WireMsg::decode(frame.tag, &frame.payload) {
-                    snapshots.push(msg);
+                if let Ok(WireMsg::StateSnapshot {
+                    round,
+                    last_committed: Some(page),
+                    ..
+                }) = WireMsg::decode(frame.tag, &frame.payload)
+                {
+                    let newer = self.last_committed.map(|(r, _)| r < round).unwrap_or(true);
+                    if newer && round > 0 {
+                        self.last_committed = Some((round - 1, page));
+                    }
                 }
             }
         }
-        for msg in snapshots {
-            if let WireMsg::StateSnapshot {
-                round,
-                last_committed: Some(page),
-                ..
-            } = msg
-            {
-                let newer = self.last_committed.map(|(r, _)| r < round).unwrap_or(true);
-                if newer && round > 0 {
-                    self.last_committed = Some((round - 1, page));
-                }
-            }
-        }
+        self.drop_links(lost);
+        any
+    }
+
+    /// Drops outbound links whose socket failed.
+    fn drop_links(&mut self, lost: Vec<u32>) {
         let now = Instant::now();
         for id in lost {
             self.outbound.remove(&id);
             self.supervisor.connection_lost(id, now);
         }
-        any
     }
 
     fn addr_of(&self, id: u32) -> Option<SocketAddr> {
@@ -984,63 +924,40 @@ impl Node {
     }
 
     fn heartbeat(&mut self) {
-        let now = Instant::now();
-        if !self.supervisor.heartbeat_due(now) {
+        if !self.supervisor.heartbeat_due(Instant::now()) {
             return;
         }
-        let round = self.slot.map(|(r, _)| r).unwrap_or(0);
         let msg = WireMsg::Heartbeat {
             from: self.cfg.id,
-            round,
+            round: self.slot.map(|(r, _)| r).unwrap_or(0),
             sent_ms: unix_ms(),
         };
-        let bytes = msg.encode();
-        let mut lost: Vec<u32> = Vec::new();
-        for (&id, conn) in self.outbound.iter_mut() {
-            if write_frame(&mut conn.stream, &bytes).is_err() {
-                lost.push(id);
-            } else {
-                self.telemetry.frames_sent += 1;
-                self.telemetry.heartbeats_sent += 1;
-                HEARTBEATS_SENT.add(0); // counter exists even at zero
-            }
-        }
-        for id in lost {
-            self.outbound.remove(&id);
-            self.supervisor.connection_lost(id, now);
-        }
+        self.telemetry.heartbeats_sent += self.send_links(&msg, |_| true);
+        HEARTBEATS_SENT.add(0); // counter exists even at zero
     }
 
     /// Sends to every connected validator peer (not the feed).
     fn broadcast(&mut self, msg: &WireMsg) {
-        let bytes = msg.encode();
-        let mut lost: Vec<u32> = Vec::new();
-        for (&id, conn) in self.outbound.iter_mut() {
-            if id == FEED_ID {
-                continue;
-            }
-            if write_frame(&mut conn.stream, &bytes).is_err() {
-                lost.push(id);
-            } else {
-                self.telemetry.frames_sent += 1;
-            }
-        }
-        let now = Instant::now();
-        for id in lost {
-            self.outbound.remove(&id);
-            self.supervisor.connection_lost(id, now);
-        }
+        self.send_links(msg, |id| id != FEED_ID);
     }
 
     fn send_feed(&mut self, msg: &WireMsg) {
+        self.send_links(msg, |id| id == FEED_ID);
+    }
+
+    /// Writes `msg` to the outbound links `to` picks, dropping those that
+    /// fail. Returns how many took it.
+    fn send_links(&mut self, msg: &WireMsg, to: impl Fn(u32) -> bool) -> u64 {
         let bytes = msg.encode();
-        if let Some(conn) = self.outbound.get_mut(&FEED_ID) {
-            if write_frame(&mut conn.stream, &bytes).is_ok() {
-                self.telemetry.frames_sent += 1;
-            } else {
-                self.outbound.remove(&FEED_ID);
-                self.supervisor.connection_lost(FEED_ID, Instant::now());
+        let (mut sent, mut lost) = (0, Vec::new());
+        for (&id, conn) in self.outbound.iter_mut().filter(|(&id, _)| to(id)) {
+            match write_frame(&mut conn.stream, &bytes) {
+                Ok(()) => sent += 1,
+                Err(_) => lost.push(id),
             }
         }
+        self.telemetry.frames_sent += sent;
+        self.drop_links(lost);
+        sent
     }
 }

@@ -114,6 +114,82 @@ fn threaded_pair_survives_without_quorum_problems() {
     }
 }
 
+#[test]
+fn forged_and_out_of_range_consensus_messages_are_refused() {
+    // One live validator of five, dialing nobody. A client link says
+    // `Hello` as validator 1, then sends what one hostile peer could: for
+    // each round, the same page validated under ids 1..=8 — 2..=4 are not
+    // the link's peer, 5..=8 are not validators at all — and a proposal and
+    // a validation for round u64::MAX. Filed by their self-reported
+    // sender, four forged votes and the node's own would be a quorum of
+    // five; the u64::MAX round must not reach any per-round arithmetic.
+    use std::collections::BTreeSet;
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    use ripple_core::crypto::sha512_half;
+    use ripple_core::node::{LinkKind, WireMsg};
+
+    let rounds = 3;
+    let cfg = NodeConfig {
+        id: 0,
+        listen: "127.0.0.1:0".parse().expect("addr"),
+        peers: Vec::new(),
+        feed: None,
+        validators: 5,
+        rounds,
+        round_ms: 250,
+        epoch_ms: unix_ms() + 300,
+        seed: 7,
+        backoff: Default::default(),
+        admin: None,
+    };
+    let node = Node::bind(cfg).expect("bind node");
+    let addr = node.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || node.run().expect("node run"));
+
+    let forged = sha512_half(b"forged page");
+    let mut frames = WireMsg::Hello {
+        from: 1,
+        kind: LinkKind::Validator,
+    }
+    .encode();
+    for round in (0..rounds).chain([u64::MAX]) {
+        for from in 1..=8 {
+            let validation = WireMsg::Validation {
+                from,
+                round,
+                seq: 0,
+                sent_ms: 0,
+                page: forged,
+            };
+            frames.extend(validation.encode());
+        }
+    }
+    let overflow = WireMsg::Proposal {
+        from: 1,
+        round: u64::MAX,
+        iteration: 0,
+        seq: 0,
+        sent_ms: 0,
+        txs: BTreeSet::from([1]),
+    };
+    frames.extend(overflow.encode());
+    let mut link = TcpStream::connect(addr).expect("connect");
+    link.write_all(&frames).expect("send");
+
+    let report = handle.join().expect("node thread panicked");
+    assert_eq!(report.rounds.len(), rounds as usize);
+    for local in &report.rounds {
+        assert!(
+            !local.committed,
+            "round {} committed on forged votes ({}‰)",
+            local.round, local.agreement_milli
+        );
+        assert_ne!(local.page, forged);
+    }
+}
+
 /// A scratch directory for flight dumps that cleans up on drop.
 struct FlightDir(std::path::PathBuf);
 
