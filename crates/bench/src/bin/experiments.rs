@@ -661,10 +661,8 @@ fn fig2(args: &Args) {
     let rounds = args.rounds.unwrap_or(FIG2_ROUNDS);
     println!("== Figure 2: pages signed by validators (total vs valid) ==");
     println!("   ({rounds} consensus rounds per period; the paper's captures span ~250k)\n");
-    let mut reports = Vec::new();
-    for period in CollectionPeriod::all() {
-        let outcome = period.run(rounds, args.seed);
-        let report = outcome.report();
+    let periods = CollectionPeriod::run_all(rounds, args.seed);
+    for (period, report) in &periods {
         println!("-- {} --", period.name());
         print!("{}", report.to_table());
         let active = report.active(0.5).len();
@@ -674,9 +672,9 @@ fn fig2(args: &Args) {
             active,
             report.never_valid().len()
         );
-        reports.push(report);
     }
-    let refs: Vec<&ripple_core::ValidatorReport> = reports.iter().collect();
+    let refs: Vec<&ripple_core::ValidatorReport> =
+        periods.iter().map(|(_, report)| report).collect();
     println!(
         "persistent active contributors across all periods: {} (paper: 9)",
         persistent_actives(&refs, 0.0).len()

@@ -47,9 +47,9 @@ impl ValidatorReport {
         committed: &HashSet<Digest256>,
         rounds: u64,
     ) -> ValidatorReport {
-        let mut tally: HashMap<String, (u64, u64)> = HashMap::new();
+        let mut tally: HashMap<&str, (u64, u64)> = HashMap::new();
         for event in stream {
-            let entry = tally.entry(event.label.clone()).or_insert((0, 0));
+            let entry = tally.entry(&event.label).or_insert((0, 0));
             entry.0 += 1;
             if committed.contains(&event.page_hash) {
                 entry.1 += 1;
@@ -58,7 +58,7 @@ impl ValidatorReport {
         let mut rows: Vec<ValidatorRow> = tally
             .into_iter()
             .map(|(label, (total, valid))| ValidatorRow {
-                label,
+                label: label.to_owned(),
                 total,
                 valid,
             })

@@ -18,6 +18,7 @@
 //! all three periods, matching the paper's churn observation.
 
 use crate::campaign::{Campaign, CampaignOutcome};
+use crate::metrics::ValidatorReport;
 use crate::validator::{Validator, ValidatorProfile};
 
 /// One of the paper's three two-week capture windows.
@@ -312,12 +313,46 @@ impl CollectionPeriod {
     pub fn run(&self, rounds: u64, seed: u64) -> CampaignOutcome {
         Campaign::new(self.validators()).run(rounds, seed)
     }
+
+    /// Figure 2: runs all three periods for `rounds` rounds each and
+    /// returns their reports in [`CollectionPeriod::all`] order.
+    ///
+    /// The periods share nothing, so each runs on its own scoped thread
+    /// and reduces its validation stream to a report before joining; only
+    /// the reports outlive the threads. The result equals
+    /// `period.run(rounds, seed).report()` taken period by period.
+    pub fn run_all(rounds: u64, seed: u64) -> Vec<(CollectionPeriod, ValidatorReport)> {
+        std::thread::scope(|scope| {
+            let handles = CollectionPeriod::all()
+                .map(|period| scope.spawn(move || (period, period.run(rounds, seed).report())));
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::{persistent_actives, total_observed};
+
+    #[test]
+    fn run_all_equals_the_sequential_periods() {
+        for (rounds, seed) in [(0, 1), (1, 2), (60, 7), (250, 20_130_101)] {
+            let all = CollectionPeriod::run_all(rounds, seed);
+            let sequential: Vec<_> = CollectionPeriod::all()
+                .into_iter()
+                .map(|period| (period, period.run(rounds, seed).report()))
+                .collect();
+            assert_eq!(all, sequential, "rounds {rounds}, seed {seed}");
+        }
+    }
 
     #[test]
     fn population_sizes_match_paper() {

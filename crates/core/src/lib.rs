@@ -135,15 +135,10 @@ impl Study {
     }
 
     /// E1 — Figure 2: runs the three collection periods for `rounds`
-    /// consensus rounds each, returning `(period, report)` pairs.
+    /// consensus rounds each (concurrently, see
+    /// [`CollectionPeriod::run_all`]), returning `(period, report)` pairs.
     pub fn figure2(&self, rounds: u64, seed: u64) -> Vec<(CollectionPeriod, ValidatorReport)> {
-        CollectionPeriod::all()
-            .into_iter()
-            .map(|period| {
-                let outcome = period.run(rounds, seed);
-                (period, outcome.report())
-            })
-            .collect()
+        CollectionPeriod::run_all(rounds, seed)
     }
 
     /// E3/E12 — Figure 3: information gain of every feature/resolution row.

@@ -1,7 +1,8 @@
 //! From-scratch implementations of SHA-256 and SHA-512 (FIPS 180-4), plus the
 //! XRP Ledger's `SHA-512Half` convention (the first 32 bytes of a SHA-512
 //! digest). Both functions are validated against the official NIST test
-//! vectors in this module's test suite.
+//! vectors in this module's test suite, and the SHA-512 kernel against a
+//! textbook FIPS 180-4 compressor kept there as its oracle.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,25 +12,7 @@ pub struct Digest256([u8; 32]);
 
 /// A 512-bit digest, as produced by [`sha512`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Digest512(#[serde(with = "serde_bytes64")] [u8; 64]);
-
-// Referenced via `#[serde(with = ...)]`; the vendored offline serde derive
-// expands to nothing, so the helpers look dead to rustc.
-#[allow(dead_code)]
-mod serde_bytes64 {
-    use serde::de::Error;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &[u8; 64], ser: S) -> Result<S::Ok, S::Error> {
-        ser.serialize_bytes(bytes)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<[u8; 64], D::Error> {
-        let v: Vec<u8> = Deserialize::deserialize(de)?;
-        v.try_into()
-            .map_err(|_| D::Error::custom("expected 64 bytes"))
-    }
-}
+pub struct Digest512([u8; 64]);
 
 impl Digest256 {
     /// Wraps raw digest bytes.
@@ -55,7 +38,8 @@ impl Digest256 {
     /// Interprets the first eight bytes as a big-endian `u64`, useful for
     /// deriving deterministic pseudo-random seeds from digests.
     pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
+        let (words, _) = self.0.as_chunks::<8>();
+        u64::from_be_bytes(words[0])
     }
 }
 
@@ -291,8 +275,8 @@ impl Sha256 {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -388,87 +372,130 @@ impl Sha512 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 128 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 128 {
+                return;
             }
+            sha512_compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= 128 {
-            let (block, rest) = data.split_at(128);
-            let mut arr = [0u8; 128];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<128>();
+        for block in blocks {
+            sha512_compress(&mut self.state, block);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finishes the computation, producing the digest.
-    pub fn finalize(mut self) -> Digest512 {
-        let bit_len = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 112 {
-            self.update(&[0]);
+    pub fn finalize(self) -> Digest512 {
+        // Buffered bytes, the 0x80 marker, zeros and the 128-bit message
+        // length in bits, written in one go: one block, or two when fewer
+        // than 17 bytes are free after the buffered ones.
+        let buffered = self.buffered;
+        let mut tail = [0u8; 256];
+        tail[..buffered].copy_from_slice(&self.buffer[..buffered]);
+        tail[buffered] = 0x80;
+        let end = if buffered < 112 { 128 } else { 256 };
+        tail[end - 16..end].copy_from_slice(&self.length.wrapping_mul(8).to_be_bytes());
+        let mut state = self.state;
+        for block in tail[..end].as_chunks::<128>().0 {
+            sha512_compress(&mut state, block);
         }
-        let mut block = self.buffer;
-        block[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block.clone());
         let mut out = [0u8; 64];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<8>().0.iter_mut().zip(state) {
+            *bytes = word.to_be_bytes();
         }
         Digest512(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 128]) {
-        let mut w = [0u64; 80];
-        for (i, chunk) in block.chunks_exact(8).enumerate() {
-            w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+#[inline(always)]
+fn sha512_ch(e: u64, f: u64, g: u64) -> u64 {
+    (e & f) ^ (!e & g)
+}
+
+#[inline(always)]
+fn sha512_maj(a: u64, b: u64, c: u64) -> u64 {
+    (a & b) ^ (a & c) ^ (b & c)
+}
+
+#[inline(always)]
+fn sha512_big_sigma0(a: u64) -> u64 {
+    a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39)
+}
+
+#[inline(always)]
+fn sha512_big_sigma1(e: u64) -> u64 {
+    e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41)
+}
+
+#[inline(always)]
+fn sha512_sigma0(w: u64) -> u64 {
+    w.rotate_right(1) ^ w.rotate_right(8) ^ (w >> 7)
+}
+
+#[inline(always)]
+fn sha512_sigma1(w: u64) -> u64 {
+    w.rotate_right(19) ^ w.rotate_right(61) ^ (w >> 6)
+}
+
+/// One SHA-512 block. The message schedule is a rolling window of 16
+/// words: round `t` of a group of 16 reads `w[t % 16]`, which the group
+/// before refreshed in place (`W[t] = W[t-16] + σ0(W[t-15]) + W[t-7] +
+/// σ1(W[t-2])`, all of them still in the window). The rounds are unrolled
+/// eight at a time with the working variables renamed rather than shifted.
+fn sha512_compress(state: &mut [u64; 8], block: &[u8; 128]) {
+    let mut w = [0u64; 16];
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<8>().0) {
+        *word = u64::from_be_bytes(*bytes);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+
+    // One round with the roles rotated: the caller's `d` and `h` receive
+    // the new `e` and `a`.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident,
+         $k:expr, $w:expr) => {
+            let t1 = $h
+                .wrapping_add(sha512_big_sigma1($e))
+                .wrapping_add(sha512_ch($e, $f, $g))
+                .wrapping_add($k)
+                .wrapping_add($w);
+            let t2 = sha512_big_sigma0($a).wrapping_add(sha512_maj($a, $b, $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    // Eight rounds: after them every variable is back in its own role.
+    macro_rules! rounds8 {
+        ($k:expr, $w:expr, $i:expr) => {
+            round!(a, b, c, d, e, f, g, h, $k[$i], $w[$i]);
+            round!(h, a, b, c, d, e, f, g, $k[$i + 1], $w[$i + 1]);
+            round!(g, h, a, b, c, d, e, f, $k[$i + 2], $w[$i + 2]);
+            round!(f, g, h, a, b, c, d, e, $k[$i + 3], $w[$i + 3]);
+            round!(e, f, g, h, a, b, c, d, $k[$i + 4], $w[$i + 4]);
+            round!(d, e, f, g, h, a, b, c, $k[$i + 5], $w[$i + 5]);
+            round!(c, d, e, f, g, h, a, b, $k[$i + 6], $w[$i + 6]);
+            round!(b, c, d, e, f, g, h, a, $k[$i + 7], $w[$i + 7]);
+        };
+    }
+
+    let (groups, _) = SHA512_K.as_chunks::<16>();
+    for (group, k) in groups.iter().enumerate() {
+        if group > 0 {
+            for i in 0..16 {
+                w[i] = w[i]
+                    .wrapping_add(sha512_sigma0(w[(i + 1) & 15]))
+                    .wrapping_add(w[(i + 9) & 15])
+                    .wrapping_add(sha512_sigma1(w[(i + 14) & 15]));
+            }
         }
-        for i in 16..80 {
-            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
-            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..80 {
-            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA512_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        let prev = self.state;
-        self.state = [
-            prev[0].wrapping_add(a),
-            prev[1].wrapping_add(b),
-            prev[2].wrapping_add(c),
-            prev[3].wrapping_add(d),
-            prev[4].wrapping_add(e),
-            prev[5].wrapping_add(f),
-            prev[6].wrapping_add(g),
-            prev[7].wrapping_add(h),
-        ];
+        rounds8!(k, w, 0);
+        rounds8!(k, w, 8);
+    }
+
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -547,10 +574,15 @@ pub fn mix128(data: &[u8]) -> u128 {
 
     let mut h1: u64 = 0x9e37_79b9_7f4a_7c15; // seed: golden-ratio constant
     let mut h2: u64 = h1;
-    let mut chunks = data.chunks_exact(16);
-    for block in &mut chunks {
-        let mut k1 = u64::from_le_bytes(block[..8].try_into().unwrap());
-        let mut k2 = u64::from_le_bytes(block[8..].try_into().unwrap());
+    // A block's two little-endian words are the halves of one
+    // little-endian `u128`.
+    let halves = |block: [u8; 16]| {
+        let v = u128::from_le_bytes(block);
+        (v as u64, (v >> 64) as u64)
+    };
+    let (blocks, tail) = data.as_chunks::<16>();
+    for block in blocks {
+        let (mut k1, mut k2) = halves(*block);
         k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
         h1 = (h1 ^ k1)
             .rotate_left(27)
@@ -564,12 +596,10 @@ pub fn mix128(data: &[u8]) -> u128 {
             .wrapping_mul(5)
             .wrapping_add(0x3849_5ab5);
     }
-    let tail = chunks.remainder();
     if !tail.is_empty() {
         let mut block = [0u8; 16];
         block[..tail.len()].copy_from_slice(tail);
-        let mut k1 = u64::from_le_bytes(block[..8].try_into().unwrap());
-        let mut k2 = u64::from_le_bytes(block[8..].try_into().unwrap());
+        let (mut k1, mut k2) = halves(block);
         k2 = k2.wrapping_mul(C2).rotate_left(33).wrapping_mul(C1);
         h2 ^= k2;
         k1 = k1.wrapping_mul(C1).rotate_left(31).wrapping_mul(C2);
@@ -589,6 +619,130 @@ pub fn mix128(data: &[u8]) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook FIPS 180-4 compressor, kept as the oracle for
+    /// [`sha512_compress`]: the full 80-word schedule expanded up front, one
+    /// round per iteration, the eight working variables shifted each round.
+    fn sha512_compress_textbook(state: &mut [u64; 8], block: &[u8; 128]) {
+        let mut w = [0u64; 80];
+        for (i, chunk) in block.chunks_exact(8).enumerate() {
+            w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+        }
+        for i in 16..80 {
+            let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
+            let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..80 {
+            let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(SHA512_K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+
+    /// SHA-512 through the textbook compressor, padded the textbook way:
+    /// the message, 0x80, zeros up to 112 mod 128, the 128-bit bit length.
+    fn sha512_textbook(data: &[u8]) -> Digest512 {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 128 != 112 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u128 * 8).to_be_bytes());
+        let mut state = Sha512::new().state;
+        for block in padded.chunks_exact(128) {
+            sha512_compress_textbook(&mut state, block.try_into().expect("128-byte block"));
+        }
+        let mut out = [0u8; 64];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest512(out)
+    }
+
+    /// Deterministic, non-repeating test bytes.
+    fn message(len: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sha512_matches_the_textbook_compressor_at_every_length() {
+        let data = message(1_024);
+        for len in 0..=data.len() {
+            assert_eq!(
+                sha512(&data[..len]),
+                sha512_textbook(&data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn sha512_padding_boundaries_match_the_textbook_compressor() {
+        // 111 leaves exactly room for the marker and the length; 112 and
+        // 127 push the length into a second block; 128 starts a new one;
+        // 239 and 240 are the same edges one block later.
+        for len in [111, 112, 127, 128, 239, 240] {
+            let data = message(len);
+            let oracle = sha512_textbook(&data);
+            assert_eq!(sha512(&data), oracle, "one-shot, length {len}");
+            let mut h = Sha512::new();
+            for byte in &data {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(h.finalize(), oracle, "byte at a time, length {len}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn sha512_random_update_splits_match_the_textbook_compressor(
+            data in proptest::collection::vec(any::<u8>(), 0..700),
+            cuts in proptest::collection::vec(0usize..700, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Sha512::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            h.update(&data[from..]);
+            prop_assert_eq!(h.finalize(), sha512_textbook(&data));
+        }
+    }
 
     #[test]
     fn sha256_nist_vectors() {

@@ -14,7 +14,7 @@
 //! the simulator* (byzantine validator actors), not expected to attack the
 //! binary. The substitution is documented in `DESIGN.md`.
 
-use crate::hash::{sha512, sha512_half, Digest512};
+use crate::hash::{Digest512, Sha512};
 use serde::{Deserialize, Serialize};
 
 /// A 32-byte public key for the simulated scheme.
@@ -110,14 +110,8 @@ pub struct SimKeypair {
 impl SimKeypair {
     /// Derives a keypair from an arbitrary seed.
     pub fn from_seed(seed: &[u8]) -> Self {
-        let mut material = Vec::with_capacity(seed.len() + 7);
-        material.extend_from_slice(b"secret:");
-        material.extend_from_slice(seed);
-        let secret = sha512_half(&material).into_bytes();
-        let mut pub_material = Vec::with_capacity(39);
-        pub_material.extend_from_slice(b"public:");
-        pub_material.extend_from_slice(&secret);
-        let public = PublicKey(sha512_half(&pub_material).into_bytes());
+        let secret = sha512_of(&[b"secret:", seed]).first_half().into_bytes();
+        let public = PublicKey(sha512_of(&[b"public:", &secret]).first_half().into_bytes());
         SimKeypair { secret, public }
     }
 
@@ -138,11 +132,16 @@ impl SimKeypair {
 }
 
 fn sign_with_public(public: &PublicKey, message: &[u8]) -> Digest512 {
-    let mut buf = Vec::with_capacity(32 + message.len() + 4);
-    buf.extend_from_slice(b"sig:");
-    buf.extend_from_slice(&public.0);
-    buf.extend_from_slice(message);
-    sha512(&buf)
+    sha512_of(&[b"sig:", &public.0, message])
+}
+
+/// SHA-512 of the concatenated `parts`, streamed without joining them.
+fn sha512_of(parts: &[&[u8]]) -> Digest512 {
+    let mut h = Sha512::new();
+    for part in parts {
+        h.update(part);
+    }
+    h.finalize()
 }
 
 #[cfg(test)]

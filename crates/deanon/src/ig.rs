@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use ripple_crypto::FxHashMap;
 use ripple_ledger::PaymentRecord;
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +60,7 @@ pub fn information_gain<'a>(
     records: impl Iterator<Item = &'a PaymentRecord>,
     spec: ResolutionSpec,
 ) -> IgResult {
-    let mut classes: HashMap<Fingerprint, u64> = HashMap::new();
+    let mut classes: FxHashMap<Fingerprint, u64> = FxHashMap::default();
     let mut total = 0u64;
     for record in records {
         total += 1;
