@@ -78,7 +78,7 @@ pub fn hub_report<'a>(
 
     // Trust aggregation over the final ledger state. The same pass notes
     // the currencies each listed account has a trust line in: only those
-    // count towards its balance, as in `balance_in_reference`.
+    // count towards its balance, as in the tests' `balance_in_reference`.
     let mut trust_received: HashMap<AccountId, Value> = HashMap::new();
     let mut trust_given: HashMap<AccountId, Value> = HashMap::new();
     let mut positions: HashMap<AccountId, Vec<(Currency, Value)>> = ranked
@@ -156,30 +156,6 @@ pub fn hub_report<'a>(
     }
 }
 
-/// Net position of `account` across all currencies, converted into the
-/// rate table's reference currency (EUR in the paper's Fig. 7c).
-///
-/// One account at a time this rescans the ledger once per currency;
-/// [`hub_report`] nets all its rows in one pass and is tested against this.
-pub fn balance_in_reference(state: &LedgerState, account: AccountId, rates: &RateTable) -> Value {
-    let mut total = Value::ZERO;
-    let mut currencies: Vec<Currency> = Vec::new();
-    for line in state.trust_lines() {
-        if (line.truster == account || line.trustee == account)
-            && !currencies.contains(&line.currency)
-        {
-            currencies.push(line.currency);
-        }
-    }
-    for currency in currencies {
-        let position = state.net_position(account, currency);
-        if !position.is_zero() {
-            total = total + rates.to_reference(currency, position);
-        }
-    }
-    total
-}
-
 /// Renders the report as text (the three Figure 7 panels side by side).
 pub fn hub_table(report: &HubReport) -> String {
     let mut out = format!(
@@ -205,6 +181,30 @@ mod tests {
     use super::*;
     use ripple_crypto::sha512_half;
     use ripple_ledger::{Drops, PathSummary, RippleTime};
+
+    /// Net position of `account` across all currencies, converted into the
+    /// rate table's reference currency (EUR in the paper's Fig. 7c).
+    ///
+    /// One account at a time this rescans the ledger once per currency: the
+    /// oracle for [`hub_report`], which nets all its rows in one pass.
+    fn balance_in_reference(state: &LedgerState, account: AccountId, rates: &RateTable) -> Value {
+        let mut total = Value::ZERO;
+        let mut currencies: Vec<Currency> = Vec::new();
+        for line in state.trust_lines() {
+            if (line.truster == account || line.trustee == account)
+                && !currencies.contains(&line.currency)
+            {
+                currencies.push(line.currency);
+            }
+        }
+        for currency in currencies {
+            let position = state.net_position(account, currency);
+            if !position.is_zero() {
+                total = total + rates.to_reference(currency, position);
+            }
+        }
+        total
+    }
 
     fn acct(n: u8) -> AccountId {
         AccountId::from_bytes([n; 20])

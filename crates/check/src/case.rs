@@ -13,6 +13,7 @@
 
 use ripple_netsim::{FaultEvent, NodeId, SimTime};
 use ripple_obs::json::{JsonWriter, Value};
+use ripple_store::CorruptionOp;
 
 use crate::diff::{run_book_plan, run_engine_plan, run_ledger_plan, run_router_plan};
 use crate::explore::{run_consensus_plan, ConsensusPlan};
@@ -20,7 +21,7 @@ use crate::gen::{
     BookOffer, BookPlan, CaseAmount, EnginePlan, LedgerCasePlan, Op, OpKind, RouterPlan,
     RouterQuery,
 };
-use crate::storefuzz::{run_store_plan, StoreOp, StorePlan};
+use crate::storefuzz::{run_store_plan, StorePlan, MAX_STORE_EVENTS};
 
 /// Format version stamped into every document.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -453,22 +454,22 @@ fn write_store(w: &mut JsonWriter, plan: &StorePlan) {
     for op in &plan.ops {
         w.begin_inline_object();
         match *op {
-            StoreOp::FlipBit { offset, bit } => {
+            CorruptionOp::FlipBit { offset, bit } => {
                 w.field_str("op", "flip_bit");
                 w.field_u64("offset", offset);
                 w.field_u64("bit", bit as u64);
             }
-            StoreOp::DropRange { offset, len } => {
+            CorruptionOp::DropRange { offset, len } => {
                 w.field_str("op", "drop_range");
                 w.field_u64("offset", offset);
                 w.field_u64("len", len);
             }
-            StoreOp::ZeroRange { offset, len } => {
+            CorruptionOp::ZeroRange { offset, len } => {
                 w.field_str("op", "zero_range");
                 w.field_u64("offset", offset);
                 w.field_u64("len", len);
             }
-            StoreOp::TruncateAt { offset } => {
+            CorruptionOp::TruncateAt { offset } => {
                 w.field_str("op", "truncate_at");
                 w.field_u64("offset", offset);
             }
@@ -756,28 +757,37 @@ fn read_store(json: &Value) -> Result<StorePlan, String> {
         .iter()
         .map(|entry| {
             Ok(match get_str(entry, "op")?.as_str() {
-                "flip_bit" => StoreOp::FlipBit {
+                "flip_bit" => CorruptionOp::FlipBit {
                     offset: get_u64(entry, "offset")?,
-                    bit: get_u8(entry, "bit")?,
+                    bit: match get_u8(entry, "bit")? {
+                        bit @ 0..=7 => bit,
+                        bit => return Err(format!("flip_bit bit {bit} is not in 0-7")),
+                    },
                 },
-                "drop_range" => StoreOp::DropRange {
+                "drop_range" => CorruptionOp::DropRange {
                     offset: get_u64(entry, "offset")?,
                     len: get_u64(entry, "len")?,
                 },
-                "zero_range" => StoreOp::ZeroRange {
+                "zero_range" => CorruptionOp::ZeroRange {
                     offset: get_u64(entry, "offset")?,
                     len: get_u64(entry, "len")?,
                 },
-                "truncate_at" => StoreOp::TruncateAt {
+                "truncate_at" => CorruptionOp::TruncateAt {
                     offset: get_u64(entry, "offset")?,
                 },
                 other => return Err(format!("unknown store op {other:?}")),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
+    let events = get_u64(json, "events")?;
+    if events > MAX_STORE_EVENTS as u64 {
+        return Err(format!(
+            "store case asks for {events} events, above the cap of {MAX_STORE_EVENTS}"
+        ));
+    }
     Ok(StorePlan {
         corpus_seed: get_u64(json, "corpus_seed")?,
-        events: get_u64(json, "events")? as usize,
+        events: events as usize,
         ops,
     })
 }
@@ -847,5 +857,33 @@ mod tests {
         );
         let err = CheckCase::from_json(&retired).unwrap_err();
         assert!(err.contains("unknown case kind"), "{err}");
+    }
+
+    fn store_case(events: usize, ops: Vec<CorruptionOp>) -> String {
+        CheckCase {
+            seed: 3,
+            divergence: "store".to_string(),
+            payload: CasePayload::Store(StorePlan {
+                corpus_seed: 3,
+                events,
+                ops,
+            }),
+        }
+        .to_json()
+    }
+
+    #[test]
+    fn replay_rejects_a_flip_bit_index_above_seven() {
+        let flip = |bit| vec![CorruptionOp::FlipBit { offset: 12, bit }];
+        assert!(replay_document(&store_case(8, flip(7))).is_ok());
+        let err = replay_document(&store_case(8, flip(9))).unwrap_err();
+        assert!(err.contains("not in 0-7"), "{err}");
+    }
+
+    #[test]
+    fn replay_rejects_a_store_corpus_above_the_cap() {
+        assert!(replay_document(&store_case(MAX_STORE_EVENTS, Vec::new())).is_ok());
+        let err = replay_document(&store_case(MAX_STORE_EVENTS + 1, Vec::new())).unwrap_err();
+        assert!(err.contains("above the cap"), "{err}");
     }
 }

@@ -53,7 +53,7 @@ pub struct CaseAmount {
 
 impl CaseAmount {
     /// Materializes the generated amount.
-    pub fn to_amount(&self, cast_len: u8) -> Amount {
+    fn to_amount(&self, cast_len: u8) -> Amount {
         if self.currency & 3 == 3 {
             Amount::Xrp(Drops::new(self.raw.clamp(0, u64::MAX as i128) as u64))
         } else {

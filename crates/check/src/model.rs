@@ -360,16 +360,6 @@ impl ModelLedger {
         }
         Ok(())
     }
-
-    /// Sum of all XRP balances plus the burn, in drops (for the
-    /// conservation invariant).
-    pub fn total_drops(&self) -> u128 {
-        self.accounts
-            .values()
-            .map(|&(b, _, _)| b as u128)
-            .sum::<u128>()
-            + self.burned as u128
-    }
 }
 
 fn first_map_diff<K: Ord + std::fmt::Debug + Clone, V: PartialEq + std::fmt::Debug>(

@@ -7,39 +7,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, RippleTime, Value};
-use ripple_store::{corrupt_bytes, CorruptionPlan, HistoryEvent, Reader, Writer};
+use ripple_store::{corrupt_bytes, CorruptionOp, HistoryEvent, Reader, Writer};
 
-/// One serialized corruption step (mirrors `store::CorruptionOp`, kept as
-/// local data so plans shrink and serialize independently of the store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreOp {
-    /// XOR one bit of the byte at `offset`.
-    FlipBit {
-        /// Byte position.
-        offset: u64,
-        /// Bit index, 0–7.
-        bit: u8,
-    },
-    /// Remove `len` bytes at `offset` (torn write).
-    DropRange {
-        /// Start of the torn region.
-        offset: u64,
-        /// Bytes removed.
-        len: u64,
-    },
-    /// Zero `len` bytes at `offset`.
-    ZeroRange {
-        /// Start of the zeroed region.
-        offset: u64,
-        /// Bytes zeroed.
-        len: u64,
-    },
-    /// Truncate the stream at `offset`.
-    TruncateAt {
-        /// New stream length.
-        offset: u64,
-    },
-}
+/// The most corpus events a replayed [`StorePlan`] may ask for.
+/// [`gen_store_plan`] draws 5–29; the cap keeps a hand-edited case file
+/// from making [`corpus_events`] allocate without bound.
+pub const MAX_STORE_EVENTS: usize = 1024;
 
 /// A replayable store-fuzz case: the archive is regenerated from
 /// `corpus_seed`/`events`, then damaged by `ops`.
@@ -50,7 +23,7 @@ pub struct StorePlan {
     /// Number of corpus events.
     pub events: usize,
     /// Corruption steps applied to the clean archive.
-    pub ops: Vec<StoreOp>,
+    pub ops: Vec<CorruptionOp>,
 }
 
 /// A deterministic mixed corpus of history events.
@@ -96,19 +69,6 @@ fn write_archive(events: &[HistoryEvent]) -> Vec<u8> {
     clean
 }
 
-fn corruption_plan(ops: &[StoreOp]) -> CorruptionPlan {
-    let mut plan = CorruptionPlan::new();
-    for op in ops {
-        plan = match *op {
-            StoreOp::FlipBit { offset, bit } => plan.flip_bit(offset, bit),
-            StoreOp::DropRange { offset, len } => plan.drop_range(offset, len),
-            StoreOp::ZeroRange { offset, len } => plan.zero_range(offset, len),
-            StoreOp::TruncateAt { offset } => plan.truncate_at(offset),
-        };
-    }
-    plan
-}
-
 /// Generates a store-fuzz case. Offsets are drawn within the actual
 /// archive length, which is itself a pure function of the corpus seed, so
 /// the case replays exactly.
@@ -118,24 +78,24 @@ pub fn gen_store_plan(seed: u64) -> StorePlan {
     let len = write_archive(&corpus_events(seed, events)).len() as u64;
     let ops = (0..rng.gen_range(1usize..=6))
         .map(|_| match rng.gen_range(0u8..8) {
-            0 => StoreOp::TruncateAt {
+            0 => CorruptionOp::TruncateAt {
                 offset: rng.gen_range(0..len),
             },
             1 | 2 => {
                 let offset = rng.gen_range(0..len);
-                StoreOp::DropRange {
+                CorruptionOp::DropRange {
                     offset,
                     len: rng.gen_range(1..=(len - offset).min(40)),
                 }
             }
             3 | 4 => {
                 let offset = rng.gen_range(0..len);
-                StoreOp::ZeroRange {
+                CorruptionOp::ZeroRange {
                     offset,
                     len: rng.gen_range(1..=(len - offset).min(40)),
                 }
             }
-            _ => StoreOp::FlipBit {
+            _ => CorruptionOp::FlipBit {
                 offset: rng.gen_range(0..len),
                 bit: rng.gen_range(0..8),
             },
@@ -155,7 +115,7 @@ pub fn gen_store_plan(seed: u64) -> StorePlan {
 pub fn run_store_plan(plan: &StorePlan) -> Option<String> {
     let events = corpus_events(plan.corpus_seed, plan.events);
     let clean = write_archive(&events);
-    let damaged = corrupt_bytes(&clean, &corruption_plan(&plan.ops));
+    let damaged = corrupt_bytes(&clean, &plan.ops.iter().copied().collect());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let reader = match Reader::recovering(damaged.as_slice()) {
             Ok(reader) => reader,

@@ -1,6 +1,6 @@
 //! Shared scaffolding for the workspace's integration tests and examples:
 //! the standard cast, funded ledgers, honest validator sets, chaos-run
-//! shorthand, and seeded mini-histories.
+//! shorthand, and the seeded small-history configuration.
 //!
 //! Everything here is deterministic — same arguments, same objects — so
 //! tests built on it can assert exact values.
@@ -9,7 +9,7 @@ use ripple_consensus::{ChaosCampaign, ChaosOutcome, Validator, ValidatorProfile}
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, Drops, LedgerState, Value};
 use ripple_netsim::{FaultPlan, SimTime};
-use ripple_synth::{Generator, SynthConfig, SynthOutput};
+use ripple_synth::SynthConfig;
 
 /// The standard cast account for index `i`: `AccountId` of twenty `i`
 /// bytes. Index 0 is reserved (the all-zero id reads as a placeholder in
@@ -69,12 +69,6 @@ pub fn study_config(seed: u64, payments: usize) -> SynthConfig {
     }
 }
 
-/// Generates a seeded mini-history directly (for tests that want the raw
-/// [`SynthOutput`] without the analysis pipeline on top).
-pub fn mini_history(seed: u64, payments: usize) -> SynthOutput {
-    Generator::new(study_config(seed, payments)).run()
-}
-
 /// Asserts the IOU zero-sum law: for each currency, the net positions of
 /// all accounts cancel exactly — debt is moved, never created.
 pub fn assert_iou_zero_sum(state: &LedgerState, currencies: &[Currency]) {
@@ -109,8 +103,8 @@ mod tests {
 
     #[test]
     fn mini_history_is_seed_deterministic() {
-        let a = mini_history(5, 200);
-        let b = mini_history(5, 200);
+        let mini_history = || ripple_synth::Generator::new(study_config(5, 200)).run();
+        let (a, b) = (mini_history(), mini_history());
         assert_eq!(a.events.len(), b.events.len());
     }
 }

@@ -22,7 +22,7 @@ pub struct ValidatorRow {
 
 impl ValidatorRow {
     /// Valid fraction (0 when nothing was signed).
-    pub fn valid_fraction(&self) -> f64 {
+    fn valid_fraction(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {

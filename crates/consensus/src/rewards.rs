@@ -29,16 +29,6 @@ pub struct RewardPolicy {
     pub operating_cost_per_round: f64,
 }
 
-impl RewardPolicy {
-    /// Today's network: no reward at all.
-    pub fn no_reward(operating_cost_per_round: f64) -> RewardPolicy {
-        RewardPolicy {
-            tax_bps: 0,
-            operating_cost_per_round,
-        }
-    }
-}
-
 /// The simulated market around the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EconomyConfig {
@@ -105,7 +95,7 @@ impl EconomyOutcome {
 /// Probability that fewer than a quorum ([`QUORUM_PCT`]) of `n` validators are up when
 /// each is independently available with probability `p` — the chance a
 /// round cannot reach its quorum.
-pub fn quorum_failure_probability(n: usize, p: f64) -> f64 {
+fn quorum_failure_probability(n: usize, p: f64) -> f64 {
     if n == 0 {
         return 1.0;
     }
@@ -143,7 +133,7 @@ pub fn quorum_failure_probability(n: usize, p: f64) -> f64 {
 ///     7,
 /// );
 /// let unfunded = simulate_reward_economy(
-///     RewardPolicy::no_reward(0.01),
+///     RewardPolicy { tax_bps: 0, operating_cost_per_round: 0.01 },
 ///     EconomyConfig::default(),
 ///     7,
 /// );
@@ -218,9 +208,17 @@ mod tests {
         EconomyConfig::default()
     }
 
+    /// Today's network: no reward at all.
+    fn no_reward(operating_cost_per_round: f64) -> RewardPolicy {
+        RewardPolicy {
+            tax_bps: 0,
+            operating_cost_per_round,
+        }
+    }
+
     #[test]
     fn no_reward_economy_shrinks_to_the_core() {
-        let outcome = simulate_reward_economy(RewardPolicy::no_reward(0.01), config(), 1);
+        let outcome = simulate_reward_economy(no_reward(0.01), config(), 1);
         assert!(
             outcome.equilibrium_validators() <= config().initial_validators,
             "no revenue, no growth: {}",
@@ -298,7 +296,7 @@ mod tests {
     #[test]
     fn reward_economy_reduces_availability_risk() {
         let cfg = config();
-        let without = simulate_reward_economy(RewardPolicy::no_reward(0.01), cfg, 4);
+        let without = simulate_reward_economy(no_reward(0.01), cfg, 4);
         let with = simulate_reward_economy(
             RewardPolicy {
                 tax_bps: 150,

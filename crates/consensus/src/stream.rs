@@ -32,7 +32,7 @@ pub struct ValidationEvent {
 /// use ripple_consensus::{ValidationStream, scenario::CollectionPeriod};
 ///
 /// let outcome = CollectionPeriod::December2015.run(50, 1);
-/// assert!(outcome.stream.len() > 50 * 5); // at least R1-R5 each round
+/// assert!(outcome.stream.into_iter().count() > 50 * 5); // at least R1-R5 each round
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ValidationStream {
@@ -50,24 +50,9 @@ impl ValidationStream {
         self.events.push(event);
     }
 
-    /// Number of captured events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the stream is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Iterates over captured events.
-    pub fn iter(&self) -> impl Iterator<Item = &ValidationEvent> {
-        self.events.iter()
-    }
-
-    /// All events for one round.
-    pub fn round(&self, round: u64) -> impl Iterator<Item = &ValidationEvent> {
-        self.events.iter().filter(move |e| e.round == round)
     }
 }
 
@@ -117,15 +102,16 @@ mod tests {
         s.record(event(1, b"a"));
         s.record(event(1, b"b"));
         s.record(event(2, b"a"));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.round(1).count(), 2);
-        assert_eq!(s.round(2).count(), 1);
+        assert_eq!(s.events.len(), 3);
+        let in_round = |r| s.events.iter().filter(|e| e.round == r).count();
+        assert_eq!(in_round(1), 2);
+        assert_eq!(in_round(2), 1);
     }
 
     #[test]
     fn collects_from_iterator() {
         let s: ValidationStream = (0..5).map(|r| event(r, b"x")).collect();
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.events.len(), 5);
         assert!(!s.is_empty());
     }
 

@@ -1,10 +1,9 @@
 //! The 160-bit account identifier at the heart of the paper's
 //! de-anonymization study.
 
-use crate::base58::{check_decode, check_encode, VERSION_ACCOUNT_ID};
+use crate::base58::{check_encode, VERSION_ACCOUNT_ID};
 use crate::hash::sha512_half;
 use crate::keys::PublicKey;
-use crate::DecodeError;
 use serde::{Deserialize, Serialize};
 
 /// A 160-bit Ripple account identifier.
@@ -26,7 +25,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// let account = AccountId::from_public_key(&SimKeypair::from_seed(b"bob").public_key());
 /// let addr = account.to_base58();
-/// assert_eq!(AccountId::from_base58(&addr).unwrap(), account);
+/// assert!(addr.starts_with('r'));
+/// assert_eq!(addr, account.to_string());
 /// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
@@ -62,25 +62,6 @@ impl AccountId {
         check_encode(VERSION_ACCOUNT_ID, &self.0)
     }
 
-    /// Parses a classic `r...` address.
-    ///
-    /// # Errors
-    ///
-    /// Any [`DecodeError`] from Base58Check decoding, plus
-    /// [`DecodeError::BadLength`] if the payload is not 20 bytes.
-    pub fn from_base58(s: &str) -> Result<Self, DecodeError> {
-        let payload = check_decode(VERSION_ACCOUNT_ID, s)?;
-        let bytes: [u8; 20] =
-            payload
-                .as_slice()
-                .try_into()
-                .map_err(|_| DecodeError::BadLength {
-                    expected: 20,
-                    actual: payload.len(),
-                })?;
-        Ok(AccountId(bytes))
-    }
-
     /// Short display form used in the paper's figures (`rp2PaY...X1mEx7`).
     pub fn short(&self) -> String {
         let full = self.to_base58();
@@ -88,12 +69,6 @@ impl AccountId {
             return full;
         }
         format!("{}...{}", &full[..6], &full[full.len() - 6..])
-    }
-
-    /// Interprets the first eight bytes as a big-endian `u64` — handy for
-    /// deterministic, uniform bucketing of accounts.
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("20-byte id"))
     }
 }
 
@@ -118,8 +93,16 @@ impl From<[u8; 20]> for AccountId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base58::tests::check_decode;
     use crate::keys::SimKeypair;
     use proptest::prelude::*;
+
+    /// Parses a classic `r...` address: the round-trip oracle for
+    /// [`AccountId::to_base58`].
+    fn from_base58(s: &str) -> AccountId {
+        let payload = check_decode(VERSION_ACCOUNT_ID, s).unwrap();
+        AccountId(payload.try_into().unwrap())
+    }
 
     #[test]
     fn derivation_is_deterministic() {
@@ -144,7 +127,7 @@ mod tests {
     #[test]
     fn account_zero_round_trips() {
         let addr = AccountId::ZERO.to_base58();
-        assert_eq!(AccountId::from_base58(&addr).unwrap(), AccountId::ZERO);
+        assert_eq!(from_base58(&addr), AccountId::ZERO);
         // All-zero payload collapses into the alphabet's zero digit: an
         // address of mostly leading 'r's, mirroring the real rrrrr... form.
         assert!(addr.starts_with("rrrr"));
@@ -162,7 +145,7 @@ mod tests {
         #[test]
         fn base58_round_trip(bytes in any::<[u8; 20]>()) {
             let a = AccountId::from_bytes(bytes);
-            prop_assert_eq!(AccountId::from_base58(&a.to_base58()).unwrap(), a);
+            prop_assert_eq!(from_base58(&a.to_base58()), a);
         }
     }
 }

@@ -12,7 +12,6 @@
 //! `SHA-256(SHA-256(payload))`; we follow the same construction.
 
 use crate::hash::sha256;
-use crate::DecodeError;
 
 /// The Ripple Base58 alphabet ("r" first, hence `r...` addresses).
 pub const RIPPLE_ALPHABET: &[u8; 58] =
@@ -34,7 +33,7 @@ fn checksum(payload: &[u8]) -> [u8; 4] {
 }
 
 /// Encodes `payload` (without version or checksum) in raw Base58.
-pub fn encode_raw(payload: &[u8]) -> String {
+fn encode_raw(payload: &[u8]) -> String {
     // Count leading zero bytes: they become leading 'r' (alphabet[0]).
     let zeros = payload.iter().take_while(|&&b| b == 0).count();
     let mut digits: Vec<u8> = Vec::with_capacity(payload.len() * 138 / 100 + 1);
@@ -60,53 +59,17 @@ pub fn encode_raw(payload: &[u8]) -> String {
     out
 }
 
-/// Decodes raw Base58 into bytes.
-///
-/// # Errors
-///
-/// Returns [`DecodeError::InvalidCharacter`] on characters outside the Ripple
-/// alphabet.
-pub fn decode_raw(s: &str) -> Result<Vec<u8>, DecodeError> {
-    let mut index = [255u8; 128];
-    for (i, &c) in RIPPLE_ALPHABET.iter().enumerate() {
-        index[c as usize] = i as u8;
-    }
-    let zeros = s.bytes().take_while(|&b| b == RIPPLE_ALPHABET[0]).count();
-    let mut bytes: Vec<u8> = Vec::with_capacity(s.len() * 733 / 1000 + 1);
-    for c in s.chars() {
-        let v = if (c as usize) < 128 {
-            index[c as usize]
-        } else {
-            255
-        };
-        if v == 255 {
-            return Err(DecodeError::InvalidCharacter(c));
-        }
-        let mut carry = v as u32;
-        for byte in bytes.iter_mut() {
-            carry += (*byte as u32) * 58;
-            *byte = (carry & 0xff) as u8;
-            carry >>= 8;
-        }
-        while carry > 0 {
-            bytes.push((carry & 0xff) as u8);
-            carry >>= 8;
-        }
-    }
-    let mut out = vec![0u8; zeros];
-    out.extend(bytes.iter().rev());
-    Ok(out)
-}
-
 /// Encodes `payload` with a version byte and Base58Check checksum.
 ///
 /// # Examples
 ///
 /// ```
-/// use ripple_crypto::base58::{check_encode, check_decode, VERSION_ACCOUNT_ID};
+/// use ripple_crypto::base58::{check_encode, VERSION_ACCOUNT_ID};
+/// use ripple_crypto::AccountId;
 ///
 /// let s = check_encode(VERSION_ACCOUNT_ID, &[7u8; 20]);
-/// assert_eq!(check_decode(VERSION_ACCOUNT_ID, &s).unwrap(), vec![7u8; 20]);
+/// assert_eq!(s, AccountId::from_bytes([7u8; 20]).to_base58());
+/// assert!(s.starts_with('r'));
 /// ```
 pub fn check_encode(version: u8, payload: &[u8]) -> String {
     let mut buf = Vec::with_capacity(payload.len() + 5);
@@ -117,40 +80,79 @@ pub fn check_encode(version: u8, payload: &[u8]) -> String {
     encode_raw(&buf)
 }
 
-/// Decodes a Base58Check string, verifying the checksum and version byte, and
-/// returns the payload.
-///
-/// # Errors
-///
-/// * [`DecodeError::InvalidCharacter`] — non-alphabet character.
-/// * [`DecodeError::BadLength`] — too short to carry version + checksum.
-/// * [`DecodeError::BadChecksum`] — checksum mismatch.
-/// * [`DecodeError::BadVersion`] — version byte mismatch.
-pub fn check_decode(version: u8, s: &str) -> Result<Vec<u8>, DecodeError> {
-    let raw = decode_raw(s)?;
-    if raw.len() < 5 {
-        return Err(DecodeError::BadLength {
-            expected: 5,
-            actual: raw.len(),
-        });
-    }
-    let (body, ck) = raw.split_at(raw.len() - 4);
-    if checksum(body) != ck {
-        return Err(DecodeError::BadChecksum);
-    }
-    if body[0] != version {
-        return Err(DecodeError::BadVersion {
-            expected: version,
-            actual: body[0],
-        });
-    }
-    Ok(body[1..].to_vec())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::DecodeError;
     use proptest::prelude::*;
+
+    /// Decodes raw Base58 into bytes: the round-trip oracle for [`encode_raw`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::InvalidCharacter`] on characters outside the Ripple
+    /// alphabet.
+    pub(crate) fn decode_raw(s: &str) -> Result<Vec<u8>, DecodeError> {
+        let mut index = [255u8; 128];
+        for (i, &c) in RIPPLE_ALPHABET.iter().enumerate() {
+            index[c as usize] = i as u8;
+        }
+        let zeros = s.bytes().take_while(|&b| b == RIPPLE_ALPHABET[0]).count();
+        let mut bytes: Vec<u8> = Vec::with_capacity(s.len() * 733 / 1000 + 1);
+        for c in s.chars() {
+            let v = if (c as usize) < 128 {
+                index[c as usize]
+            } else {
+                255
+            };
+            if v == 255 {
+                return Err(DecodeError::InvalidCharacter(c));
+            }
+            let mut carry = v as u32;
+            for byte in bytes.iter_mut() {
+                carry += (*byte as u32) * 58;
+                *byte = (carry & 0xff) as u8;
+                carry >>= 8;
+            }
+            while carry > 0 {
+                bytes.push((carry & 0xff) as u8);
+                carry >>= 8;
+            }
+        }
+        let mut out = vec![0u8; zeros];
+        out.extend(bytes.iter().rev());
+        Ok(out)
+    }
+
+    /// Decodes a Base58Check string, verifying the checksum and version byte,
+    /// and returns the payload: the round-trip oracle for [`check_encode`].
+    ///
+    /// # Errors
+    ///
+    /// * [`DecodeError::InvalidCharacter`] — non-alphabet character.
+    /// * [`DecodeError::BadLength`] — too short to carry version + checksum.
+    /// * [`DecodeError::BadChecksum`] — checksum mismatch.
+    /// * [`DecodeError::BadVersion`] — version byte mismatch.
+    pub(crate) fn check_decode(version: u8, s: &str) -> Result<Vec<u8>, DecodeError> {
+        let raw = decode_raw(s)?;
+        if raw.len() < 5 {
+            return Err(DecodeError::BadLength {
+                expected: 5,
+                actual: raw.len(),
+            });
+        }
+        let (body, ck) = raw.split_at(raw.len() - 4);
+        if checksum(body) != ck {
+            return Err(DecodeError::BadChecksum);
+        }
+        if body[0] != version {
+            return Err(DecodeError::BadVersion {
+                expected: version,
+                actual: body[0],
+            });
+        }
+        Ok(body[1..].to_vec())
+    }
 
     #[test]
     fn alphabet_is_58_unique_chars() {

@@ -34,21 +34,9 @@ impl Digest256 {
     pub fn to_hex(&self) -> String {
         crate::hex::encode(&self.0)
     }
-
-    /// Interprets the first eight bytes as a big-endian `u64`, useful for
-    /// deriving deterministic pseudo-random seeds from digests.
-    pub fn prefix_u64(&self) -> u64 {
-        let (words, _) = self.0.as_chunks::<8>();
-        u64::from_be_bytes(words[0])
-    }
 }
 
 impl Digest512 {
-    /// Wraps raw digest bytes.
-    pub const fn from_bytes(bytes: [u8; 64]) -> Self {
-        Digest512(bytes)
-    }
-
     /// Returns the digest as a byte slice.
     pub fn as_bytes(&self) -> &[u8; 64] {
         &self.0
@@ -828,12 +816,6 @@ mod tests {
         let d = sha256(b"x");
         assert_eq!(format!("{d}"), d.to_hex());
         assert_eq!(d.to_hex().len(), 64);
-    }
-
-    #[test]
-    fn prefix_u64_is_stable() {
-        let d = Digest256::from_bytes([0xAB; 32]);
-        assert_eq!(d.prefix_u64(), 0xABABABABABABABAB);
     }
 
     #[test]

@@ -22,11 +22,6 @@ use serde::{Deserialize, Serialize};
 pub struct PublicKey([u8; 32]);
 
 impl PublicKey {
-    /// Wraps raw key bytes.
-    pub const fn from_bytes(bytes: [u8; 32]) -> Self {
-        PublicKey(bytes)
-    }
-
     /// Returns the raw key bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
@@ -46,7 +41,7 @@ impl PublicKey {
     /// Full validator address: Base58Check over a 33-byte payload (a
     /// compressed-key style `0x02` prefix plus the key bytes), which yields
     /// the familiar `n9...` form.
-    pub fn node_base58(&self) -> String {
+    fn node_base58(&self) -> String {
         let mut payload = Vec::with_capacity(33);
         payload.push(0x02);
         payload.extend_from_slice(&self.0);
@@ -71,11 +66,11 @@ mod sig_bytes {
     use serde::de::Error;
     use serde::{Deserialize, Deserializer, Serializer};
 
-    pub fn serialize<S: Serializer>(bytes: &[u8; 64], ser: S) -> Result<S::Ok, S::Error> {
+    pub(super) fn serialize<S: Serializer>(bytes: &[u8; 64], ser: S) -> Result<S::Ok, S::Error> {
         ser.serialize_bytes(bytes)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<[u8; 64], D::Error> {
+    pub(super) fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<[u8; 64], D::Error> {
         let v: Vec<u8> = Deserialize::deserialize(de)?;
         v.try_into()
             .map_err(|_| D::Error::custom("expected 64 bytes"))

@@ -58,7 +58,7 @@ impl Observation {
     /// hint is for.
     ///
     /// [`strength`]: Observation::strength
-    pub fn rounding_strength(&self) -> CurrencyStrength {
+    fn rounding_strength(&self) -> CurrencyStrength {
         self.currency
             .map(CurrencyStrength::of)
             .or(self.strength)
@@ -155,21 +155,6 @@ impl DeanonIndex {
         }
     }
 
-    /// The resolution spec the index was built with.
-    pub fn spec(&self) -> ResolutionSpec {
-        self.spec
-    }
-
-    /// Number of indexed payments.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The candidate senders matching an observation (deduplicated,
     /// insertion order). A singleton means the observation de-anonymizes
     /// its sender.
@@ -188,15 +173,6 @@ impl DeanonIndex {
             }
         }
         out
-    }
-
-    /// The matching payments themselves (for the attacker's forensics).
-    pub fn matching_payments(&self, observation: &Observation) -> Vec<&PaymentRecord> {
-        let fp = observation.fingerprint(self.spec);
-        self.by_fingerprint
-            .get(&fp)
-            .map(|indices| indices.iter().map(|&i| &self.records[i as usize]).collect())
-            .unwrap_or_default()
     }
 
     /// Unrolls the full financial profile of `account` from the indexed
@@ -380,7 +356,6 @@ mod tests {
             destination: Some(AccountId::from_bytes([50; 20])),
         };
         assert!(index.query(&observation).is_empty());
-        assert!(index.matching_payments(&observation).is_empty());
     }
 
     #[test]
@@ -475,19 +450,9 @@ mod tests {
                 ..ResolutionSpec::full()
             },
         );
-        assert_eq!(full.len(), arena.len());
-        assert_eq!(coarse.len(), arena.len());
+        assert_eq!(full.records.len(), arena.len());
+        assert_eq!(coarse.records.len(), arena.len());
         // Three owners: the local arena handle plus the two indexes.
         assert_eq!(std::sync::Arc::strong_count(&arena), 3);
-    }
-
-    #[test]
-    fn matching_payments_expose_records() {
-        let history = history();
-        let index = DeanonIndex::build(history.iter(), ResolutionSpec::full());
-        let observation = Observation::of(&history[0]);
-        let matches = index.matching_payments(&observation);
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].amount, "4.5".parse().unwrap());
     }
 }

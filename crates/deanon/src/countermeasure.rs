@@ -20,7 +20,7 @@
 //!
 //! # Cost: one derivation per wallet, not per payment
 //!
-//! A wallet identity costs a SHA-512-half ([`wallet_of`]) and a history has
+//! A wallet identity costs a SHA-512-half (`wallet_of`) and a history has
 //! far fewer senders than payments (hub-heavy, as on the real network), so
 //! each call interns the accounts it works on into a private table: dense
 //! ids in first-appearance order. [`split_wallets`] keeps one row per
@@ -77,7 +77,7 @@ pub struct WalletSplitReport {
 }
 
 /// Derives the `slot`-th wallet identity of `owner`.
-pub fn wallet_of(owner: AccountId, slot: usize) -> AccountId {
+fn wallet_of(owner: AccountId, slot: usize) -> AccountId {
     // "wallet:" ‖ owner ‖ slot as a big-endian u32.
     let mut seed = [0u8; 31];
     seed[..7].copy_from_slice(b"wallet:");

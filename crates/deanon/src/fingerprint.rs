@@ -80,34 +80,6 @@ impl ResolutionSpec {
             ),
         ]
     }
-
-    /// Whether `other` is a coarsening of `self` (every field is equal or
-    /// strictly coarser / dropped). Used by the monotonicity property
-    /// tests: coarsening can never *increase* information gain.
-    pub fn coarsens_to(&self, other: &ResolutionSpec) -> bool {
-        fn amount_rank(a: Option<AmountResolution>) -> u8 {
-            match a {
-                Some(AmountResolution::Maximum) => 0,
-                Some(AmountResolution::High) => 1,
-                Some(AmountResolution::Average) => 2,
-                Some(AmountResolution::Low) => 3,
-                None => 4,
-            }
-        }
-        fn time_rank(t: Option<TimeResolution>) -> u8 {
-            match t {
-                Some(TimeResolution::Seconds) => 0,
-                Some(TimeResolution::Minutes) => 1,
-                Some(TimeResolution::Hours) => 2,
-                Some(TimeResolution::Days) => 3,
-                None => 4,
-            }
-        }
-        amount_rank(other.amount) >= amount_rank(self.amount)
-            && time_rank(other.time) >= time_rank(self.time)
-            && (self.currency || !other.currency)
-            && (self.destination || !other.destination)
-    }
 }
 
 /// A fingerprint: the coarsened feature tuple. Hashable and comparable, so
@@ -224,91 +196,6 @@ mod tests {
         let a = Fingerprint::of(&rec("100", 60, Currency::USD, 5), spec);
         let b = Fingerprint::of(&rec("100", 119, Currency::USD, 5), spec);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn coarsens_to_is_a_partial_order() {
-        let rows = ResolutionSpec::figure3_rows();
-        let full = ResolutionSpec::full();
-        for (_, spec) in &rows {
-            assert!(full.coarsens_to(spec), "full refines every row");
-        }
-        let last = rows[9].1;
-        assert!(!last.coarsens_to(&full), "coarse does not refine fine");
-    }
-
-    mod partial_order {
-        use super::super::*;
-        use crate::resolution::{AmountResolution, TimeResolution};
-        use proptest::prelude::*;
-
-        fn amount_level(rank: u8) -> Option<AmountResolution> {
-            match rank {
-                0 => Some(AmountResolution::Maximum),
-                1 => Some(AmountResolution::High),
-                2 => Some(AmountResolution::Average),
-                3 => Some(AmountResolution::Low),
-                _ => None,
-            }
-        }
-
-        fn time_level(rank: u8) -> Option<TimeResolution> {
-            match rank {
-                0 => Some(TimeResolution::Seconds),
-                1 => Some(TimeResolution::Minutes),
-                2 => Some(TimeResolution::Hours),
-                3 => Some(TimeResolution::Days),
-                _ => None,
-            }
-        }
-
-        // Packs one random spec: amount/time ladders (4 levels + dropped)
-        // and the 4 include-flag combinations of currency × destination —
-        // jointly covering all 16 present/absent field combinations.
-        fn spec_from(a: u8, t: u8, flags: u8) -> ResolutionSpec {
-            ResolutionSpec {
-                amount: amount_level(a),
-                time: time_level(t),
-                currency: flags & 1 != 0,
-                destination: flags & 2 != 0,
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(512))]
-
-            #[test]
-            fn reflexive(a in 0u8..=4, t in 0u8..=4, f in 0u8..4) {
-                let s = spec_from(a, t, f);
-                prop_assert!(s.coarsens_to(&s));
-            }
-
-            #[test]
-            fn antisymmetric(
-                a1 in 0u8..=4, t1 in 0u8..=4, f1 in 0u8..4,
-                a2 in 0u8..=4, t2 in 0u8..=4, f2 in 0u8..4,
-            ) {
-                let x = spec_from(a1, t1, f1);
-                let y = spec_from(a2, t2, f2);
-                if x.coarsens_to(&y) && y.coarsens_to(&x) {
-                    prop_assert_eq!(x, y);
-                }
-            }
-
-            #[test]
-            fn transitive(
-                a1 in 0u8..=4, t1 in 0u8..=4, f1 in 0u8..4,
-                a2 in 0u8..=4, t2 in 0u8..=4, f2 in 0u8..4,
-                a3 in 0u8..=4, t3 in 0u8..=4, f3 in 0u8..4,
-            ) {
-                let x = spec_from(a1, t1, f1);
-                let y = spec_from(a2, t2, f2);
-                let z = spec_from(a3, t3, f3);
-                if x.coarsens_to(&y) && y.coarsens_to(&z) {
-                    prop_assert!(x.coarsens_to(&z));
-                }
-            }
-        }
     }
 
     #[test]

@@ -119,16 +119,6 @@ impl AmountResolution {
             AmountResolution::Low,
         ]
     }
-
-    /// The subscript used in the paper's notation.
-    pub fn subscript(self) -> &'static str {
-        match self {
-            AmountResolution::Maximum => "m",
-            AmountResolution::High => "h",
-            AmountResolution::Average => "a",
-            AmountResolution::Low => "l",
-        }
-    }
 }
 
 /// Timestamp resolution level (Fig. 3's `sc`, `mn`, `hr`, `dy`).
@@ -176,16 +166,6 @@ impl TimeResolution {
             TimeResolution::Hours,
             TimeResolution::Days,
         ]
-    }
-
-    /// The subscript used in the paper's notation.
-    pub fn subscript(self) -> &'static str {
-        match self {
-            TimeResolution::Seconds => "sc",
-            TimeResolution::Minutes => "mn",
-            TimeResolution::Hours => "hr",
-            TimeResolution::Days => "dy",
-        }
     }
 }
 
@@ -283,11 +263,5 @@ mod tests {
             TimeResolution::Days.coarsen(t).to_string(),
             "2015-08-24 00:00:00"
         );
-    }
-
-    #[test]
-    fn subscripts_match_paper_notation() {
-        assert_eq!(AmountResolution::Maximum.subscript(), "m");
-        assert_eq!(TimeResolution::Days.subscript(), "dy");
     }
 }

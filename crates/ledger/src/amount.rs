@@ -80,16 +80,6 @@ impl Value {
         Value(self.0.checked_abs().unwrap_or(i128::MAX))
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, rhs: Value) -> Option<Value> {
-        self.0.checked_add(rhs.0).map(Value)
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Value) -> Option<Value> {
-        self.0.checked_sub(rhs.0).map(Value)
-    }
-
     /// Multiplies by the rational `num/den`, rounding toward zero.
     ///
     /// This is how exchange rates are applied: rates are kept as integer
@@ -425,11 +415,6 @@ impl Amount {
             Amount::Iou(iou) => iou.value,
         }
     }
-
-    /// Whether this is native XRP.
-    pub fn is_xrp(&self) -> bool {
-        matches!(self, Amount::Xrp(_))
-    }
 }
 
 impl std::fmt::Display for Amount {
@@ -533,10 +518,10 @@ mod tests {
         let iou = IouAmount::new("3".parse().unwrap(), Currency::USD, AccountId::ZERO);
         let a: Amount = iou.into();
         assert_eq!(a.currency(), Currency::USD);
-        assert!(!a.is_xrp());
+        assert!(!a.currency().is_xrp());
         let x: Amount = Drops::from_xrp(3).into();
         assert_eq!(x.value(), "3".parse().unwrap());
-        assert!(x.is_xrp());
+        assert!(x.currency().is_xrp());
     }
 
     proptest! {

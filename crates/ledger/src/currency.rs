@@ -19,7 +19,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// assert!(Currency::XRP.is_xrp());
 /// assert_eq!(Currency::code("USD").to_string(), "USD");
-/// assert!(!Currency::code("CCK").is_iso4217());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Currency([u8; 3]);
@@ -84,31 +83,6 @@ impl Currency {
     pub fn is_xrp(&self) -> bool {
         *self == Currency::XRP
     }
-
-    /// Whether the code appears in ISO 4217 (the paper checks `CCK`/`MTL`
-    /// against the standard and finds them absent). The table here covers the
-    /// codes appearing in the paper's Figure 4; it is intentionally not a
-    /// complete ISO registry.
-    pub fn is_iso4217(&self) -> bool {
-        matches!(
-            &self.0,
-            b"USD"
-                | b"EUR"
-                | b"CNY"
-                | b"JPY"
-                | b"GBP"
-                | b"AUD"
-                | b"KRW"
-                | b"CAD"
-                | b"NZD"
-                | b"MXN"
-                | b"BRL"
-                | b"ILS"
-                | b"XAU"
-                | b"XAG"
-                | b"XPT"
-        )
-    }
 }
 
 impl std::fmt::Display for Currency {
@@ -146,13 +120,6 @@ mod tests {
     fn xrp_is_special() {
         assert!(Currency::XRP.is_xrp());
         assert!(!Currency::USD.is_xrp());
-    }
-
-    #[test]
-    fn spam_codes_are_not_iso() {
-        assert!(!Currency::CCK.is_iso4217());
-        assert!(!Currency::MTL.is_iso4217());
-        assert!(Currency::USD.is_iso4217());
     }
 
     #[test]

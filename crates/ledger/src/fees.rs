@@ -41,17 +41,6 @@ impl FeeSchedule {
         }
     }
 
-    /// A schedule with no fees or reserves — useful for replay experiments
-    /// (the Table II market-maker-removal replay re-executes payments without
-    /// wanting fee effects to diverge from the recorded history).
-    pub fn zero() -> FeeSchedule {
-        FeeSchedule {
-            base_fee: Drops::ZERO,
-            base_reserve: Drops::ZERO,
-            owner_reserve: Drops::ZERO,
-        }
-    }
-
     /// The reserve required for an account owning `owned_objects` objects.
     pub fn reserve_for(&self, owned_objects: u32) -> Drops {
         Drops::new(
@@ -87,8 +76,11 @@ mod tests {
 
     #[test]
     fn zero_schedule_is_free() {
-        let f = FeeSchedule::zero();
-        assert_eq!(f.base_fee, Drops::ZERO);
+        let f = FeeSchedule {
+            base_fee: Drops::ZERO,
+            base_reserve: Drops::ZERO,
+            owner_reserve: Drops::ZERO,
+        };
         assert_eq!(f.reserve_for(100), Drops::ZERO);
     }
 }

@@ -1,5 +1,5 @@
 //! Core data model of the Ripple Observatory study: accounts, trust lines,
-//! offers, transactions, ledger pages and the mutable ledger state.
+//! offers, transactions and the mutable ledger state.
 //!
 //! This crate is a from-scratch reimplementation of the XRP Ledger concepts
 //! the ICDCS 2017 paper measures:
@@ -11,8 +11,6 @@
 //!   network edges that payments travel (in the opposite direction of trust).
 //! * **Transactions** ([`Transaction`], [`TxKind`]) — payments, trust-line
 //!   changes, and currency-exchange offers.
-//! * **Ledger pages** ([`LedgerHeader`], [`LedgerPage`]) — the units the
-//!   consensus protocol validates and seals.
 //! * **Payment records** ([`PaymentRecord`]) — the per-payment metadata the
 //!   paper mines from 500 GB of history (sender, amount, timestamp, currency,
 //!   destination, path structure).
@@ -46,7 +44,6 @@
 pub mod amount;
 pub mod currency;
 pub mod fees;
-pub mod page;
 pub mod record;
 pub mod state;
 pub mod time;
@@ -55,7 +52,6 @@ pub mod tx;
 pub use amount::{Amount, Drops, IouAmount, Value, ValueParseError};
 pub use currency::Currency;
 pub use fees::FeeSchedule;
-pub use page::{LedgerHeader, LedgerPage};
 pub use record::{PathSummary, PaymentRecord};
 pub use state::{AccountRoot, LedgerError, LedgerState, TrustLine};
 pub use time::RippleTime;

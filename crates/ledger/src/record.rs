@@ -110,37 +110,12 @@ pub struct PaymentRecord {
     pub source_currency: Option<Currency>,
 }
 
-impl PaymentRecord {
-    /// Whether this is a direct XRP payment (the 13M of the paper's 23M that
-    /// the path analysis excludes).
-    pub fn is_direct_xrp(&self) -> bool {
-        self.currency.is_xrp() && !self.paths.is_multi_hop()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripple_crypto::sha512_half;
 
     fn acct(n: u8) -> AccountId {
         AccountId::from_bytes([n; 20])
-    }
-
-    fn record(paths: Vec<Vec<AccountId>>, currency: Currency) -> PaymentRecord {
-        PaymentRecord {
-            tx_hash: sha512_half(b"t"),
-            sender: acct(1),
-            destination: acct(2),
-            currency,
-            issuer: None,
-            amount: "1".parse().unwrap(),
-            timestamp: RippleTime::EPOCH,
-            ledger_seq: 1,
-            paths: PathSummary::from_paths(paths),
-            cross_currency: false,
-            source_currency: None,
-        }
     }
 
     #[test]
@@ -158,12 +133,5 @@ mod tests {
         assert_eq!(s.max_intermediate_hops(), 3);
         assert_eq!(s.intermediaries().count(), 4);
         assert!(s.is_multi_hop());
-    }
-
-    #[test]
-    fn direct_xrp_detection() {
-        assert!(record(vec![Vec::new()], Currency::XRP).is_direct_xrp());
-        assert!(!record(vec![vec![acct(3)]], Currency::XRP).is_direct_xrp());
-        assert!(!record(vec![Vec::new()], Currency::USD).is_direct_xrp());
     }
 }

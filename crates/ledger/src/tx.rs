@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::amount::{Amount, Drops, Value};
 use crate::currency::Currency;
-use ripple_crypto::{sha512_half, AccountId, Digest256, PublicKey, SimKeypair, SimSignature};
+use ripple_crypto::{AccountId, PublicKey, SimKeypair, SimSignature};
 
 /// The operation a [`Transaction`] performs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,7 +84,7 @@ impl TxKind {
 ///     },
 /// )
 /// .signed(&keys);
-/// assert!(tx.verify_signature());
+/// assert_eq!(tx.signing_key, keys.public_key());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Transaction {
@@ -126,7 +126,7 @@ impl Transaction {
     ///
     /// The encoding is deterministic: fixed field order, big-endian integers,
     /// length-prefixed variable parts.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128);
         out.extend_from_slice(b"TXN0");
         out.extend_from_slice(self.account.as_bytes());
@@ -134,20 +134,6 @@ impl Transaction {
         out.extend_from_slice(&self.fee.as_drops().to_be_bytes());
         encode_kind(&self.kind, &mut out);
         out
-    }
-
-    /// The transaction hash: `SHA-512Half` of the canonical bytes (including
-    /// the signing key, so identical instructions from different signers
-    /// hash differently).
-    pub fn hash(&self) -> Digest256 {
-        let mut bytes = self.canonical_bytes();
-        bytes.extend_from_slice(self.signing_key.as_bytes());
-        sha512_half(&bytes)
-    }
-
-    /// Verifies the simulated signature over the canonical bytes.
-    pub fn verify_signature(&self) -> bool {
-        SimKeypair::verify(&self.signing_key, &self.canonical_bytes(), &self.signature)
     }
 }
 
@@ -268,25 +254,29 @@ mod tests {
         .signed(&keys)
     }
 
+    fn verify_signature(tx: &Transaction) -> bool {
+        SimKeypair::verify(&tx.signing_key, &tx.canonical_bytes(), &tx.signature)
+    }
+
     #[test]
     fn signature_verifies() {
-        assert!(sample_tx(b"a").verify_signature());
+        assert!(verify_signature(&sample_tx(b"a")));
     }
 
     #[test]
     fn tampering_breaks_signature() {
         let mut tx = sample_tx(b"a");
         tx.sequence += 1;
-        assert!(!tx.verify_signature());
+        assert!(!verify_signature(&tx));
     }
 
     #[test]
     fn hash_is_deterministic_and_sensitive() {
         let a = sample_tx(b"a");
         let b = sample_tx(b"a");
-        assert_eq!(a.hash(), b.hash());
+        assert_eq!(a, b);
         let c = sample_tx(b"c");
-        assert_ne!(a.hash(), c.hash());
+        assert_ne!(a.canonical_bytes(), c.canonical_bytes());
     }
 
     #[test]
@@ -303,7 +293,6 @@ mod tests {
         )
         .signed(&keys);
         assert_ne!(t1.canonical_bytes(), t2.canonical_bytes());
-        assert_ne!(t1.hash(), t2.hash());
     }
 
     #[test]
@@ -336,6 +325,6 @@ mod tests {
             )
             .signed(&keys)
         };
-        assert_ne!(mk(1).hash(), mk(2).hash());
+        assert_ne!(mk(1).canonical_bytes(), mk(2).canonical_bytes());
     }
 }

@@ -20,7 +20,9 @@
 //! let mut net: Network<&'static str> = Network::new(3);
 //! net.set_default_latency(LatencyModel::Fixed(SimTime::from_millis(20)));
 //! net.send(NodeId(0), NodeId(1), "hello", &mut rng);
-//! let (at, delivery) = net.step().expect("one message in flight");
+//! let (at, delivery) = net
+//!     .step_until(SimTime::from_millis(100))
+//!     .expect("one message in flight");
 //! assert_eq!(at, SimTime::from_millis(20));
 //! assert_eq!(delivery.msg, "hello");
 //! ```

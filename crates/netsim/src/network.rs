@@ -101,11 +101,6 @@ impl<M> Network<M> {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -195,11 +190,6 @@ impl<M> Network<M> {
     pub fn install_plan(&mut self, plan: FaultPlan) {
         self.plan = Some(plan);
         self.apply_faults_until(self.sim.now());
-    }
-
-    /// The installed fault plan, if any.
-    pub fn plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
     }
 
     /// Fires every discrete fault event due at or before `now`.
@@ -312,25 +302,11 @@ impl<M> Network<M> {
                 || self.partitioned.contains(&(d.from, d.to)))
     }
 
-    /// Advances to the next delivery.
+    /// Advances to the next delivery at or before `deadline`.
     ///
     /// With a [`FaultPlan`] installed, due fault events fire first and
     /// messages in flight across a crash or partition are dropped at
     /// delivery time.
-    pub fn step(&mut self) -> Option<(SimTime, Delivery<M>)> {
-        loop {
-            let (at, delivery) = self.sim.step()?;
-            self.apply_faults_until(at);
-            if self.plan.is_some() && self.blocked_at_delivery(&delivery) {
-                self.dropped += 1;
-                IN_FLIGHT_DROPPED.add(1);
-                continue;
-            }
-            return Some((at, delivery));
-        }
-    }
-
-    /// Advances to the next delivery at or before `deadline`.
     pub fn step_until(&mut self, deadline: SimTime) -> Option<(SimTime, Delivery<M>)> {
         loop {
             let (at, delivery) = self.sim.step_until(deadline)?;
@@ -358,6 +334,11 @@ mod tests {
     use rand::SeedableRng;
 
     impl<M> Network<M> {
+        /// Advances to the next delivery, however far away.
+        fn step(&mut self) -> Option<(SimTime, Delivery<M>)> {
+            self.step_until(SimTime::from_millis(u64::MAX))
+        }
+
         /// Heals the partition between `a` and `b` only, in both directions.
         fn heal_pair(&mut self, a: NodeId, b: NodeId) {
             self.partitioned.remove(&(a, b));

@@ -34,11 +34,6 @@ impl SimTime {
     pub const fn as_millis(self) -> u64 {
         self.0
     }
-
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000
-    }
 }
 
 impl std::ops::Add for SimTime {

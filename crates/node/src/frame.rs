@@ -98,11 +98,6 @@ impl FrameDecoder {
         self.stats
     }
 
-    /// Bytes buffered but not yet consumed (partial or unscanned input).
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Extracts the next verified frame, or `None` if the buffer holds no
     /// complete valid frame yet. A frame that fails verification starts a
     /// resync: each later offset is tried in turn until one verifies, and
@@ -188,7 +183,7 @@ mod tests {
         assert_eq!(got.len(), 5);
         assert_eq!(got[2].tag, 2);
         assert_eq!(dec.stats().crc_errors, 0);
-        assert_eq!(dec.pending(), 0);
+        assert_eq!(dec.buf.len(), dec.pos, "nothing left unconsumed");
     }
 
     #[test]

@@ -71,15 +71,10 @@ impl Backoff {
         }
     }
 
-    /// Consecutive failures so far.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// The delay before the next dial, or `None` once the budget is
     /// spent. Delay grows `base · 2^attempt` up to `cap`, then half the
     /// raw delay is replaced by seed-deterministic jitter.
-    pub fn next_delay(&mut self) -> Option<Duration> {
+    fn next_delay(&mut self) -> Option<Duration> {
         if self.attempt >= self.policy.budget {
             return None;
         }

@@ -84,12 +84,6 @@ pub fn arm(capacity: usize) {
     ARMED.store(true, Ordering::Relaxed);
 }
 
-/// Disarms the recorder and discards its contents.
-pub fn disarm() {
-    ARMED.store(false, Ordering::Relaxed);
-    *RECORDER.lock().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
 /// Whether the recorder is armed (one relaxed load).
 #[inline]
 pub fn armed() -> bool {
@@ -205,6 +199,12 @@ mod tests {
             dur_ns: 0,
             fields: fields.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
         }
+    }
+
+    /// Disarms the recorder and discards its contents.
+    fn disarm() {
+        ARMED.store(false, Ordering::Relaxed);
+        *RECORDER.lock().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// Flight tests share the global recorder; serialize them.

@@ -102,7 +102,7 @@ impl Response {
 }
 
 /// The standard `{"error": message}` body.
-pub fn error_body(message: &str) -> String {
+fn error_body(message: &str) -> String {
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.field_str("error", message);
@@ -111,7 +111,7 @@ pub fn error_body(message: &str) -> String {
 }
 
 /// Reason phrases for the statuses the workspace's servers emit.
-pub fn status_text(status: u16) -> &'static str {
+fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -378,14 +378,39 @@ fn route(head: &str, handler: &mut dyn FnMut(&Request) -> Response) -> Response 
     })
 }
 
-/// Pulls one raw (not percent-decoded) query-string parameter; admin
-/// parameters are all numeric, so decoding is unnecessary.
-pub fn query_param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
+/// Reads one query-string parameter, percent-decoded with `+` as a space.
+/// The first occurrence of `name` wins, a key with no `=` has the empty
+/// value, and a `%` not followed by two hex digits stays as it is.
+pub fn query_param(query: &str, name: &str) -> Option<String> {
     query
         .split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .find(|(k, _)| *k == name)
-        .map(|(_, v)| v)
+        .map(|pair| pair.split_once('=').unwrap_or((pair, "")))
+        .find(|(k, _)| percent_decode(k) == name)
+        .map(|(_, v)| percent_decode(v))
+}
+
+fn percent_decode(s: &str) -> String {
+    let bytes = s.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        let hex = |at: usize| bytes.get(at).and_then(|&b| (b as char).to_digit(16));
+        match (bytes[i], hex(i + 1), hex(i + 2)) {
+            (b'%', Some(hi), Some(lo)) => {
+                out.push((hi * 16 + lo) as u8);
+                i += 3;
+            }
+            (b'+', ..) => {
+                out.push(b' ');
+                i += 1;
+            }
+            (byte, ..) => {
+                out.push(byte);
+                i += 1;
+            }
+        }
+    }
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Serves the admin routes every instrumented process shares; returns
@@ -573,6 +598,20 @@ mod tests {
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body).unwrap();
         (status, String::from_utf8(body).unwrap(), connection)
+    }
+
+    #[test]
+    fn query_param_decodes_and_takes_the_first_occurrence() {
+        let q = "a=x%20y&b=1+2&a=second&flag&bad=%zz&tail=9%4&sp%61ce=ok";
+        assert_eq!(query_param(q, "a").as_deref(), Some("x y"));
+        assert_eq!(query_param(q, "b").as_deref(), Some("1 2"));
+        assert_eq!(query_param(q, "flag").as_deref(), Some(""));
+        assert_eq!(query_param(q, "bad").as_deref(), Some("%zz"));
+        assert_eq!(query_param(q, "tail").as_deref(), Some("9%4"));
+        assert_eq!(query_param(q, "space").as_deref(), Some("ok"));
+        assert_eq!(query_param(q, "missing"), None);
+        assert_eq!(query_param("", "a"), None);
+        assert_eq!(query_param("x=%e2%82%ac", "x").as_deref(), Some("€"));
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Returns `s` with JSON string escaping applied.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
 enum Frame {
     /// A pretty-printed object: one `"key": value` entry per line.
     Object { entries: usize },
@@ -210,13 +203,13 @@ impl JsonWriter {
     }
 
     /// Writes a signed integer value.
-    pub fn value_i64(&mut self, v: i64) {
+    fn value_i64(&mut self, v: i64) {
         self.raw(&v.to_string());
     }
 
     /// Writes a float with exactly `decimals` fractional digits; NaN and
     /// infinities become `null`.
-    pub fn value_f64(&mut self, v: f64, decimals: usize) {
+    fn value_f64(&mut self, v: f64, decimals: usize) {
         if v.is_finite() {
             let s = format!("{v:.decimals$}");
             self.raw(&s);
@@ -234,12 +227,12 @@ impl JsonWriter {
     }
 
     /// Writes a boolean value.
-    pub fn value_bool(&mut self, v: bool) {
+    fn value_bool(&mut self, v: bool) {
         self.raw(if v { "true" } else { "false" });
     }
 
     /// Writes a `null` value.
-    pub fn value_null(&mut self) {
+    fn value_null(&mut self) {
         self.raw("null");
     }
 
@@ -249,13 +242,13 @@ impl JsonWriter {
         self.value_u64(v);
     }
 
-    /// `key(name)` + [`JsonWriter::value_i64`].
+    /// `key(name)` + `value_i64`.
     pub fn field_i64(&mut self, name: &str, v: i64) {
         self.key(name);
         self.value_i64(v);
     }
 
-    /// `key(name)` + [`JsonWriter::value_f64`].
+    /// `key(name)` + `value_f64`.
     pub fn field_f64(&mut self, name: &str, v: f64, decimals: usize) {
         self.key(name);
         self.value_f64(v, decimals);
@@ -267,13 +260,13 @@ impl JsonWriter {
         self.value_str(v);
     }
 
-    /// `key(name)` + [`JsonWriter::value_bool`].
+    /// `key(name)` + `value_bool`.
     pub fn field_bool(&mut self, name: &str, v: bool) {
         self.key(name);
         self.value_bool(v);
     }
 
-    /// `key(name)` + [`JsonWriter::value_null`].
+    /// `key(name)` + `value_null`.
     pub fn field_null(&mut self, name: &str) {
         self.key(name);
         self.value_null();
@@ -609,6 +602,12 @@ pub fn parse(doc: &str) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_controls() {

@@ -148,7 +148,7 @@ impl Gauge {
 pub const HIST_BUCKETS: usize = 252;
 
 /// The bucket index of `v`. Exact for `v < 8`.
-pub fn bucket_of(v: u64) -> usize {
+fn bucket_of(v: u64) -> usize {
     if v < 8 {
         return v as usize;
     }
@@ -159,7 +159,7 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// The largest value mapping to bucket `b` — the deterministic value a
 /// percentile readout reports for that bucket.
-pub fn bucket_upper(b: usize) -> u64 {
+fn bucket_upper(b: usize) -> u64 {
     if b < 8 {
         return b as u64;
     }
@@ -233,7 +233,7 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Copies the raw per-bucket counts (index = [`bucket_of`] of the
+    /// Copies the raw per-bucket counts (index = `bucket_of` of the
     /// observed value). Two copies taken at different times subtract into a
     /// window delta whose percentiles [`bucket_percentile`] reads out.
     pub fn bucket_counts(&self) -> Vec<u64> {
@@ -493,14 +493,6 @@ impl LazyTimer {
         }
     }
 
-    /// Records a raw nanosecond duration if recording is enabled.
-    #[inline]
-    pub fn record_ns(&self, ns: u64) {
-        if enabled() {
-            self.force().record(ns);
-        }
-    }
-
     /// The underlying registered histogram (registers it if needed).
     pub fn force(&self) -> &'static Histogram {
         self.cell
@@ -588,14 +580,6 @@ impl Snapshot {
     /// The total of a counter by name, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// The readout of a histogram by name, if registered.
-    pub fn histogram(&self, name: &str) -> Option<HistSnap> {
-        self.histograms
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
@@ -798,7 +782,7 @@ mod tests {
             G.set(7);
             G.set(3);
             H.record(5);
-            T.record_ns(1_000);
+            T.record(Duration::from_nanos(1_000));
             let snap = snapshot();
             let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
             let mut sorted = names.clone();
@@ -814,9 +798,10 @@ mod tests {
                 .expect("gauge registered");
             assert_eq!(gauge.value, 3);
             assert_eq!(gauge.high_water, 7);
-            assert_eq!(snap.histogram("test.snap.hist").unwrap().count, 1);
+            let histogram = |name: &str| snap.histograms.iter().find(|(n, _)| n == name);
+            assert_eq!(histogram("test.snap.hist").unwrap().1.count, 1);
             // Timers land in their own section, not in histograms.
-            assert!(snap.histogram("test.snap.timer").is_none());
+            assert!(histogram("test.snap.timer").is_none());
             assert!(snap.timers.iter().any(|(n, _)| n == "test.snap.timer"));
         });
     }
@@ -829,7 +814,7 @@ mod tests {
             static T: LazyTimer = LazyTimer::new("test.det.timer");
             C.add(1);
             G.set(9);
-            T.record_ns(123);
+            T.record(Duration::from_nanos(123));
             let json = snapshot().deterministic_json();
             assert!(json.contains("test.det.counter"));
             assert!(!json.contains("test.det.gauge"));

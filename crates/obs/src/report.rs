@@ -31,7 +31,7 @@ use crate::metrics::{self, Snapshot};
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Serializes a snapshot as a `RUN_METRICS.json` document.
-pub fn run_metrics_json(snapshot: &Snapshot) -> String {
+fn run_metrics_json(snapshot: &Snapshot) -> String {
     snapshot.to_json()
 }
 

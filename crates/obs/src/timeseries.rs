@@ -140,21 +140,6 @@ impl TimeSeries {
         });
     }
 
-    /// The configured window width in milliseconds.
-    pub fn window_ms(&self) -> u64 {
-        self.window_ms
-    }
-
-    /// Windows ever closed (including evicted ones).
-    pub fn total_windows(&self) -> u64 {
-        self.total_windows
-    }
-
-    /// The retained windows, oldest first.
-    pub fn windows(&self) -> impl Iterator<Item = &Window> {
-        self.windows.iter()
-    }
-
     /// Advances the series to `now_ms`, closing any window boundaries that
     /// passed. Returns the number of windows closed by this call (usually
     /// 0 — the cheap common case is two comparisons and a few relaxed
@@ -354,7 +339,7 @@ mod tests {
         assert_eq!(ts.tick(1_100), 1);
         c.add(3);
         assert_eq!(ts.tick(1_250), 1);
-        let windows: Vec<&Window> = ts.windows().collect();
+        let windows: Vec<&Window> = ts.windows.iter().collect();
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].start_ms, 1_000);
         assert_eq!(windows[0].counters, vec![7]);
@@ -375,10 +360,10 @@ mod tests {
             c.add(i);
             ts.tick(100 + i * 10);
         }
-        assert_eq!(ts.total_windows(), 6);
-        let deltas: Vec<u64> = ts.windows().map(|w| w.counters[0]).collect();
+        assert_eq!(ts.total_windows, 6);
+        let deltas: Vec<u64> = ts.windows.iter().map(|w| w.counters[0]).collect();
         assert_eq!(deltas, vec![4, 5, 6], "only the newest 3 retained");
-        let starts: Vec<u64> = ts.windows().map(|w| w.start_ms).collect();
+        let starts: Vec<u64> = ts.windows.iter().map(|w| w.start_ms).collect();
         assert_eq!(starts, vec![130, 140, 150]);
     }
 
@@ -392,9 +377,9 @@ mod tests {
         // The next tick arrives 3 windows late: the delta lands in the
         // first closed window, the rest are explicit empties.
         assert_eq!(ts.tick(130), 3);
-        let deltas: Vec<u64> = ts.windows().map(|w| w.counters[0]).collect();
+        let deltas: Vec<u64> = ts.windows.iter().map(|w| w.counters[0]).collect();
         assert_eq!(deltas, vec![5, 0, 0]);
-        let starts: Vec<u64> = ts.windows().map(|w| w.start_ms).collect();
+        let starts: Vec<u64> = ts.windows.iter().map(|w| w.start_ms).collect();
         assert_eq!(starts, vec![100, 110, 120], "time axis has no gaps");
     }
 
@@ -406,12 +391,12 @@ mod tests {
         ts.tick(100);
         // 1000 windows behind: the ring only keeps 4, so the series jumps.
         ts.tick(100 + 10_000);
-        assert!(ts.windows().count() <= 5);
-        assert_eq!(ts.total_windows(), 1_000);
+        assert!(ts.windows.len() <= 5);
+        assert_eq!(ts.total_windows, 1_000);
         // The grid stays aligned after the jump.
         c.add(1);
         ts.tick(100 + 10_000 + 10);
-        let last = ts.windows().last().unwrap();
+        let last = ts.windows.back().unwrap();
         assert_eq!(last.counters[0], 1);
         assert_eq!((last.start_ms - 100) % 10, 0);
     }
@@ -430,7 +415,7 @@ mod tests {
             h.record(1_000);
         }
         ts.tick(1_200);
-        let points: Vec<HistPoint> = ts.windows().map(|w| w.hists[0]).collect();
+        let points: Vec<HistPoint> = ts.windows.iter().map(|w| w.hists[0]).collect();
         assert_eq!(points[0].count, 10);
         assert_eq!(points[0].p50, 1, "first window only saw 1s");
         assert_eq!(points[1].count, 10);
@@ -458,7 +443,7 @@ mod tests {
         ts.tick(1_100);
         g.set(4);
         ts.tick(1_200);
-        let gauges: Vec<(i64, i64)> = ts.windows().map(|w| w.gauges[0]).collect();
+        let gauges: Vec<(i64, i64)> = ts.windows.iter().map(|w| w.gauges[0]).collect();
         assert_eq!(gauges[0], (2, 9), "close level 2, window max 9");
         assert_eq!(gauges[1], (4, 4));
     }

@@ -125,14 +125,6 @@ impl OrderBook {
         self.entries.insert(pos, entry);
     }
 
-    /// Removes an offer by identity; returns whether it was present.
-    pub fn remove(&mut self, owner: AccountId, offer_seq: u32) -> bool {
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| !(e.owner == owner && e.offer_seq == offer_seq));
-        self.entries.len() != before
-    }
-
     /// Iterates entries best-first.
     pub fn iter(&self) -> impl Iterator<Item = &BookEntry> {
         self.entries.iter()
@@ -203,8 +195,7 @@ impl OrderBook {
     }
 }
 
-/// All order books in the system, keyed by `(base, quote)` pair, with XRP
-/// auto-bridging quotes.
+/// All order books in the system, keyed by `(base, quote)` pair.
 #[derive(Debug, Clone, Default)]
 pub struct BookSet {
     books: HashMap<(Currency, Currency), OrderBook>,
@@ -248,46 +239,9 @@ impl BookSet {
         self.books.get(&(base, quote))
     }
 
-    /// Number of non-empty books.
-    pub fn book_count(&self) -> usize {
-        self.books.values().filter(|b| b.depth() > 0).count()
-    }
-
     /// Total resting offers across all books.
     pub fn total_offers(&self) -> usize {
         self.books.values().map(OrderBook::depth).sum()
-    }
-
-    /// Best effective rate to buy `amount` of `base` paying `quote`:
-    /// considers the direct book and the XRP auto-bridge (`base` bought with
-    /// XRP, XRP bought with `quote`). Returns the quote cost and whether the
-    /// bridge was used.
-    ///
-    /// "XRPs can be used as a universal bridge between markets — any
-    /// currency to XRP, then from XRP to any other currency." (§III.C)
-    pub fn quote_with_bridge(
-        &self,
-        base: Currency,
-        quote: Currency,
-        amount: Value,
-    ) -> Option<(Value, bool)> {
-        let direct = self.book(base, quote).and_then(|b| b.quote_buy(amount));
-        let bridged = if base != Currency::XRP && quote != Currency::XRP {
-            self.book(base, Currency::XRP)
-                .and_then(|leg1| leg1.quote_buy(amount))
-                .and_then(|xrp_needed| {
-                    self.book(Currency::XRP, quote)
-                        .and_then(|leg2| leg2.quote_buy(xrp_needed))
-                })
-        } else {
-            None
-        };
-        match (direct, bridged) {
-            (Some(d), Some(b)) if b < d => Some((b, true)),
-            (Some(d), _) => Some((d, false)),
-            (None, Some(b)) => Some((b, true)),
-            (None, None) => None,
-        }
     }
 }
 
@@ -361,15 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_by_identity() {
-        let mut book = OrderBook::new(Currency::EUR, Currency::USD);
-        book.insert(acct(1), 7, v("10"), Rate::UNIT);
-        assert!(book.remove(acct(1), 7));
-        assert!(!book.remove(acct(1), 7));
-        assert_eq!(book.depth(), 0);
-    }
-
-    #[test]
     fn zero_amount_fill_is_empty() {
         let mut book = OrderBook::new(Currency::EUR, Currency::USD);
         book.insert(acct(1), 1, v("10"), Rate::UNIT);
@@ -397,44 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn bridge_beats_expensive_direct() {
-        let mut set = BookSet::new();
-        // Direct EUR/USD is expensive: 2.0.
-        set.book_mut(Currency::EUR, Currency::USD)
-            .insert(acct(1), 1, v("1000"), Rate::new(2, 1));
-        // Bridge: EUR costs 4 XRP, 1 XRP costs 0.3 USD => 1.2 USD/EUR.
-        set.book_mut(Currency::EUR, Currency::XRP)
-            .insert(acct(2), 1, v("1000"), Rate::new(4, 1));
-        set.book_mut(Currency::XRP, Currency::USD)
-            .insert(acct(3), 1, v("10000"), Rate::new(3, 10));
-        let (cost, bridged) = set
-            .quote_with_bridge(Currency::EUR, Currency::USD, v("100"))
-            .unwrap();
-        assert!(bridged);
-        assert_eq!(cost, v("120"));
-    }
-
-    #[test]
-    fn direct_used_when_cheaper() {
-        let mut set = BookSet::new();
-        set.book_mut(Currency::EUR, Currency::USD)
-            .insert(acct(1), 1, v("1000"), Rate::new(11, 10));
-        set.book_mut(Currency::EUR, Currency::XRP)
-            .insert(acct(2), 1, v("1000"), Rate::new(4, 1));
-        set.book_mut(Currency::XRP, Currency::USD)
-            .insert(acct(3), 1, v("10000"), Rate::new(1, 2));
-        let (cost, bridged) = set
-            .quote_with_bridge(Currency::EUR, Currency::USD, v("100"))
-            .unwrap();
-        assert!(!bridged);
-        assert_eq!(cost, v("110"));
-    }
-
-    #[test]
     fn no_liquidity_no_quote() {
-        let set = BookSet::new();
-        assert!(set
-            .quote_with_bridge(Currency::EUR, Currency::USD, v("1"))
-            .is_none());
+        let mut book = OrderBook::new(Currency::EUR, Currency::USD);
+        assert!(
+            book.quote_buy(v("1")).is_none(),
+            "an empty book quotes nothing"
+        );
+        book.insert(acct(1), 1, v("10"), Rate::UNIT);
+        assert!(book.quote_buy(v("11")).is_none(), "10 EUR cannot cover 11");
+        assert_eq!(book.quote_buy(v("10")), Some(v("10")));
     }
 }

@@ -1,4 +1,4 @@
-//! Offer books, the matching engine and the Market-Maker model.
+//! Offer books and the matching engine.
 //!
 //! "Transactions of this kind are called 'cross-currency' IOUs and they
 //! require a 'bridge' between the two currencies at some point of the
@@ -13,9 +13,8 @@
 //!   matching path);
 //! * [`OrderBook`] — a price-time-priority book for one currency pair, built
 //!   as a view over the ledger's resting offers;
-//! * [`BookSet`] — all books in the system, with XRP auto-bridging quotes;
-//! * [`maker::MarketMaker`] — the behavioural model used by the synthetic
-//!   workload (spread around a reference mid-price, offer churn).
+//! * [`BookSet`] — all books in the system, keyed by currency pair;
+//! * [`RateTable`] — reference mid-rates for the study period.
 //!
 //! # Examples
 //!
@@ -38,12 +37,10 @@
 
 pub mod arbitrage;
 pub mod book;
-pub mod maker;
 pub mod rate;
 pub mod rates;
 
 pub use arbitrage::{execute_two_leg, find_triangular, find_two_leg, ArbitrageOpportunity};
 pub use book::{BookEntry, BookSet, FillOutcome, FillPart, OrderBook};
-pub use maker::MarketMaker;
 pub use rate::Rate;
 pub use rates::RateTable;

@@ -13,7 +13,6 @@ use crate::rate::Rate;
 /// A table of mid-market rates into a reference currency.
 #[derive(Debug, Clone)]
 pub struct RateTable {
-    reference: Currency,
     rates: HashMap<Currency, Rate>,
 }
 
@@ -22,7 +21,7 @@ impl RateTable {
     pub fn new(reference: Currency) -> RateTable {
         let mut rates = HashMap::new();
         rates.insert(reference, Rate::UNIT);
-        RateTable { reference, rates }
+        RateTable { rates }
     }
 
     /// Approximate 2015-era rates into EUR, covering the paper's leading
@@ -47,11 +46,6 @@ impl RateTable {
         t.set(Currency::CCK, Rate::new(1, 1_000));
         t.set(Currency::MTL, Rate::new(1, 1_000_000));
         t
-    }
-
-    /// The reference currency.
-    pub fn reference(&self) -> Currency {
-        self.reference
     }
 
     /// Sets the rate of `currency` into the reference.

@@ -253,11 +253,6 @@ impl PaymentEngine {
         self
     }
 
-    /// The configured transfer-fee table.
-    pub fn transfer_fees(&self) -> &TransferFees {
-        &self.fees
-    }
-
     /// Executes a payment. On error the ledger is untouched.
     ///
     /// # Errors

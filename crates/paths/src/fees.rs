@@ -73,14 +73,6 @@ impl TransferFees {
             net.mul_ratio(10_000 + bps, 10_000)
         }
     }
-
-    /// Cumulative cost multiplier of a path (scaled by 10⁴ per hop to stay
-    /// in integers): product of `(10_000 + bps)` over the intermediates.
-    pub fn path_cost(&self, intermediates: &[AccountId]) -> u128 {
-        intermediates
-            .iter()
-            .fold(1u128, |acc, hop| acc * (10_000 + self.bps(*hop) as u128))
-    }
 }
 
 /// One cost-ranked path.
@@ -347,8 +339,11 @@ mod tests {
         let mut fees = TransferFees::new();
         fees.set(acct(1), 100);
         fees.set(acct(2), 200);
-        let cost = fees.path_cost(&[acct(1), acct(2), acct(3)]);
-        assert_eq!(cost, 10_100u128 * 10_200 * 10_000);
+        // Grossed up hop by hop from the destination end: 100 · 1.02 · 1.01.
+        let gross = [acct(3), acct(2), acct(1)]
+            .iter()
+            .fold(v("100"), |net, &hop| fees.gross_through(hop, net));
+        assert_eq!(gross, v("103.02"));
         assert!(TransferFees::new().is_empty());
     }
 

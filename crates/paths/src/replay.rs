@@ -46,7 +46,7 @@ impl ReplayStats {
     }
 
     /// Cross-currency delivery rate in [0, 1].
-    pub fn cross_rate(&self) -> f64 {
+    fn cross_rate(&self) -> f64 {
         rate(self.cross_delivered, self.cross_submitted)
     }
 

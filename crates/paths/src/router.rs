@@ -498,19 +498,9 @@ impl Router {
         }
     }
 
-    /// The search limits this router was built with.
-    pub fn limits(&self) -> PathLimits {
-        self.limits
-    }
-
     /// Cache counters accumulated so far.
     pub fn stats(&self) -> RouterStats {
         self.stats
-    }
-
-    /// Drops every cached graph and path enumeration (counters survive).
-    pub fn clear(&mut self) {
-        self.caches.clear();
     }
 
     /// Routes `amount` of `currency` from `sender` to `destination`:

@@ -53,14 +53,6 @@ impl Block {
             bytes,
         }
     }
-
-    /// The event framed exactly at `offset`, if the block holds it.
-    pub fn event_at(&self, offset: u64) -> Option<&HistoryEvent> {
-        self.events
-            .binary_search_by_key(&offset, |&(o, _)| o)
-            .ok()
-            .map(|i| &self.events[i].1)
-    }
 }
 
 struct Entry {

@@ -178,11 +178,6 @@ impl QueryEngine {
         Ok((engine, report))
     }
 
-    /// The raw archive bytes.
-    pub fn archive(&self) -> &[u8] {
-        &self.archive
-    }
-
     /// Records indexed.
     pub fn records(&self) -> u64 {
         self.postings.records()

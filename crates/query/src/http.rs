@@ -40,7 +40,7 @@ use ripple_deanon::{
     AmountResolution, CurrencyStrength, Observation, ResolutionSpec, TimeResolution,
 };
 use ripple_ledger::{Currency, RippleTime};
-use ripple_obs::http::{admin_response, timeseries_response, Request, Response};
+use ripple_obs::http::{admin_response, query_param, timeseries_response, Request, Response};
 use ripple_obs::json::JsonWriter;
 use ripple_obs::timeseries::TimeSeries;
 use ripple_obs::{LazyCounter, LazyTimer};
@@ -111,20 +111,20 @@ fn dispatch(
     if let Some(response) = admin_response("query", req) {
         return response;
     }
-    let params = Params::parse(&req.query);
+    let query = req.query.as_str();
     let path = req.path.as_str();
     let result = if path == "/health" {
         Ok(health_body(engine))
     } else if path == "/stats" {
         Ok(stats_body(engine))
     } else if let Some(account) = path.strip_prefix("/account/") {
-        account_body(engine, account, &params)
+        account_body(engine, account, query)
     } else if path == "/range" {
-        range_body(engine, &params)
+        range_body(engine, query)
     } else if path == "/flow" {
-        flow_body(engine, &params)
+        flow_body(engine, query)
     } else if path == "/class" {
-        class_body(engine, &params)
+        class_body(engine, query)
     } else {
         return Response::error(404, "no such endpoint");
     };
@@ -134,56 +134,16 @@ fn dispatch(
     }
 }
 
-/// Parsed query-string parameters (first occurrence wins).
-struct Params(Vec<(String, String)>);
-
-impl Params {
-    fn parse(query: &str) -> Params {
-        let mut out = Vec::new();
-        for pair in query.split('&').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            out.push((percent_decode(k), percent_decode(v)));
-        }
-        Params(out)
+/// The `limit` parameter, defaulting to [`DEFAULT_LIMIT`] and capped at
+/// [`MAX_LIMIT`].
+fn limit(query: &str) -> Result<usize, String> {
+    match query_param(query, "limit") {
+        None => Ok(DEFAULT_LIMIT),
+        Some(raw) => raw
+            .parse::<usize>()
+            .map(|n| n.min(MAX_LIMIT))
+            .map_err(|_| format!("invalid limit {raw:?}")),
     }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn limit(&self) -> Result<usize, String> {
-        match self.get("limit") {
-            None => Ok(DEFAULT_LIMIT),
-            Some(raw) => raw
-                .parse::<usize>()
-                .map(|n| n.min(MAX_LIMIT))
-                .map_err(|_| format!("invalid limit {raw:?}")),
-        }
-    }
-}
-
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
-            if let (Some(hi), Some(lo)) = (
-                bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
-                bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
-            ) {
-                out.push((hi * 16 + lo) as u8);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(if bytes[i] == b'+' { b' ' } else { bytes[i] });
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 fn health_body(engine: &QueryEngine) -> String {
@@ -295,9 +255,9 @@ fn parse_currency(s: &str) -> Result<Currency, String> {
     Currency::try_code(s).ok_or_else(|| format!("invalid currency code {s:?}"))
 }
 
-fn account_body(engine: &QueryEngine, raw: &str, params: &Params) -> Result<String, String> {
+fn account_body(engine: &QueryEngine, raw: &str, query: &str) -> Result<String, String> {
     let account = parse_account(raw)?;
-    let limit = params.limit()?;
+    let limit = limit(query)?;
     let total = engine.postings().account_offsets(&account).len() as u64;
     let mut w = JsonWriter::pretty();
     w.begin_object();
@@ -315,18 +275,16 @@ fn account_body(engine: &QueryEngine, raw: &str, params: &Params) -> Result<Stri
     Ok(w.finish())
 }
 
-fn range_body(engine: &QueryEngine, params: &Params) -> Result<String, String> {
-    let from: u64 = params
-        .get("from")
+fn range_body(engine: &QueryEngine, query: &str) -> Result<String, String> {
+    let from: u64 = query_param(query, "from")
         .ok_or("missing from")?
         .parse()
         .map_err(|_| "invalid from".to_string())?;
-    let to: u64 = params
-        .get("to")
+    let to: u64 = query_param(query, "to")
         .ok_or("missing to")?
         .parse()
         .map_err(|_| "invalid to".to_string())?;
-    let limit = params.limit()?;
+    let limit = limit(query)?;
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.field_u64("from", from);
@@ -347,10 +305,9 @@ fn range_body(engine: &QueryEngine, params: &Params) -> Result<String, String> {
     Ok(w.finish())
 }
 
-fn flow_body(engine: &QueryEngine, params: &Params) -> Result<String, String> {
-    let currency = parse_currency(params.get("currency").ok_or("missing currency")?)?;
-    let day: u64 = params
-        .get("day")
+fn flow_body(engine: &QueryEngine, query: &str) -> Result<String, String> {
+    let currency = parse_currency(&query_param(query, "currency").ok_or("missing currency")?)?;
+    let day: u64 = query_param(query, "day")
         .ok_or("missing day")?
         .parse()
         .map_err(|_| "invalid day".to_string())?;
@@ -437,23 +394,26 @@ fn spec_token(spec: ResolutionSpec) -> String {
     )
 }
 
-fn class_body(engine: &QueryEngine, params: &Params) -> Result<String, String> {
-    let spec = parse_spec(params.get("spec"))?;
-    let amount = params
-        .get("amount")
+fn class_body(engine: &QueryEngine, query: &str) -> Result<String, String> {
+    let spec = parse_spec(query_param(query, "spec").as_deref())?;
+    let amount = query_param(query, "amount")
+        .as_deref()
         .map(|s| s.parse().map_err(|_| format!("invalid amount {s:?}")))
         .transpose()?;
-    let time = params
-        .get("time")
+    let time = query_param(query, "time")
+        .as_deref()
         .map(|s| {
             s.parse::<u64>()
                 .map(RippleTime::from_seconds)
                 .map_err(|_| format!("invalid time {s:?}"))
         })
         .transpose()?;
-    let currency = params.get("currency").map(parse_currency).transpose()?;
-    let strength = params
-        .get("strength")
+    let currency = query_param(query, "currency")
+        .as_deref()
+        .map(parse_currency)
+        .transpose()?;
+    let strength = query_param(query, "strength")
+        .as_deref()
         .map(|s| match s {
             "powerful" => Ok(CurrencyStrength::Powerful),
             "medium" => Ok(CurrencyStrength::Medium),
@@ -461,7 +421,10 @@ fn class_body(engine: &QueryEngine, params: &Params) -> Result<String, String> {
             other => Err(format!("invalid strength {other:?}")),
         })
         .transpose()?;
-    let destination = params.get("dest").map(parse_account).transpose()?;
+    let destination = query_param(query, "dest")
+        .as_deref()
+        .map(parse_account)
+        .transpose()?;
     let observation = Observation {
         amount,
         time,

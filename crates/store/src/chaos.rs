@@ -1,18 +1,13 @@
 //! Deterministic corruption injection for archive robustness testing.
 //!
-//! A [`CorruptingWriter`] wraps any [`Write`] sink and applies a
-//! [`CorruptionPlan`] — bit flips, dropped byte ranges (torn writes),
-//! zeroed pages, and truncation — as bytes stream through. Offsets in the
-//! plan always refer to positions in the **uncorrupted** output stream, so
-//! a plan describes "what the disk lost", independent of how the writer
-//! chunks its writes.
+//! [`corrupt_bytes`] applies a [`CorruptionPlan`] — bit flips, dropped byte
+//! ranges (torn writes), zeroed pages, and truncation — to a clean archive.
+//! Offsets in the plan always refer to positions in the **uncorrupted**
+//! stream, so a plan describes "what the disk lost".
 //!
 //! This module exists to exercise [`Reader`](crate::Reader) in
-//! [`ReadMode::Resync`](crate::ReadMode::Resync): write a clean archive
-//! through a corrupting sink, then assert that every record outside the
-//! damaged regions is salvaged.
-
-use std::io::{self, Write};
+//! [`ReadMode::Resync`](crate::ReadMode::Resync): damage a clean archive,
+//! then assert that every record outside the damaged regions is salvaged.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,45 +45,39 @@ pub enum CorruptionOp {
     },
 }
 
-/// An ordered set of [`CorruptionOp`]s applied by a [`CorruptingWriter`].
+/// An ordered set of [`CorruptionOp`]s applied by [`corrupt_bytes`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CorruptionPlan {
     ops: Vec<CorruptionOp>,
 }
 
 impl CorruptionPlan {
-    /// An empty plan (the writer becomes a transparent pass-through).
+    /// An empty plan ([`corrupt_bytes`] returns the input unchanged).
     pub fn new() -> CorruptionPlan {
         CorruptionPlan::default()
     }
 
+    /// Appends `op`. Panics on a [`CorruptionOp::FlipBit`] whose bit index
+    /// is above 7.
+    #[must_use]
+    pub(crate) fn push(mut self, op: CorruptionOp) -> CorruptionPlan {
+        if let CorruptionOp::FlipBit { bit, .. } = op {
+            assert!(bit < 8, "bit index must be 0–7, got {bit}");
+        }
+        self.ops.push(op);
+        self
+    }
+
     /// Adds a single-bit flip at `offset`.
     #[must_use]
-    pub fn flip_bit(mut self, offset: u64, bit: u8) -> CorruptionPlan {
-        assert!(bit < 8, "bit index must be 0–7, got {bit}");
-        self.ops.push(CorruptionOp::FlipBit { offset, bit });
-        self
-    }
-
-    /// Adds a torn write removing `len` bytes at `offset`.
-    #[must_use]
-    pub fn drop_range(mut self, offset: u64, len: u64) -> CorruptionPlan {
-        self.ops.push(CorruptionOp::DropRange { offset, len });
-        self
-    }
-
-    /// Adds a zeroed region of `len` bytes at `offset`.
-    #[must_use]
-    pub fn zero_range(mut self, offset: u64, len: u64) -> CorruptionPlan {
-        self.ops.push(CorruptionOp::ZeroRange { offset, len });
-        self
+    pub fn flip_bit(self, offset: u64, bit: u8) -> CorruptionPlan {
+        self.push(CorruptionOp::FlipBit { offset, bit })
     }
 
     /// Truncates the stream at `offset`.
     #[must_use]
-    pub fn truncate_at(mut self, offset: u64) -> CorruptionPlan {
-        self.ops.push(CorruptionOp::TruncateAt { offset });
-        self
+    pub fn truncate_at(self, offset: u64) -> CorruptionPlan {
+        self.push(CorruptionOp::TruncateAt { offset })
     }
 
     /// Seed-deterministic scatter of `count` bit flips over
@@ -103,11 +92,6 @@ impl CorruptionPlan {
             plan = plan.flip_bit(offset, bit);
         }
         plan
-    }
-
-    /// The operations in insertion order.
-    pub fn ops(&self) -> &[CorruptionOp] {
-        &self.ops
     }
 
     /// The smallest `TruncateAt` offset, if any.
@@ -147,64 +131,16 @@ impl CorruptionPlan {
     }
 }
 
-/// A [`Write`] adapter that damages the byte stream per a
-/// [`CorruptionPlan`] before forwarding it to the inner sink.
-#[derive(Debug)]
-pub struct CorruptingWriter<W: Write> {
-    inner: W,
-    plan: CorruptionPlan,
-    /// Bytes of *uncorrupted* stream seen so far (plan offsets index this).
-    written: u64,
-}
-
-impl<W: Write> CorruptingWriter<W> {
-    /// Wraps `inner`, applying `plan` to everything written through.
-    pub fn new(inner: W, plan: CorruptionPlan) -> CorruptingWriter<W> {
-        CorruptingWriter {
-            inner,
-            plan,
-            written: 0,
-        }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// Bytes of uncorrupted stream consumed so far.
-    pub fn uncorrupted_len(&self) -> u64 {
-        self.written
+/// Collects ops into a plan in order, with [`CorruptionPlan::flip_bit`]'s
+/// bit-index check.
+impl FromIterator<CorruptionOp> for CorruptionPlan {
+    fn from_iter<I: IntoIterator<Item = CorruptionOp>>(ops: I) -> CorruptionPlan {
+        ops.into_iter()
+            .fold(CorruptionPlan::new(), CorruptionPlan::push)
     }
 }
 
-impl<W: Write> Write for CorruptingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let truncate = self.plan.truncation_point().unwrap_or(u64::MAX);
-        let mut out = Vec::with_capacity(buf.len());
-        for (i, &byte) in buf.iter().enumerate() {
-            let offset = self.written + i as u64;
-            if offset >= truncate {
-                break;
-            }
-            if let Some(transformed) = self.plan.transform(offset, byte) {
-                out.push(transformed);
-            }
-        }
-        self.inner.write_all(&out)?;
-        // Report the full input consumed: plan offsets track the logical
-        // stream, so swallowed bytes still advance the cursor.
-        self.written += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Applies `plan` to an in-memory byte string — the pure-function twin of
-/// [`CorruptingWriter`] for tests that already hold the clean archive.
+/// Applies `plan` to an in-memory byte string.
 pub fn corrupt_bytes(clean: &[u8], plan: &CorruptionPlan) -> Vec<u8> {
     let truncate = plan.truncation_point().unwrap_or(u64::MAX);
     clean
@@ -219,27 +155,16 @@ pub fn corrupt_bytes(clean: &[u8], plan: &CorruptionPlan) -> Vec<u8> {
 mod tests {
     use super::*;
 
-    fn through_writer(clean: &[u8], plan: CorruptionPlan) -> Vec<u8> {
-        let mut sink = Vec::new();
-        let mut writer = CorruptingWriter::new(&mut sink, plan);
-        // Feed in awkward chunk sizes to prove offsets are chunk-agnostic.
-        for chunk in clean.chunks(3) {
-            writer.write_all(chunk).unwrap();
-        }
-        writer.flush().unwrap();
-        sink
-    }
-
     #[test]
     fn empty_plan_is_transparent() {
         let clean = b"hello, archive".to_vec();
-        assert_eq!(through_writer(&clean, CorruptionPlan::new()), clean);
+        assert_eq!(corrupt_bytes(&clean, &CorruptionPlan::new()), clean);
     }
 
     #[test]
     fn flip_bit_xors_exactly_one_bit() {
         let clean = vec![0u8; 8];
-        let out = through_writer(&clean, CorruptionPlan::new().flip_bit(5, 3));
+        let out = corrupt_bytes(&clean, &CorruptionPlan::new().flip_bit(5, 3));
         assert_eq!(out[5], 0b0000_1000);
         assert!(out.iter().enumerate().all(|(i, &b)| i == 5 || b == 0));
     }
@@ -247,36 +172,28 @@ mod tests {
     #[test]
     fn drop_range_shortens_stream() {
         let clean: Vec<u8> = (0..10).collect();
-        let out = through_writer(&clean, CorruptionPlan::new().drop_range(2, 3));
+        let out = corrupt_bytes(
+            &clean,
+            &CorruptionPlan::new().push(CorruptionOp::DropRange { offset: 2, len: 3 }),
+        );
         assert_eq!(out, vec![0, 1, 5, 6, 7, 8, 9]);
     }
 
     #[test]
     fn zero_range_keeps_length() {
         let clean: Vec<u8> = (1..=6).collect();
-        let out = through_writer(&clean, CorruptionPlan::new().zero_range(1, 2));
+        let out = corrupt_bytes(
+            &clean,
+            &CorruptionPlan::new().push(CorruptionOp::ZeroRange { offset: 1, len: 2 }),
+        );
         assert_eq!(out, vec![1, 0, 0, 4, 5, 6]);
     }
 
     #[test]
     fn truncate_discards_tail_across_chunks() {
         let clean: Vec<u8> = (0..20).collect();
-        let out = through_writer(&clean, CorruptionPlan::new().truncate_at(7));
+        let out = corrupt_bytes(&clean, &CorruptionPlan::new().truncate_at(7));
         assert_eq!(out, (0..7).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn writer_matches_pure_function() {
-        let clean: Vec<u8> = (0..64).collect();
-        let plan = CorruptionPlan::new()
-            .flip_bit(3, 0)
-            .drop_range(10, 4)
-            .zero_range(30, 5)
-            .truncate_at(50);
-        assert_eq!(
-            through_writer(&clean, plan.clone()),
-            corrupt_bytes(&clean, &plan)
-        );
     }
 
     #[test]
@@ -286,7 +203,7 @@ mod tests {
         let c = CorruptionPlan::scattered_flips(8, 16, 8, 4096);
         assert_eq!(a, b, "same seed must give the same plan");
         assert_ne!(a, c, "different seeds should differ");
-        assert_eq!(a.ops().len(), 16);
+        assert_eq!(a.ops.len(), 16);
     }
 
     #[test]

@@ -267,31 +267,31 @@ impl Decode for PaymentRecord {
     }
 }
 
-/// Encodes a value to a fresh buffer.
-pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
-    let mut out = Vec::new();
-    value.encode(&mut out);
-    out
-}
-
-/// Decodes a value from a buffer, requiring full consumption.
-///
-/// # Errors
-///
-/// [`StoreError::Corrupt`] on malformed input or trailing bytes.
-pub fn from_bytes<T: Decode>(mut buf: &[u8]) -> Result<T, StoreError> {
-    let value = T::decode(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(StoreError::corrupt("trailing bytes after payload"));
-    }
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use ripple_crypto::sha512_half;
+
+    /// Encodes a value to a fresh buffer.
+    fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.encode(&mut out);
+        out
+    }
+
+    /// Decodes a value from a buffer, requiring full consumption.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] on malformed input or trailing bytes.
+    fn from_bytes<T: Decode>(mut buf: &[u8]) -> Result<T, StoreError> {
+        let value = T::decode(&mut buf)?;
+        if !buf.is_empty() {
+            return Err(StoreError::corrupt("trailing bytes after payload"));
+        }
+        Ok(value)
+    }
 
     fn sample_record() -> PaymentRecord {
         PaymentRecord {

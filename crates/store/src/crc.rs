@@ -72,35 +72,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !update(0xFFFF_FFFF, data)
 }
 
-/// Incremental CRC-32 hasher.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Crc32 {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Absorbs more input.
-    pub fn update(&mut self, data: &[u8]) {
-        self.state = update(self.state, data);
-    }
-
-    /// Finishes, producing the checksum.
-    pub fn finalize(self) -> u32 {
-        !self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,10 +131,8 @@ mod tests {
         let whole = crc32_reference(&data);
         assert_eq!(crc32(&data), whole);
         for split in 0..=data.len() {
-            let mut h = Crc32::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), whole, "split at {split}");
+            let state = update(update(0xFFFF_FFFF, &data[..split]), &data[split..]);
+            assert_eq!(!state, whole, "split at {split}");
         }
     }
 

@@ -73,13 +73,6 @@ impl HistoryEvent {
         }
     }
 
-    /// Encodes the payload (without the frame).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        self.encode_payload_into(&mut out);
-        out
-    }
-
     /// Encodes the payload (without the frame) into a caller-provided
     /// buffer, appending to whatever it already holds. Lets hot write
     /// paths reuse one scratch allocation across events.
@@ -212,7 +205,8 @@ mod tests {
     #[test]
     fn all_variants_round_trip() {
         for event in events() {
-            let payload = event.encode_payload();
+            let mut payload = Vec::new();
+            event.encode_payload_into(&mut payload);
             let back = HistoryEvent::decode_payload(event.tag(), &payload).unwrap();
             assert_eq!(back, event);
         }

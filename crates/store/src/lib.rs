@@ -67,7 +67,7 @@ pub mod frame;
 pub mod postings;
 pub mod stream;
 
-pub use chaos::{corrupt_bytes, CorruptingWriter, CorruptionOp, CorruptionPlan};
+pub use chaos::{corrupt_bytes, CorruptionOp, CorruptionPlan};
 pub use event::HistoryEvent;
 pub use postings::{
     decode_block, decode_frame_at, FlowStat, PostingsConfig, PostingsIndex, SIDECAR_MAGIC,

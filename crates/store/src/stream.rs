@@ -254,11 +254,6 @@ impl<R: Read> Reader<R> {
         })
     }
 
-    /// The reader's corruption-handling mode.
-    pub fn mode(&self) -> ReadMode {
-        self.mode
-    }
-
     /// Bytes currently unconsumed in the internal buffer.
     fn available(&self) -> usize {
         self.buf.len() - self.pos
@@ -313,12 +308,6 @@ impl<R: Read> Reader<R> {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-    }
-
-    /// Absolute archive offset of the next unconsumed byte (the magic
-    /// counts, so a fresh reader reports `MAGIC.len()`).
-    pub fn offset(&self) -> u64 {
-        self.consumed
     }
 
     /// Reads the next event, or `None` at the end of the archive.
@@ -392,11 +381,6 @@ impl<R: Read> Reader<R> {
         }
     }
 
-    /// Number of records read so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// Salvage counters (all zero for a clean archive or strict mode
     /// before any error).
     pub fn stats(&self) -> RecoveryStats {
@@ -439,6 +423,7 @@ impl<R: Read> Reader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::CorruptionOp;
     use ripple_crypto::{sha512_half, AccountId};
     use ripple_ledger::{Currency, PathSummary, PaymentRecord, RippleTime};
 
@@ -537,7 +522,7 @@ mod tests {
         writer.finish().unwrap();
         let mut reader = Reader::new(buf.as_slice()).unwrap();
         while reader.next_event().unwrap().is_some() {}
-        assert_eq!(reader.records(), 5);
+        assert_eq!(reader.records, 5);
     }
 
     /// Byte range `(start, end)` of each record frame in `archive(events)`.
@@ -619,8 +604,10 @@ mod tests {
         // record 3 byte-for-byte (which resync would rightly salvage).
         let hole_start = bounds[2].0 + 12;
         let hole_end = bounds[3].0 + 12;
-        let plan = crate::chaos::CorruptionPlan::new()
-            .drop_range(hole_start as u64, (hole_end - hole_start) as u64);
+        let plan = crate::chaos::CorruptionPlan::new().push(CorruptionOp::DropRange {
+            offset: hole_start as u64,
+            len: (hole_end - hole_start) as u64,
+        });
         let bad = crate::chaos::corrupt_bytes(&buf, &plan);
 
         let (back, stats) = Reader::recovering(bad.as_slice())
@@ -680,10 +667,10 @@ mod tests {
         let plan = crate::chaos::CorruptionPlan::new()
             .flip_bit((bounds[1].0 + 6) as u64, 0)
             .flip_bit((bounds[7].0 + 9) as u64, 7)
-            .drop_range(
-                (bounds[12].0 + 20) as u64,
-                (bounds[13].0 - bounds[12].0) as u64,
-            )
+            .push(CorruptionOp::DropRange {
+                offset: (bounds[12].0 + 20) as u64,
+                len: (bounds[13].0 - bounds[12].0) as u64,
+            })
             .truncate_at((bounds[19].0 + 5) as u64);
         let bad = crate::chaos::corrupt_bytes(&buf, &plan);
 
@@ -742,12 +729,9 @@ mod tests {
     #[test]
     fn reader_mode_is_reported() {
         let buf = archive(&[]);
+        assert_eq!(Reader::new(buf.as_slice()).unwrap().mode, ReadMode::Strict);
         assert_eq!(
-            Reader::new(buf.as_slice()).unwrap().mode(),
-            ReadMode::Strict
-        );
-        assert_eq!(
-            Reader::recovering(buf.as_slice()).unwrap().mode(),
+            Reader::recovering(buf.as_slice()).unwrap().mode,
             ReadMode::Resync
         );
     }
@@ -758,14 +742,14 @@ mod tests {
         let buf = archive(&events);
         let bounds = frame_bounds(&events);
         let mut reader = Reader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.offset(), MAGIC.len() as u64);
+        assert_eq!(reader.consumed, MAGIC.len() as u64);
         let mut seen = Vec::new();
         while let Some((offset, _)) = reader.next_event_at().unwrap() {
             seen.push(offset as usize);
         }
         let expected: Vec<usize> = bounds.iter().map(|&(start, _)| start).collect();
         assert_eq!(seen, expected);
-        assert_eq!(reader.offset(), buf.len() as u64);
+        assert_eq!(reader.consumed, buf.len() as u64);
     }
 
     #[test]

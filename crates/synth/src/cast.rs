@@ -340,18 +340,6 @@ impl Cast {
         }
     }
 
-    /// The MTL campaign's sink account (last trust hop of every chain).
-    pub fn mtl_sink(&self) -> AccountId {
-        account("mtl:sink")
-    }
-
-    /// Gateways of one community.
-    pub fn community_gateways(&self, community: usize) -> impl Iterator<Item = &Gateway> {
-        self.gateways
-            .iter()
-            .filter(move |g| g.community == community)
-    }
-
     /// Whether `community` is hub-covered (its single-currency
     /// cross-community traffic survives Market-Maker removal).
     pub fn in_hub_region(&self, community: usize) -> bool {
@@ -405,7 +393,10 @@ mod tests {
     fn population_sizes_match_config() {
         let (cast, state, _) = build_small();
         let config = SynthConfig::small(100);
-        assert_eq!(cast.gateways.len(), config.total_gateways());
+        assert_eq!(
+            cast.gateways.len(),
+            config.communities * config.gateways_per_community
+        );
         assert_eq!(cast.market_makers.len(), config.market_makers);
         assert_eq!(cast.users.len(), config.users);
         assert!(state.account_count() > config.users);
@@ -424,7 +415,9 @@ mod tests {
         let (user, community) = cast.users[0];
         let cur = cast.community_currency[community];
         let trusted = cast
-            .community_gateways(community)
+            .gateways
+            .iter()
+            .filter(|g| g.community == community)
             .filter(|g| state.trust_limit(user, g.account, cur).is_positive())
             .count();
         assert!(trusted >= 1, "user must trust at least one local gateway");

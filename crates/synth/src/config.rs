@@ -110,11 +110,6 @@ impl SynthConfig {
         }
     }
 
-    /// Total gateways.
-    pub fn total_gateways(&self) -> usize {
-        self.communities * self.gateways_per_community
-    }
-
     /// The IOU currency mix for non-spam payments, as `(currency, weight)`
     /// pairs. Weights follow Figure 4's ranked counts (BTC 4.7%, USD 3.8%,
     /// CNY 3.3%, JPY 2.1%, …, EUR 0.4%) rescaled over the non-XRP,

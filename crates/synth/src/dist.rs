@@ -42,7 +42,7 @@ impl LogNormal {
 }
 
 /// One standard-normal draw (Box–Muller, using a single pair member).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0).
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
@@ -80,31 +80,12 @@ impl Zipf {
         Zipf { cumulative }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the distribution has no ranks (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draws a rank in `0..n` (0 is the most popular).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         self.cumulative
             .partition_point(|&c| c < u)
             .min(self.cumulative.len() - 1)
-    }
-
-    /// The probability mass of rank `k`.
-    pub fn mass(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cumulative[0]
-        } else {
-            self.cumulative[k] - self.cumulative[k - 1]
-        }
     }
 }
 
@@ -148,47 +129,6 @@ impl<T: Clone> Categorical<T> {
             .partition_point(|&c| c < u)
             .min(self.items.len() - 1);
         &self.items[idx]
-    }
-
-    /// The items, in insertion order.
-    pub fn items(&self) -> &[T] {
-        &self.items
-    }
-}
-
-/// Poisson sampler (Knuth's algorithm; fine for small lambdas).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    /// The rate parameter.
-    pub lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda` is non-positive or non-finite.
-    pub fn new(lambda: f64) -> Poisson {
-        assert!(lambda.is_finite() && lambda > 0.0);
-        Poisson { lambda }
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let l = (-self.lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 10_000 {
-                return k; // guard against pathological lambdas
-            }
-        }
     }
 }
 
@@ -240,8 +180,9 @@ mod tests {
     #[test]
     fn zipf_mass_sums_to_one() {
         let z = Zipf::new(50, 1.0);
-        let total: f64 = (0..50).map(|k| z.mass(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
+        // The masses telescope to the last cumulative entry.
+        assert_eq!(z.cumulative.len(), 50);
+        assert!((z.cumulative[49] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -256,15 +197,6 @@ mod tests {
         assert!((frac("a") - 0.5).abs() < 0.02);
         assert!((frac("b") - 0.3).abs() < 0.02);
         assert!((frac("c") - 0.2).abs() < 0.02);
-    }
-
-    #[test]
-    fn poisson_mean_is_lambda() {
-        let mut rng = rng();
-        let p = Poisson::new(3.5);
-        let total: u64 = (0..20_000).map(|_| p.sample(&mut rng)).sum();
-        let mean = total as f64 / 20_000.0;
-        assert!((mean - 3.5).abs() < 0.1, "mean = {mean}");
     }
 
     #[test]

@@ -202,32 +202,25 @@ fn chaos_store_salvages_history_written_through_a_corrupting_sink() {
         .collect();
     let _ = sha512_half(b"anchor"); // crypto crate is genuinely linked
 
-    // Write the archive through a corrupting writer: scattered bit flips
-    // over the middle third of the stream.
-    let clean_len = {
-        let mut probe = Vec::new();
-        let mut writer = Writer::new(&mut probe);
+    // Damage the archive with scattered bit flips over the middle third
+    // of the stream.
+    let clean = {
+        let mut clean = Vec::new();
+        let mut writer = Writer::new(&mut clean);
         for e in &events {
             writer.write(e).unwrap();
         }
         writer.finish().unwrap();
-        probe.len() as u64
+        clean
     };
+    let clean_len = clean.len() as u64;
     let plan = CorruptionPlan::scattered_flips(9, 6, clean_len / 3, 2 * clean_len / 3);
-    let mut sink = Vec::new();
-    {
-        let mut corrupting = ripple_store::CorruptingWriter::new(&mut sink, plan);
-        let mut writer = Writer::new(&mut corrupting);
-        for e in &events {
-            writer.write(e).unwrap();
-        }
-        writer.finish().unwrap();
-    }
+    let damaged = ripple_store::corrupt_bytes(&clean, &plan);
 
     // Strict mode refuses the damaged archive; resync salvages every
     // record outside the flipped frames.
-    assert!(Reader::new(sink.as_slice()).unwrap().read_all().is_err());
-    let (salvaged, stats) = Reader::recovering(sink.as_slice())
+    assert!(Reader::new(damaged.as_slice()).unwrap().read_all().is_err());
+    let (salvaged, stats) = Reader::recovering(damaged.as_slice())
         .unwrap()
         .read_all_with_stats()
         .unwrap();

@@ -4,10 +4,8 @@
 //! pinning as regressions (header damage, boundary truncations,
 //! stacked mutations) regardless of what the sweep happens to draw.
 
-use ripple_core::check::storefuzz::{
-    corpus_events, gen_store_plan, run_store_plan, StoreOp, StorePlan,
-};
-use ripple_core::store::{corrupt_bytes, CorruptionPlan, Reader, Writer};
+use ripple_core::check::storefuzz::{corpus_events, gen_store_plan, run_store_plan, StorePlan};
+use ripple_core::store::{corrupt_bytes, CorruptionOp, CorruptionPlan, Reader, Writer};
 
 fn assert_behaves(what: &str, plan: &StorePlan) {
     if let Some(violation) = run_store_plan(plan) {
@@ -48,7 +46,7 @@ fn header_damage_is_a_clean_error_not_a_panic() {
                 &StorePlan {
                     corpus_seed: 5,
                     events: 6,
-                    ops: vec![StoreOp::FlipBit { offset, bit }],
+                    ops: vec![CorruptionOp::FlipBit { offset, bit }],
                 },
             );
         }
@@ -74,7 +72,7 @@ fn boundary_truncations_behave() {
             &StorePlan {
                 corpus_seed: 3,
                 events: 5,
-                ops: vec![StoreOp::TruncateAt { offset }],
+                ops: vec![CorruptionOp::TruncateAt { offset }],
             },
         );
     }
@@ -91,8 +89,8 @@ fn stacked_mutations_behave() {
             corpus_seed: 11,
             events: 15,
             ops: vec![
-                StoreOp::DropRange { offset: 30, len: 7 },
-                StoreOp::FlipBit { offset: 31, bit: 3 },
+                CorruptionOp::DropRange { offset: 30, len: 7 },
+                CorruptionOp::FlipBit { offset: 31, bit: 3 },
             ],
         },
     );
@@ -102,15 +100,15 @@ fn stacked_mutations_behave() {
             corpus_seed: 11,
             events: 15,
             ops: vec![
-                StoreOp::ZeroRange {
+                CorruptionOp::ZeroRange {
                     offset: 40,
                     len: 40,
                 },
-                StoreOp::DropRange {
+                CorruptionOp::DropRange {
                     offset: 44,
                     len: 12,
                 },
-                StoreOp::TruncateAt { offset: 200 },
+                CorruptionOp::TruncateAt { offset: 200 },
             ],
         },
     );
