@@ -9,16 +9,14 @@
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, Drops, LedgerState, Value};
 use ripple_orderbook::{BookSet, OrderBook, Rate};
-use ripple_paths::{
-    find_payment_paths, PathLimits, PaymentEngine, PaymentError, PaymentRequest, Router,
-};
+use ripple_paths::{carried, PathLimits, PaymentEngine, PaymentError, PaymentRequest, Router};
 
 use crate::gen::{
     case_currency, case_keypair, cast_account, op_to_tx, BookPlan, EnginePlan, LedgerCasePlan,
     OpKind, RouterPlan,
 };
 use crate::model::ModelLedger;
-use crate::oracle::{max_deliverable, NaiveBook};
+use crate::oracle::{find_payment_paths, max_deliverable, NaiveBook};
 
 /// A deterministic, order-independent dump of the full ledger state, used
 /// to assert that failed operations leave the state untouched.
@@ -300,7 +298,7 @@ pub fn run_engine_plan(plan: &EnginePlan) -> Option<String> {
 
 /// Runs a router plan: a persistent cache-on [`Router`] answers a stream
 /// of queries interleaved with trust mutations, and every answer must
-/// (1) equal a cold cache-off [`find_payment_paths`] search, (2) never
+/// (1) equal the cold [`find_payment_paths`] search, (2) never
 /// carry more than the max-flow oracle allows, and (3) agree with a
 /// [`PaymentEngine::pay`] replay — full plans execute the cold plan's
 /// paths and deliver exactly the requested amount, partial plans fail as
@@ -343,12 +341,12 @@ pub fn run_router_plan(plan: &RouterPlan) -> Option<String> {
                 "query {step}: cache-on router returned {} paths carrying {}, \
                  cold search returned {} paths carrying {}",
                 cached.len(),
-                ripple_paths::find::carried(&cached),
+                carried(&cached),
                 cold.len(),
-                ripple_paths::find::carried(&cold)
+                carried(&cold)
             ));
         }
-        let carried = ripple_paths::find::carried(&cached);
+        let carried = carried(&cached);
         let oracle_max = max_deliverable(&state, sender, destination, currency, q.amount);
         if carried.raw() > oracle_max {
             return Some(format!(

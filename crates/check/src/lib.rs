@@ -8,6 +8,8 @@
 //!   step against `LedgerState::apply` ([`diff::run_ledger_plan`]);
 //! - [`oracle::max_deliverable`] — a brute-force max-flow oracle for the
 //!   payment engine ([`diff::run_engine_plan`]);
+//! - [`oracle::find_payment_paths`] — the cold shortest-first path search
+//!   the cached router must reproduce plan for plan;
 //! - [`oracle::NaiveBook`] — a linear-scan order-book matcher
 //!   ([`diff::run_book_plan`]);
 //! - [`explore`] — seed-randomized consensus fault schedules checked
@@ -15,9 +17,9 @@
 //! - [`storefuzz`] — corruption corpora through the archive reader's
 //!   resync path;
 //! - [`diff::run_router_plan`] — the cached capacity-aware router
-//!   (`ripple_paths::Router`) against a cold cache-off search, the
-//!   max-flow oracle, and a full `PaymentEngine::pay` replay, across
-//!   query streams interleaved with trust mutations.
+//!   (`ripple_paths::Router`) against the cold search, the max-flow
+//!   oracle, and a full `PaymentEngine::pay` replay, across query streams
+//!   interleaved with trust mutations.
 //!
 //! Any disagreement is shrunk with [`shrink::ddmin`] and packaged as a
 //! [`CheckCase`] that serializes to `CHECK_CASE.json` and replays
@@ -31,6 +33,7 @@
 pub mod case;
 pub mod diff;
 pub mod explore;
+mod find;
 pub mod gen;
 pub mod model;
 pub mod oracle;

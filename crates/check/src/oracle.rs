@@ -1,12 +1,48 @@
-//! Brute-force oracles: a small-graph max-flow path oracle and a naive
-//! order-book matcher.
+//! Brute-force oracles: max-flow path oracles, the cold shortest-first
+//! path search the router is checked against, and a naive order-book
+//! matcher.
 //!
-//! Both are deliberately slow and simple — quadratic scans, full-width
-//! `i128` arithmetic, no shared state — so a disagreement with the
-//! production engines points at the engine, not the oracle.
+//! All are deliberately slow and simple — quadratic scans, full-width
+//! `i128` arithmetic, maps rebuilt on every call, nothing shared with
+//! `ripple-paths`' credit graph — so a disagreement with the production
+//! engines points at the engine, not the oracle.
 
-use ripple_crypto::AccountId;
+use ripple_crypto::{AccountId, FxHashMap};
 use ripple_ledger::{Currency, LedgerState};
+
+pub use crate::find::find_payment_paths;
+
+/// The candidate edges of `currency`'s trust graph, each neighbour list
+/// ascending and duplicate-free: trustee -> truster per trust line, plus a
+/// debt-implied edge from every IOU holder to the account that owes it.
+/// The callers evaluate capacities live.
+pub(crate) fn adjacency(
+    state: &LedgerState,
+    currency: Currency,
+) -> FxHashMap<AccountId, Vec<AccountId>> {
+    let mut adjacency: FxHashMap<AccountId, Vec<AccountId>> = FxHashMap::default();
+    let mut add_edge = |from: AccountId, to: AccountId| adjacency.entry(from).or_default().push(to);
+    for line in state.trust_lines() {
+        if line.currency == currency {
+            add_edge(line.trustee, line.truster);
+        }
+    }
+    for (low, high, cur, balance) in state.pair_balances() {
+        if cur != currency {
+            continue;
+        }
+        if balance.is_positive() {
+            add_edge(low, high);
+        } else if balance.is_negative() {
+            add_edge(high, low);
+        }
+    }
+    for nexts in adjacency.values_mut() {
+        nexts.sort_unstable();
+        nexts.dedup();
+    }
+    adjacency
+}
 
 /// Maximum IOU value (raw units) deliverable from `sender` to
 /// `destination` over the current trust graph, computed with
@@ -101,31 +137,7 @@ pub fn max_deliverable_sparse(
     if state.account(&sender).is_none() || state.account(&destination).is_none() {
         return 0;
     }
-    // Candidate edges of the currency's trust graph (capacity evaluated
-    // live below, like the router's adjacency): trustee -> truster per
-    // trust line, plus debt-implied edges from pair balances.
-    let mut adjacency: HashMap<AccountId, Vec<AccountId>> = HashMap::new();
-    let mut add_edge = |from: AccountId, to: AccountId| {
-        let entry = adjacency.entry(from).or_default();
-        if !entry.contains(&to) {
-            entry.push(to);
-        }
-    };
-    for line in state.trust_lines() {
-        if line.currency == currency {
-            add_edge(line.trustee, line.truster);
-        }
-    }
-    for (low, high, cur, balance) in state.pair_balances() {
-        if cur != currency {
-            continue;
-        }
-        if balance.is_positive() {
-            add_edge(low, high);
-        } else if balance.is_negative() {
-            add_edge(high, low);
-        }
-    }
+    let adjacency = adjacency(state, currency);
     // Make the edge set symmetric so back-edges exist for netting, then
     // load residual capacities.
     let mut residual: HashMap<(AccountId, AccountId), i128> = HashMap::new();

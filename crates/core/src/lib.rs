@@ -50,7 +50,12 @@ pub use ripple_netsim as netsim;
 pub use ripple_node as node;
 pub use ripple_obs as obs;
 pub use ripple_orderbook as orderbook;
-pub use ripple_paths as paths;
+/// `ripple-paths`, plus the cold path search the router is checked
+/// against.
+pub mod paths {
+    pub use ripple_check::oracle::find_payment_paths;
+    pub use ripple_paths::*;
+}
 pub use ripple_query as query;
 pub use ripple_store as store;
 pub use ripple_synth as synth;

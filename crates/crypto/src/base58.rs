@@ -83,8 +83,20 @@ pub fn check_encode(version: u8, payload: &[u8]) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::DecodeError;
     use proptest::prelude::*;
+
+    /// Why the test decoders refused an input.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) enum DecodeError {
+        /// A character outside the Ripple alphabet.
+        InvalidCharacter(char),
+        /// The trailing checksum did not match the payload.
+        BadChecksum,
+        /// Too short to carry a version byte and a checksum.
+        BadLength { expected: usize, actual: usize },
+        /// The version byte did not match the expected identifier kind.
+        BadVersion { expected: u8, actual: u8 },
+    }
 
     /// Decodes raw Base58 into bytes: the round-trip oracle for [`encode_raw`].
     ///

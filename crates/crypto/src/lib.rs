@@ -45,28 +45,10 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use hash::{mix128, sha256, sha512, sha512_half, Digest256, Digest512};
 pub use keys::{PublicKey, SimKeypair, SimSignature};
 
-/// Errors produced when decoding identifiers and encoded payloads.
+/// Errors produced when decoding encoded payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
-    /// The input contained a character outside the Base58 alphabet.
-    InvalidCharacter(char),
-    /// The trailing checksum did not match the payload.
-    BadChecksum,
-    /// The decoded payload had an unexpected length.
-    BadLength {
-        /// Length the caller required.
-        expected: usize,
-        /// Length actually decoded.
-        actual: usize,
-    },
-    /// The version byte did not match the expected identifier kind.
-    BadVersion {
-        /// Version byte the caller required.
-        expected: u8,
-        /// Version byte actually decoded.
-        actual: u8,
-    },
     /// The input was not valid hexadecimal.
     InvalidHex,
 }
@@ -74,16 +56,6 @@ pub enum DecodeError {
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DecodeError::InvalidCharacter(c) => {
-                write!(f, "character {c:?} is outside the base58 alphabet")
-            }
-            DecodeError::BadChecksum => write!(f, "payload checksum mismatch"),
-            DecodeError::BadLength { expected, actual } => {
-                write!(f, "decoded payload is {actual} bytes, expected {expected}")
-            }
-            DecodeError::BadVersion { expected, actual } => {
-                write!(f, "version byte {actual:#04x}, expected {expected:#04x}")
-            }
             DecodeError::InvalidHex => write!(f, "invalid hexadecimal input"),
         }
     }

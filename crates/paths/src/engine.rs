@@ -5,9 +5,8 @@ use ripple_crypto::AccountId;
 use ripple_ledger::{Amount, Currency, Drops, IouAmount, LedgerError, LedgerState, Value};
 use ripple_orderbook::{BookSet, FillPart};
 
-use crate::fees::{find_cheapest_path, TransferFees};
-use crate::find::{carried, FoundPath, PathLimits};
-use crate::router::{stamp_of, Router, RouterStats};
+use crate::fees::TransferFees;
+use crate::router::{carried, stamp_of, FoundPath, PathLimits, Router, RouterStats};
 use std::cell::RefCell;
 
 /// A payment to execute.
@@ -182,8 +181,9 @@ impl UndoLog {
     }
 }
 
-/// The payment engine. Stateless apart from its limits; all effects land in
-/// the [`LedgerState`] passed to [`PaymentEngine::pay`].
+/// The payment engine. Stateless apart from its fee table and its router's
+/// cache; all effects land in the [`LedgerState`] passed to
+/// [`PaymentEngine::pay`].
 ///
 /// # Examples
 ///
@@ -214,9 +214,8 @@ impl UndoLog {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PaymentEngine {
-    limits: PathLimits,
     fees: TransferFees,
-    /// Cached capacity-aware router for the fee-less IOU hot paths. Interior
+    /// Cached capacity-aware router for every IOU payment and leg. Interior
     /// mutability keeps `pay(&self, …)` stable; the engine is a
     /// single-threaded object (it was never `Sync`-dependent) and the cache
     /// checks every ledger it is shown against its `(lineage, generation)`
@@ -233,7 +232,6 @@ impl PaymentEngine {
     /// Engine with custom path limits.
     pub fn with_limits(limits: PathLimits) -> PaymentEngine {
         PaymentEngine {
-            limits,
             fees: TransferFees::new(),
             router: RefCell::new(Router::new(limits)),
         }
@@ -245,9 +243,10 @@ impl PaymentEngine {
     }
 
     /// Configures per-account transfer fees. With fees set, same-currency
-    /// payments route via the *cheapest* (lowest cumulative fee) path —
-    /// the paper's "path with the best exchange rate available" — and the
-    /// sender pays the gross amount while intermediaries keep their cut.
+    /// payments take one path, the cheapest of the router's candidates
+    /// ([`Router::cheapest`]) — the paper's "path with the best exchange
+    /// rate available" — and the sender pays the gross amount while
+    /// intermediaries keep their cut.
     pub fn with_transfer_fees(mut self, fees: TransferFees) -> PaymentEngine {
         self.fees = fees;
         self
@@ -304,16 +303,15 @@ impl PaymentEngine {
                 cross_currency: false,
             });
         }
-        // With transfer fees configured, route via the cheapest path and
-        // charge the sender the gross amount.
+        // With transfer fees configured, route via the cheapest candidate
+        // and charge the sender the gross amount.
         if !self.fees.is_empty() {
-            let Some(path) = find_cheapest_path(
+            let Some(path) = self.router.borrow_mut().cheapest(
                 state,
                 request.sender,
                 request.destination,
                 request.currency,
                 request.amount,
-                self.limits,
                 &self.fees,
             ) else {
                 return Err(PaymentError::NoPath {
@@ -329,17 +327,11 @@ impl PaymentEngine {
                     });
                 }
             }
+            let plan = hops(request.sender, &path.intermediates, request.destination)
+                .zip(&path.gross)
+                .map(|((from, to), &gross)| (from, to, gross));
             let mut undo = UndoLog::default();
-            if let Err(e) = apply_iou_path_with_fees(
-                state,
-                &mut undo,
-                request.sender,
-                request.destination,
-                request.currency,
-                &path.intermediates,
-                request.amount,
-                &self.fees,
-            ) {
+            if let Err(e) = self.apply_routed(state, &mut undo, request.currency, plan) {
                 undo.rollback(state);
                 return Err(e);
             }
@@ -380,14 +372,8 @@ impl PaymentEngine {
             });
         }
         let mut undo = UndoLog::default();
-        if let Err(e) = self.apply_routed(
-            state,
-            &mut undo,
-            request.sender,
-            request.destination,
-            request.currency,
-            &paths,
-        ) {
+        let plan = plan_hops(request.sender, request.destination, &paths);
+        if let Err(e) = self.apply_routed(state, &mut undo, request.currency, plan) {
             undo.rollback(state);
             return Err(e);
         }
@@ -401,22 +387,22 @@ impl PaymentEngine {
         })
     }
 
-    /// Applies a routed plan hop by hop, recording undo operations, then
-    /// hands the router the pairs those hops moved so it can patch its
-    /// credit graph instead of rebuilding it (see the `router` module docs).
+    /// Applies a routed plan's `(from, to, amount)` hops in order,
+    /// recording undo operations, then hands the router the pairs those
+    /// hops moved so it can patch its credit graph instead of rebuilding it
+    /// (see the `router` module docs).
     fn apply_routed(
         &self,
         state: &mut LedgerState,
         undo: &mut UndoLog,
-        from: AccountId,
-        to: AccountId,
         currency: Currency,
-        paths: &[FoundPath],
+        hops: impl Iterator<Item = (AccountId, AccountId, Value)>,
     ) -> Result<(), PaymentError> {
         let before = stamp_of(state);
         let mark = undo.ops.len();
-        for path in paths {
-            apply_iou_path(state, undo, from, to, currency, path)?;
+        for (from, to, amount) in hops {
+            state.ripple_hop(from, to, currency, amount)?;
+            undo.ops.push(UndoOp::Pair(to, from, currency, amount));
         }
         let moved = undo.ops[mark..].iter().filter_map(|op| match op {
             UndoOp::Pair(holder, counterparty, ..) => Some((*holder, *counterparty)),
@@ -700,63 +686,31 @@ impl PaymentEngine {
                 requested: amount,
             });
         }
-        self.apply_routed(state, undo, from, to, currency, &paths)?;
+        self.apply_routed(state, undo, currency, plan_hops(from, to, &paths))?;
         Ok(paths.into_iter().flat_map(|p| p.intermediates).collect())
     }
 }
 
-fn apply_iou_path(
-    state: &mut LedgerState,
-    undo: &mut UndoLog,
+/// The hops of the path `from -> intermediates -> to`, in order.
+fn hops(
     from: AccountId,
+    intermediates: &[AccountId],
     to: AccountId,
-    currency: Currency,
-    path: &FoundPath,
-) -> Result<(), PaymentError> {
-    let mut chain = Vec::with_capacity(path.intermediates.len() + 2);
-    chain.push(from);
-    chain.extend_from_slice(&path.intermediates);
-    chain.push(to);
-    for pair in chain.windows(2) {
-        state.ripple_hop(pair[0], pair[1], currency, path.amount)?;
-        undo.ops
-            .push(UndoOp::Pair(pair[1], pair[0], currency, path.amount));
-    }
-    Ok(())
+) -> impl Iterator<Item = (AccountId, AccountId)> + '_ {
+    let starts = std::iter::once(from).chain(intermediates.iter().copied());
+    starts.zip(intermediates.iter().copied().chain(std::iter::once(to)))
 }
 
-/// Applies a single fee-charging path: each intermediary receives the
-/// gross of everything downstream and forwards the net, keeping its cut.
-#[allow(clippy::too_many_arguments)]
-fn apply_iou_path_with_fees(
-    state: &mut LedgerState,
-    undo: &mut UndoLog,
+/// The `(from, to, amount)` hops of a fee-less plan from `from` to `to`,
+/// path by path: every hop of a path carries the path's amount.
+fn plan_hops(
     from: AccountId,
     to: AccountId,
-    currency: Currency,
-    intermediates: &[AccountId],
-    amount: Value,
-    fees: &TransferFees,
-) -> Result<(), PaymentError> {
-    let mut chain = Vec::with_capacity(intermediates.len() + 2);
-    chain.push(from);
-    chain.extend_from_slice(intermediates);
-    chain.push(to);
-    // Hop amounts, downstream-first: the last hop carries the net amount.
-    let mut hop_amounts = Vec::with_capacity(chain.len() - 1);
-    let mut carry = amount;
-    for hop in intermediates.iter().rev() {
-        hop_amounts.push(carry);
-        carry = fees.gross_through(*hop, carry);
-    }
-    hop_amounts.push(carry);
-    hop_amounts.reverse();
-    for (pair, &gross) in chain.windows(2).zip(hop_amounts.iter()) {
-        state.ripple_hop(pair[0], pair[1], currency, gross)?;
-        undo.ops
-            .push(UndoOp::Pair(pair[1], pair[0], currency, gross));
-    }
-    Ok(())
+    paths: &[FoundPath],
+) -> impl Iterator<Item = (AccountId, AccountId, Value)> + '_ {
+    paths
+        .iter()
+        .flat_map(move |path| hops(from, &path.intermediates, to).map(|(a, b)| (a, b, path.amount)))
 }
 
 /// Reduces a consumed offer's remaining amounts in the ledger (removing it
@@ -1128,6 +1082,34 @@ mod tests {
         assert_eq!(s.net_position(acct(2), Currency::USD), v("2"));
         assert_eq!(s.net_position(acct(1), Currency::USD), v("-102"));
         assert_eq!(s.net_position(acct(3), Currency::USD), v("100"));
+    }
+
+    #[test]
+    fn fee_payments_patch_the_router() {
+        let mut s = LedgerState::new();
+        for i in 1..=3 {
+            s.create_account(acct(i), Drops::from_xrp(100));
+        }
+        s.set_trust(acct(2), acct(1), Currency::USD, v("1000"))
+            .unwrap();
+        s.set_trust(acct(3), acct(2), Currency::USD, v("1000"))
+            .unwrap();
+        let mut fees = crate::fees::TransferFees::new();
+        fees.set(acct(2), 200);
+        let engine = PaymentEngine::new().with_transfer_fees(fees);
+        for _ in 0..2 {
+            let done = engine
+                .pay(&mut s, &request(1, 3, Currency::USD, "100"))
+                .unwrap();
+            assert_eq!(done.source_cost, v("102"));
+        }
+        assert_eq!(s.net_position(acct(2), Currency::USD), v("4"));
+        let stats = engine.router_stats();
+        assert_eq!(
+            stats.graph_builds, 1,
+            "the second payment met a patched graph"
+        );
+        assert_eq!(stats.edges_refreshed, 2 * 2 * 2, "2 payments x 2 hops");
     }
 
     #[test]

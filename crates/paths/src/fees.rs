@@ -1,23 +1,25 @@
-//! Gateway transfer fees and cheapest-path routing.
+//! Gateway transfer fees and cheapest-candidate routing.
 //!
 //! Real gateways charge a *transfer rate* on IOUs rippling through them
 //! (e.g. Bitstamp's historical 0.2%). Ripple's pathfinder therefore does
 //! not simply pick the shortest path: it selects "the path with the best
 //! exchange rate available" (§III.C). This module adds both pieces:
 //!
-//! * [`TransferFees`] — per-account fee table in basis points;
-//! * [`find_cheapest_path`] — Dijkstra over the trust graph, minimizing the
-//!   cumulative fee multiplier (ties broken by hop count);
-//! * the gross/net arithmetic: an intermediary charging `f` forwards `A`
-//!   but receives `A·(1+f)`, keeping the difference.
+//! * [`TransferFees`] — per-account fee table in basis points, with the
+//!   gross/net arithmetic: an intermediary charging `f` forwards `A` but
+//!   receives `A·(1+f)`, keeping the difference;
+//! * [`Router::cheapest`] — the router's cached candidates for a pair,
+//!   grossed up hop by hop and ranked by what the sender pays, the way
+//!   rippled ranks a bounded candidate set by quality. It is not a global
+//!   cheapest-path search: a cheaper route outside the `max_paths`
+//!   shortest-first candidates is not considered.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, LedgerState, Value};
 
-use crate::find::{build_adjacency, PathLimits};
+use crate::router::Router;
 
 /// Fee charged by each account for rippling *through* it, in basis points.
 /// Accounts not listed charge nothing.
@@ -25,14 +27,25 @@ use crate::find::{build_adjacency, PathLimits};
 /// # Examples
 ///
 /// ```
-/// use ripple_paths::TransferFees;
 /// use ripple_crypto::AccountId;
+/// use ripple_ledger::{Currency, Drops, LedgerState};
+/// use ripple_paths::{PathLimits, Router, TransferFees};
+///
+/// let [alice, gateway, bob] = [1, 9, 2].map(|n| AccountId::from_bytes([n; 20]));
+/// let mut state = LedgerState::new();
+/// for account in [alice, gateway, bob] {
+///     state.create_account(account, Drops::from_xrp(100));
+/// }
+/// state.set_trust(gateway, alice, Currency::USD, "1000".parse().unwrap()).unwrap();
+/// state.set_trust(bob, gateway, Currency::USD, "1000".parse().unwrap()).unwrap();
 ///
 /// let mut fees = TransferFees::new();
-/// let gateway = AccountId::from_bytes([9; 20]);
 /// fees.set(gateway, 20); // Bitstamp's historical 0.2%
-/// let gross = fees.gross_through(gateway, "100".parse().unwrap());
-/// assert_eq!(gross.to_string(), "100.2");
+/// let mut router = Router::new(PathLimits::default());
+/// let amount = "100".parse().unwrap();
+/// let path = router.cheapest(&state, alice, bob, Currency::USD, amount, &fees).unwrap();
+/// assert_eq!(path.intermediates, vec![gateway]);
+/// assert_eq!(path.source_cost.to_string(), "100.2");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TransferFees {
@@ -65,7 +78,7 @@ impl TransferFees {
     }
 
     /// The gross amount an intermediary must receive to forward `net`.
-    pub fn gross_through(&self, account: AccountId, net: Value) -> Value {
+    fn gross_through(&self, account: AccountId, net: Value) -> Value {
         let bps = self.bps(account) as u64;
         if bps == 0 {
             net
@@ -75,126 +88,75 @@ impl TransferFees {
     }
 }
 
-/// One cost-ranked path.
+/// A fee-bearing single-path plan, as [`Router::cheapest`] chooses it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheapestPath {
+pub struct FeePath {
     /// Intermediate accounts, in order.
     pub intermediates: Vec<AccountId>,
-    /// The sender's gross cost of delivering `amount` along this path.
+    /// What each hop carries, the sender's hop first: the delivered amount
+    /// grossed up through every intermediary after the hop, so the last
+    /// hop carries the delivered amount itself.
+    pub gross: Vec<Value>,
+    /// The sender's gross cost of delivering the amount, `gross[0]`.
     pub source_cost: Value,
 }
 
-/// Finds the cheapest (lowest cumulative transfer fee) path able to carry
-/// `amount` of `currency`, using Dijkstra over the live trust graph. Ties
-/// on cost break towards fewer hops. Returns `None` when no path within
-/// `limits.max_hops` has the capacity.
-///
-/// Capacity is checked against the *gross* amounts each hop must carry.
-pub fn find_cheapest_path(
-    state: &LedgerState,
-    sender: AccountId,
-    destination: AccountId,
-    currency: Currency,
-    amount: Value,
-    limits: PathLimits,
-    fees: &TransferFees,
-) -> Option<CheapestPath> {
-    // The BFS finder's adjacency (trust edges plus debt-implied edges,
-    // neighbour lists ascending for a deterministic exploration order).
-    let adjacency = build_adjacency(state, currency);
-
-    // Dijkstra on (cost, hops). Cost of reaching a node = product of fees
-    // of the intermediaries *behind* it (the node's own fee applies only
-    // if we ripple onwards through it). Costs are fixed-point with a 10^18
-    // base so per-hop ratios survive integer arithmetic.
-    const COST_BASE: u128 = 1_000_000_000_000_000_000;
-    #[derive(PartialEq, Eq, PartialOrd, Ord)]
-    struct Key(u128, usize, AccountId);
-    let mut best: HashMap<AccountId, (u128, usize)> = HashMap::new();
-    let mut prev: HashMap<AccountId, AccountId> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-    best.insert(sender, (COST_BASE, 0));
-    heap.push(Reverse(Key(COST_BASE, 0, sender)));
-
-    while let Some(Reverse(Key(cost, hops, node))) = heap.pop() {
-        if best
-            .get(&node)
-            .map(|&(c, h)| (c, h) != (cost, hops))
-            .unwrap_or(true)
-        {
-            continue; // stale entry
-        }
-        if node == destination {
-            break;
-        }
-        if hops > limits.max_hops {
-            continue;
-        }
-        let node_fee = if node == sender {
-            1u128
-        } else {
-            10_000 + fees.bps(node) as u128
-        };
-        let scale = if node == sender { 1 } else { 10_000 };
-        for next in adjacency.neighbours(node) {
-            // The hop node->next must carry the gross of everything
-            // downstream; conservatively check against `amount` (the final
-            // gross is validated at application time).
-            if !state.hop_capacity(node, next, currency).is_positive() {
-                continue;
-            }
-            let next_cost = cost * node_fee / scale;
-            let candidate = (next_cost, hops + 1);
-            let improves = match best.get(&next) {
-                None => true,
-                Some(&(c, h)) => candidate < (c, h),
-            };
-            if improves {
-                best.insert(next, candidate);
-                prev.insert(next, node);
-                heap.push(Reverse(Key(candidate.0, candidate.1, next)));
-            }
-        }
-    }
-
-    let &(_, hops) = best.get(&destination)?;
-    if hops > limits.max_hops + 1 {
-        return None;
-    }
-    // Reconstruct.
-    let mut chain = vec![destination];
-    let mut cursor = destination;
-    while cursor != sender {
-        cursor = *prev.get(&cursor)?;
-        chain.push(cursor);
-    }
-    chain.reverse();
-    let intermediates: Vec<AccountId> = chain[1..chain.len() - 1].to_vec();
-
-    // Gross amounts hop by hop (downstream-first) and capacity validation.
-    let mut hop_amounts = Vec::with_capacity(chain.len() - 1);
-    let mut carry = amount;
-    for hop in intermediates.iter().rev() {
-        hop_amounts.push(carry);
-        carry = fees.gross_through(*hop, carry);
-    }
-    hop_amounts.push(carry);
-    hop_amounts.reverse(); // now aligned with chain.windows(2)
-    for (pair, &gross) in chain.windows(2).zip(hop_amounts.iter()) {
-        if state.hop_capacity(pair[0], pair[1], currency) < gross {
+impl Router {
+    /// The cheapest single path for `amount` of `currency` from `sender`
+    /// to `destination` under transfer fees. The candidates are this
+    /// router's cached enumeration for the pair — at most `max_paths`
+    /// paths, shortest first, the set [`Router::route`] allocates from.
+    /// Each is grossed up hop by hop from the destination, and dropped if
+    /// some hop's live capacity cannot carry that hop's gross. Of the rest
+    /// the lowest source cost wins; ties go to fewer hops, then to
+    /// enumeration order. `None` when no candidate carries the amount.
+    pub fn cheapest(
+        &mut self,
+        state: &LedgerState,
+        sender: AccountId,
+        destination: AccountId,
+        currency: Currency,
+        amount: Value,
+        fees: &TransferFees,
+    ) -> Option<FeePath> {
+        self.stats.queries += 1;
+        if sender == destination || currency.is_xrp() || !amount.is_positive() {
             return None;
         }
+        let mut best: Option<FeePath> = None;
+        for (chain, _) in self.enumeration(state, sender, destination, currency) {
+            let mut gross = vec![amount; chain.len() - 1];
+            for hop in (1..gross.len()).rev() {
+                gross[hop - 1] = fees.gross_through(chain[hop], gross[hop]);
+            }
+            let fits = chain
+                .windows(2)
+                .zip(&gross)
+                .all(|(pair, &g)| state.hop_capacity(pair[0], pair[1], currency) >= g);
+            let cheaper = match &best {
+                None => true,
+                Some(b) => (gross[0], gross.len()) < (b.source_cost, b.gross.len()),
+            };
+            if fits && cheaper {
+                best = Some(FeePath {
+                    intermediates: chain[1..chain.len() - 1].to_vec(),
+                    source_cost: gross[0],
+                    gross,
+                });
+            }
+        }
+        best
     }
-
-    Some(CheapestPath {
-        intermediates,
-        source_cost: carry,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::PathLimits;
+    use crate::PaymentEngine;
+    use crate::PaymentRequest;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ripple_ledger::Drops;
 
     fn acct(n: u8) -> AccountId {
@@ -203,6 +165,19 @@ mod tests {
 
     fn v(s: &str) -> Value {
         s.parse().unwrap()
+    }
+
+    /// [`Router::cheapest`] on a fresh router with the given limits.
+    fn cheapest(
+        state: &LedgerState,
+        sender: AccountId,
+        destination: AccountId,
+        currency: Currency,
+        amount: Value,
+        limits: PathLimits,
+        fees: &TransferFees,
+    ) -> Option<FeePath> {
+        Router::new(limits).cheapest(state, sender, destination, currency, amount, fees)
     }
 
     /// Two routes from 1 to 4: short via 2 (expensive), long via 3 then 5
@@ -230,7 +205,7 @@ mod tests {
     #[test]
     fn without_fees_shortest_wins() {
         let s = two_route_state();
-        let path = find_cheapest_path(
+        let path = cheapest(
             &s,
             acct(1),
             acct(4),
@@ -249,7 +224,7 @@ mod tests {
         let s = two_route_state();
         let mut fees = TransferFees::new();
         fees.set(acct(2), 500); // 5% through account 2
-        let path = find_cheapest_path(
+        let path = cheapest(
             &s,
             acct(1),
             acct(4),
@@ -283,7 +258,7 @@ mod tests {
         let mut fees = TransferFees::new();
         fees.set(acct(2), 100); // 1%
         fees.set(acct(3), 200); // 2%
-        let path = find_cheapest_path(
+        let path = cheapest(
             &s,
             acct(1),
             acct(4),
@@ -310,7 +285,7 @@ mod tests {
             .unwrap();
         let mut fees = TransferFees::new();
         fees.set(acct(2), 1_000); // 10%: 100 net needs 110 gross
-        let result = find_cheapest_path(
+        let result = cheapest(
             &s,
             acct(1),
             acct(3),
@@ -321,7 +296,7 @@ mod tests {
         );
         assert!(result.is_none(), "gross exceeds the first leg's capacity");
         // 90 net (99 gross) fits.
-        let path = find_cheapest_path(
+        let path = cheapest(
             &s,
             acct(1),
             acct(3),
@@ -350,7 +325,7 @@ mod tests {
     #[test]
     fn unreachable_destination_is_none() {
         let s = two_route_state();
-        let result = find_cheapest_path(
+        let result = cheapest(
             &s,
             acct(4),
             acct(1),
@@ -360,5 +335,157 @@ mod tests {
             &TransferFees::new(),
         );
         assert!(result.is_none(), "trust is unidirectional");
+    }
+
+    /// Two routes from 1 to 4 under a two-hop cap: 1 -> 2 -> 6 -> 4, tolled
+    /// at 2, and the free 1 -> 3 -> 5 -> 6 -> 4, one hop too long. A
+    /// search that settles 6 over the free route first cannot expand it
+    /// under the cap, and so misses the tolled route that fits.
+    #[test]
+    fn hop_cap_keeps_the_tolled_route_that_fits() {
+        let mut s = LedgerState::new();
+        for i in 1..=6 {
+            s.create_account(acct(i), Drops::from_xrp(100));
+        }
+        for (truster, trustee) in [(2, 1), (6, 2), (3, 1), (5, 3), (6, 5), (4, 6)] {
+            s.set_trust(acct(truster), acct(trustee), Currency::USD, v("1000"))
+                .unwrap();
+        }
+        let mut fees = TransferFees::new();
+        fees.set(acct(2), 100);
+        let limits = PathLimits {
+            max_paths: 6,
+            max_hops: 2,
+        };
+        let path = cheapest(&s, acct(1), acct(4), Currency::USD, v("10"), limits, &fees)
+            .expect("the two-hop route fits the cap");
+        assert_eq!(path.intermediates, vec![acct(2), acct(6)]);
+        assert_eq!(path.source_cost, v("10.1"));
+
+        let engine = PaymentEngine::with_limits(limits).with_transfer_fees(fees);
+        let request = PaymentRequest {
+            sender: acct(1),
+            destination: acct(4),
+            currency: Currency::USD,
+            amount: v("10"),
+            source_currency: None,
+            send_max: None,
+        };
+        let done = engine.pay(&mut s, &request).expect("delivered");
+        assert_eq!(done.paths, vec![vec![acct(2), acct(6)]]);
+        assert_eq!(done.source_cost, v("10.1"));
+        assert_eq!(s.net_position(acct(4), Currency::USD), v("10"));
+        assert_eq!(s.net_position(acct(2), Currency::USD), v("0.1"));
+    }
+
+    /// What each hop of `chain` carries to deliver `amount`: the amount
+    /// grossed up through every intermediary after the hop.
+    fn gross_up(chain: &[AccountId], amount: Value, fees: &TransferFees) -> Vec<Value> {
+        (0..chain.len() - 1)
+            .map(|hop| {
+                chain[hop + 1..chain.len() - 1]
+                    .iter()
+                    .rev()
+                    .fold(amount, |net, &through| fees.gross_through(through, net))
+            })
+            .collect()
+    }
+
+    /// A dense random credit network in USD with a random fee table:
+    /// 4–10 accounts, each ordered pair trusting with probability 0.4,
+    /// some lines part-used by debt pushed through real hops, and each
+    /// account charging up to 10% with probability 0.5.
+    fn seeded_fee_ledger(seed: u64) -> (LedgerState, Vec<AccountId>, TransferFees) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut s = LedgerState::new();
+        let accounts: Vec<AccountId> = (1..=rng.gen_range(4u8..=10)).map(acct).collect();
+        for &a in &accounts {
+            s.create_account(a, Drops::from_xrp(100));
+        }
+        let units = |rng: &mut StdRng| Value::from_raw(rng.gen_range(1i128..=50) * 1_000_000);
+        let mut fees = TransferFees::new();
+        for &a in &accounts {
+            for &b in &accounts {
+                if a != b && rng.gen_bool(0.4) {
+                    s.set_trust(a, b, Currency::USD, units(&mut rng)).unwrap();
+                }
+            }
+            if rng.gen_bool(0.5) {
+                fees.set(a, rng.gen_range(1..=1_000));
+            }
+        }
+        for _ in 0..accounts.len() {
+            let from = accounts[rng.gen_range(0..accounts.len())];
+            let to = accounts[rng.gen_range(0..accounts.len())];
+            let _ = s.ripple_hop(from, to, Currency::USD, units(&mut rng));
+        }
+        (s, accounts, fees)
+    }
+
+    /// On seeded ledgers with random fee tables: the chosen path carries
+    /// its gross on every hop, costs what its hops gross up to, and no
+    /// enumerated candidate that carries the amount is cheaper (ties: fewer
+    /// hops, then enumeration order). With no fees it is the first path
+    /// `Router::route` plans whenever that path carries the whole amount.
+    #[test]
+    fn cheapest_is_the_cheapest_candidate_that_fits() {
+        let (mut chosen, mut undercut, mut first) = (0, 0, 0);
+        for seed in 0..200 {
+            let (s, accounts, fees) = seeded_fee_ledger(seed);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let mut router = Router::new(PathLimits::default());
+            for _ in 0..16 {
+                let sender = accounts[rng.gen_range(0..accounts.len())];
+                let destination = accounts[rng.gen_range(0..accounts.len())];
+                let amount = Value::from_raw(rng.gen_range(1i128..=30) * 1_000_000);
+                let got = router.cheapest(&s, sender, destination, Currency::USD, amount, &fees);
+                let fitting: Vec<(Value, Vec<AccountId>)> = router
+                    .enumeration(&s, sender, destination, Currency::USD)
+                    .iter()
+                    .filter_map(|(chain, _)| {
+                        let gross = gross_up(chain, amount, &fees);
+                        let fits = chain
+                            .windows(2)
+                            .zip(&gross)
+                            .all(|(hop, &g)| s.hop_capacity(hop[0], hop[1], Currency::USD) >= g);
+                        fits.then(|| (gross[0], chain.clone()))
+                    })
+                    .collect();
+                // The first of the cheapest, shortest fitting candidates.
+                let want = fitting
+                    .iter()
+                    .min_by_key(|(cost, chain)| (*cost, chain.len()));
+                let (path, (_, chain)) = match (got, want) {
+                    (None, None) => continue,
+                    (Some(path), Some(want)) => (path, want),
+                    (got, want) => panic!("seed {seed}: chose {got:?}, want {want:?}"),
+                };
+                chosen += 1;
+                assert_eq!(path.intermediates, chain[1..chain.len() - 1], "seed {seed}");
+                let gross = gross_up(chain, amount, &fees);
+                assert_eq!(path.gross, gross, "seed {seed}");
+                assert_eq!(path.source_cost, gross[0], "seed {seed}");
+                for (hop, &g) in chain.windows(2).zip(&gross) {
+                    assert!(s.hop_capacity(hop[0], hop[1], Currency::USD) >= g);
+                }
+                undercut += usize::from(fitting.iter().any(|(_, c)| c.len() < chain.len()));
+
+                let free = TransferFees::new();
+                let free = router.cheapest(&s, sender, destination, Currency::USD, amount, &free);
+                let planned = router.route(&s, sender, destination, Currency::USD, amount);
+                if planned.first().is_some_and(|p| p.amount == amount) {
+                    first += 1;
+                    let free = free.expect("the first path carries the amount");
+                    assert_eq!(free.intermediates, planned[0].intermediates, "seed {seed}");
+                    assert_eq!(free.source_cost, amount, "seed {seed}");
+                }
+            }
+        }
+        // Enough choices, including a longer path chosen over a tolled
+        // shorter one, for the properties to bite.
+        assert!(
+            chosen > 1000 && undercut > 25 && first > 1000,
+            "{chosen} {undercut} {first}"
+        );
     }
 }

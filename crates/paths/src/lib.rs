@@ -8,14 +8,15 @@
 //!
 //! The engine implements:
 //!
-//! * shortest-path routing over the trust graph with live capacities
-//!   ([`find::find_payment_paths`]), and its cached production
-//!   counterpart — a capacity-aware router with per-`(source, currency)`
-//!   path enumeration and generation-stamped invalidation
-//!   ([`router::Router`]);
+//! * shortest-path routing over the trust graph with live capacities: one
+//!   capacity-aware router with per-`(source, destination)` path
+//!   enumeration and generation-stamped invalidation ([`router::Router`]),
+//!   checked against the cold search in `ripple_check::oracle`;
 //! * multi-path splitting when no single path carries the amount (the
 //!   paper's Figure 6(b) parallel paths) — an Edmonds–Karp-style residual
 //!   decomposition;
+//! * transfer fees: a fee-bearing payment takes the cheapest of the
+//!   router's candidates ([`Router::cheapest`]);
 //! * cross-currency delivery through Market-Maker offers, including the XRP
 //!   auto-bridge ([`engine::PaymentEngine::pay`]);
 //! * all-or-nothing semantics with rollback on partial failure;
@@ -27,12 +28,10 @@
 
 pub mod engine;
 pub mod fees;
-pub mod find;
 pub mod replay;
 pub mod router;
 
 pub use engine::{ExecutedPayment, PaymentEngine, PaymentError, PaymentRequest};
-pub use fees::{find_cheapest_path, CheapestPath, TransferFees};
-pub use find::{find_payment_paths, FoundPath, PathLimits};
+pub use fees::{FeePath, TransferFees};
 pub use replay::{replay, ReplayCategory, ReplayStats};
-pub use router::{Router, RouterStats};
+pub use router::{carried, FoundPath, PathLimits, Router, RouterStats};

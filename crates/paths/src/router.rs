@@ -1,8 +1,9 @@
-//! Capacity-aware cached payment router.
+//! Capacity-aware cached payment router: the crate's one path search.
 //!
-//! [`find_payment_paths`](crate::find_payment_paths) rebuilds the trust
-//! graph and re-runs the augmenting-path search for every payment. The
-//! [`Router`] keeps, per currency,
+//! A cold search rebuilds the trust graph and re-runs the augmenting-path
+//! search for every payment (`ripple_check::oracle::find_payment_paths`
+//! is that search, kept as the router's oracle). The [`Router`] keeps, per
+//! currency,
 //!
 //! * one **dense credit graph**: the accounts with an edge, interned to
 //!   `u32` ids in ascending [`AccountId`] order (a sorted table searched by
@@ -12,13 +13,12 @@
 //!   trust lines and pair balances: each record contributes a limit or a
 //!   claim to the directed pairs it touches, and two counting sorts by
 //!   dense id line them up to fold into edges whose capacities come from
-//!   the scan itself, with no `hop_capacity` lookup at build time. The
-//!   cold search reads the same graph through account ids
-//!   (`find::build_adjacency`), so the edge rule is written once; and
+//!   the scan itself, with no `hop_capacity` lookup at build time; and
 //! * a table of *enumerated* candidate paths per `(source, destination)`:
 //!   the full shortest-first augmenting-path decomposition, computed once
 //!   without an amount bound and then *allocated* against any requested
-//!   amount in O(paths).
+//!   amount in O(paths), or ranked by transfer-fee cost
+//!   ([`Router::cheapest`]).
 //!
 //! # Staying current
 //!
@@ -41,9 +41,8 @@
 //!
 //! # Exactness
 //!
-//! [`Router::route`] returns byte-for-byte the same plan a cold
-//! [`find_payment_paths`](crate::find_payment_paths) call would: both
-//! explore neighbours in ascending [`AccountId`] order, and the
+//! [`Router::route`] returns byte-for-byte the same plan the cold search
+//! would: both explore neighbours in ascending [`AccountId`] order, and the
 //! amount-capped search reserves the *full* bottleneck on every path
 //! except the last (where it reserves only the remainder and then stops
 //! searching), so its residual state — and therefore every BFS it runs —
@@ -60,7 +59,39 @@ use std::collections::HashMap;
 use ripple_crypto::{AccountId, FxHashMap};
 use ripple_ledger::{Currency, LedgerState, Value};
 
-use crate::find::{FoundPath, PathLimits};
+/// Limits on the path search.
+#[derive(Debug, Clone, Copy)]
+pub struct PathLimits {
+    /// Maximum number of parallel paths a payment may be split across.
+    /// The paper observes real payments split across up to 6 paths.
+    pub max_paths: usize,
+    /// Maximum intermediate hops per path (the ledger's own pathfinding
+    /// rarely exceeds 8; spam payments were *forced* to exactly 8).
+    pub max_hops: usize,
+}
+
+impl Default for PathLimits {
+    fn default() -> Self {
+        PathLimits {
+            max_paths: 6,
+            max_hops: 8,
+        }
+    }
+}
+
+/// One path of a plan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FoundPath {
+    /// Intermediate accounts (sender and destination excluded).
+    pub intermediates: Vec<AccountId>,
+    /// Amount this path will carry.
+    pub amount: Value,
+}
+
+/// Total amount carried by a path set.
+pub fn carried(paths: &[FoundPath]) -> Value {
+    paths.iter().map(|p| p.amount).sum()
+}
 
 /// Cache and query counters for one [`Router`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -372,9 +403,9 @@ impl CreditGraph {
     }
 
     /// The unbounded shortest-first augmenting-path enumeration from
-    /// `sender` to `destination`: the loop of
-    /// [`find_payment_paths`](crate::find_payment_paths) without an amount
-    /// cap, on dense ids. Leaves the graph as it found it.
+    /// `sender` to `destination`: repeated BFS over the residual graph,
+    /// reserving each path's full bottleneck, on dense ids. Leaves the
+    /// graph as it found it.
     fn enumerate(
         &mut self,
         scratch: &mut Scratch,
@@ -484,7 +515,7 @@ pub struct Router {
     stamp: Stamp,
     caches: HashMap<Currency, CurrencyCache>,
     scratch: Scratch,
-    stats: RouterStats,
+    pub(crate) stats: RouterStats,
 }
 
 impl Router {
@@ -504,10 +535,10 @@ impl Router {
     }
 
     /// Routes `amount` of `currency` from `sender` to `destination`:
-    /// returns the same (possibly partial, possibly empty) shortest-first
-    /// path set as [`find_payment_paths`](crate::find_payment_paths) under
-    /// this router's limits — the caller checks whether the carried total
-    /// covers the amount.
+    /// returns up to `max_paths` paths, shortest first, splitting across
+    /// parallel paths when one lacks capacity. The set may be partial or
+    /// empty — the caller checks whether the carried total covers the
+    /// amount.
     pub fn route(
         &mut self,
         state: &LedgerState,
@@ -545,7 +576,7 @@ impl Router {
 
     /// Returns the (cached or freshly computed) unbounded path enumeration
     /// for `(sender, destination, currency)` on `state`.
-    fn enumeration(
+    pub(crate) fn enumeration(
         &mut self,
         state: &LedgerState,
         sender: AccountId,
@@ -639,7 +670,6 @@ fn allocate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find::find_payment_paths;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use ripple_ledger::Drops;
@@ -787,19 +817,28 @@ mod tests {
         s
     }
 
+    fn path(hub: u8, amount: &str) -> FoundPath {
+        FoundPath {
+            intermediates: vec![acct(hub)],
+            amount: v(amount),
+        }
+    }
+
+    /// The plans here are the cold search's on the diamond; the `router`
+    /// target of `ripple-check` diffs the two on random ledgers.
     #[test]
     fn matches_cold_search_across_amounts() {
         let s = diamond();
         let mut router = Router::new(PathLimits::default());
-        for amount in ["1", "7", "10", "13", "20", "25"] {
-            let cold = find_payment_paths(
-                &s,
-                acct(1),
-                acct(4),
-                Currency::USD,
-                v(amount),
-                PathLimits::default(),
-            );
+        let cold = [
+            ("1", vec![path(2, "1")]),
+            ("7", vec![path(2, "7")]),
+            ("10", vec![path(2, "10")]),
+            ("13", vec![path(2, "10"), path(3, "3")]),
+            ("20", vec![path(2, "10"), path(3, "10")]),
+            ("25", vec![path(2, "10"), path(3, "10")]),
+        ];
+        for (amount, cold) in cold {
             let cached = router.route(&s, acct(1), acct(4), Currency::USD, v(amount));
             assert_eq!(cached, cold, "amount {amount}");
         }
@@ -818,16 +857,7 @@ mod tests {
         s.set_trust(acct(4), acct(3), Currency::USD, Value::ZERO)
             .unwrap();
         let after = router.route(&s, acct(1), acct(4), Currency::USD, v("20"));
-        let cold = find_payment_paths(
-            &s,
-            acct(1),
-            acct(4),
-            Currency::USD,
-            v("20"),
-            PathLimits::default(),
-        );
-        assert_eq!(after, cold);
-        assert_eq!(after.len(), 1, "only the 1->2->4 leg remains");
+        assert_eq!(after, vec![path(2, "10")], "only the 1->2->4 leg remains");
         assert!(router.stats().invalidations > 0);
     }
 
