@@ -7,7 +7,7 @@
 //! a replayed case regenerates its `CHECK_CASE.json` byte-for-byte.
 
 use ripple_crypto::AccountId;
-use ripple_ledger::{Currency, Drops, LedgerState, Value};
+use ripple_ledger::{Currency, Drops, LedgerError, LedgerState, Value};
 use ripple_orderbook::{BookSet, OrderBook, Rate};
 use ripple_paths::{carried, PathLimits, PaymentEngine, PaymentError, PaymentRequest, Router};
 
@@ -65,8 +65,10 @@ pub fn fingerprint(state: &LedgerState) -> String {
 }
 
 /// Runs a ledger plan through `LedgerState::apply` and [`ModelLedger`],
-/// checking result equality, state equality, XRP conservation, per-hop
-/// trust limits, and end-of-case book/ledger offer consistency.
+/// checking result equality, state equality, XRP conservation, that a
+/// payment path revisiting an account is refused before its hops are
+/// checked, per-hop trust limits, and end-of-case book/ledger offer
+/// consistency.
 pub fn run_ledger_plan(plan: &LedgerCasePlan) -> Option<String> {
     let cast_len = (plan.genesis.len() + 1) as u8; // one extra ghost slot
     let keys = case_keypair();
@@ -106,15 +108,30 @@ pub fn run_ledger_plan(plan: &LedgerCasePlan) -> Option<String> {
                  balances + burn now {total}"
             ));
         }
-        if got.is_ok() {
-            if let OpKind::IouPay {
-                to, currency, path, ..
-            } = &op.kind
-            {
-                let cur = case_currency(*currency);
-                let mut chain = vec![actor];
-                chain.extend(path.iter().map(|&h| cast_account(h % cast_len)));
-                chain.push(cast_account(to % cast_len));
+        if let OpKind::IouPay {
+            to, currency, path, ..
+        } = &op.kind
+        {
+            let cur = case_currency(*currency);
+            let mut chain = vec![actor];
+            chain.extend(path.iter().map(|&h| cast_account(h % cast_len)));
+            chain.push(cast_account(to % cast_len));
+            let repeat = (1..chain.len()).find(|&i| chain[..i].contains(&chain[i]));
+            if let Some(i) = repeat {
+                // A loop is refused before any hop is looked at.
+                if matches!(
+                    got,
+                    Ok(_)
+                        | Err(
+                            LedgerError::NoSuchAccount(_) | LedgerError::TrustLimitExceeded { .. }
+                        )
+                ) {
+                    return Some(format!(
+                        "step {step}: a path that revisits {} reached the hop checks: {got:?}",
+                        chain[i]
+                    ));
+                }
+            } else if got.is_ok() {
                 for pair in chain.windows(2) {
                     let held = state.iou_balance(pair[1], pair[0], cur);
                     let limit = state.trust_limit(pair[1], pair[0], cur);

@@ -180,6 +180,11 @@ impl ModelLedger {
                     let mut chain = vec![tx.account];
                     chain.extend_from_slice(hops);
                     chain.push(*destination);
+                    for (i, stop) in chain.iter().enumerate() {
+                        if chain[..i].contains(stop) {
+                            return Err(LedgerError::PathLoop { account: *stop });
+                        }
+                    }
                     for stop in &chain[1..] {
                         if !self.accounts.contains_key(stop) {
                             return Err(LedgerError::NoSuchAccount(*stop));
@@ -380,4 +385,53 @@ fn first_map_diff<K: Ord + std::fmt::Debug + Clone, V: PartialEq + std::fmt::Deb
         }
     }
     format!("{what} maps differ in an unexpected way")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ripple_crypto::SimKeypair;
+    use ripple_ledger::IouAmount;
+
+    #[test]
+    fn a_path_that_revisits_an_account_is_refused_by_both_ledgers() {
+        let keys = SimKeypair::from_seed(b"looper");
+        let sender = AccountId::from_public_key(&keys.public_key());
+        let [x, y, z, d] = [2u8, 3, 4, 5].map(|n| AccountId::from_bytes([n; 20]));
+        let mut state = LedgerState::new();
+        let mut model = ModelLedger::new();
+        for a in [sender, x, y, z, d] {
+            state.create_account(a, Drops::from_xrp(100));
+            model.create_account(a, Drops::from_xrp(100));
+        }
+        // Y trusts X for 10 USD, every other hop has 1000.
+        let wide: Value = "1000".parse().unwrap();
+        let lines = [(x, sender, wide), (z, y, wide), (x, z, wide), (d, y, wide)];
+        for (truster, trustee, limit) in lines.into_iter().chain([(y, x, "10".parse().unwrap())]) {
+            state
+                .set_trust(truster, trustee, Currency::USD, limit)
+                .unwrap();
+            model
+                .set_trust(truster, trustee, Currency::USD, limit)
+                .unwrap();
+        }
+        let tx = Transaction::build(
+            sender,
+            1,
+            Drops::new(10),
+            TxKind::Payment {
+                destination: d,
+                amount: Amount::Iou(IouAmount::new("10".parse().unwrap(), Currency::USD, y)),
+                send_max: None,
+                paths: vec![vec![x, y, z, x, y]],
+            },
+        )
+        .signed(&keys);
+        let refused = Err(LedgerError::PathLoop { account: x });
+        assert_eq!(model.apply(&tx), refused);
+        assert_eq!(state.apply(&tx), refused);
+        // No fee, no sequence bump, no hop: the two still agree.
+        assert_eq!(model.burned, 0);
+        assert_eq!(model.compare(&state), Ok(()));
+    }
 }

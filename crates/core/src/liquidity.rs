@@ -263,18 +263,24 @@ fn measure(state: &LedgerState, router: &mut Router, probes: &[PaymentProbe]) ->
 /// `state` with every trust line pushed `percent`% of its headroom toward
 /// its limit: the truster's claim on the trustee grows by that share.
 /// Drains are not cumulative — 50% means half the *original* headroom — so
-/// every debt is computed from the undrained `state`, and a pair with
-/// lines both ways drains the same whichever line comes first.
+/// every debt is computed from the undrained `state`. Both lines of a pair
+/// live in one record, which moves once by their net: a mutual pair drains
+/// the same whichever line is read first, and no record is created.
 fn drain(state: &LedgerState, percent: u32) -> LedgerState {
-    let mut drained = state.clone();
-    for line in state.trust_lines() {
-        let headroom = line.limit - state.iou_balance(line.truster, line.trustee, line.currency);
-        if !headroom.is_positive() {
-            continue;
+    let debt = |limit: Value, headroom: Value| {
+        if limit.is_positive() && headroom.is_positive() {
+            headroom.mul_ratio(percent as u64, 100)
+        } else {
+            Value::ZERO
         }
-        let debt = headroom.mul_ratio(percent as u64, 100);
-        if debt.is_positive() {
-            drained.adjust_pair_balance(line.truster, line.trustee, line.currency, debt);
+    };
+    let mut drained = state.clone();
+    for r in state.ripple_states() {
+        // `low`'s claim grows by its own drain and shrinks by `high`'s.
+        let net = debt(r.low_limit, r.low_limit - r.balance)
+            - debt(r.high_limit, r.high_limit + r.balance);
+        if !net.is_zero() {
+            drained.adjust_pair_balance(r.low, r.high, r.currency, net);
         }
     }
     drained
@@ -644,6 +650,86 @@ mod tests {
             ..LiquidityConfig::default()
         };
         run_liquidity(&output, &config)
+    }
+
+    /// The drain before one record per pair: one adjustment per trust line.
+    fn drain_per_line_reference(state: &LedgerState, percent: u32) -> LedgerState {
+        let mut drained = state.clone();
+        for line in state.trust_lines() {
+            let headroom =
+                line.limit - state.iou_balance(line.truster, line.trustee, line.currency);
+            if !headroom.is_positive() {
+                continue;
+            }
+            let debt = headroom.mul_ratio(percent as u64, 100);
+            if debt.is_positive() {
+                drained.adjust_pair_balance(line.truster, line.trustee, line.currency, debt);
+            }
+        }
+        drained
+    }
+
+    #[test]
+    fn record_drain_equals_the_per_line_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use ripple_ledger::Drops;
+        let currencies = [Currency::USD, Currency::EUR];
+        // Mutual pairs, full lines (negative headroom), lines without a
+        // balance, and self-lines.
+        let (mut mutual, mut full, mut bare, mut own) = (0, 0, 0, 0);
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let accounts: Vec<AccountId> = (0..rng.gen_range(2u8..=10))
+                .map(|i| {
+                    let mut bytes = [i; 20];
+                    bytes[0] = rng.gen();
+                    AccountId::from_bytes(bytes)
+                })
+                .collect();
+            let mut s = LedgerState::new();
+            for &a in &accounts {
+                s.create_account(a, Drops::from_xrp(100));
+            }
+            for _ in 0..rng.gen_range(0..4 * accounts.len()) {
+                let a = accounts[rng.gen_range(0..accounts.len())];
+                let b = accounts[rng.gen_range(0..accounts.len())];
+                let currency = currencies[rng.gen_range(0..currencies.len())];
+                let amount = Value::from_raw(rng.gen_range(1i128..=60) * 1_000_003);
+                if rng.gen_bool(0.5) {
+                    s.set_trust(a, b, currency, amount).unwrap();
+                } else {
+                    s.adjust_pair_balance(a, b, currency, amount);
+                }
+            }
+            for line in s.trust_lines() {
+                let held = s.iou_balance(line.truster, line.trustee, line.currency);
+                mutual += usize::from(
+                    s.trust_limit(line.trustee, line.truster, line.currency)
+                        .is_positive(),
+                );
+                full += usize::from(held > line.limit);
+                bare += usize::from(held.is_zero());
+                own += usize::from(line.truster == line.trustee);
+            }
+            for percent in [1, 25, 50, 75, 90, 100] {
+                let got = drain(&s, percent);
+                let want = drain_per_line_reference(&s, percent);
+                let view = |d: &LedgerState| {
+                    let mut lines: Vec<_> = d
+                        .trust_lines()
+                        .map(|l| (l.truster, l.trustee, l.currency, l.limit))
+                        .collect();
+                    let mut balances: Vec<_> = d.pair_balances().collect();
+                    lines.sort_unstable();
+                    balances.sort_unstable();
+                    (lines, balances)
+                };
+                assert_eq!(view(&got), view(&want), "seed {seed} percent {percent}");
+            }
+        }
+        let shapes = [mutual, full, bare, own];
+        assert!(shapes.iter().all(|&n| n > 50), "{shapes:?}");
     }
 
     #[test]

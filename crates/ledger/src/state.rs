@@ -5,10 +5,12 @@
 //! 10 USD. […] the trust-line of 10 USD from Alice to Bob limits IOU
 //! transactions in the opposite direction (from Bob to Alice) to 10 USD."
 //!
-//! Balances between a pair of accounts are stored once per unordered pair and
-//! currency, signed from the lexicographically lower account's point of view
-//! — mirroring the real ledger's `RippleState` objects and giving automatic
-//! netting of mutual debt.
+//! Each credit relationship is stored once per unordered account pair and
+//! currency, as the real ledger's `RippleState` object is: the
+//! lexicographically lower account's limit, the higher account's limit, and
+//! one balance signed from the lower account's point of view, which nets
+//! mutual debt automatically ([`RippleState`]). A hop, a trust write and a
+//! balance move each read or write that one record.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +47,25 @@ pub struct TrustLine {
     pub currency: Currency,
     /// Maximum exposure.
     pub limit: Value,
+}
+
+/// One credit relationship in one currency, the real ledger's
+/// `RippleState`: the accounts are ordered, `low < high`, except on a
+/// self-pair, whose one line is `low_limit`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RippleState {
+    /// The lexicographically lower account.
+    pub low: AccountId,
+    /// The lexicographically higher account.
+    pub high: AccountId,
+    /// The currency.
+    pub currency: Currency,
+    /// `low`'s trust in `high` (zero: no line).
+    pub low_limit: Value,
+    /// `high`'s trust in `low` (zero: no line).
+    pub high_limit: Value,
+    /// The amount `high` owes `low` (negative: `low` owes `high`).
+    pub balance: Value,
 }
 
 /// A live currency-exchange offer resting in the ledger.
@@ -123,6 +144,13 @@ pub enum LedgerError {
         /// Number of paths the transaction carried.
         paths: usize,
     },
+    /// A payment's chain visits an account twice (rippled's
+    /// `temBAD_PATH_LOOP`): its hops would share a pair, and each is
+    /// validated against the state before any of them moves.
+    PathLoop {
+        /// The first account the chain reaches a second time.
+        account: AccountId,
+    },
 }
 
 impl std::fmt::Display for LedgerError {
@@ -166,14 +194,17 @@ impl std::fmt::Display for LedgerError {
             LedgerError::MultiPathUnsupported { paths } => {
                 write!(f, "payment carried {paths} paths but only one is supported")
             }
+            LedgerError::PathLoop { account } => {
+                write!(f, "payment path visits {} twice", account.short())
+            }
         }
     }
 }
 
 impl std::error::Error for LedgerError {}
 
-/// Key for pair balances: the unordered `(low, high)` account pair plus
-/// currency.
+/// Key for credit relationships: the unordered `(low, high)` account pair
+/// plus currency, and whether `a` is the higher account.
 fn pair_key(
     a: AccountId,
     b: AccountId,
@@ -190,29 +221,42 @@ fn pair_key(
 /// single mask of the account's first byte.
 const SHARD_COUNT: usize = 16;
 
-/// Maps an account to the shard that owns its root, declared trust lines,
-/// offers, and (as the lexicographically-low party) pair balances.
+/// Maps an account to the shard that owns its root, its offers, and (as the
+/// lexicographically-low party) its credit relationships.
 #[inline]
 fn shard_of(id: &AccountId) -> usize {
     (id.as_bytes()[0] as usize) & (SHARD_COUNT - 1)
 }
 
+/// The stored part of a [`RippleState`]: what its key does not say.
+#[derive(Debug, Clone, Copy, Default)]
+struct Relation {
+    low_limit: Value,
+    high_limit: Value,
+    balance: Value,
+}
+
+impl Relation {
+    /// No line either way and no debt: the record goes.
+    fn is_empty(&self) -> bool {
+        self.low_limit.is_zero() && self.high_limit.is_zero() && self.balance.is_zero()
+    }
+}
+
 /// One partition of the ledger's keyed state. Every map is owned by the
-/// shard of its *first* key component: account roots by the account, trust
-/// lines by the truster, pair balances by the lexicographically-low party,
-/// offers by their owner. No output digest observes the resulting
-/// iteration order: a one-map layout left all five benchmark digests
-/// unchanged. The split stays for memory. Sixteen small tables grow and
-/// clone in small steps where one table doubles all at once, and the one
-/// map raised peak RSS by ~5 % on `history_build` and ~8–10 % on
-/// `credit_probe`.
+/// shard of its *first* key component: account roots by the account,
+/// credit relationships by the lexicographically-low party, offers by their
+/// owner. No output digest observes the resulting iteration order: a
+/// one-map layout left all five benchmark digests unchanged. The split
+/// stays for memory. Sixteen small tables grow and clone in small steps
+/// where one table doubles all at once, and the one map raised peak RSS by
+/// ~5 % on `history_build` and ~8–10 % on `credit_probe`.
 #[derive(Debug, Clone, Default)]
 struct Shard {
     accounts: FxHashMap<AccountId, AccountRoot>,
-    /// Trust limits: `(truster, trustee, currency) -> limit`.
-    trust: FxHashMap<(AccountId, AccountId, Currency), Value>,
-    /// Pair balances: `(low, high, currency) -> amount high owes low`.
-    balances: FxHashMap<(AccountId, AccountId, Currency), Value>,
+    /// Credit relationships: `(low, high, currency) -> both limits and the
+    /// amount high owes low`. A record with all three zero is removed.
+    ripple: FxHashMap<(AccountId, AccountId, Currency), Relation>,
     /// Live offers, ordered by `(owner, offer_seq)`.
     offers: BTreeMap<(AccountId, u32), Offer>,
 }
@@ -407,22 +451,23 @@ impl LedgerState {
         if self.account(&trustee).is_none() {
             return Err(LedgerError::NoSuchAccount(trustee));
         }
-        let key = (truster, trustee, currency);
-        // The trust line and the truster's root live in the same shard, so a
-        // single mutable shard borrow covers both maps.
-        let shard = &mut self.shards[shard_of(&truster)];
-        let existed = shard.trust.contains_key(&key);
-        let root = shard
-            .accounts
-            .get_mut(&truster)
-            .ok_or(LedgerError::NoSuchAccount(truster))?;
-        if limit.is_zero() {
-            if shard.trust.remove(&key).is_some() {
+        if self.account(&truster).is_none() {
+            return Err(LedgerError::NoSuchAccount(truster));
+        }
+        // The record lives in the low party's shard, the truster's root in
+        // its own: write the record, then move the owner count.
+        let existed = self.edit(truster, trustee, currency, |record, flipped| {
+            let slot = if flipped {
+                &mut record.high_limit
+            } else {
+                &mut record.low_limit
+            };
+            !std::mem::replace(slot, limit).is_zero()
+        });
+        if let Some(root) = self.account_mut(&truster) {
+            if limit.is_zero() && existed {
                 root.owner_count = root.owner_count.saturating_sub(1);
-            }
-        } else {
-            shard.trust.insert(key, limit);
-            if !existed {
+            } else if !limit.is_zero() && !existed {
                 root.owner_count += 1;
             }
         }
@@ -430,14 +475,61 @@ impl LedgerState {
         Ok(())
     }
 
+    /// Edits the record of the pair `(a, b)` in `currency`, given with
+    /// whether `a` is its higher account; a record left empty goes.
+    fn edit<T>(
+        &mut self,
+        a: AccountId,
+        b: AccountId,
+        currency: Currency,
+        edit: impl FnOnce(&mut Relation, bool) -> T,
+    ) -> T {
+        let (key, flipped) = pair_key(a, b, currency);
+        let ripple = &mut self.shards[shard_of(&key.0)].ripple;
+        let record = ripple.entry(key).or_default();
+        let out = edit(record, flipped);
+        if record.is_empty() {
+            ripple.remove(&key);
+        }
+        out
+    }
+
+    /// `a`'s side of its relationship with `b` in `currency`: `a`'s trust
+    /// in `b` and `a`'s claim on `b`, one record read.
+    fn side(&self, a: AccountId, b: AccountId, currency: Currency) -> (Value, Value) {
+        let (key, flipped) = pair_key(a, b, currency);
+        let record = self.shard(&key.0).ripple.get(&key);
+        let record = record.copied().unwrap_or_default();
+        if flipped {
+            (record.high_limit, -record.balance)
+        } else {
+            (record.low_limit, record.balance)
+        }
+    }
+
     /// The declared trust limit from `truster` towards `trustee` (zero if no
     /// line exists).
     pub fn trust_limit(&self, truster: AccountId, trustee: AccountId, currency: Currency) -> Value {
-        self.shard(&truster)
-            .trust
-            .get(&(truster, trustee, currency))
-            .copied()
-            .unwrap_or(Value::ZERO)
+        self.side(truster, trustee, currency).0
+    }
+
+    /// Every stored record with its key.
+    fn records(&self) -> impl Iterator<Item = (&(AccountId, AccountId, Currency), &Relation)> {
+        self.shards.iter().flat_map(|s| s.ripple.iter())
+    }
+
+    /// Iterates over every credit relationship: one record per account pair
+    /// and currency with a line either way or a non-zero balance.
+    pub fn ripple_states(&self) -> impl Iterator<Item = RippleState> + '_ {
+        self.records()
+            .map(|(&(low, high, currency), record)| RippleState {
+                low,
+                high,
+                currency,
+                low_limit: record.low_limit,
+                high_limit: record.high_limit,
+                balance: record.balance,
+            })
     }
 
     /// Iterates over all non-zero pair balances as
@@ -445,22 +537,28 @@ impl LedgerState {
     pub fn pair_balances(
         &self,
     ) -> impl Iterator<Item = (AccountId, AccountId, Currency, Value)> + '_ {
-        self.shards
-            .iter()
-            .flat_map(|s| s.balances.iter())
-            .map(|(&(low, high, currency), &value)| (low, high, currency, value))
+        self.records()
+            .filter_map(|(&(low, high, currency), record)| {
+                (!record.balance.is_zero()).then_some((low, high, currency, record.balance))
+            })
     }
 
-    /// Iterates over all trust lines.
+    /// Iterates over all trust lines: a record's low line, then its high
+    /// line.
     pub fn trust_lines(&self) -> impl Iterator<Item = TrustLine> + '_ {
-        self.shards.iter().flat_map(|s| s.trust.iter()).map(
-            |(&(truster, trustee, currency), &limit)| TrustLine {
-                truster,
-                trustee,
-                currency,
-                limit,
-            },
-        )
+        self.records().flat_map(|(&(low, high, currency), record)| {
+            let line = |truster, trustee, limit: Value| {
+                (!limit.is_zero()).then_some(TrustLine {
+                    truster,
+                    trustee,
+                    currency,
+                    limit,
+                })
+            };
+            line(low, high, record.low_limit)
+                .into_iter()
+                .chain(line(high, low, record.high_limit))
+        })
     }
 
     /// How much of `counterparty`'s debt `holder` currently holds (negative
@@ -471,34 +569,21 @@ impl LedgerState {
         counterparty: AccountId,
         currency: Currency,
     ) -> Value {
-        let (key, flipped) = pair_key(holder, counterparty, currency);
-        let raw = self
-            .shard(&key.0)
-            .balances
-            .get(&key)
-            .copied()
-            .unwrap_or(Value::ZERO);
-        if flipped {
-            -raw
-        } else {
-            raw
-        }
+        self.side(holder, counterparty, currency).1
     }
 
     /// Net position of `account` in `currency`: sum of all pair balances
     /// (positive = the system owes the account; negative = the account owes).
     pub fn net_position(&self, account: AccountId, currency: Currency) -> Value {
         let mut total = Value::ZERO;
-        for shard in &self.shards {
-            for (&(low, high, cur), &bal) in &shard.balances {
-                if cur != currency {
-                    continue;
-                }
-                if low == account {
-                    total = total + bal;
-                } else if high == account {
-                    total = total - bal;
-                }
+        for r in self.ripple_states() {
+            if r.currency != currency {
+                continue;
+            }
+            if r.low == account {
+                total = total + r.balance;
+            } else if r.high == account {
+                total = total - r.balance;
             }
         }
         total
@@ -509,9 +594,8 @@ impl LedgerState {
     /// `from` and the current pair balance (existing debt of `to` towards
     /// `from` nets first).
     pub fn hop_capacity(&self, from: AccountId, to: AccountId, currency: Currency) -> Value {
-        let limit = self.trust_limit(to, from, currency);
-        let held = self.iou_balance(to, from, currency); // `to`'s claim on `from`
-                                                         // `to` can accept IOUs until its claim on `from` reaches the limit.
+        // `to` can accept IOUs until its claim on `from` reaches its limit.
+        let (limit, held) = self.side(to, from, currency);
         limit - held
     }
 
@@ -569,17 +653,13 @@ impl LedgerState {
         currency: Currency,
         delta: Value,
     ) {
-        let (key, flipped) = pair_key(holder, counterparty, currency);
-        let balances = &mut self.shards[shard_of(&key.0)].balances;
-        let entry = balances.entry(key).or_insert(Value::ZERO);
-        *entry = if flipped {
-            *entry - delta
-        } else {
-            *entry + delta
-        };
-        if entry.is_zero() {
-            balances.remove(&key);
-        }
+        self.edit(holder, counterparty, currency, |record, flipped| {
+            record.balance = if flipped {
+                record.balance - delta
+            } else {
+                record.balance + delta
+            };
+        });
         self.credit_generation += 1;
     }
 
@@ -790,13 +870,12 @@ impl LedgerState {
     }
 
     /// Disconnects a set of accounts from the credit network: removes every
-    /// trust line one of them declared or received and every pair balance
-    /// one of them participates in, each line's removal releasing one
-    /// owner-count slot of its truster. The accounts themselves and their
-    /// XRP balances survive. One scan of the trust lines and one of the
-    /// pair balances serve the whole set, and the outcome is the same as
-    /// severing its members one at a time, in any order; duplicates are
-    /// harmless. [`LedgerState::credit_generation`] moves once per call.
+    /// credit relationship one of them is party to, each trust line in it
+    /// releasing one owner-count slot of its truster. The accounts
+    /// themselves and their XRP balances survive. One scan of the records
+    /// serves the whole set, and the outcome is the same as severing its
+    /// members one at a time, in any order; duplicates are harmless.
+    /// [`LedgerState::credit_generation`] moves once per call.
     ///
     /// This models the paper's Table II attack analysis ("by taking over or
     /// thwarting the functionality of a very small number of users […] an
@@ -804,25 +883,26 @@ impl LedgerState {
     /// longer forward IOU payments.
     pub fn sever_accounts(&mut self, accounts: &[AccountId]) {
         let severed: FxHashSet<AccountId> = accounts.iter().copied().collect();
-        let touches = |a: &AccountId, b: &AccountId| severed.contains(a) || severed.contains(b);
+        // A truster's root may sit in another shard than the record, so the
+        // released slots are collected first and returned after the scan.
+        let mut released: Vec<AccountId> = Vec::new();
         for shard in &mut self.shards {
-            // A trust line lives in its truster's shard, beside the root.
-            let Shard {
-                accounts: roots,
-                trust,
-                balances,
-                ..
-            } = shard;
-            trust.retain(|(truster, trustee, _), _| {
-                if !touches(truster, trustee) {
+            shard.ripple.retain(|&(low, high, _), record| {
+                if !severed.contains(&low) && !severed.contains(&high) {
                     return true;
                 }
-                if let Some(root) = roots.get_mut(truster) {
-                    root.owner_count = root.owner_count.saturating_sub(1);
+                for (truster, limit) in [(low, record.low_limit), (high, record.high_limit)] {
+                    if !limit.is_zero() {
+                        released.push(truster);
+                    }
                 }
                 false
             });
-            balances.retain(|(low, high, _), _| !touches(low, high));
+        }
+        for truster in released {
+            if let Some(root) = self.account_mut(&truster) {
+                root.owner_count = root.owner_count.saturating_sub(1);
+            }
         }
         self.credit_generation += 1;
     }
@@ -834,6 +914,8 @@ impl LedgerState {
     /// carry explicit paths; each path hop is executed with capacity checks
     /// (all-or-nothing: the first failing hop aborts the whole payment and
     /// rolls back nothing because hops are validated before any is applied).
+    /// A path that visits an account twice is refused
+    /// ([`LedgerError::PathLoop`]), so no two hops share a pair.
     ///
     /// # Errors
     ///
@@ -885,8 +967,9 @@ impl LedgerState {
                 Amount::Iou(iou) => {
                     // The same gate order as `ripple_hop`, hoisted here so a
                     // malformed payment is rejected before any fee or hop
-                    // accounting: currency, sign, self-payment, existence of
-                    // every account along the chain, then capacity.
+                    // accounting: currency, sign, self-payment, one path, no
+                    // account visited twice, existence of every account
+                    // along the chain, then capacity.
                     if iou.currency.is_xrp() {
                         return Err(LedgerError::XrpOnTrustLine);
                     }
@@ -911,6 +994,13 @@ impl LedgerState {
                     chain.push(tx.account);
                     chain.extend_from_slice(hops);
                     chain.push(*destination);
+                    // Hops are validated against the state before any
+                    // moves, which is exact only while no two share a pair.
+                    for (i, stop) in chain.iter().enumerate() {
+                        if chain[..i].contains(stop) {
+                            return Err(LedgerError::PathLoop { account: *stop });
+                        }
+                    }
                     for stop in &chain[1..] {
                         if self.account(stop).is_none() {
                             return Err(LedgerError::NoSuchAccount(*stop));
@@ -1287,32 +1377,24 @@ mod tests {
     }
 
     /// The one-account severing before the set version: a scan of every
-    /// trust line and every pair balance per severed account.
+    /// trust line and every pair balance per severed account, each removed
+    /// through the public API.
     fn sever_one_reference(s: &mut LedgerState, account: AccountId) {
-        let removed_trust: Vec<(AccountId, AccountId, Currency)> = s
-            .shards
-            .iter()
-            .flat_map(|shard| shard.trust.keys())
-            .filter(|&&(truster, trustee, _)| truster == account || trustee == account)
-            .copied()
+        let removed_trust: Vec<TrustLine> = s
+            .trust_lines()
+            .filter(|l| l.truster == account || l.trustee == account)
             .collect();
-        for key in removed_trust {
-            s.shards[shard_of(&key.0)].trust.remove(&key);
-            if let Some(root) = s.account_mut(&key.0) {
-                root.owner_count = root.owner_count.saturating_sub(1);
-            }
+        for line in removed_trust {
+            s.set_trust(line.truster, line.trustee, line.currency, Value::ZERO)
+                .unwrap();
         }
-        let removed_balances: Vec<(AccountId, AccountId, Currency)> = s
-            .shards
-            .iter()
-            .flat_map(|shard| shard.balances.keys())
-            .filter(|&&(low, high, _)| low == account || high == account)
-            .copied()
+        let removed_balances: Vec<(AccountId, AccountId, Currency, Value)> = s
+            .pair_balances()
+            .filter(|&(low, high, _, _)| low == account || high == account)
             .collect();
-        for key in removed_balances {
-            s.shards[shard_of(&key.0)].balances.remove(&key);
+        for (low, high, currency, balance) in removed_balances {
+            s.adjust_pair_balance(low, high, currency, -balance);
         }
-        s.credit_generation += 1;
     }
 
     type CreditView = (
@@ -1335,15 +1417,19 @@ mod tests {
         (lines, balances, owners)
     }
 
-    #[test]
-    fn severing_a_set_equals_severing_its_members_one_by_one() {
-        let mut state = 0x5EED_u64;
-        let mut next = move |bound: u64| {
+    /// A seeded draw below `bound` (a 64-bit LCG's high bits).
+    fn lcg(mut state: u64) -> impl FnMut(u64) -> u64 {
+        move |bound: u64| {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) % bound
-        };
+        }
+    }
+
+    #[test]
+    fn severing_a_set_equals_severing_its_members_one_by_one() {
+        let mut next = lcg(0x5EED);
         let (mut empty, mut duplicated, mut shared) = (0, 0, 0);
         for case in 0..500 {
             let n = 3 + next(10);
@@ -1382,6 +1468,285 @@ mod tests {
             empty > 20 && duplicated > 20 && shared > 20,
             "{empty} {duplicated} {shared}"
         );
+    }
+
+    /// The layout before one record per pair: trust limits keyed by
+    /// truster, balances keyed by pair, each line's owner-count slot on its
+    /// truster, as plain ordered maps.
+    #[derive(Default)]
+    struct TwoMapReference {
+        trust: BTreeMap<(AccountId, AccountId, Currency), Value>,
+        balances: BTreeMap<(AccountId, AccountId, Currency), Value>,
+        owners: BTreeMap<AccountId, u32>,
+    }
+
+    impl TwoMapReference {
+        fn set_trust(&mut self, truster: AccountId, trustee: AccountId, c: Currency, limit: Value) {
+            let key = (truster, trustee, c);
+            let owners = self.owners.entry(truster).or_default();
+            if limit.is_zero() {
+                if self.trust.remove(&key).is_some() {
+                    *owners -= 1;
+                }
+            } else if self.trust.insert(key, limit).is_none() {
+                *owners += 1;
+            }
+        }
+
+        fn claim(&self, holder: AccountId, counterparty: AccountId, c: Currency) -> Value {
+            let (key, flipped) = pair_key(holder, counterparty, c);
+            let raw = self.balances.get(&key).copied().unwrap_or_default();
+            if flipped {
+                -raw
+            } else {
+                raw
+            }
+        }
+
+        fn adjust(
+            &mut self,
+            holder: AccountId,
+            counterparty: AccountId,
+            c: Currency,
+            delta: Value,
+        ) {
+            let (key, flipped) = pair_key(holder, counterparty, c);
+            let entry = self.balances.entry(key).or_default();
+            *entry = if flipped {
+                *entry - delta
+            } else {
+                *entry + delta
+            };
+            if entry.is_zero() {
+                self.balances.remove(&key);
+            }
+        }
+
+        fn hop_capacity(&self, from: AccountId, to: AccountId, c: Currency) -> Value {
+            let limit = self.trust.get(&(to, from, c)).copied().unwrap_or_default();
+            limit - self.claim(to, from, c)
+        }
+
+        fn ripple_hop(
+            &mut self,
+            from: AccountId,
+            to: AccountId,
+            c: Currency,
+            amount: Value,
+        ) -> bool {
+            let ok = from != to && amount <= self.hop_capacity(from, to, c);
+            if ok {
+                self.adjust(to, from, c, amount);
+            }
+            ok
+        }
+
+        fn sever(&mut self, severed: &[AccountId]) {
+            let touches = |a: &AccountId, b: &AccountId| severed.contains(a) || severed.contains(b);
+            let owners = &mut self.owners;
+            self.trust.retain(|(truster, trustee, _), _| {
+                let keep = !touches(truster, trustee);
+                if !keep {
+                    *owners.entry(*truster).or_default() -= 1;
+                }
+                keep
+            });
+            self.balances
+                .retain(|(low, high, _), _| !touches(low, high));
+        }
+
+        /// Distinct unordered pairs with a line either way or a balance.
+        fn pairs(&self) -> usize {
+            let lines = self.trust.keys().map(|&(a, b, c)| pair_key(a, b, c).0);
+            let mut pairs: Vec<_> = lines.chain(self.balances.keys().copied()).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            pairs.len()
+        }
+    }
+
+    #[test]
+    fn one_record_per_pair_matches_the_two_map_reference() {
+        const CURRENCIES: [Currency; 3] = [Currency::USD, Currency::EUR, Currency::BTC];
+        let mut next = lcg(0x02EC_04D5);
+        // Shapes the op stream must reach: self-lines, zero-limit removals,
+        // balances driven exactly to zero from either side, refused and
+        // carried hops, severed sets.
+        let mut shapes = [0usize; 7];
+        for case in 0..200 {
+            let n = 2 + next(11) as usize;
+            let accounts: Vec<AccountId> = (0..n)
+                .map(|i| {
+                    let mut bytes = [i as u8; 20];
+                    bytes[0] = next(256) as u8;
+                    AccountId::from_bytes(bytes)
+                })
+                .collect();
+            let mut s = LedgerState::new();
+            let mut reference = TwoMapReference::default();
+            for &a in &accounts {
+                s.create_account(a, Drops::from_xrp(1_000));
+                reference.owners.insert(a, 0);
+            }
+            for step in 0..next(60) {
+                let a = accounts[next(n as u64) as usize];
+                let b = accounts[next(n as u64) as usize];
+                let c = CURRENCIES[next(3) as usize];
+                let amount = Value::from_raw((1 + next(30) as i128) * 1_000_000);
+                let line = (!reference.trust.is_empty()).then(|| {
+                    let at = next(reference.trust.len() as u64) as usize;
+                    *reference.trust.keys().nth(at).unwrap()
+                });
+                match next(10) {
+                    0..=2 => {
+                        let (a, b, c, limit) = match line {
+                            Some((truster, trustee, c)) if next(3) == 0 => {
+                                shapes[1] += 1;
+                                (truster, trustee, c, Value::ZERO)
+                            }
+                            _ => (a, b, c, amount),
+                        };
+                        shapes[0] += usize::from(a == b);
+                        s.set_trust(a, b, c, limit).unwrap();
+                        reference.set_trust(a, b, c, limit);
+                    }
+                    3..=4 => {
+                        let debt = (!reference.balances.is_empty()).then(|| {
+                            let at = next(reference.balances.len() as u64) as usize;
+                            *reference.balances.keys().nth(at).unwrap()
+                        });
+                        let (a, b, c, delta) = match debt {
+                            Some((low, high, c)) if next(2) == 0 => {
+                                // Exactly to zero, from either side.
+                                let (holder, counterparty) = if next(2) == 0 {
+                                    (low, high)
+                                } else {
+                                    (high, low)
+                                };
+                                let claim = reference.claim(holder, counterparty, c);
+                                shapes[2 + usize::from(claim.is_negative())] += 1;
+                                (holder, counterparty, c, -claim)
+                            }
+                            _ if next(2) == 0 => (a, b, c, -amount),
+                            _ => (a, b, c, amount),
+                        };
+                        s.adjust_pair_balance(a, b, c, delta);
+                        reference.adjust(a, b, c, delta);
+                    }
+                    5..=8 => {
+                        // Half the hops ride a declared line, trustee to truster.
+                        let (a, b, c) = match line {
+                            Some((truster, trustee, c)) if next(2) == 0 => (trustee, truster, c),
+                            _ => (a, b, c),
+                        };
+                        let ok = reference.ripple_hop(a, b, c, amount);
+                        shapes[4 + usize::from(ok)] += 1;
+                        assert_eq!(
+                            s.ripple_hop(a, b, c, amount).is_ok(),
+                            ok,
+                            "case {case} step {step}"
+                        );
+                    }
+                    _ => {
+                        let severed: Vec<AccountId> = (0..next(3))
+                            .map(|_| accounts[next(n as u64) as usize])
+                            .collect();
+                        shapes[6] += 1;
+                        s.sever_accounts(&severed);
+                        reference.sever(&severed);
+                    }
+                }
+                let want_lines: Vec<_> = reference
+                    .trust
+                    .iter()
+                    .map(|(&(truster, trustee, currency), &limit)| TrustLine {
+                        truster,
+                        trustee,
+                        currency,
+                        limit,
+                    })
+                    .collect();
+                let want_balances: Vec<_> = reference
+                    .balances
+                    .iter()
+                    .map(|(&(low, high, currency), &value)| (low, high, currency, value))
+                    .collect();
+                let (lines, balances, owners) = credit_view(&s);
+                let lines: Vec<TrustLine> = lines
+                    .into_iter()
+                    .map(|(truster, trustee, currency, limit)| TrustLine {
+                        truster,
+                        trustee,
+                        currency,
+                        limit,
+                    })
+                    .collect();
+                assert_eq!(lines, want_lines, "case {case} step {step}");
+                assert_eq!(balances, want_balances, "case {case} step {step}");
+                let want_owners: Vec<_> = reference.owners.iter().map(|(&a, &n)| (a, n)).collect();
+                assert_eq!(owners, want_owners, "case {case} step {step}");
+                for &from in &accounts {
+                    for &to in &accounts {
+                        for c in CURRENCIES {
+                            assert_eq!(
+                                s.hop_capacity(from, to, c),
+                                reference.hop_capacity(from, to, c),
+                                "case {case} step {step}"
+                            );
+                        }
+                    }
+                }
+                let records: usize = s.shards.iter().map(|shard| shard.ripple.len()).sum();
+                assert_eq!(records, reference.pairs(), "case {case} step {step}");
+            }
+        }
+        assert!(shapes.iter().all(|&k| k > 100), "{shapes:?}");
+    }
+
+    /// S, X, Y, Z, D: Y trusts X for 10 USD, every other hop for 1000.
+    fn looped_payment_ledger() -> (LedgerState, ripple_crypto::SimKeypair, [AccountId; 5]) {
+        use ripple_crypto::SimKeypair;
+        let keys = SimKeypair::from_seed(b"looper");
+        let sender = AccountId::from_public_key(&keys.public_key());
+        let [x, y, z, d] = [acct(2), acct(3), acct(4), acct(5)];
+        let mut s = LedgerState::new();
+        for a in [sender, x, y, z, d] {
+            s.create_account(a, Drops::from_xrp(100));
+        }
+        let wide: Value = "1000".parse().unwrap();
+        for (truster, trustee) in [(x, sender), (z, y), (x, z), (d, y)] {
+            s.set_trust(truster, trustee, Currency::USD, wide).unwrap();
+        }
+        s.set_trust(y, x, Currency::USD, "10".parse().unwrap())
+            .unwrap();
+        (s, keys, [sender, x, y, z, d])
+    }
+
+    #[test]
+    fn apply_refuses_a_path_that_revisits_an_account() {
+        use crate::amount::IouAmount;
+        use crate::tx::{Transaction, TxKind};
+        let (mut s, keys, [sender, x, y, z, d]) = looped_payment_ledger();
+        let tx = Transaction::build(
+            sender,
+            1,
+            Drops::new(10),
+            TxKind::Payment {
+                destination: d,
+                amount: Amount::Iou(IouAmount::new("10".parse().unwrap(), Currency::USD, y)),
+                send_max: None,
+                paths: vec![vec![x, y, z, x, y]],
+            },
+        )
+        .signed(&keys);
+        let before = credit_view(&s);
+        // Checked hop by hop against the pre-state, X -> Y would run twice
+        // over a line of 10 and leave Y holding 20.
+        assert_eq!(s.apply(&tx), Err(LedgerError::PathLoop { account: x }));
+        assert_eq!(credit_view(&s), before);
+        assert_eq!(s.total_burned(), Drops::ZERO);
+        assert_eq!(s.account(&sender).unwrap().sequence, 1);
+        assert_eq!(s.hop_capacity(x, y, Currency::USD), "10".parse().unwrap());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!   bisection), and per-id neighbour lists, ascending, with the live
 //!   [`LedgerState::hop_capacity`] stored on the edge — so a search reads
 //!   no ledger map at all. The graph is built in one scan of the ledger's
-//!   trust lines and pair balances: each record contributes a limit or a
-//!   claim to the directed pairs it touches, and two counting sorts by
-//!   dense id line them up to fold into edges whose capacities come from
-//!   the scan itself, with no `hop_capacity` lookup at build time; and
+//!   [`RippleState`](ripple_ledger::RippleState) records: each record holds
+//!   both limits and the balance of one pair, so it yields that pair's
+//!   edges, capacities included, with no `hop_capacity` lookup at build
+//!   time; and
 //! * a table of *enumerated* candidate paths per `(source, destination)`:
 //!   the full shortest-first augmenting-path decomposition, computed once
 //!   without an amount bound and then *allocated* against any requested
@@ -142,50 +142,6 @@ pub(crate) struct CreditGraph {
     pub(crate) edges: Vec<Vec<Edge>>,
 }
 
-/// What one ledger record says about one directed pair `from -> to`,
-/// between provisional ids while the scan runs and dense ids once the
-/// accounts are ranked.
-struct Part {
-    from: u32,
-    to: u32,
-    amount: Value,
-    says: Says,
-}
-
-/// Which of a directed pair's two amounts a [`Part`] carries.
-enum Says {
-    /// `to`'s declared trust in `from`, from a trust line: an edge.
-    Limit,
-    /// `to`'s claim on `from`, from a pair balance: an edge when `from`
-    /// holds `to`'s IOUs.
-    Held { edge: bool },
-}
-
-/// A stable counting sort of `items` by `digit`, whose values are below
-/// `n`. Also returns where each digit's run starts, `n + 1` entries.
-fn counting_sort(
-    items: impl Iterator<Item = u32> + Clone,
-    n: usize,
-    digit: impl Fn(u32) -> u32,
-) -> (Vec<u32>, Vec<usize>) {
-    let mut start = vec![0usize; n + 1];
-    for item in items.clone() {
-        start[digit(item) as usize] += 1;
-    }
-    let mut sum = 0;
-    for entry in &mut start {
-        (*entry, sum) = (sum, sum + *entry);
-    }
-    let mut sorted = vec![0; sum];
-    let mut fill = start.clone();
-    for item in items {
-        let slot = &mut fill[digit(item) as usize];
-        sorted[*slot] = item;
-        *slot += 1;
-    }
-    (sorted, start)
-}
-
 /// One edge's tentative reservation during an enumeration: the residual
 /// capacity `live - used` is written to the edge so the BFS reads it
 /// there, and `live` is written back when the enumeration ends.
@@ -208,12 +164,12 @@ struct Scratch {
 }
 
 impl CreditGraph {
-    /// Builds one currency's graph in one scan of its trust lines and pair
-    /// balances. An edge runs from X to every Y that trusts X, and from X
-    /// to every Y whose IOUs X holds: a deposit at a gateway lets X push
+    /// Builds one currency's graph in one scan of the ledger's credit
+    /// relationships. An edge runs from X to every Y that trusts X, and from
+    /// X to every Y whose IOUs X holds: a deposit at a gateway lets X push
     /// value back up to that claim even when Y declares no trust. Its
     /// capacity is `limit - held`, the expression
-    /// [`LedgerState::hop_capacity`] evaluates, over the same values.
+    /// [`LedgerState::hop_capacity`] evaluates, read off the same record.
     /// Dense ids ascend with [`AccountId`], so neighbour order — and with it
     /// every tie-break among equal-length paths — is a function of the
     /// ledger's contents, not of its hash-table layout.
@@ -226,42 +182,24 @@ impl CreditGraph {
                 seen.len() as u32 - 1
             })
         };
-        let mut parts: Vec<Part> = Vec::new();
-        for line in state.trust_lines() {
-            if line.currency == currency {
-                parts.push(Part {
-                    from: id(line.trustee),
-                    to: id(line.truster),
-                    amount: line.limit,
-                    says: Says::Limit,
-                });
-            }
-        }
-        for (low, high, cur, balance) in state.pair_balances() {
-            if cur != currency {
+        // `(from, to, capacity)` between provisional ids. `balance` is what
+        // `high` owes `low`, so it nets into `low -> high`'s capacity and
+        // against `high -> low`'s; a self-pair's one line is `low_limit`.
+        let mut arcs: Vec<(u32, u32, Value)> = Vec::new();
+        for r in state.ripple_states() {
+            if r.currency != currency {
                 continue;
             }
-            // `balance` is `low`'s claim on `high`: `high -> low` holds it
-            // and `low -> high` its negation, `iou_balance`'s flip. A
-            // self-pair is one unflipped direction.
-            let (low_id, high_id) = (id(low), id(high));
-            parts.push(Part {
-                from: high_id,
-                to: low_id,
-                amount: balance,
-                says: Says::Held {
-                    edge: balance.is_negative() || low == high,
-                },
-            });
-            if low != high {
-                parts.push(Part {
-                    from: low_id,
-                    to: high_id,
-                    amount: -balance,
-                    says: Says::Held {
-                        edge: balance.is_positive(),
-                    },
-                });
+            let (low, high) = (id(r.low), id(r.high));
+            if low == high {
+                arcs.push((low, low, r.low_limit - r.balance));
+                continue;
+            }
+            if r.high_limit.is_positive() || r.balance.is_positive() {
+                arcs.push((low, high, r.high_limit + r.balance));
+            }
+            if r.low_limit.is_positive() || r.balance.is_negative() {
+                arcs.push((high, low, r.low_limit - r.balance));
             }
         }
 
@@ -282,43 +220,21 @@ impl CreditGraph {
         }
         let accounts: Vec<AccountId> = sorted.iter().map(|&(_, i)| seen[i as usize]).collect();
 
-        for part in &mut parts {
-            part.from = rank[part.from as usize];
-            part.to = rank[part.to as usize];
+        // One record per pair: no directed pair has two arcs.
+        let mut degree = vec![0usize; accounts.len()];
+        for &(from, _, _) in &arcs {
+            degree[rank[from as usize] as usize] += 1;
         }
-        // Part indices in `(from, to)` order, by two stable counting sorts,
-        // `to` then `from`; `start[f]..start[f + 1]` is then `f`'s run.
-        let n = accounts.len();
-        let (by_to, _) = counting_sort(0..parts.len() as u32, n, |i| parts[i as usize].to);
-        let (order, start) = counting_sort(by_to.iter().copied(), n, |i| parts[i as usize].from);
-
-        // A directed pair has at most one trust line and one pair balance,
-        // so its run holds at most one `limit` and one `held`.
-        let mut row: Vec<Edge> = Vec::new();
-        let edges = start
-            .windows(2)
-            .map(|run| {
-                let pairs = order[run[0]..run[1]]
-                    .chunk_by(|&a, &b| parts[a as usize].to == parts[b as usize].to);
-                row.clear();
-                for pair in pairs {
-                    let (mut limit, mut held, mut edge) = (Value::ZERO, Value::ZERO, false);
-                    for part in pair.iter().map(|&i| &parts[i as usize]) {
-                        match part.says {
-                            Says::Limit => (limit, edge) = (part.amount, true),
-                            Says::Held { edge: debt } => (held, edge) = (part.amount, edge || debt),
-                        }
-                    }
-                    if edge {
-                        row.push(Edge {
-                            to: parts[pair[0] as usize].to,
-                            capacity: limit - held,
-                        });
-                    }
-                }
-                row.to_vec()
-            })
-            .collect();
+        let mut edges: Vec<Vec<Edge>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for (from, to, capacity) in arcs {
+            edges[rank[from as usize] as usize].push(Edge {
+                to: rank[to as usize],
+                capacity,
+            });
+        }
+        for row in &mut edges {
+            row.sort_unstable_by_key(|edge| edge.to);
+        }
         CreditGraph { accounts, edges }
     }
 

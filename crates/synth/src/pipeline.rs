@@ -39,7 +39,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ripple_crypto::{AccountId, FxHashSet};
-use ripple_ledger::{Currency, Drops, LedgerState, PathSummary, PaymentRecord, RippleTime, Value};
+use ripple_ledger::{
+    Currency, Drops, LedgerError, LedgerState, PathSummary, PaymentRecord, RippleTime, Value,
+};
 use ripple_obs::{span, LazyCounter, LazyGauge, LazyTimer};
 use ripple_orderbook::RateTable;
 use ripple_store::{HistoryEvent, Writer};
@@ -100,7 +102,8 @@ impl PipelineConfig {
     }
 }
 
-/// A pipeline stage failed (currently: a scripting worker panicked).
+/// A pipeline stage failed: a scripting worker panicked, or the executor's
+/// ledger refused a write.
 ///
 /// Before this type existed the executor died on a closed channel with an
 /// unrelated `expect` message; now the failure is surfaced as a
@@ -108,7 +111,7 @@ impl PipelineConfig {
 /// panic message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {
-    /// The stage that failed (`"script"`, ...).
+    /// The stage that failed (`"script"` or `"exec"`).
     pub stage: &'static str,
     /// Human-readable failure description.
     pub message: String,
@@ -294,7 +297,8 @@ impl Generator {
     /// # Errors
     ///
     /// [`PipelineError`] when a stage worker dies (e.g. a scripting
-    /// worker panics).
+    /// worker panics), or with stage `"exec"` when the ledger refuses one of
+    /// the executor's writes.
     pub fn run_pipelined(&self, pcfg: &PipelineConfig) -> Result<PipelineRun, PipelineError> {
         let wall = Instant::now();
         let config = &self.config;
@@ -453,10 +457,14 @@ impl Generator {
                     }
                 };
                 let t = Instant::now();
-                {
+                let ran = {
                     let _span = span("synth", "exec_chunk");
-                    exec.run_chunk(&chunk, &mut batch);
-                }
+                    exec.run_chunk(&chunk, &mut batch)
+                };
+                ran.map_err(|e| PipelineError {
+                    stage: "exec",
+                    message: format!("chunk {next}: {e}"),
+                })?;
                 let dt = t.elapsed();
                 exec_secs += dt.as_secs_f64();
                 EXEC_CHUNKS.add(1);
@@ -604,11 +612,16 @@ impl<'a> Executor<'a> {
         self.state
     }
 
-    fn run_chunk(&mut self, chunk: &ScriptChunk, events: &mut Vec<HistoryEvent>) {
+    fn run_chunk(
+        &mut self,
+        chunk: &ScriptChunk,
+        events: &mut Vec<HistoryEvent>,
+    ) -> Result<(), LedgerError> {
         for (local, entry) in chunk.entries.iter().enumerate() {
             let global_index = chunk.base_index + local;
-            self.run_payment(global_index, entry, events);
+            self.run_payment(global_index, entry, events)?;
         }
+        Ok(())
     }
 
     fn run_payment(
@@ -616,7 +629,7 @@ impl<'a> Executor<'a> {
         global_index: usize,
         entry: &ScriptedPayment,
         events: &mut Vec<HistoryEvent>,
-    ) {
+    ) -> Result<(), LedgerError> {
         let now = entry.timestamp;
         if let Some(at) = self.config.snapshot_at {
             if self.snapshot.is_none() && now >= at {
@@ -644,18 +657,19 @@ impl<'a> Executor<'a> {
             && matches!(entry.body, ScriptedBody::Iou { is_cck: false, .. });
         let record = if probe {
             self.probe_emitted = true;
-            self.run_probe(entry, events)
+            self.run_probe(entry, events)?
         } else {
-            self.run_body(entry, events)
+            self.run_body(entry, events)?
         };
         events.push(HistoryEvent::Payment(record));
+        Ok(())
     }
 
     fn run_probe(
         &mut self,
         entry: &ScriptedPayment,
         events: &mut Vec<HistoryEvent>,
-    ) -> PaymentRecord {
+    ) -> Result<PaymentRecord, LedgerError> {
         let now = entry.timestamp;
         let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, "probe", 0));
         let sender = self.cast.users[0].0;
@@ -691,9 +705,9 @@ impl<'a> Executor<'a> {
                 currency,
                 amount,
                 now,
-            );
+            )?;
         }
-        PaymentRecord {
+        Ok(PaymentRecord {
             tx_hash: entry.tx_hash,
             sender,
             destination,
@@ -705,14 +719,14 @@ impl<'a> Executor<'a> {
             paths: PathSummary::from_paths(vec![hops]),
             cross_currency: false,
             source_currency: None,
-        }
+        })
     }
 
     fn run_body(
         &mut self,
         entry: &ScriptedPayment,
         events: &mut Vec<HistoryEvent>,
-    ) -> PaymentRecord {
+    ) -> Result<PaymentRecord, LedgerError> {
         let now = entry.timestamp;
         let base =
             |sender, destination, currency, issuer, amount, paths, cross, src| PaymentRecord {
@@ -728,7 +742,7 @@ impl<'a> Executor<'a> {
                 cross_currency: cross,
                 source_currency: src,
             };
-        match &entry.body {
+        Ok(match &entry.body {
             ScriptedBody::Xrp {
                 sender,
                 destination,
@@ -745,8 +759,7 @@ impl<'a> Executor<'a> {
                 let drops = Drops::new(amount.raw().max(1) as u64);
                 top_up_xrp(&mut self.state, self.treasury, *sender, drops);
                 self.state
-                    .xrp_transfer_unchecked(*sender, *destination, drops)
-                    .expect("topped-up sender can pay");
+                    .xrp_transfer_unchecked(*sender, *destination, drops)?;
                 base(
                     *sender,
                     *destination,
@@ -762,8 +775,7 @@ impl<'a> Executor<'a> {
                 let drops = Drops::from_xrp(*bet);
                 top_up_xrp(&mut self.state, self.treasury, *sender, drops);
                 self.state
-                    .xrp_transfer_unchecked(*sender, self.cast.spin, drops)
-                    .expect("topped-up sender can bet");
+                    .xrp_transfer_unchecked(*sender, self.cast.spin, drops)?;
                 base(
                     *sender,
                     self.cast.spin,
@@ -785,8 +797,7 @@ impl<'a> Executor<'a> {
                 let drops = Drops::new(dust.raw() as u64);
                 top_up_xrp(&mut self.state, self.treasury, sender, drops);
                 self.state
-                    .xrp_transfer_unchecked(sender, destination, drops)
-                    .expect("dust fits");
+                    .xrp_transfer_unchecked(sender, destination, drops)?;
                 base(
                     sender,
                     destination,
@@ -816,7 +827,7 @@ impl<'a> Executor<'a> {
                             Currency::MTL,
                             share,
                             now,
-                        );
+                        )?;
                     }
                     paths.push(chain.clone());
                 }
@@ -865,7 +876,7 @@ impl<'a> Executor<'a> {
                             cur,
                             amt,
                             now,
-                        );
+                        )?;
                     }
                     summary.push(path.hops.clone());
                 }
@@ -880,7 +891,7 @@ impl<'a> Executor<'a> {
                     cross.then(|| src_currency.unwrap_or(*currency)),
                 )
             }
-        }
+        })
     }
 }
 
@@ -897,6 +908,11 @@ impl<'a> Executor<'a> {
 /// [`LedgerState::adjust_pair_balance`] directly. The resulting ledger
 /// mutations are identical to the two-step pair's, which the test module
 /// keeps as the reference.
+///
+/// # Errors
+///
+/// The ledger's refusal of the trust write (a party missing), which the
+/// executor surfaces as a [`PipelineError`] of stage `"exec"`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_hop(
     state: &mut LedgerState,
@@ -907,7 +923,7 @@ pub(crate) fn apply_hop(
     currency: Currency,
     amount: Value,
     now: RippleTime,
-) {
+) -> Result<(), LedgerError> {
     HOP_PROBES.add(1);
     let capacity = state.hop_capacity(from, to, currency);
     if capacity < amount {
@@ -921,9 +937,7 @@ pub(crate) fn apply_hop(
             let claim = state.iou_balance(from, to, currency);
             if limit - claim < boost {
                 let new_limit = (claim + boost + boost).max_one();
-                state
-                    .set_trust(from, to, currency, new_limit)
-                    .expect("parties exist");
+                state.set_trust(from, to, currency, new_limit)?;
                 events.push(HistoryEvent::TrustSet {
                     truster: from,
                     trustee: to,
@@ -938,9 +952,7 @@ pub(crate) fn apply_hop(
             // Raise `to`'s declared trust in `from` (organic trust growth).
             let claim = state.iou_balance(to, from, currency);
             let new_limit = (claim + Value::from_raw(amount.raw().saturating_mul(50))).max_one();
-            state
-                .set_trust(to, from, currency, new_limit)
-                .expect("parties exist");
+            state.set_trust(to, from, currency, new_limit)?;
             events.push(HistoryEvent::TrustSet {
                 truster: to,
                 trustee: from,
@@ -952,6 +964,7 @@ pub(crate) fn apply_hop(
     }
     // ripple_hop(from, to, amount) without the re-validation.
     state.adjust_pair_balance(to, from, currency, amount);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1180,7 +1193,8 @@ mod tests {
                     Currency::USD,
                     amt,
                     now,
-                );
+                )
+                .unwrap();
             }
             assert_eq!(ev_a, ev_b);
         }
@@ -1191,6 +1205,31 @@ mod tests {
         assert_eq!(
             state_a.iou_balance(a, gw, Currency::USD),
             state_b.iou_balance(a, gw, Currency::USD)
+        );
+    }
+
+    #[test]
+    fn a_refused_trust_write_is_returned_not_panicked() {
+        let mut state = LedgerState::new();
+        let payer = AccountId::from_bytes([1; 20]);
+        let ghost = AccountId::from_bytes([2; 20]);
+        state.create_account(payer, Drops::from_xrp(100));
+        let mut events = Vec::new();
+        let refused = apply_hop(
+            &mut state,
+            &mut events,
+            &FxHashSet::default(),
+            payer,
+            ghost,
+            Currency::USD,
+            "5".parse().unwrap(),
+            RippleTime::from_seconds(100),
+        );
+        assert_eq!(refused, Err(LedgerError::NoSuchAccount(ghost)));
+        assert!(events.is_empty());
+        assert_eq!(
+            state.trust_lines().count() + state.pair_balances().count(),
+            0
         );
     }
 }
