@@ -36,7 +36,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub mod liquidity;
 
@@ -80,7 +80,9 @@ pub use ripple_synth::{
 #[derive(Debug)]
 pub struct Study {
     output: SynthOutput,
-    payment_arena: Arc<[PaymentRecord]>,
+    /// Built from `output`'s payments on first use; see
+    /// [`Study::payment_arena`].
+    payment_arena: OnceLock<Arc<[PaymentRecord]>>,
     /// Streaming tallies from the generator's sink stage. The figure-4/5/6
     /// accessors answer from these instead of re-scanning the history.
     tallies: HistoryTallies,
@@ -98,9 +100,9 @@ impl Study {
         Study::generate_pipelined(config, &pipeline).0
     }
 
-    /// Generates a history under explicit pipeline settings, seeding the
-    /// study's shared arena and analytics tallies from the run. Returns the
-    /// study plus the run's stage timings.
+    /// Generates a history under explicit pipeline settings, taking the
+    /// study's analytics tallies from the run. Returns the study plus the
+    /// run's stage timings.
     pub fn generate_pipelined(
         config: SynthConfig,
         pipeline: &PipelineConfig,
@@ -112,12 +114,11 @@ impl Study {
         (Study::from_pipeline(run), bench)
     }
 
-    /// Wraps a generation run, taking its payment arena and streaming
-    /// tallies.
+    /// Wraps a generation run, taking its history and streaming tallies.
     pub fn from_pipeline(run: PipelineRun) -> Study {
         Study {
             output: run.output,
-            payment_arena: run.arena,
+            payment_arena: OnceLock::new(),
             tallies: run.tallies,
         }
     }
@@ -132,11 +133,15 @@ impl Study {
         self.output.payments().collect()
     }
 
-    /// The payment records as a shared arena, filled by the generator's
-    /// sink stage: ten attack indexes (one per Figure 3 row) hold one copy
-    /// of the history between them instead of cloning it per spec.
+    /// The payment records, in time order, as a shared arena: ten attack
+    /// indexes (one per Figure 3 row) hold one copy of the history between
+    /// them instead of cloning it per spec. Built from the history on the
+    /// first call (here or through [`Study::attack_index`]); every call
+    /// returns the same `Arc`.
     pub fn payment_arena(&self) -> Arc<[PaymentRecord]> {
-        self.payment_arena.clone()
+        self.payment_arena
+            .get_or_init(|| self.output.payments().cloned().collect())
+            .clone()
     }
 
     /// E1 — Figure 2: runs the three collection periods for `rounds`
@@ -185,10 +190,10 @@ impl Study {
             Currency::XRP,
         ];
         let t = &self.tallies;
-        let mut out = vec![(
-            None,
-            ripple_analytics::SurvivalCurve::from_amounts(t.amounts.clone()),
-        )];
+        // The curve sorts its amounts, so the Global series is every
+        // currency's list concatenated in any order.
+        let global = t.amounts_by_currency.values().flatten().copied().collect();
+        let mut out = vec![(None, ripple_analytics::SurvivalCurve::from_amounts(global))];
         for currency in currencies {
             let amounts = t
                 .amounts_by_currency

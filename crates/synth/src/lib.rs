@@ -23,9 +23,10 @@
 //! scripting, serial execution against the live ledger, overlapped archive
 //! and tally sinks). [`Generator::run`] is that pipeline with default
 //! settings returning the [`SynthOutput`] alone;
-//! [`Generator::run_pipelined`] also hands back the shared payment arena,
-//! the streaming tallies, the archive bytes and the stage timings. Both
-//! produce the same events for the same [`SynthConfig`].
+//! [`Generator::run_pipelined`] also hands back the streaming tallies, the
+//! archive bytes and the stage timings. Both produce the same events for
+//! the same [`SynthConfig`], and those events are the run's one copy of the
+//! history.
 //!
 //! # Examples
 //!

@@ -16,7 +16,9 @@
 //!    of scanning the cast.
 //! 3. **Sink** — archive encoding ([`ripple_store::Writer`]) and
 //!    incremental analytics tallies run on their own threads, overlapping
-//!    the executor.
+//!    the executor. The tally thread moves each batch into the returned
+//!    event list and copies no record, so that list is the run's one copy
+//!    of the history.
 //!
 //! Determinism: this is the repo's only history executor
 //! ([`Generator::run`] is this pipeline with default settings), and for a
@@ -27,12 +29,13 @@
 //! stream. The chunk size *is* part of the history's identity: it decides
 //! the chunks' time windows and RNG streams.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -102,8 +105,9 @@ impl PipelineConfig {
     }
 }
 
-/// A pipeline stage failed: a scripting worker panicked, or the executor's
-/// ledger refused a write.
+/// A pipeline stage failed: a scripting worker or sink thread panicked,
+/// the archive encoder refused an event, or the executor's ledger refused
+/// a write.
 ///
 /// Before this type existed the executor died on a closed channel with an
 /// unrelated `expect` message; now the failure is surfaced as a
@@ -111,7 +115,9 @@ impl PipelineConfig {
 /// panic message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {
-    /// The stage that failed (`"script"` or `"exec"`).
+    /// The stage that failed: `"script"` (a scripting worker panicked),
+    /// `"exec"` (the ledger refused a write) or `"sink"` (the encoder or
+    /// the tally thread panicked, or encoding failed).
     pub stage: &'static str,
     /// Human-readable failure description.
     pub message: String,
@@ -187,10 +193,8 @@ pub struct HistoryTallies {
     pub hop_histogram: BTreeMap<usize, u64>,
     /// Parallel-path histogram over multi-hop payments (Figure 6b).
     pub parallel_histogram: BTreeMap<usize, u64>,
-    /// Every delivered amount, in stream order (Figure 5 feeds per-currency
-    /// survival curves from `amounts_by_currency`).
-    pub amounts: Vec<Value>,
-    /// Delivered amounts grouped by currency.
+    /// Delivered amounts grouped by currency, in stream order within each
+    /// (Figure 5; the currency-unaware series is their concatenation).
     pub amounts_by_currency: HashMap<Currency, Vec<Value>>,
     /// Total payments observed.
     pub payments: u64,
@@ -201,7 +205,6 @@ impl HistoryTallies {
     pub fn observe(&mut self, p: &PaymentRecord) {
         self.payments += 1;
         *self.currency_counts.entry(p.currency).or_insert(0) += 1;
-        self.amounts.push(p.amount);
         self.amounts_by_currency
             .entry(p.currency)
             .or_default()
@@ -220,13 +223,13 @@ impl HistoryTallies {
     }
 }
 
-/// Everything a pipelined run produces.
+/// Everything a pipelined run produces. The history is held once, in
+/// `output.events`; a shared payment arena for concurrent studies is built
+/// from it on first use (`ripple_core::Study::payment_arena`).
 #[derive(Debug)]
 pub struct PipelineRun {
     /// The generated history (what [`Generator::run`] returns alone).
     pub output: SynthOutput,
-    /// The payment records as a shared arena, ready for concurrent studies.
-    pub arena: Arc<[PaymentRecord]>,
     /// Analytics tallies accumulated on the sink stage.
     pub tallies: HistoryTallies,
     /// The encoded archive bytes, when [`PipelineConfig::archive`] was on.
@@ -237,6 +240,14 @@ pub struct PipelineRun {
 
 /// A batch of history events in flight from the executor to the sink.
 type EventBatch = Vec<HistoryEvent>;
+
+/// What the encoder thread hands back: busy seconds, bytes encoded, and the
+/// bytes themselves when the archive was retained.
+type Encoded = (f64, usize, Option<Vec<u8>>);
+
+/// What the tally thread hands back: busy seconds, the tallies, and every
+/// event in stream order.
+type Tallied = (f64, HistoryTallies, Vec<HistoryEvent>);
 
 const BATCH_EVENTS: usize = 8192;
 
@@ -296,9 +307,10 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// [`PipelineError`] when a stage worker dies (e.g. a scripting
-    /// worker panics), or with stage `"exec"` when the ledger refuses one of
-    /// the executor's writes.
+    /// [`PipelineError`] when a stage thread dies (a scripting worker or a
+    /// sink thread panics), with stage `"sink"` when the archive encoder
+    /// refuses an event, or with stage `"exec"` when the ledger refuses one
+    /// of the executor's writes.
     pub fn run_pipelined(&self, pcfg: &PipelineConfig) -> Result<PipelineRun, PipelineError> {
         let wall = Instant::now();
         let config = &self.config;
@@ -334,7 +346,6 @@ impl Generator {
             archive: Option<Vec<u8>>,
             tallies: HistoryTallies,
             events_out: Vec<HistoryEvent>,
-            payment_arena: Vec<PaymentRecord>,
             snapshot: Option<(RippleTime, LedgerState)>,
             final_state: LedgerState,
         }
@@ -383,7 +394,11 @@ impl Generator {
             let (sink_tx, sink_rx) = sync_channel::<EventBatch>(4);
             let archive_on = pcfg.archive;
             let (tally_tx, tally_rx) = sync_channel::<EventBatch>(4);
-            let encoder = s.spawn(move || {
+            let encoder = s.spawn(move || -> Result<Encoded, PipelineError> {
+                let encode_error = |e: ripple_store::StoreError| PipelineError {
+                    stage: "sink",
+                    message: format!("archive encoding failed: {e}"),
+                };
                 let mut busy = 0.0f64;
                 let mut writer = Writer::new(CountingSink::new(archive_on));
                 while let Ok(batch) = sink_rx.recv() {
@@ -392,7 +407,7 @@ impl Generator {
                     {
                         let _span = span("synth", "encode_batch");
                         for event in &batch {
-                            writer.write(event).expect("counting sink cannot fail");
+                            writer.write(event).map_err(encode_error)?;
                         }
                     }
                     let dt = t.elapsed();
@@ -405,15 +420,14 @@ impl Generator {
                     }
                 }
                 drop(tally_tx);
-                let sink = writer.finish().expect("counting sink cannot fail");
+                let sink = writer.finish().map_err(encode_error)?;
                 SINK_ENCODED_BYTES.add(sink.bytes as u64);
-                (busy, sink.bytes, sink.buf)
+                Ok((busy, sink.bytes, sink.buf))
             });
-            let tally = s.spawn(move || {
+            let tally = s.spawn(move || -> Tallied {
                 let mut busy = 0.0f64;
                 let mut tallies = HistoryTallies::default();
                 let mut events: Vec<HistoryEvent> = Vec::new();
-                let mut arena: Vec<PaymentRecord> = Vec::new();
                 while let Ok(batch) = tally_rx.recv() {
                     let t = Instant::now();
                     {
@@ -421,7 +435,6 @@ impl Generator {
                         for event in &batch {
                             if let HistoryEvent::Payment(p) = event {
                                 tallies.observe(p);
-                                arena.push(p.clone());
                             }
                         }
                         events.extend(batch);
@@ -430,7 +443,7 @@ impl Generator {
                     busy += dt.as_secs_f64();
                     TALLY_NS.record(dt);
                 }
-                (busy, tallies, events, arena)
+                (busy, tallies, events)
             });
 
             // --- Stage 2: the executor (this thread) --------------------
@@ -439,15 +452,21 @@ impl Generator {
             let mut batch: EventBatch = Vec::with_capacity(BATCH_EVENTS);
             // The setup events head the stream.
             batch.append(&mut setup_events);
-            let flush = |batch: &mut EventBatch, force: bool| {
+            // `false` once the sink has hung up: one of its threads died,
+            // and `join_sinks` below says why.
+            let flush = |batch: &mut EventBatch, force: bool| -> bool {
                 if batch.len() >= BATCH_EVENTS || (force && !batch.is_empty()) {
                     let full = std::mem::replace(batch, Vec::with_capacity(BATCH_EVENTS));
-                    sink_tx.send(full).expect("sink outlives the executor");
+                    if sink_tx.send(full).is_err() {
+                        return false;
+                    }
                     SINK_QUEUE.add(1);
                 }
+                true
             };
             // One chunk at a time against the live state.
             let mut exec = Executor::new(config, &cast, &index, state, treasury);
+            let mut sink_open = true;
             for next in 0..n_chunks {
                 let chunk = match recv_in_order(&chunk_rx, &mut pending, next) {
                     Ok(c) => c,
@@ -470,22 +489,33 @@ impl Generator {
                 EXEC_CHUNKS.add(1);
                 EXEC_PAYMENTS.add(chunk.entries.len() as u64);
                 EXEC_CHUNK_NS.record(dt);
-                flush(&mut batch, false);
+                sink_open = flush(&mut batch, false);
+                if !sink_open {
+                    break;
+                }
             }
             let snapshot = exec.snapshot.take();
             let final_state = exec.into_state();
-            flush(&mut batch, true);
+            let sink_open = sink_open && flush(&mut batch, true);
             drop(sink_tx);
             drop(chunk_rx);
 
+            // Join every stage thread before reporting any failure: a
+            // thread left unjoined with a panic would re-raise it at the
+            // end of the scope.
+            let scripted: Vec<_> = script_handles.into_iter().map(|h| h.join()).collect();
+            let sinks = join_sinks(encoder, tally);
             let mut script_secs = 0.0f64;
-            for handle in script_handles {
-                let busy = handle.join().expect("scripting worker panicked");
-                script_secs = script_secs.max(busy);
+            for busy in scripted {
+                script_secs = script_secs.max(busy.map_err(|p| stage_panic("script", p))?);
             }
-            let (enc_busy, encoded_bytes, bytes) = encoder.join().expect("encoder panicked");
-            let (tally_busy, tallies, events_out, payment_arena) =
-                tally.join().expect("tally thread panicked");
+            let ((enc_busy, encoded_bytes, bytes), (tally_busy, tallies, events_out)) = sinks?;
+            if !sink_open {
+                return Err(PipelineError {
+                    stage: "sink",
+                    message: "sink channel closed before the executor finished".to_string(),
+                });
+            }
             Ok(ScopeOut {
                 script_secs,
                 exec_secs,
@@ -494,7 +524,6 @@ impl Generator {
                 archive: bytes,
                 tallies,
                 events_out,
-                payment_arena,
                 snapshot,
                 final_state,
             })
@@ -524,7 +553,6 @@ impl Generator {
         };
         Ok(PipelineRun {
             output,
-            arena: out.payment_arena.into(),
             tallies: out.tallies,
             archive: out.archive,
             bench,
@@ -555,25 +583,48 @@ fn recv_in_order(
     }
 }
 
-/// Joins the scripting workers after a channel death and turns the first
+/// Joins the scripting workers after a channel death and turns the last
 /// panic payload found into a [`PipelineError`]. Joining here (instead of
 /// letting the scope do it) consumes the panic so it surfaces as an error
 /// rather than resuming the unwind in the caller.
-fn script_failure(handles: Vec<std::thread::ScopedJoinHandle<'_, f64>>) -> PipelineError {
-    let mut message = String::from("scripting channel closed before all chunks arrived");
+fn script_failure(handles: Vec<ScopedJoinHandle<'_, f64>>) -> PipelineError {
+    let mut failure = PipelineError {
+        stage: "script",
+        message: String::from("scripting channel closed before all chunks arrived"),
+    };
     for handle in handles {
         if let Err(payload) = handle.join() {
-            let text = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            message = format!("scripting worker panicked: {text}");
+            failure = stage_panic("script", payload);
         }
     }
+    failure
+}
+
+/// Joins both sink threads, then reports the encoder's failure (a panic or
+/// an encoding error) before the tally thread's panic, each as stage
+/// `"sink"`.
+fn join_sinks(
+    encoder: ScopedJoinHandle<'_, Result<Encoded, PipelineError>>,
+    tally: ScopedJoinHandle<'_, Tallied>,
+) -> Result<(Encoded, Tallied), PipelineError> {
+    let encoded = encoder.join();
+    let tallied = tally.join();
+    let encoded = encoded.map_err(|p| stage_panic("sink", p))??;
+    let tallied = tallied.map_err(|p| stage_panic("sink", p))?;
+    Ok((encoded, tallied))
+}
+
+/// A stage thread's panic as a [`PipelineError`], carrying the panic
+/// message when the payload is a string.
+fn stage_panic(stage: &'static str, payload: Box<dyn Any + Send>) -> PipelineError {
+    let text = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string());
     PipelineError {
-        stage: "script",
-        message,
+        stage,
+        message: format!("{stage} thread panicked: {text}"),
     }
 }
 
@@ -878,6 +929,11 @@ impl<'a> Executor<'a> {
                             now,
                         )?;
                     }
+                    // Cloned, not moved: a moved list would keep a
+                    // scripting worker's allocation alive for the whole
+                    // run, which measured slower, and the chunk is freed
+                    // whole after its batch reaches the sink (EXPERIMENTS.md,
+                    // "One copy of the history").
                     summary.push(path.hops.clone());
                 }
                 base(
@@ -992,7 +1048,6 @@ mod tests {
     fn pipeline_generates_exactly_n_payments() {
         let out = run(2, 1_500, 11);
         assert_eq!(out.output.payments().count(), 1_500);
-        assert_eq!(out.arena.len(), 1_500);
         assert_eq!(out.tallies.payments, 1_500);
     }
 
@@ -1086,7 +1141,29 @@ mod tests {
         assert_eq!(out.tallies.currency_counts, recount.currency_counts);
         assert_eq!(out.tallies.hop_histogram, recount.hop_histogram);
         assert_eq!(out.tallies.parallel_histogram, recount.parallel_histogram);
-        assert_eq!(out.tallies.amounts.len(), recount.amounts.len());
+        let amounts =
+            |t: &HistoryTallies| t.amounts_by_currency.values().map(Vec::len).sum::<usize>();
+        assert_eq!(amounts(&out.tallies), amounts(&recount));
+    }
+
+    #[test]
+    fn a_sink_thread_panic_surfaces_as_a_sink_error() {
+        let ok_tally = || -> Tallied { (0.0, HistoryTallies::default(), Vec::new()) };
+        let (encoder_down, tally_down) = std::thread::scope(|s| {
+            let encoder = s.spawn(|| -> Result<Encoded, PipelineError> { panic!("encoder down") });
+            let encoder_down = join_sinks(encoder, s.spawn(ok_tally)).unwrap_err();
+            let encoder = s.spawn(|| -> Result<Encoded, PipelineError> { Ok((0.0, 0, None)) });
+            let tally = s.spawn(|| -> Tallied { panic!("tally down") });
+            (encoder_down, join_sinks(encoder, tally).unwrap_err())
+        });
+        for (err, text) in [(encoder_down, "encoder down"), (tally_down, "tally down")] {
+            assert_eq!(err.stage, "sink");
+            assert!(
+                err.message.contains(text),
+                "unexpected message: {}",
+                err.message
+            );
+        }
     }
 
     /// The unfused reference for [`apply_hop`]: only guarantees that the hop

@@ -56,7 +56,11 @@ fn golden_history_identical_across_worker_counts_and_repeats() {
             run.tallies.parallel_histogram,
             golden.tallies.parallel_histogram
         );
-        assert_eq!(run.arena.len(), golden.arena.len());
+    }
+    let mut studies = runs.into_iter().map(Study::from_pipeline);
+    let golden_arena = studies.next().expect("four runs").payment_arena();
+    for study in studies {
+        assert_eq!(study.payment_arena(), golden_arena);
     }
 }
 
@@ -149,14 +153,19 @@ fn pipelined_study_answers_match_a_full_rescan() {
     }
 }
 
+/// The study builds its arena from the history on first use: the same
+/// records in the same order, and one shared copy however often it is
+/// asked for.
 #[test]
-fn pipelined_study_shares_one_arena() {
+fn study_arena_equals_the_payments_in_order() {
     let run = pipelined(2_000, 9, 2);
     let study = Study::from_pipeline(run);
     let a = study.payment_arena();
     let b = study.payment_arena();
     assert!(std::sync::Arc::ptr_eq(&a, &b), "arena must be shared");
     assert_eq!(a.len(), 2_000);
+    let payments: Vec<_> = study.output().payments().cloned().collect();
+    assert_eq!(&a[..], &payments[..]);
 }
 
 proptest! {
