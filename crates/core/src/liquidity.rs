@@ -28,6 +28,22 @@
 //! never exceed, and the per-query speedup is the headline number in
 //! `BENCH_liquidity.json`.
 //!
+//! # Two lanes
+//!
+//! The baseline probes, `currency_health` and `gateway_health` run
+//! first, because the cascade severs gateways in issuance order. The
+//! campaigns after them read only the final state, the snapshot and the
+//! probe stream, so [`run_liquidity`] runs them in two fixed lanes under
+//! one `std::thread::scope`: the calling thread runs the exit waves one
+//! after another, and one scoped worker runs the insolvency cascade and
+//! then the drain points. The lanes are fixed by job kind rather than fed
+//! from a shared queue, which bounds memory. Each exit wave replays on its
+//! own copy of the snapshot, and only the caller runs them, so two exit
+//! waves never overlap and at most one snapshot copy is alive; the same
+//! holds for the worker's copies of the final state. Each lane fills its
+//! own list in config order, so the report equals a serial run's. A worker
+//! panic is re-raised on the caller.
+//!
 //! # Determinism
 //!
 //! [`LiquidityReport`] and its [`LiquidityReport::to_json`] rendering are
@@ -375,14 +391,105 @@ fn gateway_health(
     out
 }
 
+/// Gateway insolvency cascade: sever `order` wave by wave on a single
+/// copy of `state`, measuring after each wave.
+fn insolvency_cascade(
+    state: &LedgerState,
+    order: &[AccountId],
+    config: &LiquidityConfig,
+    probes: &[PaymentProbe],
+) -> Vec<InsolvencyWave> {
+    let mut waves = Vec::new();
+    if config.insolvency_waves == 0 || order.is_empty() {
+        return waves;
+    }
+    let mut cascade_state = state.clone();
+    let mut cascade_router = Router::new(config.limits);
+    let per_wave = order.len().div_ceil(config.insolvency_waves);
+    let mut severed = 0usize;
+    while severed < order.len() {
+        let _span = span("liquidity", "insolvency_wave");
+        let next = (severed + per_wave).min(order.len());
+        cascade_state.sever_accounts(&order[severed..next]);
+        severed = next;
+        waves.push(InsolvencyWave {
+            gateways_severed: severed as u64,
+            delivery: measure(&cascade_state, &mut cascade_router, probes),
+        });
+    }
+    waves
+}
+
+/// Trust-line drain curve: one drained copy of `state` and one router per
+/// fraction, each freed before the next fraction is drained.
+fn trust_drain(
+    state: &LedgerState,
+    config: &LiquidityConfig,
+    probes: &[PaymentProbe],
+) -> Vec<DrainPoint> {
+    config
+        .drain_percents
+        .iter()
+        .map(|&percent| {
+            let _span = span("liquidity", "drain_point");
+            let drained = drain(state, percent);
+            let mut drain_router = Router::new(config.limits);
+            DrainPoint {
+                drain_percent: percent,
+                delivery: measure(&drained, &mut drain_router, probes),
+            }
+        })
+        .collect()
+}
+
+/// Market-Maker exit waves: cumulative prefixes of the cast's Market
+/// Makers through the Table II replay, one after another (each replay
+/// works on its own copy of the snapshot). The final wave (all makers)
+/// coincides with `Study::table2`. Empty when the run has no snapshot.
+fn exit_waves(output: &SynthOutput, config: &LiquidityConfig) -> Vec<ExitWave> {
+    let mut waves = Vec::new();
+    let Some((at, snapshot)) = &output.snapshot else {
+        return waves;
+    };
+    let makers = &output.cast.market_makers;
+    if config.exit_waves == 0 || makers.is_empty() {
+        return waves;
+    }
+    let per_wave = makers.len().div_ceil(config.exit_waves);
+    let mut severed = per_wave.min(makers.len());
+    loop {
+        let _span = span("liquidity", "exit_wave");
+        let window = output.payments().filter(|p| {
+            p.timestamp >= *at
+                && !p.currency.is_xrp()
+                && p.currency != Currency::MTL
+                && p.currency != Currency::CCK
+        });
+        let report = mm_removal_replay(snapshot, &makers[..severed], window);
+        waves.push(ExitWave {
+            makers_severed: severed as u64,
+            offers_stripped: report.offers_stripped as u64,
+            cross_submitted: report.stats.cross_submitted,
+            cross_delivered: report.stats.cross_delivered,
+            single_submitted: report.stats.single_submitted,
+            single_delivered: report.stats.single_delivered,
+        });
+        if severed == makers.len() {
+            return waves;
+        }
+        severed = (severed + per_wave).min(makers.len());
+    }
+}
+
 /// Runs the full liquidity suite over a generated history.
 pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> LiquidityOutcome {
     let state = &output.final_state;
     let probes = payment_probes(&output.cast, config.seed, config.probes);
     let requested_raw: i128 = probes.iter().map(|p| p.amount.raw()).sum();
 
-    // Baseline deliverability and the timed router pass share one router:
-    // the final state is never mutated, so every repeat query is a hit.
+    // The baseline, the oracle sample and the gateway probes share one
+    // router: the final state is never mutated, so every repeat query is
+    // a hit.
     let mut router = Router::new(config.limits);
     let router_timer = Instant::now();
     let delivery = {
@@ -409,9 +516,13 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
 
     let health = currency_health(state);
     let gateways = gateway_health(output, &mut router, config.redeem_holders_per_gateway);
+    // The baseline router's only later use is its statistics: drop it
+    // before the lanes start, so its graphs are not resident beside the
+    // lanes' state copies.
+    let stats = router.stats();
+    drop(router);
 
-    // Gateway insolvency cascade: sever in descending-issuance order on a
-    // single clone, measuring after each wave.
+    // The insolvency cascade severs in descending-issuance order.
     let mut order: Vec<(i128, String, AccountId)> = output
         .cast
         .gateways
@@ -427,72 +538,24 @@ pub fn run_liquidity(output: &SynthOutput, config: &LiquidityConfig) -> Liquidit
         .collect();
     order.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     let order: Vec<AccountId> = order.into_iter().map(|(_, _, account)| account).collect();
-    let mut insolvency_cascade = Vec::new();
-    if config.insolvency_waves > 0 && !order.is_empty() {
-        let mut cascade_state = state.clone();
-        let mut cascade_router = Router::new(config.limits);
-        let per_wave = order.len().div_ceil(config.insolvency_waves);
-        let mut severed = 0usize;
-        while severed < order.len() {
-            let _span = span("liquidity", "insolvency_wave");
-            let next = (severed + per_wave).min(order.len());
-            cascade_state.sever_accounts(&order[severed..next]);
-            severed = next;
-            insolvency_cascade.push(InsolvencyWave {
-                gateways_severed: severed as u64,
-                delivery: measure(&cascade_state, &mut cascade_router, &probes),
-            });
-        }
-    }
 
-    // Trust-line drain: each fraction gets its own drained copy and its
-    // own router.
-    let mut trust_drain = Vec::new();
-    for &percent in &config.drain_percents {
-        let _span = span("liquidity", "drain_point");
-        let drained = drain(state, percent);
-        let mut drain_router = Router::new(config.limits);
-        trust_drain.push(DrainPoint {
-            drain_percent: percent,
-            delivery: measure(&drained, &mut drain_router, &probes),
+    // The campaigns share nothing but read-only inputs: the exit waves run
+    // on this thread, the cascade and then the drain points on one scoped
+    // worker (module docs, "Two lanes").
+    let (mm_exit_waves, (insolvency_cascade, trust_drain)) = std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            (
+                insolvency_cascade(state, &order, config, &probes),
+                trust_drain(state, config, &probes),
+            )
         });
-    }
+        let exits = exit_waves(output, config);
+        let campaigns = worker
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (exits, campaigns)
+    });
 
-    // Market-Maker exit waves: cumulative prefixes of the cast's Market
-    // Makers through the Table II replay. The final wave (all makers)
-    // coincides with `Study::table2`.
-    let mut mm_exit_waves = Vec::new();
-    if let Some((at, snapshot)) = &output.snapshot {
-        let makers = &output.cast.market_makers;
-        if config.exit_waves > 0 && !makers.is_empty() {
-            let per_wave = makers.len().div_ceil(config.exit_waves);
-            let mut severed = per_wave.min(makers.len());
-            loop {
-                let _span = span("liquidity", "exit_wave");
-                let window = output.payments().filter(|p| {
-                    p.timestamp >= *at
-                        && !p.currency.is_xrp()
-                        && p.currency != Currency::MTL
-                        && p.currency != Currency::CCK
-                });
-                let report = mm_removal_replay(snapshot, &makers[..severed], window);
-                mm_exit_waves.push(ExitWave {
-                    makers_severed: severed as u64,
-                    offers_stripped: report.offers_stripped as u64,
-                    cross_submitted: report.stats.cross_submitted,
-                    cross_delivered: report.stats.cross_delivered,
-                    single_submitted: report.stats.single_submitted,
-                    single_delivered: report.stats.single_delivered,
-                });
-                if severed == makers.len() {
-                    break;
-                }
-                severed = (severed + per_wave).min(makers.len());
-            }
-        }
-    }
-
-    let stats = router.stats();
     let report = LiquidityReport {
         accounts: state.account_count() as u64,
         trust_lines: state.trust_lines().count() as u64,

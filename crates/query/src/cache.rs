@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ripple_obs::{LazyCounter, LazyGauge};
 use ripple_store::HistoryEvent;
@@ -103,6 +103,12 @@ impl Default for Shard {
     }
 }
 
+/// Locks one shard.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    // Poison needs a panic under a guard; no critical section here panics.
+    shard.lock().expect("cache shard poisoned")
+}
+
 /// The shard-locked LRU block cache. See the module docs.
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
@@ -140,8 +146,7 @@ impl BlockCache {
     /// the two-tier point-lookup path uses before deciding whether to
     /// decode a whole block or just the frames it needs.
     pub fn get_if_present(&self, id: usize) -> Option<Arc<Block>> {
-        let shard = &self.shards[id % self.shards.len()];
-        let mut guard = shard.lock().expect("cache shard poisoned");
+        let mut guard = lock(&self.shards[id % self.shards.len()]);
         guard.tick += 1;
         let tick = guard.tick;
         if let Some(entry) = guard.map.get_mut(&id) {
@@ -164,8 +169,7 @@ impl BlockCache {
     /// the block has now missed often enough to be worth promoting
     /// (decode fully and [`BlockCache::insert`] it).
     pub fn note_miss(&self, id: usize) -> bool {
-        let shard = &self.shards[id % self.shards.len()];
-        let mut guard = shard.lock().expect("cache shard poisoned");
+        let mut guard = lock(&self.shards[id % self.shards.len()]);
         if guard.touches.len() >= TOUCH_CAP {
             guard.touches.clear();
         }
@@ -184,8 +188,7 @@ impl BlockCache {
     /// coldest-first past the budget. No hit/miss accounting — the probe
     /// that led here already counted.
     pub fn insert(&self, id: usize, block: Arc<Block>) {
-        let shard = &self.shards[id % self.shards.len()];
-        let mut guard = shard.lock().expect("cache shard poisoned");
+        let mut guard = lock(&self.shards[id % self.shards.len()]);
         guard.tick += 1;
         let tick = guard.tick;
         if let Some(entry) = guard.map.get_mut(&id) {
@@ -208,12 +211,14 @@ impl BlockCache {
 
     fn evict_over_budget(guard: &mut Shard, budget: usize) {
         while guard.bytes > budget && guard.map.len() > 1 {
-            let coldest = guard
+            let Some(coldest) = guard
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k)
-                .expect("non-empty map");
+            else {
+                break;
+            };
             if let Some(evicted) = guard.map.remove(&coldest) {
                 guard.bytes -= evicted.block.bytes;
                 if evicted.fresh {
@@ -253,18 +258,12 @@ impl BlockCache {
 
     /// Decoded bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").bytes)
-            .sum()
+        self.shards.iter().map(|s| lock(s).bytes).sum()
     }
 
     /// Blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 }
 

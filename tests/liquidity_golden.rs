@@ -4,6 +4,7 @@
 //! lives only in the separate `perf` section, which this test never
 //! compares.
 
+use ripple_core::crypto::sha512_half;
 use ripple_core::liquidity::{run_liquidity, LiquidityConfig};
 use ripple_core::synth::PipelineConfig;
 use ripple_core::{Generator, SynthConfig};
@@ -28,11 +29,18 @@ fn report_bytes(workers: usize) -> String {
     run_liquidity(&run.output, &liquidity).report.to_json()
 }
 
+/// Besides the relative checks, the golden report is pinned absolutely,
+/// so a change to how the suite schedules or computes its campaigns that
+/// moves one byte fails here. Constant taken at commit 909f674.
 #[test]
 fn liquidity_report_bytes_stable_across_workers_and_repeats() {
     let golden = report_bytes(1);
     assert!(golden.contains("\"experiment\": \"liquidity\""));
     assert!(golden.contains("\"oracle_violations\": 0"));
+    assert_eq!(
+        sha512_half(golden.as_bytes()).to_hex(),
+        "cc780447a8d489554fb096a0c0a83f3dfa85eda4508973a3556786961b030c19"
+    );
     for workers in [2, 8, 1] {
         assert_eq!(
             report_bytes(workers),
