@@ -9,20 +9,14 @@ use std::collections::BTreeMap;
 use ripple_ledger::PaymentRecord;
 
 /// Figure 6(a): number of payment *paths* per intermediate-hop count.
-/// Every parallel path of every multi-hop payment contributes one sample.
+/// Every path with intermediaries contributes one sample
+/// ([`ripple_ledger::PathSummary::hop_counts`]).
 pub fn path_hop_histogram<'a>(
     payments: impl Iterator<Item = &'a PaymentRecord>,
 ) -> BTreeMap<usize, u64> {
     let mut histogram = BTreeMap::new();
-    for p in payments {
-        if !p.paths.is_multi_hop() {
-            continue;
-        }
-        for path in &p.paths.paths {
-            if !path.is_empty() {
-                *histogram.entry(path.len()).or_insert(0) += 1;
-            }
-        }
+    for hops in payments.flat_map(|p| p.paths.hop_counts()) {
+        *histogram.entry(hops).or_insert(0) += 1;
     }
     histogram
 }

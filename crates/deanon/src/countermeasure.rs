@@ -731,6 +731,25 @@ mod tests {
         assert_matches_the_reference(&records, 3, usize::MAX);
     }
 
+    /// The split rewrites senders only: each output record shares its
+    /// input's path table (the same hop addresses), not a copy of it.
+    #[test]
+    fn split_records_share_their_inputs_path_tables() {
+        let records = generated_history(2_000);
+        assert!(records.iter().any(|r| r.paths.is_multi_hop()));
+        let (split, _) =
+            split_wallets(&records, 3, ResolutionSpec::full(), &FeeSchedule::mainnet());
+        for (before, after) in records.iter().zip(&split) {
+            let hops = |r: &PaymentRecord| {
+                r.paths
+                    .paths()
+                    .map(<[AccountId]>::as_ptr)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(hops(before), hops(after));
+        }
+    }
+
     #[test]
     fn empty_history_matches_the_reference() {
         assert_matches_the_reference(&[], 4, 4);

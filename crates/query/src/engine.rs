@@ -311,8 +311,9 @@ impl QueryEngine {
         let offsets = self.postings.account_offsets(account);
         let tail = &offsets[offsets.len().saturating_sub(limit)..];
         // Postings are sorted, so consecutive offsets usually share a
-        // block: resolve the cache once per distinct block and merge the
-        // two sorted sequences, instead of probe + binary search per event.
+        // block: resolve the cache once per distinct block, then find each
+        // offset by binary search among the block's (sorted) events past
+        // the previous one.
         // Cold blocks are not force-decoded: until the admission policy
         // promotes one, only the frames this account needs are decoded.
         let mut i = 0;
@@ -323,9 +324,7 @@ impl QueryEngine {
                     let mut ev = 0usize;
                     while i < tail.len() && tail[i] < end {
                         let offset = tail[i];
-                        while ev < block.events.len() && block.events[ev].0 < offset {
-                            ev += 1;
-                        }
+                        ev += block.events[ev..].partition_point(|(at, _)| *at < offset);
                         if ev >= block.events.len() || block.events[ev].0 != offset {
                             return Err(StoreError::corrupt(format!(
                                 "no frame at offset {offset}"

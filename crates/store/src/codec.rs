@@ -221,15 +221,48 @@ impl<T: Decode + Ord> Decode for BTreeSet<T> {
     }
 }
 
+/// The same bytes as a `Vec<Vec<AccountId>>`: the path count, then each
+/// path's hop count and hops.
 impl Encode for PathSummary {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.paths.encode(out);
+        (self.parallel_paths() as u32).encode(out);
+        for path in self.paths() {
+            encode_seq(path.iter(), out);
+        }
     }
 }
 
 impl Decode for PathSummary {
+    /// Every length is checked against the bytes present before the table
+    /// is allocated, and the table is then written once from the bytes.
     fn decode(buf: &mut &[u8]) -> Result<Self, StoreError> {
-        Ok(PathSummary::from_paths(Vec::decode(buf)?))
+        let count = u32::decode(buf)?;
+        let mut rest = *buf;
+        for _ in 0..count {
+            let hops = u32::decode(&mut rest)? as usize;
+            need(&rest, hops.saturating_mul(20))?;
+            rest.advance(hops * 20);
+        }
+        let (paths, rest) = buf.split_at(buf.len() - rest.len());
+        *buf = rest;
+        Ok(PathSummary::from_path_iters(EncodedPaths(paths)))
+    }
+}
+
+/// Walks validated path bytes (each path a `u32` hop count, then its
+/// hops), yielding each path's accounts.
+#[derive(Clone)]
+struct EncodedPaths<'a>(&'a [u8]);
+
+impl<'a> Iterator for EncodedPaths<'a> {
+    type Item = std::iter::Map<std::slice::Iter<'a, [u8; 20]>, fn(&[u8; 20]) -> AccountId>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (hops, rest) = self.0.split_first_chunk::<4>()?;
+        let (path, rest) = rest.split_at_checked(u32::from_be_bytes(*hops) as usize * 20)?;
+        self.0 = rest;
+        let to_account: fn(&[u8; 20]) -> AccountId = |bytes| AccountId::from_bytes(*bytes);
+        Some(path.as_chunks::<20>().0.iter().map(to_account))
     }
 }
 
@@ -271,6 +304,8 @@ impl Decode for PaymentRecord {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ripple_crypto::sha512_half;
 
     /// Encodes a value to a fresh buffer.
@@ -346,6 +381,97 @@ mod tests {
         // A length prefix of u32::MAX with no data must fail fast.
         let bytes = u32::MAX.to_be_bytes().to_vec();
         assert!(from_bytes::<Vec<u32>>(&bytes).is_err());
+    }
+
+    /// The encoder before the path table: the hop lists as a
+    /// `Vec<Vec<AccountId>>`. The table must write the same bytes.
+    fn encode_hop_lists(paths: &Vec<Vec<AccountId>>) -> Vec<u8> {
+        to_bytes(paths)
+    }
+
+    /// What the decoder before the path table read from `bytes`.
+    fn decode_hop_lists(bytes: &[u8]) -> Option<Vec<Vec<AccountId>>> {
+        from_bytes(bytes).ok()
+    }
+
+    /// Seeded shapes plus the edges: zero paths, empty paths among
+    /// non-empty ones, the 44-hop probe and 8+ parallel paths. The table
+    /// writes the bytes its hop lists wrote. On every truncation of those
+    /// bytes, and on bit flips in their lengths, the table's decoder agrees
+    /// with the hop lists' decoder.
+    #[test]
+    fn path_table_encodes_as_its_hop_lists() {
+        let hops = |from: u8, n: u8| -> Vec<AccountId> {
+            (from..from + n)
+                .map(|i| AccountId::from_bytes([i; 20]))
+                .collect()
+        };
+        let mut shapes: Vec<Vec<Vec<AccountId>>> = vec![
+            vec![],
+            vec![vec![]],
+            vec![vec![], vec![]],
+            vec![hops(1, 2), vec![], hops(3, 1), vec![]],
+            vec![hops(1, 44)],
+            (0..9).map(|i| hops(i * 8, 8)).collect(),
+            (0..12).map(|i| hops(i, i % 3)).collect(),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x9A7B5);
+        for _ in 0..400 {
+            let count = rng.gen_range(0..14);
+            shapes.push(
+                (0..count)
+                    .map(|_| {
+                        let n = rng.gen_range(0..6);
+                        (0..n)
+                            .map(|_| AccountId::from_bytes([rng.gen(); 20]))
+                            .collect()
+                    })
+                    .collect(),
+            );
+        }
+        let table_decode = |bytes: &[u8]| {
+            from_bytes::<PathSummary>(bytes)
+                .ok()
+                .map(|s| s.paths().map(<[AccountId]>::to_vec).collect::<Vec<_>>())
+        };
+        for paths in shapes {
+            let summary = PathSummary::from_paths(&paths);
+            let bytes = to_bytes(&summary);
+            assert_eq!(bytes, encode_hop_lists(&paths), "{paths:?}");
+            assert_eq!(from_bytes::<PathSummary>(&bytes).unwrap(), summary);
+            for cut in 0..bytes.len() {
+                let cut = &bytes[..cut];
+                assert_eq!(table_decode(cut), None);
+                assert_eq!(decode_hop_lists(cut), None);
+            }
+            // Bytes 3 and 7: the low bytes of the path count and of the
+            // first path's hop count.
+            let mut flipped = bytes.clone();
+            for bit in (0..16).filter(|bit| bit / 8 * 4 + 3 < bytes.len()) {
+                let byte = bit / 8 * 4 + 3;
+                flipped[byte] ^= 1 << (bit % 8);
+                assert_eq!(table_decode(&flipped), decode_hop_lists(&flipped));
+                flipped[byte] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// A path length past the bytes left fails before anything is sized
+    /// by it: at 20 bytes a hop, `u32::MAX` hops would ask for ~86 GB, and
+    /// `u32::MAX` paths for a ~17 GB header.
+    #[test]
+    fn path_length_past_the_payload_is_corrupt() {
+        for (count, hops) in [(1u32, u32::MAX), (2, 1), (u32::MAX, 0)] {
+            let mut bytes = Vec::new();
+            count.encode(&mut bytes);
+            hops.encode(&mut bytes);
+            AccountId::from_bytes([7; 20]).encode(&mut bytes);
+            let mut buf = &bytes[..];
+            assert!(
+                PathSummary::decode(&mut buf).is_err(),
+                "{count} paths, {hops} hops"
+            );
+        }
     }
 
     proptest! {

@@ -182,9 +182,9 @@ impl SynthBench {
 /// Analytics tallies accumulated on the sink stage while the history
 /// streams past, so the common figures need no post-hoc full scan.
 /// Histogram semantics mirror `ripple-analytics` exactly:
-/// [`HistoryTallies::hop_histogram`] counts non-empty paths of multi-hop
-/// payments by hop count, [`HistoryTallies::parallel_histogram`] counts
-/// multi-hop payments by parallel-path count.
+/// [`HistoryTallies::hop_histogram`] counts [`PathSummary::hop_counts`],
+/// [`HistoryTallies::parallel_histogram`] counts multi-hop payments by
+/// parallel-path count.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryTallies {
     /// Payment counts per delivered currency (Figure 4).
@@ -209,12 +209,10 @@ impl HistoryTallies {
             .entry(p.currency)
             .or_default()
             .push(p.amount);
+        for hops in p.paths.hop_counts() {
+            *self.hop_histogram.entry(hops).or_insert(0) += 1;
+        }
         if p.paths.is_multi_hop() {
-            for path in &p.paths.paths {
-                if !path.is_empty() {
-                    *self.hop_histogram.entry(path.len()).or_insert(0) += 1;
-                }
-            }
             *self
                 .parallel_histogram
                 .entry(p.paths.parallel_paths())
@@ -638,6 +636,8 @@ struct Executor<'a> {
     treasury: AccountId,
     probe_emitted: bool,
     snapshot: Option<(RippleTime, LedgerState)>,
+    /// The six MTL spam chains' summary: every MTL payment shares it.
+    mtl_paths: PathSummary,
 }
 
 impl<'a> Executor<'a> {
@@ -656,6 +656,9 @@ impl<'a> Executor<'a> {
             treasury,
             probe_emitted: false,
             snapshot: None,
+            mtl_paths: PathSummary::from_path_iters(
+                cast.mtl_chains.iter().map(|chain| chain.iter().copied()),
+            ),
         }
     }
 
@@ -742,17 +745,13 @@ impl<'a> Executor<'a> {
             account: destination,
             timestamp: now,
         });
-        let mut full = Vec::with_capacity(hops.len() + 2);
-        full.push(sender);
-        full.extend_from_slice(&hops);
-        full.push(destination);
-        for pair in full.windows(2) {
+        for (from, to) in hop_pairs(sender, &hops, destination) {
             apply_hop(
                 &mut self.state,
                 events,
                 &self.index.gateway_set,
-                pair[0],
-                pair[1],
+                from,
+                to,
                 currency,
                 amount,
                 now,
@@ -767,7 +766,7 @@ impl<'a> Executor<'a> {
             amount,
             timestamp: now,
             ledger_seq: entry.ledger_seq,
-            paths: PathSummary::from_paths(vec![hops]),
+            paths: PathSummary::from_path_iters(std::iter::once(hops.iter().copied())),
             cross_currency: false,
             source_currency: None,
         })
@@ -862,25 +861,19 @@ impl<'a> Executor<'a> {
             }
             ScriptedBody::Mtl { sink, amount } => {
                 let share = Value::from_raw(amount.raw() / 6);
-                let mut paths = Vec::with_capacity(self.cast.mtl_chains.len());
                 for chain in &self.cast.mtl_chains {
-                    let mut hops = Vec::with_capacity(chain.len() + 2);
-                    hops.push(self.cast.mtl_attacker);
-                    hops.extend_from_slice(chain);
-                    hops.push(*sink);
-                    for pair in hops.windows(2) {
+                    for (from, to) in hop_pairs(self.cast.mtl_attacker, chain, *sink) {
                         apply_hop(
                             &mut self.state,
                             events,
                             &self.index.gateway_set,
-                            pair[0],
-                            pair[1],
+                            from,
+                            to,
                             Currency::MTL,
                             share,
                             now,
                         )?;
                     }
-                    paths.push(chain.clone());
                 }
                 base(
                     self.cast.mtl_attacker,
@@ -888,7 +881,7 @@ impl<'a> Executor<'a> {
                     Currency::MTL,
                     Some(self.cast.mtl_attacker),
                     *amount,
-                    PathSummary::from_paths(paths),
+                    self.mtl_paths.clone(),
                     false,
                     None,
                 )
@@ -906,13 +899,9 @@ impl<'a> Executor<'a> {
                 is_cck: _,
                 paths,
             } => {
-                let mut summary = Vec::with_capacity(paths.len());
                 for path in paths {
-                    let mut full = Vec::with_capacity(path.hops.len() + 2);
-                    full.push(*sender);
-                    full.extend_from_slice(&path.hops);
-                    full.push(*destination);
-                    for (i, pair) in full.windows(2).enumerate() {
+                    for (i, (from, to)) in hop_pairs(*sender, &path.hops, *destination).enumerate()
+                    {
                         let (cur, amt) = if *cross && i <= path.conv_at {
                             (src_currency.unwrap_or(*currency), *src_share)
                         } else {
@@ -922,33 +911,46 @@ impl<'a> Executor<'a> {
                             &mut self.state,
                             events,
                             &self.index.gateway_set,
-                            pair[0],
-                            pair[1],
+                            from,
+                            to,
                             cur,
                             amt,
                             now,
                         )?;
                     }
-                    // Cloned, not moved: a moved list would keep a
-                    // scripting worker's allocation alive for the whole
-                    // run, which measured slower, and the chunk is freed
-                    // whole after its batch reaches the sink (EXPERIMENTS.md,
-                    // "One copy of the history").
-                    summary.push(path.hops.clone());
                 }
+                // The summary copies the hops into one table of its own:
+                // taking the scripted lists would keep a scripting worker's
+                // allocation alive for the whole run, which measured
+                // slower, and the chunk is freed whole after its batch
+                // reaches the sink (EXPERIMENTS.md, "One copy of the
+                // history").
+                let summary =
+                    PathSummary::from_path_iters(paths.iter().map(|p| p.hops.iter().copied()));
                 base(
                     *sender,
                     *destination,
                     *currency,
                     Some(*issuer),
                     *amount,
-                    PathSummary::from_paths(summary),
+                    summary,
                     *cross,
                     cross.then(|| src_currency.unwrap_or(*currency)),
                 )
             }
         })
     }
+}
+
+/// The hops `sender → path[0] → … → destination`, in order, walked
+/// without building the chain.
+fn hop_pairs(
+    sender: AccountId,
+    path: &[AccountId],
+    destination: AccountId,
+) -> impl Iterator<Item = (AccountId, AccountId)> + '_ {
+    let to = path.iter().copied().chain(std::iter::once(destination));
+    std::iter::once(sender).chain(path.iter().copied()).zip(to)
 }
 
 /// The fused hop fast path: guarantees that the hop `from -> to` can carry
