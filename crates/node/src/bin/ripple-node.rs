@@ -17,12 +17,13 @@
 //! control `Shutdown` frame arrives; 2 on bad usage.
 //!
 //! `--admin ADDR` switches the telemetry plane on: metrics recording, the
-//! crash flight recorder, round tracing, and an admin HTTP endpoint
-//! (`/health`, `/metrics`, `/timeseries`, `/trace`, `/flight`) served
-//! from the node's own poll loop. On panic or clean exit the flight ring
-//! is dumped to `--flight PATH` (default `FLIGHT_<id>.json`) — the
-//! postmortem record of the node's final rounds. Without `--admin` the
-//! node runs uninstrumented (the baseline for overhead comparisons).
+//! trace ring (round spans and per-round notes), and an admin HTTP
+//! endpoint (`/health`, `/metrics`, `/timeseries`, `/trace`, `/flight`)
+//! served from the node's own poll loop. On panic or clean exit the
+//! ring's newest events are dumped to `--flight PATH` (default
+//! `FLIGHT_<id>.json`) — the postmortem record of the node's final
+//! rounds. Without `--admin` the node runs uninstrumented (the baseline
+//! for overhead comparisons).
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -130,10 +131,9 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| PathBuf::from(format!("FLIGHT_{id}.json")));
     if args.admin.is_some() {
         metrics::set_enabled(true);
-        flight::arm(0);
         trace::enable(0);
-        // The flight ring must survive the panic itself: the hook snapshots
-        // it after unwinding bookkeeping is already torn.
+        // The flight dump must survive the panic itself: the hook snapshots
+        // the ring after unwinding bookkeeping is already torn.
         let panic_path = flight_path.clone();
         let node_name = id.to_string();
         let default_hook = std::panic::take_hook();

@@ -18,8 +18,10 @@
 //! skew + one-way delay. The probe resolves each event to corrected
 //! absolute nanoseconds at collection time (`anchor - skew/2 + ts_ns`),
 //! so events from a process that was killed and restarted (new epoch, new
-//! cursor) still land on one shared timeline. [`merge_cluster_trace`]
-//! then emits a single `chrome://tracing` document with one process lane
+//! cursor) still land on one shared timeline. The anchor is fixed for a
+//! process's life, so the probe keys its `/trace` cursor to it: a new
+//! anchor is a new process, whose ring it reads from 0.
+//! [`merge_cluster_trace`] then emits a single `chrome://tracing` document with one process lane
 //! per validator.
 
 use std::collections::BTreeMap;
@@ -159,10 +161,10 @@ pub struct ProbeSummary {
     /// node keeps accruing gaps at the backed-off cadence — the gap *is*
     /// the telemetry.
     pub gaps: u64,
-    /// Events that advanced past our cursor between polls (ring overtook
-    /// the poll cadence).
+    /// Events the node's ring overwrote before this probe read them (the
+    /// ring overtook the poll cadence).
     pub lost: u64,
-    /// Ring-full drops reported by the node itself.
+    /// Events the node's ring has overwritten in all, as it reports them.
     pub dropped: u64,
     /// The node's trace epoch as Unix ms, once a `/health` probe landed.
     pub anchor_unix_ms: Option<u64>,
@@ -187,6 +189,8 @@ pub struct NodeProbe {
     /// Run summary (gaps, anchors, round metrics, ...).
     pub summary: ProbeSummary,
     cursor: u64,
+    /// The anchor of the process `cursor` belongs to.
+    cursor_anchor: Option<u64>,
     next_poll: Option<Instant>,
     interval: Duration,
     backoff: Duration,
@@ -203,6 +207,7 @@ impl NodeProbe {
             flight: None,
             summary: ProbeSummary::default(),
             cursor: 0,
+            cursor_anchor: None,
             next_poll: None,
             interval,
             backoff: interval,
@@ -230,7 +235,7 @@ impl NodeProbe {
     }
 
     /// One immediate poll cycle regardless of cadence: `/health` (clock
-    /// anchor + skew), `/trace` (incremental drain), `/flight` and
+    /// anchor + skew), `/trace` (spans since our cursor), `/flight` and
     /// `/metrics` snapshots. Returns `true` on full success.
     pub fn poll_now(&mut self, timeout: Duration) -> bool {
         PROBE_POLLS.add(1);
@@ -268,18 +273,18 @@ impl NodeProbe {
     }
 
     fn fetch_trace(&mut self, timeout: Duration) -> bool {
+        if self.cursor_anchor != self.summary.anchor_unix_ms {
+            // A new anchor is a new process: its ring numbers from 0.
+            self.cursor = 0;
+            self.cursor_anchor = self.summary.anchor_unix_ms;
+        }
         let path = format!("/trace?cursor={}", self.cursor);
         let Ok(body) = http_get(self.addr, &path, timeout) else {
             return false;
         };
         let Ok(doc) = parse(&body) else { return false };
-        let next = doc.get("cursor").and_then(Value::as_u64).unwrap_or(0);
-        if next >= self.cursor {
-            // A fresh incarnation restarts its cursor from zero; the gap
-            // it would report against our stale cursor is not real loss.
-            self.summary.lost += doc.get("lost").and_then(Value::as_u64).unwrap_or(0);
-        }
-        self.cursor = next;
+        self.cursor = doc.get("cursor").and_then(Value::as_u64).unwrap_or(0);
+        self.summary.lost += doc.get("lost").and_then(Value::as_u64).unwrap_or(0);
         self.summary.dropped = doc.get("dropped").and_then(Value::as_u64).unwrap_or(0);
         let Some(anchor_ms) = self.corrected_anchor_ms() else {
             return false;
@@ -605,5 +610,65 @@ mod tests {
         assert_eq!(probe.summary.polls_ok, 0);
         // Immediately after, the probe is not due again (backoff).
         assert!(!probe.poll_due(Instant::now(), Duration::from_millis(200)));
+    }
+
+    #[test]
+    fn a_restarted_node_is_read_from_its_first_event() {
+        use ripple_obs::http::{query_param, serve, Request, Response};
+        use ripple_obs::trace::{chunk_json, TraceChunk, TraceEvent};
+        use std::sync::{Arc, Mutex};
+        // The process behind the endpoint: its trace anchor and how many
+        // round spans its ring holds (sequence number i is round i).
+        let process = Arc::new(Mutex::new((1_000u64, 3u64)));
+        let state = process.clone();
+        let server = serve("127.0.0.1:0", "fake-node", move |req: &Request| {
+            let (anchor, held) = *state.lock().expect("state");
+            match req.path.as_str() {
+                "/health" => Response::json(format!("{{\"trace_epoch_unix_ms\": {anchor}}}")),
+                "/trace" => {
+                    let cursor = query_param(&req.query, "cursor").and_then(|c| c.parse().ok());
+                    let from = cursor.filter(|&c| c <= held).unwrap_or(0);
+                    let events = (from..held)
+                        .map(|round| TraceEvent {
+                            name: "round",
+                            cat: "node",
+                            ts_ns: round * 1_000,
+                            dur_ns: 10,
+                            tid: 1,
+                            depth: 1,
+                            id: Some(round),
+                            note: None,
+                        })
+                        .collect();
+                    Response::json(chunk_json(&TraceChunk {
+                        events,
+                        cursor: held,
+                        lost: 0,
+                        dropped: 0,
+                    }))
+                }
+                "/metrics" => Response::json("{\"histograms\": {}}".to_string()),
+                _ => Response::json("{}".to_string()),
+            }
+        })
+        .expect("serve");
+        let mut probe = NodeProbe::new(0, server.addr(), Duration::from_millis(10));
+        assert!(probe.poll_now(Duration::from_secs(2)));
+        // Killed and restarted: the new process has already recorded more
+        // events than the old one handed out as our cursor.
+        *process.lock().expect("state") = (2_000, 5);
+        assert!(probe.poll_now(Duration::from_secs(2)));
+        let seen: Vec<(u64, Option<u64>)> = probe
+            .events
+            .iter()
+            .map(|e| (e.unix_ns / 1_000_000, e.round))
+            .collect();
+        let expected: Vec<(u64, Option<u64>)> = (0..3)
+            .map(|r| (1_000, Some(r)))
+            .chain((0..5).map(|r| (2_000, Some(r))))
+            .collect();
+        assert_eq!(seen, expected);
+        assert_eq!(probe.summary.lost, 0);
+        server.shutdown();
     }
 }

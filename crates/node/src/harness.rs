@@ -20,7 +20,7 @@
 //! When [`ClusterConfig::instrument`] is on (the default), every child
 //! also gets `--admin`/`--flight`: the harness round-robins one
 //! [`NodeProbe`](crate::cluster_trace::NodeProbe) per validator over the
-//! admin HTTP plane — incremental `/trace` drains, `/health` clock
+//! admin HTTP plane — cursor reads of `/trace`, `/health` clock
 //! anchors, `/flight` crash snapshots, `/metrics` round histograms —
 //! with hard per-request deadlines so an unreachable endpoint costs a
 //! recorded gap, never a stall. A `kill -9` victim's last `/flight`
@@ -563,7 +563,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> std::io::Result<ClusterReport> {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Final telemetry drain while survivors are still serving: one
+    // Final telemetry poll while survivors are still serving: one
     // immediate bounded poll cycle per probe (nodes that already exited
     // just record one more gap).
     for probe in &mut probes {

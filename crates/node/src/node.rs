@@ -628,7 +628,7 @@ impl Node {
             ROUNDS_COMMITTED.add(1);
         }
         // Close the round's span (records its wall-clock duration) and
-        // leave a postmortem breadcrumb in the flight ring.
+        // leave a postmortem breadcrumb in the trace ring (the flight dump shows it).
         self.round_spans.remove(&round);
         flight::note(
             "node",

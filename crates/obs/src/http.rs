@@ -420,10 +420,11 @@ fn percent_decode(s: &str) -> String {
 /// * `GET /metrics` — full registry snapshot (collector health published
 ///   into the gauges first, so `/metrics` always shows
 ///   `obs.trace.dropped`);
-/// * `GET /trace?cursor=N` — incremental drain of the trace ring from
-///   `N` (default 0) without stopping collection, as integer-only JSON
-///   with the next cursor;
-/// * `GET /flight` — the current flight-recorder contents (reason
+/// * `GET /trace?cursor=N` — the spans recorded from sequence `N`
+///   (default 0) on, as integer-only JSON with the next cursor and how
+///   many were overwritten before this reader saw them; nothing is
+///   consumed, so every client keeps its own cursor;
+/// * `GET /flight` — the newest events as a flight document (reason
 ///   `"live"`), same schema as a crash dump.
 pub fn admin_response(node: &str, req: &Request) -> Option<Response> {
     match req.path.as_str() {
@@ -439,15 +440,16 @@ pub fn admin_response(node: &str, req: &Request) -> Option<Response> {
                     Err(_) => return Some(Response::error(400, "invalid cursor")),
                 },
             };
-            let chunk = crate::trace::drain_from(cursor);
+            let (events, cursor, lost) = crate::trace::read_from(cursor);
+            let chunk = crate::trace::TraceChunk {
+                events: crate::trace::spans(events),
+                cursor,
+                lost,
+                dropped: crate::trace::dropped(),
+            };
             Some(Response::json(crate::trace::chunk_json(&chunk)))
         }
-        "/flight" => {
-            let (entries, evicted) = crate::flight::contents();
-            Some(Response::json(crate::flight::to_json(
-                node, "live", &entries, evicted,
-            )))
-        }
+        "/flight" => Some(Response::json(crate::flight::render(node, "live").0)),
         _ => None,
     }
 }
@@ -551,6 +553,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+    use crate::trace::tests::with_tracer;
     use std::io::BufRead;
 
     fn echo_server() -> HttpServer {
@@ -754,5 +758,159 @@ mod tests {
         assert_eq!(served, 1);
         let response = client.join().unwrap();
         assert!(response.contains("\"ok\": true"), "{response}");
+    }
+
+    /// Routes one request head through the shared admin routes.
+    fn admin_head(head: &str) -> Response {
+        route(head, &mut |req: &Request| {
+            admin_response("t", req).unwrap_or_else(|| Response::error(404, "no such endpoint"))
+        })
+    }
+
+    fn admin_get(target: &str) -> Response {
+        admin_head(&format!("GET {target} HTTP/1.1\r\nHost: t"))
+    }
+
+    /// One `/trace` read: the next cursor, `lost`, and each span's round.
+    fn read_trace(cursor: u64) -> (u64, u64, Vec<u64>) {
+        let response = admin_get(&format!("/trace?cursor={cursor}"));
+        assert_eq!(response.status, 200, "{}", response.body);
+        let doc = crate::json::parse(&response.body).expect("trace body parses");
+        let field = |k: &str| doc.get(k).and_then(Value::as_u64).expect(k);
+        let events = doc.get("events").and_then(Value::as_arr).expect("events");
+        let rounds = events
+            .iter()
+            .map(|e| e.get("round").and_then(Value::as_u64).expect("round"))
+            .collect();
+        (field("cursor"), field("lost"), rounds)
+    }
+
+    /// One round-tagged span per round.
+    fn emit(rounds: std::ops::Range<u64>) {
+        for round in rounds {
+            let _span = crate::trace::span_round("test", "tick", round);
+        }
+    }
+
+    #[test]
+    fn two_interleaved_trace_readers_each_see_every_event() {
+        with_tracer(|| {
+            crate::trace::enable(64);
+            emit(0..2);
+            let (a, _, mut seen_a) = read_trace(0);
+            emit(2..3);
+            let (b, _, mut seen_b) = read_trace(0);
+            emit(3..5);
+            let (a, lost_a, rest) = read_trace(a);
+            seen_a.extend(rest);
+            let (b, lost_b, rest) = read_trace(b);
+            seen_b.extend(rest);
+            assert_eq!(seen_a, [0, 1, 2, 3, 4]);
+            assert_eq!(seen_b, [0, 1, 2, 3, 4]);
+            assert_eq!((a, b, lost_a, lost_b), (5, 5, 0, 0));
+        });
+    }
+
+    #[test]
+    fn a_reader_behind_the_ring_gets_the_exact_lost_count() {
+        with_tracer(|| {
+            crate::trace::enable(4);
+            emit(0..6);
+            assert_eq!(read_trace(0), (6, 2, vec![2, 3, 4, 5]));
+            assert_eq!(read_trace(3), (6, 0, vec![3, 4, 5]));
+            emit(6..9);
+            assert_eq!(read_trace(6), (9, 0, vec![6, 7, 8]));
+            assert_eq!(read_trace(4), (9, 1, vec![5, 6, 7, 8]));
+        });
+    }
+
+    #[test]
+    fn a_cursor_past_the_head_reads_from_the_oldest_held_event() {
+        with_tracer(|| {
+            crate::trace::enable(4);
+            emit(0..6);
+            // A cursor handed out by an earlier process (a restarted node).
+            assert_eq!(read_trace(100), (6, 2, vec![2, 3, 4, 5]));
+            assert_eq!(read_trace(u64::MAX), (6, 2, vec![2, 3, 4, 5]));
+        });
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// The contract for any request head: no panic, a known status, a JSON
+    /// body, and a 400 exactly when a `/trace` cursor is not a `u64`.
+    fn check_head(bytes: &[u8]) -> u16 {
+        let head = String::from_utf8_lossy(bytes);
+        let response = admin_head(&head);
+        assert!(
+            matches!(response.status, 200 | 400 | 404 | 405),
+            "{} for {head:?}",
+            response.status
+        );
+        assert!(crate::json::parse(&response.body).is_ok(), "{head:?}");
+        let mut parts = head.lines().next().unwrap_or("").split_whitespace();
+        if let (Some("GET"), Some(target)) = (parts.next(), parts.next()) {
+            let (path, query) = target.split_once('?').unwrap_or((target, ""));
+            if path == "/trace" {
+                let bad = query_param(query, "cursor").is_some_and(|c| c.parse::<u64>().is_err());
+                assert_eq!(response.status == 400, bad, "{head:?}");
+            }
+        }
+        response.status
+    }
+
+    #[test]
+    fn admin_routes_are_total_on_hostile_heads() {
+        with_tracer(|| {
+            crate::trace::enable(8);
+            emit(0..3);
+            let mut state = 0x0B5_F022_u64;
+            for _ in 0..2_000 {
+                let len = (xorshift(&mut state) % 48) as usize;
+                let junk: Vec<u8> = (0..len).map(|_| xorshift(&mut state) as u8).collect();
+                check_head(&junk);
+            }
+            let valid = b"GET /trace?cursor=2 HTTP/1.1\r\nHost: t";
+            assert_eq!(check_head(valid), 200);
+            for cut in 0..=valid.len() {
+                check_head(&valid[..cut]);
+            }
+            let mut flipped = valid.to_vec();
+            for bit in 0..valid.len() * 8 {
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                check_head(&flipped);
+                flipped[bit / 8] ^= 1 << (bit % 8);
+            }
+            for (cursor, status) in [
+                ("18446744073709551615", 200),
+                ("-1", 400),
+                ("99999999999999999999", 400),
+                ("", 400),
+            ] {
+                let head = format!("GET /trace?cursor={cursor} HTTP/1.1");
+                assert_eq!(check_head(head.as_bytes()), status, "cursor {cursor:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn every_truncated_trace_and_flight_body_is_refused() {
+        with_tracer(|| {
+            crate::trace::enable(8);
+            emit(0..3);
+            crate::flight::note("test", "mark", Some(3), &[("delta", -1)]);
+            for body in [admin_get("/trace?cursor=0").body, admin_get("/flight").body] {
+                let end = body.rfind('}').expect("an object body") + 1;
+                for cut in 0..=body.len() {
+                    let parsed = crate::json::parse(&body[..cut]);
+                    assert_eq!(parsed.is_ok(), cut >= end, "cut at {cut} of {body}");
+                }
+            }
+        });
     }
 }

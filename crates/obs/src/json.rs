@@ -404,7 +404,7 @@ impl Parser<'_> {
             .ok_or_else(|| "unexpected end of document".to_string())
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek()? == b {
             self.pos += 1;
             Ok(())
@@ -470,6 +470,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
+        // The loop above consumed only ASCII digits and `.eE+-`, so the slice is UTF-8.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         if fractional {
             text.parse::<f64>()
@@ -483,7 +484,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
@@ -541,7 +542,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         if self.peek()? == b']' {
             self.pos += 1;
@@ -561,7 +562,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         if self.peek()? == b'}' {
             self.pos += 1;
@@ -570,7 +571,7 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            self.expect(b':')?;
+            self.eat(b':')?;
             fields.push((key, self.value()?));
             match self.peek()? {
                 b',' => self.pos += 1,

@@ -5,15 +5,16 @@
 //! * [`metrics`] — a global registry of lock-free sharded counters, gauges
 //!   and log-bucketed histograms (p50/p90/p99/max readout), snapshotable to
 //!   a deterministic, alphabetically-ordered JSON document;
-//! * [`trace`] — thread-local span tracing with monotonic timing and a
-//!   bounded ring collector supporting both one-shot drains and cursor-based
-//!   incremental reads, exportable as a `chrome://tracing` /
-//!   Perfetto-loadable trace-event JSON file;
+//! * [`trace`] — thread-local span tracing with monotonic timing into one
+//!   fixed-capacity, overwrite-oldest ring of sequence-numbered events that
+//!   nothing drains: every reader holds its own cursor, and the end-of-run
+//!   export is a `chrome://tracing` / Perfetto-loadable trace-event JSON
+//!   file;
 //! * [`timeseries`] — ring-buffered windowed readouts of registry metrics
 //!   (per-window rates, sliding percentiles, window high-water gauges),
 //!   ticked cheaply from a poll loop and served live over `/timeseries`;
-//! * [`flight`] — an always-on bounded crash flight recorder of recent
-//!   spans and counter-delta notes, dumped as byte-stable
+//! * [`flight`] — the crash flight recorder: counter-delta notes into the
+//!   same ring, and its newest spans and notes dumped as byte-stable
 //!   `FLIGHT_<node>.json` on panic, invariant violation, or shutdown;
 //! * [`http`] — the shared hand-rolled HTTP/1.1 admin/query server
 //!   (keep-alive, GET-only, pollable from an event loop or threaded);
@@ -24,10 +25,11 @@
 //!   schemas stay byte-stable.
 //!
 //! Instrumentation is compiled in everywhere but costs one relaxed atomic
-//! load per site while disabled; [`metrics::set_enabled`],
-//! [`trace::enable`] and [`flight::arm`] switch recording on (the
-//! `experiments` binary does so under `--metrics` / `--trace`, and
-//! `ripple-node` under `--admin`).
+//! load per site while disabled; [`metrics::set_enabled`] and
+//! [`trace::enable`] switch recording on (the `experiments` binary does so
+//! under `--metrics` / `--trace`, and `ripple-node` under `--admin`).
+//! There is no separate flight switch: the flight recorder reads the trace
+//! ring.
 //!
 //! # Examples
 //!

@@ -1,77 +1,84 @@
-//! Span tracing with bounded collection and `chrome://tracing` export.
+//! Span tracing into one overwrite-oldest event ring, read by cursor, with
+//! `chrome://tracing` export.
 //!
 //! A [`Span`] is an RAII guard: [`span`] stamps a monotonic start time and
-//! bumps this thread's span-stack depth, and dropping the guard emits one
-//! *complete* trace event (start, duration, thread, depth, optional round
-//! id) into a bounded ring. The hot path takes no locks while tracing is
-//! disabled — just one relaxed atomic load — and when enabled does one
-//! `Instant` read at each end plus a short mutex-guarded push; if the ring
-//! is full the event is counted in [`dropped`] and discarded rather than
-//! blocking the traced code.
+//! bumps this thread's span-stack depth, and dropping the guard appends one
+//! *complete* event (start, duration, thread, depth, optional round id) to
+//! a fixed-capacity ring; [`crate::flight::note`] appends the other kind of
+//! event, a note with named values. A disabled span site costs one relaxed
+//! atomic load; an enabled one reads `Instant` at each end and takes a short
+//! mutex to push. A full ring overwrites its oldest event, so the traced
+//! code never blocks and the newest events are always held.
 //!
-//! Two consumption modes:
+//! Every event gets a sequence number and nothing drains the ring: each
+//! reader keeps its own cursor and calls [`read_from`], which also says how
+//! many events were overwritten before that reader saw them. The readers:
 //!
-//! * [`drain`] stops tracing and collects every buffered event (the
-//!   end-of-run `--trace PATH` path, via [`export`]);
-//! * [`drain_from`] consumes buffered events *without* stopping tracing and
-//!   returns a cursor for the next call — the incremental mode behind the
-//!   live `/trace` admin endpoint, where a harness polls a running node.
+//! * `GET /trace?cursor=N` ([`crate::http::admin_response`]) — one cursor
+//!   per client, so a second client steals nothing from the first;
+//! * [`drain`] / [`export`] — stop tracing and read from 0 (the end-of-run
+//!   `--trace PATH` file);
+//! * [`crate::flight`] — the newest events as a crash dump.
 //!
-//! [`to_chrome_json`] serializes events in the Trace Event Format that both
+//! [`to_chrome_json`] serializes spans in the Trace Event Format that both
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load directly.
-//! Timestamps are microseconds with nanosecond fractions, relative to the
-//! first [`enable`] call, and thread ids are small integers assigned in
-//! thread-creation order.
-//!
-//! When the [`crate::flight`] recorder is armed, spans are mirrored into
-//! its always-on ring even while tracing proper is disabled, so a crash
-//! postmortem has the last rounds' spans without paying for full tracing.
+//! Timestamps are nanoseconds since the process's trace epoch, whose Unix
+//! anchor ([`epoch_unix_ms`]) is taken once, and thread ids are small
+//! integers assigned in first-span order.
 
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::escape_into;
 use crate::metrics::LazyGauge;
 
-/// Default bounded-ring capacity (events buffered before drops begin).
+/// Default ring capacity (events held before the oldest is overwritten).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// One completed span.
+/// One ring event: a completed span, or a note when `note` is set.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Span name (e.g. `script_chunk`).
+    /// Span name (e.g. `script_chunk`) or note label (e.g. `round`).
     pub name: &'static str,
     /// Category — the emitting layer (e.g. `synth`, `node`).
     pub cat: &'static str,
-    /// Start, in nanoseconds since the tracing epoch.
+    /// Start (a note's moment), in nanoseconds since the tracing epoch.
     pub ts_ns: u64,
-    /// Duration in nanoseconds.
+    /// Duration in nanoseconds (0 for a note).
     pub dur_ns: u64,
     /// Small per-thread id, assigned in first-span order.
     pub tid: u64,
-    /// Depth on the emitting thread's span stack (1 = outermost).
+    /// Depth on the emitting thread's span stack (1 = outermost span).
     pub depth: u32,
-    /// Optional tag — consensus round id for node spans.
+    /// Optional tag — consensus round id for node events.
     pub id: Option<u64>,
+    /// A note's named values (counter deltas, outcomes); `None` for a span.
+    pub note: Option<Box<[(&'static str, i64)]>>,
 }
 
-/// Bounded event storage with a monotone accept counter, so incremental
-/// consumers can detect how far the stream has advanced between polls.
+/// The fixed-capacity ring with its monotone sequence counter.
 struct Ring {
     buf: VecDeque<TraceEvent>,
     capacity: usize,
-    /// Sequence number of the next accepted event; `next_seq - buf.len()`
-    /// is the sequence of the oldest buffered one.
+    /// Sequence number of the next event.
     next_seq: u64,
 }
 
+impl Ring {
+    /// Sequence number of the oldest held event — also the number of
+    /// events overwritten so far.
+    fn oldest(&self) -> u64 {
+        self.next_seq - self.buf.len() as u64
+    }
+}
+
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static RING: Mutex<Option<Ring>> = Mutex::new(None);
 
@@ -80,31 +87,44 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// The instant all trace timestamps are measured from (first [`enable`] or
-/// first flight-armed span).
-pub(crate) fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+fn ring() -> MutexGuard<'static, Option<Ring>> {
+    RING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The trace epoch expressed as Unix wall-clock milliseconds (±1 ms): the
-/// anchor a cluster harness uses to translate this process's
-/// monotonic `ts_ns` values into cluster time when merging traces from
-/// many processes.
+/// The trace epoch and its Unix wall-clock anchor in ms, taken together
+/// once, on first use.
+fn epoch() -> &'static (Instant, u64) {
+    static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
+    EPOCH.get_or_init(|| {
+        let unix_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_millis().min(u128::from(u64::MAX)) as u64)
+            .unwrap_or(0);
+        (Instant::now(), unix_ms)
+    })
+}
+
+/// Nanoseconds from the trace epoch to `t`.
+pub(crate) fn since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(epoch().0)
+        .as_nanos()
+        .min(u128::from(u64::MAX)) as u64
+}
+
+/// The trace epoch as Unix wall-clock milliseconds: the anchor a cluster
+/// harness uses to translate this process's `ts_ns` values into cluster
+/// time. Stored once, so every call in a process returns the same value.
 pub fn epoch_unix_ms() -> u64 {
-    let elapsed = epoch().elapsed().as_millis();
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| {
-            d.as_millis()
-                .saturating_sub(elapsed)
-                .min(u128::from(u64::MAX)) as u64
-        })
-        .unwrap_or(0)
+    epoch().1
 }
 
-/// Starts collecting spans into a bounded ring of `capacity` events
-/// (0 selects [`DEFAULT_CAPACITY`]). Resets the dropped-event counter.
+/// This thread's small id and current span-stack depth.
+pub(crate) fn here() -> (u64, u32) {
+    (TID.with(|t| *t), DEPTH.with(Cell::get))
+}
+
+/// Starts recording into a fresh ring of `capacity` events (0 selects
+/// [`DEFAULT_CAPACITY`]), numbered from 0.
 pub fn enable(capacity: usize) {
     let capacity = if capacity == 0 {
         DEFAULT_CAPACITY
@@ -112,8 +132,7 @@ pub fn enable(capacity: usize) {
         capacity
     };
     epoch();
-    DROPPED.store(0, Ordering::Relaxed);
-    *RING.lock().unwrap_or_else(|e| e.into_inner()) = Some(Ring {
+    *ring() = Some(Ring {
         buf: VecDeque::with_capacity(capacity.min(1024)),
         capacity,
         next_seq: 0,
@@ -121,102 +140,107 @@ pub fn enable(capacity: usize) {
     TRACE_ON.store(true, Ordering::Relaxed);
 }
 
-/// Whether spans are currently being collected (one relaxed load).
+/// Whether events are being recorded (one relaxed load).
 #[inline]
 pub fn enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
 }
 
-/// Events discarded because the ring was full since the last [`enable`].
+/// Events overwritten since the last [`enable`].
 pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    ring().as_ref().map_or(0, Ring::oldest)
 }
 
-fn sort_events(events: &mut [TraceEvent]) {
-    events.sort_by(|a, b| {
-        (a.ts_ns, std::cmp::Reverse(a.dur_ns), a.tid).cmp(&(
-            b.ts_ns,
-            std::cmp::Reverse(b.dur_ns),
-            b.tid,
-        ))
-    });
-}
-
-/// Stops tracing and returns every buffered event, ordered by start time
-/// (ties: longer spans — enclosing ones — first, then thread id).
-pub fn drain() -> Vec<TraceEvent> {
-    TRACE_ON.store(false, Ordering::Relaxed);
-    let ring = RING.lock().unwrap_or_else(|e| e.into_inner()).take();
-    let mut events: Vec<TraceEvent> = match ring {
-        Some(ring) => ring.buf.into_iter().collect(),
-        None => Vec::new(),
-    };
-    sort_events(&mut events);
-    events
-}
-
-/// One incremental consumption of the trace ring (see [`drain_from`]).
-#[derive(Debug, Default)]
-pub struct TraceChunk {
-    /// The consumed events, in start-time order.
-    pub events: Vec<TraceEvent>,
-    /// Cursor to pass to the next [`drain_from`] call.
-    pub cursor: u64,
-    /// Events that advanced past `cursor` before this call could observe
-    /// them (another consumer raced, or the caller's cursor was stale).
-    pub lost: u64,
-    /// Ring-full drops since [`enable`] (monotone, not a delta).
-    pub dropped: u64,
-}
-
-/// Consumes the events currently buffered *without* stopping tracing and
-/// returns them with a cursor for the next call. `cursor` should be `0` on
-/// the first call and the previous chunk's `cursor` afterwards; a gap
-/// between the two shows up as `lost`. This is the live `/trace` endpoint's
-/// read path.
-pub fn drain_from(cursor: u64) -> TraceChunk {
-    let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(ring) = guard.as_mut() else {
-        return TraceChunk {
-            cursor,
-            dropped: dropped(),
-            ..TraceChunk::default()
-        };
-    };
-    let base = ring.next_seq - ring.buf.len() as u64;
-    let mut events: Vec<TraceEvent> = ring.buf.drain(..).collect();
-    let next = ring.next_seq;
-    drop(guard);
-    sort_events(&mut events);
-    TraceChunk {
-        events,
-        cursor: next,
-        lost: base.saturating_sub(cursor),
-        dropped: dropped(),
+/// Appends `event`, overwriting the oldest one when the ring is full.
+pub(crate) fn record(event: TraceEvent) {
+    if let Some(ring) = ring().as_mut() {
+        if ring.buf.len() == ring.capacity {
+            ring.buf.pop_front();
+        }
+        ring.buf.push_back(event);
+        ring.next_seq += 1;
     }
 }
 
+/// Reads, without consuming anything, every held event from sequence `seq`
+/// on, oldest first. Returns the events, the cursor for the next read, and
+/// how many events from `seq` on were overwritten before this read. A `seq`
+/// past the head belongs to an earlier ring (a restarted process or a fresh
+/// [`enable`]), so the read starts from the oldest held event.
+pub fn read_from(seq: u64) -> (Vec<TraceEvent>, u64, u64) {
+    let guard = ring();
+    let Some(ring) = guard.as_ref() else {
+        return (Vec::new(), 0, 0);
+    };
+    let from = if seq > ring.next_seq { 0 } else { seq };
+    let skip = from.saturating_sub(ring.oldest()) as usize;
+    let events = ring.buf.range(skip..).cloned().collect();
+    (events, ring.next_seq, ring.oldest().saturating_sub(from))
+}
+
+/// The newest `n` held events, oldest first, and how many events came
+/// before them.
+pub(crate) fn newest(n: usize) -> (Vec<TraceEvent>, u64) {
+    let guard = ring();
+    let Some(ring) = guard.as_ref() else {
+        return (Vec::new(), 0);
+    };
+    let skip = ring.buf.len().saturating_sub(n);
+    let events = ring.buf.range(skip..).cloned().collect();
+    (events, ring.oldest() + skip as u64)
+}
+
+/// The spans among `events` (notes left out), ordered by start time (ties:
+/// longer spans — enclosing ones — first, then thread id).
+pub(crate) fn spans(mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    events.retain(|e| e.note.is_none());
+    events.sort_by_key(|e| (e.ts_ns, Reverse(e.dur_ns), e.tid));
+    events
+}
+
+/// Stops tracing and returns every held span from sequence 0 on, ordered
+/// by start time (ties: enclosing spans first, then thread id). The ring
+/// goes with it.
+pub fn drain() -> Vec<TraceEvent> {
+    TRACE_ON.store(false, Ordering::Relaxed);
+    let events = ring().take().map_or_else(Vec::new, |r| r.buf.into());
+    spans(events)
+}
+
+/// One `/trace` read (see [`read_from`]).
+#[derive(Debug, Default)]
+pub struct TraceChunk {
+    /// The spans read, in start-time order.
+    pub events: Vec<TraceEvent>,
+    /// Cursor to pass to the next read.
+    pub cursor: u64,
+    /// Events overwritten before this reader saw them.
+    pub lost: u64,
+    /// Events overwritten since [`enable`] (monotone, not a delta).
+    pub dropped: u64,
+}
+
 /// Publishes collector health into the metrics registry (gauges
-/// `obs.trace.dropped`, `obs.trace.buffered`, `obs.trace.accepted`), so
-/// `RUN_METRICS.json` and the `/metrics` endpoint surface bounded-ring
-/// backpressure instead of it staying invisible unless a caller remembers
-/// to ask [`dropped`]. No-op while metrics recording is disabled.
+/// `obs.trace.dropped` — events overwritten, `obs.trace.buffered` and
+/// `obs.trace.accepted`), so `RUN_METRICS.json` and the `/metrics`
+/// endpoint show a ring too small for its run. No-op while metrics
+/// recording is disabled.
 pub fn publish_health() {
     static TRACE_DROPPED: LazyGauge = LazyGauge::new("obs.trace.dropped");
     static TRACE_BUFFERED: LazyGauge = LazyGauge::new("obs.trace.buffered");
     static TRACE_ACCEPTED: LazyGauge = LazyGauge::new("obs.trace.accepted");
-    let (buffered, accepted) = match &*RING.lock().unwrap_or_else(|e| e.into_inner()) {
-        Some(ring) => (ring.buf.len() as i64, ring.next_seq as i64),
-        None => (0, 0),
+    let (dropped, buffered, accepted) = match ring().as_ref() {
+        Some(ring) => (ring.oldest(), ring.buf.len() as u64, ring.next_seq),
+        None => (0, 0, 0),
     };
-    TRACE_DROPPED.set(dropped().min(i64::MAX as u64) as i64);
-    TRACE_BUFFERED.set(buffered);
-    TRACE_ACCEPTED.set(accepted);
+    let gauge = |v: u64| v.min(i64::MAX as u64) as i64;
+    TRACE_DROPPED.set(gauge(dropped));
+    TRACE_BUFFERED.set(gauge(buffered));
+    TRACE_ACCEPTED.set(gauge(accepted));
 }
 
-/// An RAII span guard: emits one [`TraceEvent`] when dropped. Inert (one
-/// relaxed load at creation, nothing at drop) while both tracing and the
-/// flight recorder are off.
+/// An RAII span guard: records one [`TraceEvent`] when dropped. Inert (one
+/// relaxed load at creation, nothing at drop) while tracing is off.
 #[must_use = "a span measures the scope it lives in"]
 pub struct Span {
     name: &'static str,
@@ -231,15 +255,15 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
     span_tagged(cat, name, None)
 }
 
-/// Opens a span tagged with a consensus round id; the tag rides into both
-/// the trace ring (as `args.round`) and the flight recorder.
+/// Opens a span tagged with a consensus round id (`args.round` in the
+/// trace, `round` in a flight dump).
 #[inline]
 pub fn span_round(cat: &'static str, name: &'static str, round: u64) -> Span {
     span_tagged(cat, name, Some(round))
 }
 
 fn span_tagged(cat: &'static str, name: &'static str, id: Option<u64>) -> Span {
-    let start = if enabled() || crate::flight::armed() {
+    let start = if enabled() {
         DEPTH.with(|d| d.set(d.get() + 1));
         Some(Instant::now())
     } else {
@@ -257,42 +281,18 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v.saturating_sub(1));
-            v
-        });
-        let event = TraceEvent {
+        let (tid, depth) = here();
+        DEPTH.with(|d| d.set(depth.saturating_sub(1)));
+        record(TraceEvent {
             name: self.name,
             cat: self.cat,
-            ts_ns: start
-                .saturating_duration_since(epoch())
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64,
+            ts_ns: since_epoch(start),
             dur_ns,
-            tid: TID.with(|t| *t),
+            tid,
             depth,
             id: self.id,
-        };
-        if crate::flight::armed() {
-            crate::flight::record_span(&event);
-        }
-        if !enabled() {
-            return;
-        }
-        // A span that races a concurrent drain() (ring already gone) or
-        // hits a full ring is counted as dropped rather than blocking.
-        let sent = match &mut *RING.lock().unwrap_or_else(|e| e.into_inner()) {
-            Some(ring) if ring.buf.len() < ring.capacity => {
-                ring.buf.push_back(event);
-                ring.next_seq += 1;
-                true
-            }
-            _ => false,
-        };
-        if !sent {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
+            note: None,
+        });
     }
 }
 
@@ -363,8 +363,8 @@ pub fn chunk_json(chunk: &TraceChunk) -> String {
     w.finish()
 }
 
-/// Drains the collector and writes a `chrome://tracing`-loadable file to
-/// `path`. Returns the number of events written.
+/// Stops tracing and writes every held span as a `chrome://tracing`-loadable
+/// file to `path`. Returns the number of spans written.
 pub fn export(path: &Path) -> io::Result<usize> {
     let events = drain();
     std::fs::write(path, to_chrome_json(&events))?;
@@ -372,14 +372,15 @@ pub fn export(path: &Path) -> io::Result<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Tests share the global collector; serialize them.
-    fn with_tracer(f: impl FnOnce()) {
+    /// Tests share the global ring; serialize them and start each from an
+    /// empty, disabled collector.
+    pub(crate) fn with_tracer(f: impl FnOnce()) {
         static LOCK: Mutex<()> = Mutex::new(());
         let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = drain(); // clear any prior state
+        let _ = drain();
         f();
         let _ = drain();
     }
@@ -393,7 +394,6 @@ mod tests {
             enable(16);
             let events = drain();
             assert!(events.iter().all(|e| e.name != "ghost"));
-            assert_eq!(dropped(), 0);
         });
     }
 
@@ -434,74 +434,80 @@ mod tests {
                     });
                 }
             });
+            assert_eq!(dropped(), 0);
             let events = drain();
             assert_eq!(events.iter().filter(|e| e.name == "worker").count(), 80);
-            assert_eq!(dropped(), 0);
             let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
             assert_eq!(tids.len(), 8, "each thread gets its own tid");
         });
     }
 
     #[test]
-    fn full_buffer_drops_instead_of_blocking() {
+    fn full_ring_overwrites_its_oldest_events_and_counts_them() {
         with_tracer(|| {
             enable(2);
-            for _ in 0..5 {
-                let _sp = span("test", "burst");
+            for round in 0..5 {
+                let _sp = span_round("test", "burst", round);
             }
-            let events = drain();
-            assert_eq!(events.len(), 2);
             assert_eq!(dropped(), 3);
+            let (events, next, lost) = read_from(0);
+            assert_eq!((events.len(), next, lost), (2, 5, 3));
+            let rounds: Vec<Option<u64>> = drain().iter().map(|e| e.id).collect();
+            assert_eq!(rounds, [Some(3), Some(4)], "the newest events are kept");
         });
     }
 
     #[test]
-    fn incremental_drain_keeps_tracing_and_advances_cursor() {
+    fn incremental_read_keeps_tracing_and_advances_cursor() {
         with_tracer(|| {
             enable(16);
             {
                 let _a = span("test", "first");
             }
-            let chunk = drain_from(0);
-            assert_eq!(chunk.events.len(), 1);
-            assert_eq!(chunk.events[0].name, "first");
-            assert_eq!(chunk.cursor, 1);
-            assert_eq!(chunk.lost, 0);
-            assert!(enabled(), "incremental drain must not stop tracing");
+            let (events, cursor, lost) = read_from(0);
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].name, "first");
+            assert_eq!((cursor, lost), (1, 0));
+            assert!(enabled(), "a read must not stop tracing");
             {
                 let _b = span_round("test", "second", 3);
             }
-            let chunk2 = drain_from(chunk.cursor);
-            assert_eq!(chunk2.events.len(), 1);
-            assert_eq!(chunk2.events[0].id, Some(3));
-            assert_eq!(chunk2.cursor, 2);
-            assert_eq!(chunk2.lost, 0);
+            let (events, cursor, lost) = read_from(cursor);
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].id, Some(3));
+            assert_eq!((cursor, lost), (2, 0));
             // An empty poll is cheap and stable.
-            let chunk3 = drain_from(chunk2.cursor);
-            assert!(chunk3.events.is_empty());
-            assert_eq!(chunk3.cursor, 2);
+            let (events, cursor, _) = read_from(cursor);
+            assert!(events.is_empty());
+            assert_eq!(cursor, 2);
+            // Nothing was consumed: a reader from 0 still sees both.
+            assert_eq!(read_from(0).0.len(), 2);
         });
     }
 
     #[test]
     fn stale_cursor_reports_lost_events() {
         with_tracer(|| {
-            enable(16);
-            {
-                let _a = span("test", "one");
-                let _b = span("test", "two");
+            enable(2);
+            for _ in 0..3 {
+                let _sp = span("test", "tick");
             }
-            let first = drain_from(0);
-            assert_eq!(first.events.len(), 2);
-            {
-                let _c = span("test", "three");
-            }
-            // A consumer that never saw the first chunk's cursor observes
-            // the gap it skipped.
-            let stale = drain_from(0);
-            assert_eq!(stale.events.len(), 1);
-            assert_eq!(stale.lost, 2);
+            // A reader still at 0 missed the one overwritten event, and
+            // one at 1 missed none.
+            assert_eq!(read_from(0).2, 1);
+            assert_eq!(read_from(1).2, 0);
         });
+    }
+
+    #[test]
+    fn epoch_anchor_is_taken_once() {
+        let first = epoch_unix_ms();
+        let until = Instant::now() + std::time::Duration::from_millis(5);
+        while Instant::now() < until {
+            assert_eq!(epoch_unix_ms(), first);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        assert_eq!(epoch_unix_ms(), first);
     }
 
     #[test]
@@ -515,6 +521,7 @@ mod tests {
                 tid: 2,
                 depth: 1,
                 id: Some(9),
+                note: None,
             }],
             cursor: 5,
             lost: 1,
@@ -540,6 +547,7 @@ mod tests {
                 tid: 3,
                 depth: 1,
                 id: None,
+                note: None,
             },
             TraceEvent {
                 name: "q\"uote",
@@ -549,6 +557,7 @@ mod tests {
                 tid: 1,
                 depth: 2,
                 id: Some(11),
+                note: None,
             },
         ];
         let json = to_chrome_json(&events);
