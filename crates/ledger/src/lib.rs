@@ -53,7 +53,7 @@ pub use amount::{Amount, Drops, IouAmount, Value, ValueParseError};
 pub use currency::Currency;
 pub use fees::FeeSchedule;
 pub use record::{PathSummary, PaymentRecord};
-pub use state::{AccountRoot, LedgerError, LedgerState, RippleState, TrustLine};
+pub use state::{AccountRoot, Hop, LedgerError, LedgerState, RippleState, TrustLine};
 pub use time::RippleTime;
 pub use tx::{Transaction, TxKind, TxResult};
 

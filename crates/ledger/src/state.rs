@@ -217,6 +217,48 @@ fn pair_key(
     }
 }
 
+/// A rippling hop `from -> to` in one currency, with its record key
+/// ordered once: a caller that moves IOUs over the same hop many times
+/// builds it once and hands it to [`LedgerState::try_ripple`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// The record key `(low, high, currency)`.
+    key: (AccountId, AccountId, Currency),
+    /// Whether `to` is the record's higher account.
+    to_high: bool,
+}
+
+impl Hop {
+    /// The hop on which `from` pays `to` IOUs in `currency`.
+    pub fn new(from: AccountId, to: AccountId, currency: Currency) -> Hop {
+        let (key, to_high) = pair_key(to, from, currency);
+        Hop { key, to_high }
+    }
+
+    /// The paying account.
+    pub fn from(&self) -> AccountId {
+        if self.to_high {
+            self.key.0
+        } else {
+            self.key.1
+        }
+    }
+
+    /// The receiving account.
+    pub fn to(&self) -> AccountId {
+        if self.to_high {
+            self.key.1
+        } else {
+            self.key.0
+        }
+    }
+
+    /// The hop's currency.
+    pub fn currency(&self) -> Currency {
+        self.key.2
+    }
+}
+
 /// Number of internal state shards. Power of two so the shard index is a
 /// single mask of the account's first byte.
 const SHARD_COUNT: usize = 16;
@@ -376,7 +418,8 @@ impl LedgerState {
 
     /// The credit-network generation: bumped by every mutation that can
     /// change IOU routing capacity ([`LedgerState::set_trust`],
-    /// [`LedgerState::adjust_pair_balance`] — and therefore
+    /// [`LedgerState::adjust_pair_balance`], a hop that
+    /// [`LedgerState::try_ripple`] carries — and therefore
     /// [`LedgerState::ripple_hop`] and IOU payments under
     /// [`LedgerState::apply`] — and [`LedgerState::sever_accounts`]).
     /// XRP transfers and offer bookkeeping leave it untouched. Routers
@@ -630,16 +673,52 @@ impl LedgerState {
         if self.account(&to).is_none() {
             return Err(LedgerError::NoSuchAccount(to));
         }
-        let capacity = self.hop_capacity(from, to, currency);
-        if amount > capacity {
-            return Err(LedgerError::TrustLimitExceeded {
+        self.try_ripple(&Hop::new(from, to, currency), amount)
+            .map_err(|capacity| LedgerError::TrustLimitExceeded {
                 from,
                 to,
                 capacity,
                 requested: amount,
-            });
+            })
+    }
+
+    /// Moves `amount` over `hop` if it fits the hop's capacity, with one
+    /// probe of the record: the same writes as
+    /// [`LedgerState::hop_capacity`] followed by
+    /// [`LedgerState::adjust_pair_balance`], for every amount.
+    ///
+    /// # Errors
+    ///
+    /// The hop's capacity when `amount` exceeds it; nothing is written.
+    pub fn try_ripple(&mut self, hop: &Hop, amount: Value) -> Result<(), Value> {
+        let ripple = &mut self.shards[shard_of(&hop.key.0)].ripple;
+        let Some(record) = ripple.get_mut(&hop.key) else {
+            // No record: no line either way and no debt.
+            if Value::ZERO < amount {
+                return Err(Value::ZERO);
+            }
+            self.adjust_pair_balance(hop.to(), hop.from(), hop.currency(), amount);
+            return Ok(());
+        };
+        // `to`'s side of the record, as `hop_capacity` reads it.
+        let (limit, held) = if hop.to_high {
+            (record.high_limit, -record.balance)
+        } else {
+            (record.low_limit, record.balance)
+        };
+        let capacity = limit - held;
+        if capacity < amount {
+            return Err(capacity);
         }
-        self.adjust_pair_balance(to, from, currency, amount);
+        record.balance = if hop.to_high {
+            record.balance - amount
+        } else {
+            record.balance + amount
+        };
+        if record.is_empty() {
+            ripple.remove(&hop.key);
+        }
+        self.credit_generation += 1;
         Ok(())
     }
 
@@ -1565,14 +1644,22 @@ mod tests {
         }
     }
 
+    /// Every record, sorted by key.
+    fn sorted_states(s: &LedgerState) -> Vec<RippleState> {
+        let mut states: Vec<_> = s.ripple_states().collect();
+        states.sort_unstable_by_key(|r| (r.low, r.high, r.currency));
+        states
+    }
+
     #[test]
     fn one_record_per_pair_matches_the_two_map_reference() {
         const CURRENCIES: [Currency; 3] = [Currency::USD, Currency::EUR, Currency::BTC];
         let mut next = lcg(0x02EC_04D5);
         // Shapes the op stream must reach: self-lines, zero-limit removals,
         // balances driven exactly to zero from either side, refused and
-        // carried hops, severed sets.
-        let mut shapes = [0usize; 7];
+        // carried hops, severed sets, and `try_ripple`s refused, carried,
+        // of zero, and of exactly the capacity.
+        let mut shapes = [0usize; 11];
         for case in 0..200 {
             let n = 2 + next(11) as usize;
             let accounts: Vec<AccountId> = (0..n)
@@ -1597,7 +1684,7 @@ mod tests {
                     let at = next(reference.trust.len() as u64) as usize;
                     *reference.trust.keys().nth(at).unwrap()
                 });
-                match next(10) {
+                match next(12) {
                     0..=2 => {
                         let (a, b, c, limit) = match line {
                             Some((truster, trustee, c)) if next(3) == 0 => {
@@ -1646,6 +1733,38 @@ mod tests {
                             ok,
                             "case {case} step {step}"
                         );
+                    }
+                    9..=10 => {
+                        let (a, b, c) = match line {
+                            Some((truster, trustee, c)) if next(2) == 0 => (trustee, truster, c),
+                            _ => (a, b, c),
+                        };
+                        let capacity = reference.hop_capacity(a, b, c);
+                        let amount = match next(5) {
+                            0 => Value::ZERO,
+                            1 => capacity,
+                            2 => capacity + Value::from_raw(1),
+                            3 => capacity - Value::from_raw(1),
+                            _ => amount,
+                        };
+                        shapes[9] += usize::from(amount.is_zero());
+                        shapes[10] += usize::from(amount == capacity);
+                        let before: Vec<_> = sorted_states(&s);
+                        let generation = s.credit_generation();
+                        let hop = Hop::new(a, b, c);
+                        assert_eq!((hop.from(), hop.to(), hop.currency()), (a, b, c));
+                        let got = s.try_ripple(&hop, amount);
+                        if capacity < amount {
+                            shapes[7] += 1;
+                            assert_eq!(got, Err(capacity), "case {case} step {step}");
+                            assert_eq!(sorted_states(&s), before, "case {case} step {step}");
+                            assert_eq!(s.credit_generation(), generation);
+                        } else {
+                            shapes[8] += 1;
+                            assert_eq!(got, Ok(()), "case {case} step {step}");
+                            assert_eq!(s.credit_generation(), generation + 1);
+                            reference.adjust(b, a, c, amount);
+                        }
                     }
                     _ => {
                         let severed: Vec<AccountId> = (0..next(3))

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use ripple_crypto::AccountId;
-use ripple_ledger::{Currency, Drops, LedgerState, PaymentRecord, RippleTime, Value};
+use ripple_ledger::{Currency, Drops, LedgerError, LedgerState, PaymentRecord, RippleTime, Value};
 use ripple_orderbook::{Rate, RateTable};
 use ripple_store::{HistoryEvent, StoreError, Writer};
 
@@ -231,22 +231,27 @@ pub(crate) fn exp_sample(rng: &mut StdRng, mean: f64) -> f64 {
     -mean * u.ln()
 }
 
+/// Tops `account` up from `treasury` when it holds less than twice `need`.
+///
+/// # Errors
+///
+/// The ledger's refusal of the transfer, e.g. a treasury that cannot cover
+/// the top-up.
 pub(crate) fn top_up_xrp(
     state: &mut LedgerState,
     treasury: AccountId,
     account: AccountId,
     need: Drops,
-) {
+) -> Result<(), LedgerError> {
     let balance = state
         .account(&account)
         .map(|r| r.balance)
         .unwrap_or(Drops::ZERO);
     if balance.as_drops() < need.as_drops().saturating_mul(2) {
         let top_up = Drops::new(need.as_drops().saturating_mul(50).max(1_000_000));
-        state
-            .xrp_transfer_unchecked(treasury, account, top_up)
-            .expect("treasury holds the float");
+        state.xrp_transfer_unchecked(treasury, account, top_up)?;
     }
+    Ok(())
 }
 
 pub(crate) fn build_menus(cast: &Cast, rng: &mut StdRng) -> HashMap<AccountId, Vec<Value>> {

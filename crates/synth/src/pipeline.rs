@@ -9,11 +9,13 @@
 //!    worker count, so the merged script is always identical.
 //! 2. **Execution** — the main thread applies scripted payments to the
 //!    live [`LedgerState`] in chunk order (a reorder buffer absorbs
-//!    out-of-order chunk arrivals). The hop fast path ([`apply_hop`])
-//!    fuses "ensure the hop has capacity" and [`LedgerState::ripple_hop`]
-//!    into a single capacity probe plus a direct balance adjustment, and
-//!    membership checks run against the precomputed gateway set instead
-//!    of scanning the cast.
+//!    out-of-order chunk arrivals). Every hop is a [`Hop`] whose record
+//!    key is ordered before the hop runs, once per run for the MTL
+//!    campaign's fixed chains. [`apply_hop`] moves the IOUs with one
+//!    [`LedgerState::try_ripple`] probe; only a hop it refuses escalates
+//!    (a trust write or a gateway deposit), starting from the capacity the
+//!    refusal returned. Gateway membership is a hash-set hit instead of a
+//!    cast scan.
 //! 3. **Sink** — archive encoding ([`ripple_store::Writer`]) and
 //!    incremental analytics tallies run on their own threads, overlapping
 //!    the executor. The tally thread moves each batch into the returned
@@ -41,9 +43,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ripple_crypto::{AccountId, FxHashSet};
+use ripple_crypto::{AccountId, FxHashMap, FxHashSet};
 use ripple_ledger::{
-    Currency, Drops, LedgerError, LedgerState, PathSummary, PaymentRecord, RippleTime, Value,
+    Currency, Drops, Hop, LedgerError, LedgerState, PathSummary, PaymentRecord, RippleTime, Value,
 };
 use ripple_obs::{span, LazyCounter, LazyGauge, LazyTimer};
 use ripple_orderbook::RateTable;
@@ -638,6 +640,42 @@ struct Executor<'a> {
     snapshot: Option<(RippleTime, LedgerState)>,
     /// The six MTL spam chains' summary: every MTL payment shares it.
     mtl_paths: PathSummary,
+    /// The same chains' hops, keyed once.
+    mtl_hops: MtlHops,
+}
+
+/// The MTL campaign's hops, built when the executor starts: each chain's
+/// fixed hops from the attacker to its last account, and every chain's
+/// last hop into each of the cast's sinks.
+struct MtlHops {
+    chains: Vec<Vec<Hop>>,
+    into_sink: FxHashMap<AccountId, Vec<Hop>>,
+}
+
+impl MtlHops {
+    fn new(cast: &Cast) -> MtlHops {
+        let mut chains = Vec::with_capacity(cast.mtl_chains.len());
+        let mut ends = Vec::with_capacity(cast.mtl_chains.len());
+        for chain in &cast.mtl_chains {
+            let mut from = cast.mtl_attacker;
+            let mut hops = Vec::with_capacity(chain.len());
+            for &to in chain {
+                hops.push(Hop::new(from, to, Currency::MTL));
+                from = to;
+            }
+            chains.push(hops);
+            ends.push(from);
+        }
+        let into_sink = cast
+            .mtl_sinks
+            .iter()
+            .map(|&sink| {
+                let hops = ends.iter().map(|&end| Hop::new(end, sink, Currency::MTL));
+                (sink, hops.collect())
+            })
+            .collect();
+        MtlHops { chains, into_sink }
+    }
 }
 
 impl<'a> Executor<'a> {
@@ -659,6 +697,7 @@ impl<'a> Executor<'a> {
             mtl_paths: PathSummary::from_path_iters(
                 cast.mtl_chains.iter().map(|chain| chain.iter().copied()),
             ),
+            mtl_hops: MtlHops::new(cast),
         }
     }
 
@@ -750,9 +789,7 @@ impl<'a> Executor<'a> {
                 &mut self.state,
                 events,
                 &self.index.gateway_set,
-                from,
-                to,
-                currency,
+                &Hop::new(from, to, currency),
                 amount,
                 now,
             )?;
@@ -807,7 +844,7 @@ impl<'a> Executor<'a> {
                     });
                 }
                 let drops = Drops::new(amount.raw().max(1) as u64);
-                top_up_xrp(&mut self.state, self.treasury, *sender, drops);
+                top_up_xrp(&mut self.state, self.treasury, *sender, drops)?;
                 self.state
                     .xrp_transfer_unchecked(*sender, *destination, drops)?;
                 base(
@@ -823,7 +860,7 @@ impl<'a> Executor<'a> {
             }
             ScriptedBody::Spin { sender, bet } => {
                 let drops = Drops::from_xrp(*bet);
-                top_up_xrp(&mut self.state, self.treasury, *sender, drops);
+                top_up_xrp(&mut self.state, self.treasury, *sender, drops)?;
                 self.state
                     .xrp_transfer_unchecked(*sender, self.cast.spin, drops)?;
                 base(
@@ -845,7 +882,7 @@ impl<'a> Executor<'a> {
                     (AccountId::ZERO, self.cast.zero_spammer)
                 };
                 let drops = Drops::new(dust.raw() as u64);
-                top_up_xrp(&mut self.state, self.treasury, sender, drops);
+                top_up_xrp(&mut self.state, self.treasury, sender, drops)?;
                 self.state
                     .xrp_transfer_unchecked(sender, destination, drops)?;
                 base(
@@ -861,15 +898,19 @@ impl<'a> Executor<'a> {
             }
             ScriptedBody::Mtl { sink, amount } => {
                 let share = Value::from_raw(amount.raw() / 6);
-                for chain in &self.cast.mtl_chains {
-                    for (from, to) in hop_pairs(self.cast.mtl_attacker, chain, *sink) {
+                let mtl = &self.mtl_hops;
+                // The script draws every sink from `cast.mtl_sinks`.
+                let into_sink = mtl
+                    .into_sink
+                    .get(sink)
+                    .ok_or(LedgerError::NoSuchAccount(*sink))?;
+                for (chain, last) in mtl.chains.iter().zip(into_sink) {
+                    for hop in chain.iter().chain(std::iter::once(last)) {
                         apply_hop(
                             &mut self.state,
                             events,
                             &self.index.gateway_set,
-                            from,
-                            to,
-                            Currency::MTL,
+                            hop,
                             share,
                             now,
                         )?;
@@ -911,9 +952,7 @@ impl<'a> Executor<'a> {
                             &mut self.state,
                             events,
                             &self.index.gateway_set,
-                            from,
-                            to,
-                            cur,
+                            &Hop::new(from, to, cur),
                             amt,
                             now,
                         )?;
@@ -953,72 +992,69 @@ fn hop_pairs(
     std::iter::once(sender).chain(path.iter().copied()).zip(to)
 }
 
-/// The fused hop fast path: guarantees that the hop `from -> to` can carry
-/// `amount` of `currency`, then moves it, in one pass.
+/// Moves `amount` over `hop`, first making room when the hop cannot
+/// carry it.
 ///
-/// Deposits are topped up when the receiving side is a gateway (gateways
-/// do not extend trust), and trust limits are raised organically otherwise.
-/// Done as two steps — ensure capacity, then [`LedgerState::ripple_hop`] —
-/// the hop re-validates with two more map lookups before adjusting the
-/// balance. Here the single up-front [`LedgerState::hop_capacity`] probe
-/// decides everything, the gateway membership test is a hash-set hit
-/// instead of a cast scan, and the balance moves via
-/// [`LedgerState::adjust_pair_balance`] directly. The resulting ledger
-/// mutations are identical to the two-step pair's, which the test module
-/// keeps as the reference.
+/// The move is one [`LedgerState::try_ripple`] probe of the hop's record.
+/// Only a hop it refuses escalates, from the capacity the refusal returned:
+/// a deposit is topped up when the receiving side is a gateway (gateways
+/// do not extend trust), and the receiver's trust limit is raised
+/// organically otherwise; then the balance moves through
+/// [`LedgerState::adjust_pair_balance`] without a second capacity probe.
+/// The ledger writes are those of "ensure capacity, then
+/// [`LedgerState::ripple_hop`]", which the test module keeps as the
+/// reference.
 ///
 /// # Errors
 ///
 /// The ledger's refusal of the trust write (a party missing), which the
 /// executor surfaces as a [`PipelineError`] of stage `"exec"`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_hop(
     state: &mut LedgerState,
     events: &mut Vec<HistoryEvent>,
     gateways: &FxHashSet<AccountId>,
-    from: AccountId,
-    to: AccountId,
-    currency: Currency,
+    hop: &Hop,
     amount: Value,
     now: RippleTime,
 ) -> Result<(), LedgerError> {
     HOP_PROBES.add(1);
-    let capacity = state.hop_capacity(from, to, currency);
-    if capacity < amount {
-        TRUST_ESCALATIONS.add(1);
-        let shortfall = amount - capacity;
-        if gateways.contains(&to) {
-            // `from` deposits at the gateway: the gateway issues IOUs to
-            // `from` (needs `from` to trust the gateway in this currency).
-            let boost = Value::from_raw(shortfall.raw().saturating_mul(50)).max_one();
-            let limit = state.trust_limit(from, to, currency);
-            let claim = state.iou_balance(from, to, currency);
-            if limit - claim < boost {
-                let new_limit = (claim + boost + boost).max_one();
-                state.set_trust(from, to, currency, new_limit)?;
-                events.push(HistoryEvent::TrustSet {
-                    truster: from,
-                    trustee: to,
-                    currency,
-                    limit: new_limit,
-                    timestamp: now,
-                });
-            }
-            // ripple_hop(to, from, boost) without the re-validation.
-            state.adjust_pair_balance(from, to, currency, boost);
-        } else {
-            // Raise `to`'s declared trust in `from` (organic trust growth).
-            let claim = state.iou_balance(to, from, currency);
-            let new_limit = (claim + Value::from_raw(amount.raw().saturating_mul(50))).max_one();
-            state.set_trust(to, from, currency, new_limit)?;
+    let Err(capacity) = state.try_ripple(hop, amount) else {
+        return Ok(());
+    };
+    TRUST_ESCALATIONS.add(1);
+    let (from, to, currency) = (hop.from(), hop.to(), hop.currency());
+    let shortfall = amount - capacity;
+    if gateways.contains(&to) {
+        // `from` deposits at the gateway: the gateway issues IOUs to
+        // `from` (needs `from` to trust the gateway in this currency).
+        let boost = Value::from_raw(shortfall.raw().saturating_mul(50)).max_one();
+        let limit = state.trust_limit(from, to, currency);
+        let claim = state.iou_balance(from, to, currency);
+        if limit - claim < boost {
+            let new_limit = (claim + boost + boost).max_one();
+            state.set_trust(from, to, currency, new_limit)?;
             events.push(HistoryEvent::TrustSet {
-                truster: to,
-                trustee: from,
+                truster: from,
+                trustee: to,
                 currency,
                 limit: new_limit,
                 timestamp: now,
             });
         }
+        // ripple_hop(to, from, boost) without the re-validation.
+        state.adjust_pair_balance(from, to, currency, boost);
+    } else {
+        // Raise `to`'s declared trust in `from` (organic trust growth).
+        let claim = state.iou_balance(to, from, currency);
+        let new_limit = (claim + Value::from_raw(amount.raw().saturating_mul(50))).max_one();
+        state.set_trust(to, from, currency, new_limit)?;
+        events.push(HistoryEvent::TrustSet {
+            truster: to,
+            trustee: from,
+            currency,
+            limit: new_limit,
+            timestamp: now,
+        });
     }
     // ripple_hop(from, to, amount) without the re-validation.
     state.adjust_pair_balance(to, from, currency, amount);
@@ -1168,9 +1204,11 @@ mod tests {
         }
     }
 
-    /// The unfused reference for [`apply_hop`]: only guarantees that the hop
-    /// `from -> to` can carry `amount` of `currency` (scanning the cast for
-    /// gateway membership); the caller then runs the validating `ripple_hop`.
+    /// The two-step reference for [`apply_hop`]: guarantees that the hop
+    /// `from -> to` can carry `amount` of `currency` (scanning the cast
+    /// for gateway membership); the caller then moves the balance. Every
+    /// move here is `hop_capacity` plus `adjust_pair_balance`, never
+    /// `ripple_hop`, which shares `try_ripple` with the code under test.
     #[allow(clippy::too_many_arguments)]
     fn ensure_hop(
         state: &mut LedgerState,
@@ -1207,9 +1245,8 @@ mod tests {
                     timestamp: now,
                 });
             }
-            state
-                .ripple_hop(to, from, currency, boost)
-                .expect("trust was just raised");
+            assert!(state.hop_capacity(to, from, currency) >= boost);
+            state.adjust_pair_balance(from, to, currency, boost);
         } else {
             // Raise `to`'s declared trust in `from` (organic trust growth).
             let claim = state.iou_balance(to, from, currency);
@@ -1227,64 +1264,155 @@ mod tests {
         }
     }
 
+    /// Every record sorted by key, and every account's owner count.
+    fn ledger_view(
+        state: &LedgerState,
+    ) -> (Vec<ripple_ledger::RippleState>, Vec<(AccountId, u32)>) {
+        let mut records: Vec<_> = state.ripple_states().collect();
+        records.sort_unstable_by_key(|r| (r.low, r.high, r.currency));
+        let mut owners: Vec<_> = state
+            .accounts()
+            .map(|(&id, root)| (id, root.owner_count))
+            .collect();
+        owners.sort_unstable();
+        (records, owners)
+    }
+
     #[test]
     fn fused_hop_matches_serial_ensure_plus_ripple() {
         let config = SynthConfig::small(200);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut state_a = LedgerState::new();
-        let mut events_a = Vec::new();
-        let cast = Cast::build(&config, &mut state_a, &mut events_a, &mut rng);
-        let mut state_b = state_a.clone();
-        let mut gateways = FxHashSet::default();
-        for g in &cast.gateways {
-            gateways.insert(g.account);
-        }
-        let a = cast.users[0].0;
-        let b = cast.users[1].0;
-        let gw = cast.gateways[0].account;
-        let amt: Value = "25".parse().unwrap();
-        let now = RippleTime::from_seconds(100);
-        // user -> user and user -> gateway, repeated so both the cold and
-        // warm paths run.
-        for _ in 0..3 {
-            let mut ev_a = Vec::new();
-            let mut ev_b = Vec::new();
-            for (from, to) in [(a, b), (a, gw), (gw, b)] {
-                ensure_hop(
-                    &mut state_a,
-                    &mut ev_a,
-                    &cast,
-                    from,
-                    to,
-                    Currency::USD,
-                    amt,
-                    now,
-                );
-                state_a
-                    .ripple_hop(from, to, Currency::USD, amt)
-                    .expect("ensured");
-                apply_hop(
-                    &mut state_b,
-                    &mut ev_b,
-                    &gateways,
-                    from,
-                    to,
-                    Currency::USD,
-                    amt,
-                    now,
-                )
-                .unwrap();
+        let mut reference = LedgerState::new();
+        let mut events = Vec::new();
+        let cast = Cast::build(&config, &mut reference, &mut events, &mut rng);
+        let mut fused = reference.clone();
+        let gateways: FxHashSet<AccountId> = cast.gateways.iter().map(|g| g.account).collect();
+        let mtl = MtlHops::new(&cast);
+        let mut next = {
+            let mut x = 0x5EED_0042u64;
+            move |bound: u64| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) % bound
             }
-            assert_eq!(ev_a, ev_b);
+        };
+        // USD user and gateway hops, MTL chain hops (fixed and into a
+        // sink), exact-capacity moves, and both escalation kinds.
+        let mut shapes = [0usize; 6];
+        for step in 0..1_500u64 {
+            let user = |k: u64| cast.users[k as usize].0;
+            let n_users = cast.users.len() as u64;
+            let gw = cast.gateways[next(cast.gateways.len() as u64) as usize].account;
+            let (from, to, currency) = match next(6) {
+                0 => {
+                    let c = next(mtl.chains.len() as u64) as usize;
+                    let chain = &mtl.chains[c];
+                    let hop = if next(4) == 0 {
+                        let sink = cast.mtl_sinks[next(cast.mtl_sinks.len() as u64) as usize];
+                        mtl.into_sink[&sink][c]
+                    } else {
+                        chain[next(chain.len() as u64) as usize]
+                    };
+                    shapes[0] += 1;
+                    (hop.from(), hop.to(), hop.currency())
+                }
+                1 => (user(next(n_users)), gw, Currency::USD),
+                2 => (gw, user(next(n_users)), Currency::USD),
+                _ => {
+                    // A small community of users so pairs repeat.
+                    let a = next(40);
+                    (user(a), user((a + 1 + next(39)) % 40), Currency::USD)
+                }
+            };
+            if from == to {
+                continue;
+            }
+            let capacity = reference.hop_capacity(from, to, currency);
+            let amount = if currency == Currency::MTL {
+                Value::from_int(150_000_000 + next(40_000_000) as i64)
+            } else if capacity.is_positive() && next(4) == 0 {
+                shapes[1] += 1;
+                capacity
+            } else {
+                Value::from_raw((1 + next(60) as i128) * 500_000)
+            };
+            if capacity < amount {
+                shapes[2 + usize::from(gateways.contains(&to))] += 1;
+            }
+            shapes[4] += usize::from(gateways.contains(&to));
+            shapes[5] += usize::from(gateways.contains(&from));
+            let now = RippleTime::from_seconds(100 + step);
+            let (mut ev_ref, mut ev_fused) = (Vec::new(), Vec::new());
+            ensure_hop(
+                &mut reference,
+                &mut ev_ref,
+                &cast,
+                from,
+                to,
+                currency,
+                amount,
+                now,
+            );
+            assert!(reference.hop_capacity(from, to, currency) >= amount);
+            reference.adjust_pair_balance(to, from, currency, amount);
+            apply_hop(
+                &mut fused,
+                &mut ev_fused,
+                &gateways,
+                &Hop::new(from, to, currency),
+                amount,
+                now,
+            )
+            .unwrap();
+            assert_eq!(ev_fused, ev_ref, "step {step}");
+            assert_eq!(
+                fused.credit_generation(),
+                reference.credit_generation(),
+                "step {step}"
+            );
+            if step % 100 == 99 {
+                assert!(
+                    ledger_view(&fused) == ledger_view(&reference),
+                    "step {step}"
+                );
+            }
         }
-        assert_eq!(
-            state_a.iou_balance(a, b, Currency::USD),
-            state_b.iou_balance(a, b, Currency::USD)
+        assert!(ledger_view(&fused) == ledger_view(&reference));
+        assert!(shapes.iter().all(|&k| k > 30), "{shapes:?}");
+    }
+
+    #[test]
+    fn a_treasury_that_cannot_cover_a_top_up_is_returned_not_panicked() {
+        let config = SynthConfig::small(10);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut state = LedgerState::new();
+        let cast = Cast::build(&config, &mut state, &mut Vec::new(), &mut rng);
+        let treasury = AccountId::from_bytes([0xFE; 20]);
+        state.create_account(treasury, Drops::from_xrp(1));
+        let menus = build_menus(&cast, &mut rng);
+        let index = CastIndex::build(&config, &cast, menus, RateTable::eur_2015());
+        let mut exec = Executor::new(&config, &cast, &index, state, treasury);
+        // Far more than the sender holds, so it needs the treasury.
+        let payment = ScriptedPayment {
+            timestamp: config.start,
+            ledger_seq: 1,
+            tx_hash: ripple_crypto::Digest256::from_bytes([7; 32]),
+            offers: Vec::new(),
+            body: ScriptedBody::Xrp {
+                sender: cast.users[0].0,
+                destination: cast.users[1].0,
+                amount: Value::from_int(1_000_000_000),
+                fresh_destination: false,
+            },
+        };
+        let mut events = Vec::new();
+        let refused = exec.run_payment(0, &payment, &mut events);
+        assert!(
+            matches!(refused, Err(LedgerError::InsufficientXrp { account, .. }) if account == treasury),
+            "{refused:?}"
         );
-        assert_eq!(
-            state_a.iou_balance(a, gw, Currency::USD),
-            state_b.iou_balance(a, gw, Currency::USD)
-        );
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -1298,9 +1426,7 @@ mod tests {
             &mut state,
             &mut events,
             &FxHashSet::default(),
-            payer,
-            ghost,
-            Currency::USD,
+            &Hop::new(payer, ghost, Currency::USD),
             "5".parse().unwrap(),
             RippleTime::from_seconds(100),
         );

@@ -44,6 +44,12 @@ fn deterministic_snapshot_is_identical_across_worker_counts() {
         let snap = metrics::snapshot();
         // The full snapshot must at least see the logical volume counters.
         assert_eq!(snap.counter("synth.exec.payments"), Some(3_000));
+        // The executor's work, pinned: one probe per hop (a refused hop is
+        // not probed again), the hops that had to make room, and the
+        // events the sink received.
+        assert_eq!(snap.counter("synth.exec.hop_probes"), Some(33_167));
+        assert_eq!(snap.counter("synth.exec.trust_escalations"), Some(5_018));
+        assert_eq!(snap.counter("synth.sink.events"), Some(15_007));
         assert!(snap.counter("synth.sink.encoded_bytes").unwrap_or(0) > 0);
         assert!(snap.counter("store.writer.frames").unwrap_or(0) > 0);
         docs.push((workers, snap.deterministic_json()));
