@@ -164,6 +164,11 @@ struct Args {
     serve_secs: u64,
 }
 
+/// Trace-ring events `--trace` keeps: room for a whole `all` run (186k-267k
+/// spans measured), so the exported file starts at the first study. A full
+/// ring is 2^19 events of 96 bytes, 48 MiB.
+const TRACE_CAPACITY: usize = 1 << 19;
+
 /// `fig2`'s consensus rounds per collection period without `--rounds`.
 const FIG2_ROUNDS: u64 = 5_000;
 
@@ -282,7 +287,7 @@ fn main() {
         metrics::set_enabled(true);
     }
     if args.trace.is_some() {
-        trace::enable(trace::DEFAULT_CAPACITY);
+        trace::enable(TRACE_CAPACITY);
     }
     run_experiments(&args);
     if let Some(path) = &args.metrics {

@@ -8,47 +8,62 @@
 //!
 //! Locking is sharded by block id: concurrent lookups on different blocks
 //! take different mutexes, and the per-shard critical section is a hash
-//! probe plus an LRU tick — decode work happens outside the lock.
+//! probe plus an LRU tick — decode work happens outside the lock. Block ids
+//! are dense indexes into the engine's own block table, so the shard maps
+//! use the unkeyed Fx hash.
+//!
+//! A [`Block`] holds its frame offsets and its decoded events as two
+//! columns: a point lookup binary-searches the 8-byte offset column (512
+//! bytes for a 64-record block) and then reads one event.
 //!
 //! Admission is adaptive: blocks earn promotion by missing
 //! [`note_miss`](BlockCache::note_miss)-counted touches, and the touches
 //! required rise when residents are evicted before their first hit (the
 //! thrash signal of a working set that outruns the budget) and fall as
 //! residents prove useful. Under thrash the cache stops churning and
-//! point lookups degrade gracefully to single-frame decodes.
+//! point lookups degrade gracefully to single-frame decodes. Admissions
+//! and evictions are counted in `query.cache.admits` and
+//! `query.cache.evictions`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use ripple_crypto::FxHashMap;
 use ripple_obs::{LazyCounter, LazyGauge};
 use ripple_store::HistoryEvent;
 
 static CACHE_HITS: LazyCounter = LazyCounter::new("query.cache.hits");
 static CACHE_MISSES: LazyCounter = LazyCounter::new("query.cache.misses");
+static CACHE_ADMITS: LazyCounter = LazyCounter::new("query.cache.admits");
 static CACHE_EVICTIONS: LazyCounter = LazyCounter::new("query.cache.evictions");
 static CACHE_BYTES: LazyGauge = LazyGauge::new("query.cache.bytes");
 static CACHE_BLOCKS: LazyGauge = LazyGauge::new("query.cache.blocks");
 
 /// One decoded block: the events framed in `[start, end)` of the archive,
-/// in offset order.
+/// in offset order, as two columns — a point lookup's binary search reads
+/// only the dense `offsets` column and touches one event.
 #[derive(Debug)]
 pub struct Block {
     /// Archive offset the block starts at.
     pub start: u64,
-    /// `(frame offset, event)` pairs, ascending by offset.
-    pub events: Vec<(u64, HistoryEvent)>,
+    /// Frame offset of each event, ascending.
+    pub offsets: Vec<u64>,
+    /// The decoded events; `events[i]` is framed at `offsets[i]`.
+    pub events: Vec<HistoryEvent>,
     /// Size charged against the cache budget (encoded span plus a fixed
     /// per-event decode overhead — an estimate, but a deterministic one).
     pub bytes: usize,
 }
 
 impl Block {
-    /// Builds a block from decoded events, charging `span` encoded bytes.
-    pub fn new(start: u64, span: usize, events: Vec<(u64, HistoryEvent)>) -> Block {
+    /// Builds a block from its decoded columns, charging `span` encoded
+    /// bytes.
+    pub fn new(start: u64, span: usize, offsets: Vec<u64>, events: Vec<HistoryEvent>) -> Block {
+        debug_assert_eq!(offsets.len(), events.len());
         let bytes = span + events.len() * 96;
         Block {
             start,
+            offsets,
             events,
             bytes,
         }
@@ -84,20 +99,20 @@ const MAX_PROMOTE_AFTER: u32 = 256;
 const TOUCH_CAP: usize = 8_192;
 
 struct Shard {
-    map: HashMap<usize, Entry>,
+    map: FxHashMap<usize, Entry>,
     bytes: usize,
     tick: u64,
-    touches: HashMap<usize, u32>,
+    touches: FxHashMap<usize, u32>,
     promote_after: u32,
 }
 
 impl Default for Shard {
     fn default() -> Shard {
         Shard {
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             bytes: 0,
             tick: 0,
-            touches: HashMap::new(),
+            touches: FxHashMap::default(),
             promote_after: PROMOTE_AFTER,
         }
     }
@@ -196,6 +211,7 @@ impl BlockCache {
             return;
         }
         guard.bytes += block.bytes;
+        CACHE_ADMITS.add(1);
         CACHE_BYTES.add(block.bytes as i64);
         CACHE_BLOCKS.add(1);
         guard.map.insert(
@@ -274,6 +290,7 @@ mod tests {
     fn block(id: usize, bytes: usize) -> Block {
         Block {
             start: id as u64,
+            offsets: Vec::new(),
             events: Vec::new(),
             bytes,
         }

@@ -268,12 +268,14 @@ impl QueryEngine {
     /// Decodes block `id` whole, for insertion into the cache.
     fn decode_block(&self, id: usize) -> Result<Block, StoreError> {
         let (start, end) = self.block_bounds(id);
+        let mut offsets = Vec::new();
         let mut events = Vec::new();
         self.walk_block(id, |offset, event| {
-            events.push((offset, event));
+            offsets.push(offset);
+            events.push(event);
             true
         })?;
-        Ok(Block::new(start, (end - start) as usize, events))
+        Ok(Block::new(start, (end - start) as usize, offsets, events))
     }
 
     /// Two-tier probe shared by point lookups and range scans: the cached
@@ -312,8 +314,8 @@ impl QueryEngine {
         let tail = &offsets[offsets.len().saturating_sub(limit)..];
         // Postings are sorted, so consecutive offsets usually share a
         // block: resolve the cache once per distinct block, then find each
-        // offset by binary search among the block's (sorted) events past
-        // the previous one.
+        // offset by binary search in the block's (sorted) offset column
+        // past the previous one.
         // Cold blocks are not force-decoded: until the admission policy
         // promotes one, only the frames this account needs are decoded.
         let mut i = 0;
@@ -324,13 +326,13 @@ impl QueryEngine {
                     let mut ev = 0usize;
                     while i < tail.len() && tail[i] < end {
                         let offset = tail[i];
-                        ev += block.events[ev..].partition_point(|(at, _)| *at < offset);
-                        if ev >= block.events.len() || block.events[ev].0 != offset {
+                        ev += block.offsets[ev..].partition_point(|&at| at < offset);
+                        if block.offsets.get(ev) != Some(&offset) {
                             return Err(StoreError::corrupt(format!(
                                 "no frame at offset {offset}"
                             )));
                         }
-                        visit(offset, &block.events[ev].1);
+                        visit(offset, &block.events[ev]);
                         ev += 1;
                         i += 1;
                     }
@@ -413,9 +415,10 @@ impl QueryEngine {
         for id in first..self.block_times.len() {
             let more = match self.block_if_hot(id)? {
                 Some(block) => block
-                    .events
+                    .offsets
                     .iter()
-                    .all(|(offset, event)| step(*offset, event)),
+                    .zip(&block.events)
+                    .all(|(&offset, event)| step(offset, event)),
                 None => self.walk_block(id, |offset, event| step(offset, &event))?,
             };
             if !more {
@@ -741,6 +744,54 @@ mod tests {
         }
         assert_eq!(engine.cache().misses(), misses_after_promotion);
         assert_eq!(engine.cache().hits(), 10);
+    }
+
+    #[test]
+    fn resident_blocks_answer_like_a_rescan() {
+        // Several accounts per block, self-payments included, so a lookup
+        // resolves more than one offset in the same resident block.
+        let events: Vec<HistoryEvent> = (0..200)
+            .map(|i| payment((i % 7) as u8, ((i * 3) % 5) as u8, 1000 + i * 7, "1.25"))
+            .collect();
+        let engine = engine(&events, &small_config());
+        let accounts: Vec<AccountId> = (0..7).map(acct).collect();
+        let blocks = engine.postings().blocks().len();
+        // The default budget holds the whole archive: three rounds of
+        // lookups give every block the misses that promote it, and nothing
+        // is evicted.
+        for _ in 0..3 {
+            for a in &accounts {
+                engine.account_history(a, usize::MAX).unwrap();
+            }
+        }
+        assert_eq!(engine.cache().resident_blocks(), blocks);
+
+        let misses = engine.cache().misses();
+        for a in &accounts {
+            let rescan = engine.rescan_account_history(a).unwrap();
+            assert_eq!(engine.account_history(a, usize::MAX).unwrap(), rescan);
+            assert_eq!(
+                engine.account_history(a, 1).unwrap(),
+                rescan[rescan.len() - 1..]
+            );
+        }
+        let mut reader = Reader::new(engine.archive.as_slice()).unwrap();
+        let mut all = Vec::new();
+        while let Some(pair) = reader.next_event_at().unwrap() {
+            all.push(pair);
+        }
+        for (from, to) in [(0, u64::MAX), (1000, 1001), (1300, 2000), (1007, 2393)] {
+            let linear: Vec<(u64, HistoryEvent)> = all
+                .iter()
+                .filter(|(_, e)| (from..to).contains(&e.timestamp().seconds()))
+                .cloned()
+                .collect();
+            assert_eq!(
+                engine.range(secs(from), secs(to), usize::MAX).unwrap(),
+                linear
+            );
+        }
+        assert_eq!(engine.cache().misses(), misses, "all served resident");
     }
 
     #[test]

@@ -32,8 +32,16 @@
 //! and merge in range order, so any shard count produces byte-identical
 //! sidecars (a golden test enforces this). Postings offsets are
 //! delta-varint coded — sorted offsets make the deltas small.
+//!
+//! The account postings are a `HashMap` under std's randomly keyed SipHash,
+//! so a point lookup is one hash probe rather than a tree walk, and a
+//! crafted archive cannot aim collisions at a fixed hash. Its iteration
+//! order is arbitrary, so every ordered read sorts first:
+//! [`PostingsIndex::iter_accounts`] yields account order, and the sidecar
+//! writes its accounts in that order. The first shard's maps move into the
+//! index whole; later shards append to them.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ripple_crypto::AccountId;
 use ripple_ledger::{Currency, RippleTime, Value};
@@ -116,7 +124,9 @@ impl FlowStat {
 /// The secondary indexes over one archive. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostingsIndex {
-    accounts: BTreeMap<AccountId, Vec<u64>>,
+    /// std's keyed SipHash on purpose: the ids come from untrusted bytes
+    /// (see the module docs). Unordered — every ordered read sorts.
+    accounts: HashMap<AccountId, Vec<u64>>,
     flows: BTreeMap<(Currency, u64), FlowStat>,
     blocks: Vec<u64>,
     block_records: u32,
@@ -129,7 +139,7 @@ pub struct PostingsIndex {
 /// Per-shard accumulator; merged in shard order.
 #[derive(Default)]
 struct ShardPartial {
-    accounts: BTreeMap<AccountId, Vec<u64>>,
+    accounts: HashMap<AccountId, Vec<u64>>,
     flows: BTreeMap<(Currency, u64), FlowStat>,
     /// Archive record number of the next event absorbed.
     next_record: u64,
@@ -198,10 +208,12 @@ impl ShardPartial {
     }
 
     /// Appends this shard to the merged maps, checking time order across
-    /// the seam with the shards merged before it.
+    /// the seam with the shards merged before it. Into empty maps (the
+    /// first shard, and the whole of a one-shard build) the partial's maps
+    /// move instead of being copied list by list.
     fn merge_into(
         self,
-        accounts: &mut BTreeMap<AccountId, Vec<u64>>,
+        accounts: &mut HashMap<AccountId, Vec<u64>>,
         flows: &mut BTreeMap<(Currency, u64), FlowStat>,
         last_time: &mut Option<RippleTime>,
     ) -> Result<(), StoreError> {
@@ -211,14 +223,22 @@ impl ShardPartial {
                 _ => *last_time = Some(last),
             }
         }
-        for (account, offsets) in self.accounts {
-            accounts.entry(account).or_default().extend(offsets);
+        if accounts.is_empty() {
+            *accounts = self.accounts;
+        } else {
+            for (account, offsets) in self.accounts {
+                accounts.entry(account).or_default().extend(offsets);
+            }
         }
-        for (key, partial) in self.flows {
-            let flow = flows.entry(key).or_default();
-            flow.payments += partial.payments;
-            flow.total_raw += partial.total_raw;
-            flow.offsets.extend(partial.offsets);
+        if flows.is_empty() {
+            *flows = self.flows;
+        } else {
+            for (key, partial) in self.flows {
+                let flow = flows.entry(key).or_default();
+                flow.payments += partial.payments;
+                flow.total_raw += partial.total_raw;
+                flow.offsets.extend(partial.offsets);
+            }
         }
         Ok(())
     }
@@ -318,7 +338,7 @@ impl PostingsIndex {
     ///   shard seam (window queries seek by block start time).
     pub fn build(archive: &[u8], config: &PostingsConfig) -> Result<PostingsIndex, StoreError> {
         let block_records = config.block_records.max(1);
-        let mut accounts = BTreeMap::new();
+        let mut accounts = HashMap::new();
         let mut flows = BTreeMap::new();
         let mut last_time = None;
         let (offsets, stats) = match config.mode {
@@ -394,9 +414,16 @@ impl PostingsIndex {
         self.accounts.len()
     }
 
-    /// Iterates `(account, offsets)` in account order.
-    pub fn iter_accounts(&self) -> impl Iterator<Item = (&AccountId, &[u64])> {
-        self.accounts.iter().map(|(a, v)| (a, v.as_slice()))
+    /// Iterates `(account, offsets)` in account order. The map is hashed,
+    /// so this sorts a list of references first.
+    pub fn iter_accounts(&self) -> impl ExactSizeIterator<Item = (&AccountId, &[u64])> {
+        let mut sorted: Vec<_> = self
+            .accounts
+            .iter()
+            .map(|(a, v)| (a, v.as_slice()))
+            .collect();
+        sorted.sort_unstable_by_key(|&(a, _)| a);
+        sorted.into_iter()
     }
 
     /// The flow class for `(currency, day)`; the timestamp is truncated to
@@ -458,7 +485,7 @@ impl PostingsIndex {
 
     /// Serializes the sidecar. Output bytes are a pure function of the
     /// index contents — and therefore of the archive bytes — regardless of
-    /// how many shards built it.
+    /// how many shards built it: accounts are written in account order.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(SIDECAR_MAGIC);
@@ -477,7 +504,7 @@ impl PostingsIndex {
         write_counted_sections(
             &mut out,
             SEC_ACCOUNTS,
-            self.accounts.iter(),
+            self.iter_accounts(),
             |p, (account, offsets)| {
                 account.encode(p);
                 put_offsets(p, offsets);
@@ -512,7 +539,7 @@ impl PostingsIndex {
         }
         let mut pos = SIDECAR_MAGIC.len();
         let mut header: Option<SidecarHeader> = None;
-        let mut accounts = BTreeMap::new();
+        let mut accounts = HashMap::new();
         let mut flows = BTreeMap::new();
         let mut blocks = Vec::new();
         while pos < buf.len() {
@@ -917,6 +944,117 @@ mod tests {
         // Round trip survives with the salvage counters intact.
         let back = PostingsIndex::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(back.stats().skipped_bytes, u64::from(len30));
+    }
+
+    /// A seeded archive over a pool of random account ids: the four event
+    /// kinds, self-payments and self-trust included, with non-decreasing
+    /// timestamps that repeat (events sharing a ledger close).
+    fn random_archive(events: usize, seed: u64) -> Vec<u8> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<AccountId> = (0..400)
+            .map(|_| AccountId::from_bytes(std::array::from_fn(|_| rng.gen())))
+            .collect();
+        let mut buf = Vec::new();
+        let mut writer = Writer::new(&mut buf);
+        let mut secs = 0u64;
+        for i in 0..events {
+            secs += rng.gen_range(0..400);
+            let timestamp = RippleTime::from_seconds(secs);
+            let a = pool[rng.gen_range(0..pool.len())];
+            let b = if rng.gen_bool(0.05) {
+                a
+            } else {
+                pool[rng.gen_range(0..pool.len())]
+            };
+            let event = match rng.gen_range(0..4) {
+                0 => HistoryEvent::Payment(PaymentRecord {
+                    tx_hash: sha512_half(&(i as u64).to_be_bytes()),
+                    sender: a,
+                    destination: b,
+                    currency: Currency::USD,
+                    issuer: None,
+                    amount: "3".parse().unwrap(),
+                    timestamp,
+                    ledger_seq: i as u32,
+                    paths: PathSummary::direct(),
+                    cross_currency: false,
+                    source_currency: None,
+                }),
+                1 => HistoryEvent::OfferPlaced {
+                    owner: a,
+                    offer_seq: i as u32,
+                    base: Currency::USD,
+                    quote: Currency::EUR,
+                    gets: "1".parse().unwrap(),
+                    pays: "2".parse().unwrap(),
+                    timestamp,
+                },
+                2 => HistoryEvent::TrustSet {
+                    truster: a,
+                    trustee: b,
+                    currency: Currency::BTC,
+                    limit: "9".parse().unwrap(),
+                    timestamp,
+                },
+                _ => HistoryEvent::AccountCreated {
+                    account: a,
+                    timestamp,
+                },
+            };
+            writer.write(&event).unwrap();
+        }
+        writer.finish().unwrap();
+        buf
+    }
+
+    /// Oracle for the hashed account index: a linear decode posting each
+    /// distinct account an event names once, into an ordered map.
+    #[test]
+    fn hashed_account_index_matches_a_linear_ordered_reference() {
+        let buf = random_archive(3_000, 0xACC7);
+        let mut reference: BTreeMap<AccountId, Vec<u64>> = BTreeMap::new();
+        let mut reader = Reader::new(buf.as_slice()).unwrap();
+        while let Some((offset, event)) = reader.next_event_at().unwrap() {
+            let mut named = match &event {
+                HistoryEvent::Payment(p) => vec![p.sender, p.destination],
+                HistoryEvent::OfferPlaced { owner, .. } => vec![*owner],
+                HistoryEvent::TrustSet {
+                    truster, trustee, ..
+                } => vec![*truster, *trustee],
+                HistoryEvent::AccountCreated { account, .. } => vec![*account],
+            };
+            named.dedup();
+            for account in named {
+                reference.entry(account).or_default().push(offset);
+            }
+        }
+
+        let build = |shards| {
+            let config = PostingsConfig {
+                shards,
+                ..PostingsConfig::default()
+            };
+            PostingsIndex::build(&buf, &config).unwrap()
+        };
+        let index = build(1);
+        assert_eq!(index.accounts(), reference.len());
+        for (account, offsets) in &reference {
+            assert_eq!(index.account_offsets(account), offsets.as_slice());
+        }
+        let keys: Vec<AccountId> = index.iter_accounts().map(|(a, _)| *a).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+        assert!(keys.iter().eq(reference.keys()));
+
+        let bytes = index.to_bytes();
+        for shards in [2, 8] {
+            let other = build(shards);
+            assert_eq!(other, index, "{shards}-shard index");
+            assert_eq!(other.to_bytes(), bytes, "{shards}-shard sidecar");
+        }
+        assert_eq!(PostingsIndex::from_bytes(&bytes).unwrap(), index);
     }
 
     /// `AccountCreated` events at the given second marks.
