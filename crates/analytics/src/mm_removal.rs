@@ -53,17 +53,6 @@ pub fn mm_removal_replay<'a>(
     }
 }
 
-/// Replays the same window on the *unmodified* snapshot — the control run
-/// showing the network delivered these payments before the removal.
-pub fn control_replay<'a>(
-    snapshot: &LedgerState,
-    window: impl Iterator<Item = &'a PaymentRecord>,
-) -> ReplayStats {
-    let mut state = snapshot.clone();
-    let requests: Vec<PaymentRequest> = window.map(request_from_record).collect();
-    replay(&mut state, &PaymentEngine::new(), &requests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +61,17 @@ mod tests {
 
     fn acct(n: u8) -> AccountId {
         AccountId::from_bytes([n; 20])
+    }
+
+    /// Replays the same window on the *unmodified* snapshot — the control
+    /// run showing the network delivered these payments before the removal.
+    fn control_replay<'a>(
+        snapshot: &LedgerState,
+        window: impl Iterator<Item = &'a PaymentRecord>,
+    ) -> ReplayStats {
+        let mut state = snapshot.clone();
+        let requests: Vec<PaymentRequest> = window.map(request_from_record).collect();
+        replay(&mut state, &PaymentEngine::new(), &requests)
     }
 
     fn v(s: &str) -> Value {

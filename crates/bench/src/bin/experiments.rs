@@ -15,17 +15,16 @@
 //! `fig3`, `fig4`, `fig5`, `fig6a`, `fig6b`, `table2`, `fig7`, `offers`;
 //! the extension studies `rewards` (§IV's proposed validator-reward
 //! system), `unl` (UNL-overlap fork analysis), `countermeasure` (§V's
-//! wallet-splitting discussion), `archive` (raw parse throughput),
-//! `timeline` (payment/population trends), `synth` (history generation
-//! only, for benchmarking the pipeline itself) and `check` (the
-//! `ripple-check` correctness harness: differential models plus invariant
-//! oracles, `--budget-secs` wall-clock budget, `--ops` operations per
-//! generated case); and `node`, `store` and `liquidity`, which build their
-//! own input and run only when named. `all` (the default) runs every other
-//! row: first the studies that need no payment history, then `fig3` alone
-//! (it prints its own wall-clock timings), then the remaining history-backed
-//! studies concurrently over the shared payment arena, their reports
-//! printed in table order.
+//! wallet-splitting discussion), `timeline` (payment/population trends),
+//! `synth` (history generation only, for benchmarking the pipeline itself)
+//! and `check` (the `ripple-check` correctness harness: differential models
+//! plus invariant oracles, `--budget-secs` wall-clock budget, `--ops`
+//! operations per generated case); and `node`, `store` and `liquidity`,
+//! which build their own input and run only when named. `all` (the
+//! default) runs every other row: first the studies that need no payment
+//! history, then `fig3` alone (it prints its own wall-clock timings), then
+//! the remaining history-backed studies concurrently over the shared
+//! payment arena, their reports printed in table order.
 //!
 //! `check` exits non-zero on any divergence and writes the shrunk,
 //! replayable counterexample to `CHECK_CASE.json`; `check replay FILE`
@@ -67,7 +66,7 @@
 //! "Observability").
 //!
 //! An unknown flag or experiment, a missing or unparsable flag value and an
-//! unreadable `--plan` file print a message and exit 2.
+//! unreadable or invalid `--plan` file print a message and exit 2.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -132,7 +131,6 @@ const STUDIES: &[Entry] = &[
     row("rewards", true, Input::Args(rewards)),
     row("unl", true, Input::Args(unl)),
     row("countermeasure", true, Input::Shared(countermeasure)),
-    row("archive", true, Input::Shared(archive)),
     row("timeline", true, Input::Shared(timeline)),
     row("synth", true, Input::Shared(synth)),
     row("check", true, Input::Args(check)),
@@ -1183,37 +1181,6 @@ fn countermeasure(study: &Study) -> String {
     out
 }
 
-fn archive(study: &Study) -> String {
-    let mut out = String::from("== Extension: archive write/scan throughput ==\n\n");
-    let mut buf = Vec::new();
-    let t0 = Instant::now();
-    let written = study
-        .output()
-        .write_archive(&mut buf)
-        .unwrap_or_else(|err| fail(&format!("archive write failed: {err}")));
-    let write_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let events = ripple_core::store::Reader::new(buf.as_slice())
-        .and_then(ripple_core::store::Reader::read_all)
-        .unwrap_or_else(|err| fail(&format!("archive scan failed: {err}")))
-        .len();
-    let scan_secs = t1.elapsed().as_secs_f64();
-    let mb = buf.len() as f64 / 1e6;
-    let _ = writeln!(out, "records: {written} | size: {mb:.1} MB");
-    let _ = writeln!(
-        out,
-        "write: {:.2} MB/s | scan: {:.2} MB/s ({events} events)",
-        mb / write_secs,
-        mb / scan_secs
-    );
-    let _ = writeln!(
-        out,
-        "=> at scan speed, the paper's 500 GB dump parses in ~{:.1} h on one core\n",
-        500_000.0 / (mb / scan_secs) / 3_600.0
-    );
-    out
-}
-
 fn timeline(study: &Study) -> String {
     let mut out = String::from("== Payment trends and population ==\n\n");
     let rows = study.timeline();
@@ -1278,6 +1245,17 @@ mod tests {
     }
 
     #[test]
+    fn an_invalid_plan_is_an_error() {
+        let path = std::env::temp_dir().join(format!("bad_plan_{}.txt", std::process::id()));
+        std::fs::write(&path, "heal_at 10\nloss_burst 900 500 0.3\n").expect("write plan");
+        let args = parse(&["node", "--plan", path.to_str().expect("utf-8 path")]);
+        let err = node_config(&args).map(|_| ()).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert!(err.starts_with("bad --plan"), "{err}");
+        assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
     fn all_keeps_its_order_and_leaves_out_the_self_contained_studies() {
         let all = chosen("all");
         assert_eq!(
@@ -1296,7 +1274,6 @@ mod tests {
                 "fig7",
                 "offers",
                 "countermeasure",
-                "archive",
                 "timeline",
                 "synth"
             ]

@@ -45,6 +45,6 @@ fn an_unknown_experiment_lists_the_study_table() {
     assert_eq!(
         listed,
         "all, fig2, table1, fig3, fig4, fig5, fig6a, fig6b, table2, fig7, offers, \
-         rewards, unl, countermeasure, archive, timeline, synth, check, node, store, liquidity"
+         rewards, unl, countermeasure, timeline, synth, check, node, store, liquidity"
     );
 }

@@ -128,7 +128,9 @@ pub fn lower(plan: &FaultPlan, sim_round: SimTime, live_round_ms: u64) -> LivePl
 ///
 /// # Errors
 ///
-/// A message naming the offending line on any syntax error.
+/// A message naming the offending line on any syntax error, on a loss or
+/// delay window whose start is not before its end, and on a loss
+/// probability outside `[0, 1]`.
 pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -151,6 +153,16 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
                 .map_err(|_| err("bad node id"))
         };
         let group = |s: &str| -> Result<Vec<NodeId>, String> { s.split(',').map(node).collect() };
+        // `FaultPlan`'s window events assert a non-empty window; a plan
+        // file is untrusted input, so check here and report the line.
+        let window = |from: &str, until: &str| -> Result<(SimTime, SimTime), String> {
+            let (from, until) = (ms(from)?, ms(until)?);
+            if from < until {
+                Ok((from, until))
+            } else {
+                Err(err("empty window (from must be before until)"))
+            }
+        };
         plan = match (verb, rest.as_slice()) {
             ("partition_at", [at, left, right]) => {
                 plan.partition_at(ms(at)?, group(left)?, group(right)?)
@@ -159,11 +171,17 @@ pub fn parse_plan(text: &str) -> Result<FaultPlan, String> {
             ("crash_at", [at, n]) => plan.crash_at(ms(at)?, node(n)?),
             ("restart_at", [at, n]) => plan.restart_at(ms(at)?, node(n)?),
             ("loss_burst", [from, until, loss]) => {
-                let p: f64 = loss.parse().map_err(|_| err("bad probability"))?;
-                plan.loss_burst(ms(from)?, ms(until)?, p)
+                let p = loss
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|p| (0.0..=1.0).contains(p))
+                    .ok_or_else(|| err("bad probability (must be in [0, 1])"))?;
+                let (from, until) = window(from, until)?;
+                plan.loss_burst(from, until, p)
             }
             ("delay_spike", [from, until, extra]) => {
-                plan.delay_spike(ms(from)?, ms(until)?, ms(extra)?)
+                let (from, until) = window(from, until)?;
+                plan.delay_spike(from, until, ms(extra)?)
             }
             ("clock_skew", [n, offset]) => plan.clock_skew(node(n)?, ms(offset)?),
             _ => return Err(err("unknown or malformed event")),
@@ -251,6 +269,20 @@ clock_skew 1 80
         assert!(err.contains("line 2"), "{err}");
         let err = parse_plan("partition_at 10 0,x 1").unwrap_err();
         assert!(err.contains("bad node id"), "{err}");
+        // Inputs `FaultPlan`'s window asserts would abort on.
+        for (plan, line, what) in [
+            ("loss_burst 900 500 0.3", "line 1", "empty window"),
+            (
+                "heal_at 10\ndelay_spike 500 500 40",
+                "line 2",
+                "empty window",
+            ),
+            ("loss_burst 0 10 1.5", "line 1", "bad probability"),
+            ("loss_burst 0 10 NaN", "line 1", "bad probability"),
+        ] {
+            let err = parse_plan(plan).unwrap_err();
+            assert!(err.contains(line) && err.contains(what), "{plan:?}: {err}");
+        }
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl OrderBook {
         self.entries.iter().map(|e| e.remaining).sum()
     }
 
-    /// The best (lowest) rate, if any offer rests.
-    pub fn best_rate(&self) -> Option<Rate> {
-        self.entries.first().map(|e| e.rate)
-    }
-
     /// Inserts an offer selling `remaining` of base at `rate`.
     pub fn insert(&mut self, owner: AccountId, offer_seq: u32, remaining: Value, rate: Rate) {
         let arrival = self.arrivals;
@@ -267,7 +262,6 @@ mod tests {
         let mut book = OrderBook::new(Currency::EUR, Currency::USD);
         book.insert(acct(1), 1, v("100"), Rate::new(12, 10));
         book.insert(acct(2), 1, v("100"), Rate::new(11, 10));
-        assert_eq!(book.best_rate().unwrap(), Rate::new(11, 10));
         let fill = book.fill(v("50"));
         assert_eq!(fill.parts[0].owner, acct(2));
         assert_eq!(fill.paid, v("55"));
@@ -338,7 +332,7 @@ mod tests {
         let set = BookSet::from_ledger(&state);
         assert_eq!(set.total_offers(), 1);
         let book = set.book(Currency::EUR, Currency::USD).unwrap();
-        assert_eq!(book.best_rate().unwrap(), Rate::new(11, 10));
+        assert_eq!(book.iter().next().unwrap().rate, Rate::new(11, 10));
     }
 
     #[test]

@@ -35,12 +35,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbitrage;
 pub mod book;
 pub mod rate;
 pub mod rates;
 
-pub use arbitrage::{execute_two_leg, find_triangular, find_two_leg, ArbitrageOpportunity};
 pub use book::{BookEntry, BookSet, FillOutcome, FillPart, OrderBook};
 pub use rate::Rate;
 pub use rates::RateTable;

@@ -5,7 +5,6 @@ use ripple_crypto::AccountId;
 use ripple_ledger::{Amount, Currency, Drops, IouAmount, LedgerError, LedgerState, Value};
 use ripple_orderbook::{BookSet, FillPart};
 
-use crate::fees::TransferFees;
 use crate::router::{carried, stamp_of, FoundPath, PathLimits, Router, RouterStats};
 use std::cell::RefCell;
 
@@ -181,9 +180,8 @@ impl UndoLog {
     }
 }
 
-/// The payment engine. Stateless apart from its fee table and its router's
-/// cache; all effects land in the [`LedgerState`] passed to
-/// [`PaymentEngine::pay`].
+/// The payment engine. Stateless apart from its router's cache; all
+/// effects land in the [`LedgerState`] passed to [`PaymentEngine::pay`].
 ///
 /// # Examples
 ///
@@ -214,7 +212,6 @@ impl UndoLog {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PaymentEngine {
-    fees: TransferFees,
     /// Cached capacity-aware router for every IOU payment and leg. Interior
     /// mutability keeps `pay(&self, …)` stable; the engine is a
     /// single-threaded object (it was never `Sync`-dependent) and the cache
@@ -224,7 +221,7 @@ pub struct PaymentEngine {
 }
 
 impl PaymentEngine {
-    /// Engine with default path limits and no transfer fees.
+    /// Engine with default path limits.
     pub fn new() -> PaymentEngine {
         PaymentEngine::default()
     }
@@ -232,7 +229,6 @@ impl PaymentEngine {
     /// Engine with custom path limits.
     pub fn with_limits(limits: PathLimits) -> PaymentEngine {
         PaymentEngine {
-            fees: TransferFees::new(),
             router: RefCell::new(Router::new(limits)),
         }
     }
@@ -240,16 +236,6 @@ impl PaymentEngine {
     /// Cache counters from the embedded router.
     pub fn router_stats(&self) -> RouterStats {
         self.router.borrow().stats()
-    }
-
-    /// Configures per-account transfer fees. With fees set, same-currency
-    /// payments take one path, the cheapest of the router's candidates
-    /// ([`Router::cheapest`]) — the paper's "path with the best exchange
-    /// rate available" — and the sender pays the gross amount while
-    /// intermediaries keep their cut.
-    pub fn with_transfer_fees(mut self, fees: TransferFees) -> PaymentEngine {
-        self.fees = fees;
-        self
     }
 
     /// Executes a payment. On error the ledger is untouched.
@@ -303,48 +289,6 @@ impl PaymentEngine {
                 cross_currency: false,
             });
         }
-        // With transfer fees configured, route via the cheapest candidate
-        // and charge the sender the gross amount.
-        if !self.fees.is_empty() {
-            let Some(path) = self.router.borrow_mut().cheapest(
-                state,
-                request.sender,
-                request.destination,
-                request.currency,
-                request.amount,
-                &self.fees,
-            ) else {
-                return Err(PaymentError::NoPath {
-                    carried: Value::ZERO,
-                    requested: request.amount,
-                });
-            };
-            if let Some(send_max) = request.send_max {
-                if path.source_cost > send_max {
-                    return Err(PaymentError::SendMaxExceeded {
-                        cost: path.source_cost,
-                        send_max,
-                    });
-                }
-            }
-            let plan = hops(request.sender, &path.intermediates, request.destination)
-                .zip(&path.gross)
-                .map(|((from, to), &gross)| (from, to, gross));
-            let mut undo = UndoLog::default();
-            if let Err(e) = self.apply_routed(state, &mut undo, request.currency, plan) {
-                undo.rollback(state);
-                return Err(e);
-            }
-            return Ok(ExecutedPayment {
-                delivered: request.amount,
-                currency: request.currency,
-                source_currency: request.currency,
-                source_cost: path.source_cost,
-                paths: vec![path.intermediates],
-                cross_currency: false,
-            });
-        }
-
         let paths = self.router.borrow_mut().route(
             state,
             request.sender,
@@ -355,9 +299,9 @@ impl PaymentEngine {
         self.settle(state, request, paths)
     }
 
-    /// Executes a fee-less same-currency plan for `request`, all or
-    /// nothing: a plan that carries too little is `NoPath`, and a hop the
-    /// ledger refuses undoes the hops before it.
+    /// Executes a same-currency plan for `request`, all or nothing: a
+    /// plan that carries too little is `NoPath`, and a hop the ledger
+    /// refuses undoes the hops before it.
     fn settle(
         &self,
         state: &mut LedgerState,
@@ -701,8 +645,8 @@ fn hops(
     starts.zip(intermediates.iter().copied().chain(std::iter::once(to)))
 }
 
-/// The `(from, to, amount)` hops of a fee-less plan from `from` to `to`,
-/// path by path: every hop of a path carries the path's amount.
+/// The `(from, to, amount)` hops of a plan from `from` to `to`, path by
+/// path: every hop of a path carries the path's amount.
 fn plan_hops(
     from: AccountId,
     to: AccountId,
@@ -1058,80 +1002,6 @@ mod tests {
         // Both makers appear as intermediates.
         assert!(done.paths[0].contains(&mm_xrp));
         assert!(done.paths[0].contains(&mm_eur));
-    }
-
-    #[test]
-    fn transfer_fees_charge_the_sender_and_pay_the_hop() {
-        let mut s = LedgerState::new();
-        for i in 1..=3 {
-            s.create_account(acct(i), Drops::from_xrp(100));
-        }
-        s.set_trust(acct(2), acct(1), Currency::USD, v("1000"))
-            .unwrap();
-        s.set_trust(acct(3), acct(2), Currency::USD, v("1000"))
-            .unwrap();
-        let mut fees = crate::fees::TransferFees::new();
-        fees.set(acct(2), 200); // the gateway keeps 2%
-        let engine = PaymentEngine::new().with_transfer_fees(fees);
-        let done = engine
-            .pay(&mut s, &request(1, 3, Currency::USD, "100"))
-            .unwrap();
-        assert_eq!(done.delivered, v("100"));
-        assert_eq!(done.source_cost, v("102"));
-        // The intermediary earned its cut.
-        assert_eq!(s.net_position(acct(2), Currency::USD), v("2"));
-        assert_eq!(s.net_position(acct(1), Currency::USD), v("-102"));
-        assert_eq!(s.net_position(acct(3), Currency::USD), v("100"));
-    }
-
-    #[test]
-    fn fee_payments_patch_the_router() {
-        let mut s = LedgerState::new();
-        for i in 1..=3 {
-            s.create_account(acct(i), Drops::from_xrp(100));
-        }
-        s.set_trust(acct(2), acct(1), Currency::USD, v("1000"))
-            .unwrap();
-        s.set_trust(acct(3), acct(2), Currency::USD, v("1000"))
-            .unwrap();
-        let mut fees = crate::fees::TransferFees::new();
-        fees.set(acct(2), 200);
-        let engine = PaymentEngine::new().with_transfer_fees(fees);
-        for _ in 0..2 {
-            let done = engine
-                .pay(&mut s, &request(1, 3, Currency::USD, "100"))
-                .unwrap();
-            assert_eq!(done.source_cost, v("102"));
-        }
-        assert_eq!(s.net_position(acct(2), Currency::USD), v("4"));
-        let stats = engine.router_stats();
-        assert_eq!(
-            stats.graph_builds, 1,
-            "the second payment met a patched graph"
-        );
-        assert_eq!(stats.edges_refreshed, 2 * 2 * 2, "2 payments x 2 hops");
-    }
-
-    #[test]
-    fn transfer_fees_respect_send_max() {
-        let mut s = LedgerState::new();
-        for i in 1..=3 {
-            s.create_account(acct(i), Drops::from_xrp(100));
-        }
-        s.set_trust(acct(2), acct(1), Currency::USD, v("1000"))
-            .unwrap();
-        s.set_trust(acct(3), acct(2), Currency::USD, v("1000"))
-            .unwrap();
-        let mut fees = crate::fees::TransferFees::new();
-        fees.set(acct(2), 500);
-        let engine = PaymentEngine::new().with_transfer_fees(fees);
-        let mut req = request(1, 3, Currency::USD, "100");
-        req.send_max = Some(v("102")); // gross is 105
-        assert!(matches!(
-            engine.pay(&mut s, &req),
-            Err(PaymentError::SendMaxExceeded { .. })
-        ));
-        assert_eq!(s.net_position(acct(1), Currency::USD), Value::ZERO);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! * multi-path splitting when no single path carries the amount (the
 //!   paper's Figure 6(b) parallel paths) — an Edmonds–Karp-style residual
 //!   decomposition;
-//! * transfer fees: a fee-bearing payment takes the cheapest of the
-//!   router's candidates ([`Router::cheapest`]);
 //! * cross-currency delivery through Market-Maker offers, including the XRP
 //!   auto-bridge ([`engine::PaymentEngine::pay`]);
 //! * all-or-nothing semantics with rollback on partial failure;
@@ -27,11 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod fees;
 pub mod replay;
 pub mod router;
 
 pub use engine::{ExecutedPayment, PaymentEngine, PaymentError, PaymentRequest};
-pub use fees::{FeePath, TransferFees};
 pub use replay::{replay, ReplayCategory, ReplayStats};
 pub use router::{carried, FoundPath, PathLimits, Router, RouterStats};

@@ -17,8 +17,7 @@
 //! * a table of *enumerated* candidate paths per `(source, destination)`:
 //!   the full shortest-first augmenting-path decomposition, computed once
 //!   without an amount bound and then *allocated* against any requested
-//!   amount in O(paths), or ranked by transfer-fee cost
-//!   ([`Router::cheapest`]).
+//!   amount in O(paths).
 //!
 //! # Staying current
 //!
@@ -431,7 +430,7 @@ pub struct Router {
     stamp: Stamp,
     caches: HashMap<Currency, CurrencyCache>,
     scratch: Scratch,
-    pub(crate) stats: RouterStats,
+    stats: RouterStats,
 }
 
 impl Router {
@@ -492,7 +491,7 @@ impl Router {
 
     /// Returns the (cached or freshly computed) unbounded path enumeration
     /// for `(sender, destination, currency)` on `state`.
-    pub(crate) fn enumeration(
+    fn enumeration(
         &mut self,
         state: &LedgerState,
         sender: AccountId,

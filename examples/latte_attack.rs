@@ -15,9 +15,15 @@ use ripple_core::{crypto, AccountId, Study, SynthConfig};
 
 fn main() {
     // A public history with 20k payments (the real study had 23M; scale
-    // does not change the mechanics).
+    // does not change the mechanics). `RIPPLE_SMOKE=1` shrinks it to 3k so
+    // CI can run the example in seconds.
+    let payments = if std::env::var_os("RIPPLE_SMOKE").is_some() {
+        3_000
+    } else {
+        20_000
+    };
     println!("generating the public ledger history...");
-    let mut study_config = SynthConfig::small(20_000);
+    let mut study_config = SynthConfig::small(payments);
     study_config.seed = 4_501;
     let study = Study::generate(study_config);
 

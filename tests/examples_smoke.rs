@@ -29,6 +29,11 @@ fn quickstart_runs_clean() {
 }
 
 #[test]
+fn latte_attack_runs_clean() {
+    run_example("latte_attack");
+}
+
+#[test]
 fn validator_watch_runs_clean() {
     run_example("validator_watch");
 }

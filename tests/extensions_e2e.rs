@@ -3,9 +3,7 @@
 
 use ripple_core::deanon::countermeasure::{ground_truth, link_wallets_by_habit, split_wallets};
 use ripple_core::deanon::ResolutionSpec;
-use ripple_core::ledger::{Currency, FeeSchedule};
-use ripple_core::orderbook::{find_two_leg, BookSet};
-use ripple_core::paths::{PaymentEngine, PaymentRequest, TransferFees};
+use ripple_core::ledger::FeeSchedule;
 use ripple_core::query::{EngineConfig, QueryEngine};
 use ripple_core::{PaymentRecord, Study, SynthConfig};
 
@@ -40,78 +38,6 @@ fn archive_index_window_matches_linear_filter() {
         .count();
     assert_eq!(windowed.len(), linear);
     assert!(!windowed.is_empty());
-}
-
-#[test]
-fn organic_books_offer_no_free_lunch() {
-    // Market makers quote around a consistent mid-rate with a positive
-    // spread on both sides, so round trips must cost money.
-    let study = study();
-    let books = BookSet::from_ledger(&study.output().final_state);
-    assert!(books.total_offers() > 0, "resident offers exist");
-    let skews = find_two_leg(
-        &books,
-        &[Currency::USD, Currency::EUR, Currency::BTC, Currency::CNY],
-    );
-    assert!(
-        skews.is_empty(),
-        "spread-quoted books are arbitrage-free: {skews:?}"
-    );
-}
-
-#[test]
-fn transfer_fees_route_payments_on_generated_topology() {
-    let study = study();
-    let mut state = study.output().final_state.clone();
-    let cast = &study.output().cast;
-    // Charge every gateway a 0.5% transfer rate.
-    let mut fees = TransferFees::new();
-    for gw in &cast.gateways {
-        fees.set(gw.account, 50);
-    }
-    let engine = PaymentEngine::new().with_transfer_fees(fees);
-    // A same-community payment: sender pays the gateway toll.
-    let (sender, community) = cast.users[0];
-    let currency = cast.community_currency[community];
-    let destination = cast
-        .users
-        .iter()
-        .find(|&&(u, c)| c == community && u != sender)
-        .map(|&(u, _)| u)
-        .expect("community has another member");
-    let result = engine.pay(
-        &mut state,
-        &PaymentRequest {
-            sender,
-            destination,
-            currency,
-            amount: "5".parse().unwrap(),
-            source_currency: None,
-            send_max: None,
-        },
-    );
-    match result {
-        Ok(done) => {
-            assert!(done.source_cost >= done.delivered, "tolls are non-negative");
-            if done.paths[0]
-                .iter()
-                .any(|hop| cast.gateways.iter().any(|g| g.account == *hop))
-            {
-                assert!(
-                    done.source_cost > done.delivered,
-                    "routing through a tolled gateway must cost extra"
-                );
-            }
-        }
-        Err(e) => {
-            // Acceptable only if the sender genuinely lacks capacity.
-            let msg = e.to_string();
-            assert!(
-                msg.contains("routable") || msg.contains("cover"),
-                "unexpected failure: {msg}"
-            );
-        }
-    }
 }
 
 #[test]
