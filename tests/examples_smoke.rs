@@ -4,10 +4,10 @@
 
 use std::process::Command;
 
-/// Runs `cargo run --example <name>` with the smoke knob set and asserts a
-/// clean exit. Builds share the workspace target directory, so after the
-/// first example the rest only link.
-fn run_example(name: &str) {
+/// Runs `cargo run --example <name>` with the smoke knob set, asserts a
+/// clean exit, and returns its stdout. Builds share the workspace target
+/// directory, so after the first example the rest only link.
+fn run_example(name: &str) -> Vec<u8> {
     let output = Command::new(env!("CARGO"))
         .args(["run", "--quiet", "--example", name])
         .env("RIPPLE_SMOKE", "1")
@@ -21,6 +21,7 @@ fn run_example(name: &str) {
         String::from_utf8_lossy(&output.stderr)
     );
     assert!(!output.stdout.is_empty(), "example {name} printed nothing");
+    output.stdout
 }
 
 #[test]
@@ -40,7 +41,17 @@ fn validator_watch_runs_clean() {
 
 #[test]
 fn chaos_storm_runs_clean() {
-    run_example("chaos_storm");
+    // The three campaign digests, the salvage tallies and the
+    // deterministic metrics snapshot (`consensus.rounds.*`,
+    // `netsim.fate.*`, `netsim.in_flight_dropped`) are all seeded, so the
+    // whole smoke stdout is pinned.
+    let stdout = run_example("chaos_storm");
+    assert_eq!(
+        ripple_core::crypto::sha512_half(&stdout).to_hex(),
+        "5c153c04f978d5a5bc08337c2736569f91c70f243ab8c42e55574ffe47925a31",
+        "chaos_storm's smoke output moved:\n{}",
+        String::from_utf8_lossy(&stdout)
+    );
 }
 
 #[test]
