@@ -119,13 +119,6 @@ pub struct ChaosOutcome {
     pub digest: Digest256,
 }
 
-impl ChaosOutcome {
-    /// The longest stall, if any round failed to commit.
-    pub fn worst_stall(&self) -> Option<StallWindow> {
-        self.stalls.iter().copied().max_by_key(|s| s.rounds)
-    }
-}
-
 /// Checks safety (no fork) and measures liveness (stalls, recovery)
 /// across the rounds of a campaign.
 ///
@@ -477,9 +470,14 @@ mod tests {
         let outcome = fast(ChaosCampaign::new(honest(5), plan, 8, 7))
             .run()
             .unwrap();
-        let stall = outcome.worst_stall().expect("crash must stall quorum");
-        assert_eq!(stall.first_round, 2);
-        assert_eq!(stall.rounds, 2);
+        assert_eq!(
+            outcome.stalls,
+            [StallWindow {
+                first_round: 2,
+                rounds: 2
+            }],
+            "the crash, and only the crash, stalls quorum"
+        );
         let recovery = outcome.recovery.expect("validators came back");
         assert_eq!(recovery.rounds_to_recover, 1, "first clean round commits");
         assert_eq!(outcome.committed_rounds, 6);

@@ -1,8 +1,9 @@
 //! One RPCA validator as a sans-IO state machine.
 //!
 //! [`ValidatorCore`] is the validator both transports run:
-//! [`RoundEngine`](crate::RoundEngine) drives n of them over the simulated
-//! network, `ripple-node` drives one over TCP on the wall clock. It has no
+//! [`RoundEngine`](crate::RoundEngine) drives n of them, handing each the
+//! messages that land by each deadline; `ripple-node` drives one over TCP on
+//! the wall clock. It has no
 //! clock, socket or RNG: its driver calls it when a round opens, a message
 //! arrives or an iteration's deadline passes, and sends what it returns —
 //! the per-process handlers Chase–MacBrough and Amores-Sesar et al. specify

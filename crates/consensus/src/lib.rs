@@ -4,7 +4,8 @@
 //! Two engines share the same validator population model:
 //!
 //! * [`rounds::RoundEngine`] — a message-level implementation of RPCA over
-//!   the [`ripple_netsim`] network: proposal rounds with escalating agreement
+//!   [`ripple_netsim`]'s link model, each message handed to the deadline
+//!   window it lands in: proposal rounds with escalating agreement
 //!   thresholds (50% → 55% → 60% → 80%) within each validator's UNL, and
 //!   signed validations. The only in-process RPCA driver: the
 //!   safety/liveness demos and the [`unl`] fork analysis run on it. Each of

@@ -1,5 +1,5 @@
-//! Message-level RPCA: one consensus round executed over the simulated
-//! network.
+//! Message-level RPCA: one consensus round over a simulated network, each
+//! message handed to the deadline window it lands in.
 //!
 //! The protocol follows Schwartz, Youngs and Britto's white paper (the
 //! paper's reference [6]): validators start from their own candidate
@@ -20,10 +20,25 @@
 //! # One validator, two transports
 //!
 //! Each validator is a [`ValidatorCore`], as in `ripple-node`. The engine
-//! drives n of them over netsim and keeps only what a simulator alone has:
-//! crash skipping, byzantine lies (drawn from the round's RNG between
-//! sends) and the omniscient [`RoundOutcome`], tallied over every
-//! validator's sealed page.
+//! drives n of them and keeps only what a simulator alone has: crash
+//! skipping, byzantine lies (drawn from the round's RNG between sends) and
+//! the omniscient [`RoundOutcome`], tallied over every validator's sealed
+//! page.
+//!
+//! # Deadline windows, not an event queue
+//!
+//! Each phase sends its messages at the phase's start, drawing every fate
+//! and arrival time from `ripple-netsim`'s link model ([`Network`]) in
+//! sender order. When the phase's deadline passes, every message that has
+//! landed by then — at or before the deadline — goes to its recipient's
+//! core; the rest stay in flight, carried to the window they land in, where
+//! a proposal from an earlier round is dropped as stale. A core files one
+//! message per sender and slot and its deadline counts what is filed, so
+//! the order messages land in within a window changes nothing, and no
+//! time-ordered queue is kept. A crash or cut on the way is read at each
+//! message's arrival time ([`Network::arrives`]), so a message dropped in
+//! flight is counted in the round whose window holds its arrival. Messages
+//! still in flight when the engine's last round ends are never counted.
 //!
 //! # Interned positions
 //!
@@ -58,7 +73,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ripple_crypto::{sha512_half, Digest256};
-use ripple_netsim::{Delivery, LatencyModel, Network, NodeId, SimTime};
+use ripple_netsim::{LatencyModel, Network, NodeId, SimTime};
 use ripple_obs::{span, LazyCounter, LazyHistogram};
 
 use crate::core::{Refused, ValidatorCore};
@@ -92,26 +107,21 @@ static POSITION_ALLOCS: LazyCounter = LazyCounter::new("consensus.rounds.positio
 // first one, so a run without any has no such key in its snapshot.
 static STALE_PROPOSALS: LazyCounter = LazyCounter::new("consensus.rounds.stale_proposals");
 
-/// Messages exchanged during a round.
-#[derive(Debug, Clone)]
-pub enum Msg {
-    /// A position broadcast during a proposal iteration.
-    Proposal {
-        /// Which of the engine's rounds the proposal was sent in.
-        round: u64,
-        /// Which RPCA iteration of that round the proposal belongs to.
-        iteration: usize,
-        /// The proposed transaction set, as ascending indices into that
-        /// round's candidate table. Shared by every recipient of a
-        /// broadcast.
-        position: Arc<[u32]>,
-    },
-    /// A signed page announcement after the final iteration.
-    Validation {
-        /// The sealed page hash.
-        page: Digest256,
-    },
+/// A message on its way to `to`, landing at `at`. A proposal carries its
+/// round, iteration and position (ascending indices into that round's
+/// candidate table, one buffer shared by a broadcast's recipients); a
+/// validation carries nothing the engine reads, since each page is tallied
+/// where it is sealed.
+#[derive(Debug)]
+struct InFlight {
+    from: usize,
+    to: usize,
+    at: SimTime,
+    proposal: Option<Proposal>,
 }
+
+/// A proposal's round, iteration and position.
+type Proposal = (u64, usize, Arc<[u32]>);
 
 /// Why a round could not even be started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +176,9 @@ pub struct RoundOutcome {
 /// A message-level RPCA engine over a simulated network.
 pub struct RoundEngine {
     validators: Vec<Validator>,
-    network: Network<Msg>,
+    network: Network,
+    /// Messages sent but not yet landed, in send order.
+    in_flight: Vec<InFlight>,
     iteration_timeout: SimTime,
     /// Rounds started so far; the current round's number is this minus one.
     rounds_started: u64,
@@ -199,6 +211,7 @@ impl RoundEngine {
         RoundEngine {
             validators,
             network,
+            in_flight: Vec::new(),
             iteration_timeout: SimTime::from_millis(500),
             rounds_started: 0,
             cores: (0..n)
@@ -228,12 +241,12 @@ impl RoundEngine {
 
     /// Access to the underlying network for failure injection (partitions,
     /// crashes, per-node latency, fault plans).
-    pub fn network_mut(&mut self) -> &mut Network<Msg> {
+    pub fn network_mut(&mut self) -> &mut Network {
         &mut self.network
     }
 
     /// Read-only access to the underlying network (clock, drop counters).
-    pub fn network(&self) -> &Network<Msg> {
+    pub fn network(&self) -> &Network {
         &self.network
     }
 
@@ -294,64 +307,34 @@ impl RoundEngine {
         let mut support: Vec<u32> = vec![0; table.len()];
 
         for iteration in 0..RPCA_THRESHOLDS.len() {
-            // Broadcast proposals.
             for v in 0..n {
                 if self.network.is_crashed(NodeId(v)) {
                     continue;
                 }
                 let position = Arc::clone(self.cores[v].position());
-                match self.validators[v].profile {
-                    ValidatorProfile::Byzantine { .. } => {
-                        // Equivocate: send a different random subset to each
-                        // peer.
-                        for to in 0..n {
-                            if to == v {
-                                continue;
-                            }
-                            let lie: Arc<[u32]> = position
+                let byzantine = matches!(
+                    self.validators[v].profile,
+                    ValidatorProfile::Byzantine { .. }
+                );
+                for to in (0..n).filter(|&to| to != v) {
+                    // A byzantine validator equivocates: a different random
+                    // subset of its position to each peer.
+                    let position = match byzantine {
+                        true => {
+                            POSITION_ALLOCS.add(1);
+                            position
                                 .iter()
                                 .copied()
                                 .filter(|_| rng.gen_bool(0.5))
-                                .collect();
-                            POSITION_ALLOCS.add(1);
-                            self.network.send(
-                                NodeId(v),
-                                NodeId(to),
-                                Msg::Proposal {
-                                    round,
-                                    iteration,
-                                    position: lie,
-                                },
-                                &mut rng,
-                            );
-                            PROPOSALS_SENT.add(1);
+                                .collect()
                         }
-                    }
-                    _ => {
-                        self.network.broadcast(
-                            NodeId(v),
-                            Msg::Proposal {
-                                round,
-                                iteration,
-                                position,
-                            },
-                            &mut rng,
-                        );
-                        PROPOSALS_SENT.add(n as u64 - 1);
-                    }
+                        false => Arc::clone(&position),
+                    };
+                    self.send(v, to, Some((round, iteration, position)), &mut rng);
                 }
+                PROPOSALS_SENT.add(n as u64 - 1);
             }
-
-            // Hand each proposal to its recipient until the iteration
-            // deadline.
-            let deadline = self.network.now() + self.iteration_timeout;
-            while let Some((_, delivery)) = self.network.step_until(deadline) {
-                self.deliver(delivery);
-            }
-            // Idle out the remainder of the iteration window so every
-            // iteration occupies exactly `iteration_timeout` of virtual
-            // time (see `round_duration`).
-            self.network.advance_to(deadline);
+            self.land_until_deadline();
 
             // The deadline passes for every running honest validator
             // (byzantine nodes keep their own plans).
@@ -368,30 +351,20 @@ impl RoundEngine {
         }
 
         // Validation phase: everyone seals its final position and broadcasts
-        // a validation; collect with a generous deadline.
+        // a validation. Pages are tallied here; the messages only move the
+        // clock and the counters, as on the real network.
         let mut validations: HashMap<usize, Digest256> = HashMap::new();
         for v in 0..n {
             if self.network.is_crashed(NodeId(v)) {
                 continue;
             }
-            let page = self.cores[v].seal();
-            validations.insert(v, page);
-            self.network
-                .broadcast(NodeId(v), Msg::Validation { page }, &mut rng);
+            validations.insert(v, self.cores[v].seal());
+            for to in (0..n).filter(|&to| to != v) {
+                self.send(v, to, None, &mut rng);
+            }
             VALIDATIONS_SENT.add(n as u64 - 1);
         }
-        // Drain the validation traffic (content is already tallied above;
-        // draining keeps the virtual clock moving like the real system).
-        let deadline = self.network.now() + self.iteration_timeout;
-        let mut validation_messages_seen = 0usize;
-        while let Some((_, delivery)) = self.network.step_until(deadline) {
-            match delivery.msg {
-                Msg::Validation { .. } => validation_messages_seen += 1,
-                Msg::Proposal { .. } => self.deliver(delivery),
-            }
-        }
-        VALIDATION_MSGS_SEEN.record(validation_messages_seen as u64);
-        self.network.advance_to(deadline);
+        VALIDATION_MSGS_SEEN.record(self.land_until_deadline() as u64);
 
         let tally = tally_validations(validations.values().copied(), n);
         let committed = tally.winner.filter(|_| tally.committed).map(|page| {
@@ -409,20 +382,54 @@ impl RoundEngine {
         })
     }
 
-    /// Hands a delivered proposal to its recipient's core. One that names
-    /// an earlier round is dropped there, and counted.
-    fn deliver(&mut self, Delivery { from, to, msg }: Delivery<Msg>) {
-        if let Msg::Proposal {
-            round,
-            iteration,
-            position,
-        } = msg
-        {
-            let filed = self.cores[to.0].on_proposal(from.0, round, iteration, position);
-            if filed == Err(Refused::Stale) {
-                STALE_PROPOSALS.add(1);
-            }
+    /// Sends one message from `from` to `to` now; unless the link drops it
+    /// at once, it is in flight until its arrival time.
+    fn send(&mut self, from: usize, to: usize, proposal: Option<Proposal>, rng: &mut StdRng) {
+        if let Some(at) = self.network.send(NodeId(from), NodeId(to), rng) {
+            self.in_flight.push(InFlight {
+                from,
+                to,
+                at,
+                proposal,
+            });
         }
+    }
+
+    /// Runs one phase's window to its deadline, `iteration_timeout` after
+    /// the phase started: every message in flight that lands by then and
+    /// survives its arrival check goes to its recipient — a proposal to the
+    /// core, which drops and counts one from an earlier round — and the
+    /// rest stay in flight. Returns how many validations landed.
+    fn land_until_deadline(&mut self) -> usize {
+        let deadline = self.network.now() + self.iteration_timeout;
+        let mut validations = 0;
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        in_flight.retain_mut(|msg| {
+            if msg.at > deadline {
+                return true;
+            }
+            if self
+                .network
+                .arrives(NodeId(msg.from), NodeId(msg.to), msg.at)
+            {
+                match msg.proposal.take() {
+                    Some((round, iteration, position)) => {
+                        let filed =
+                            self.cores[msg.to].on_proposal(msg.from, round, iteration, position);
+                        if filed == Err(Refused::Stale) {
+                            STALE_PROPOSALS.add(1);
+                        }
+                    }
+                    None => validations += 1,
+                }
+            }
+            false
+        });
+        self.in_flight = in_flight;
+        // Every phase occupies exactly `iteration_timeout` of virtual time
+        // (see `round_duration`).
+        self.network.advance_to(deadline);
+        validations
     }
 
     /// Quorum size in validators ([`QUORUM_PCT`] of them, rounded up).

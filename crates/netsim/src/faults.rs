@@ -5,8 +5,10 @@
 //! spikes that hold over a window, and permanent per-node clock skew.
 //! Installed into a [`Network`](crate::Network) via
 //! [`install_plan`](crate::Network::install_plan), the plan is consulted
-//! as simulated time advances — the same plan over the same seed replays
-//! the exact same fault trajectory, so chaos runs are fully reproducible.
+//! per message: at send time for its windows and the link's state, and
+//! again at the message's arrival time for the crashes and cuts due by
+//! then. The same plan over the same seed replays the exact same fault
+//! trajectory, so chaos runs are fully reproducible.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -256,17 +258,18 @@ impl FaultPlan {
     /// Drains (clones of) the discrete events due at or before `now`,
     /// advancing the internal cursor so each fires exactly once.
     pub fn take_due(&mut self, now: SimTime) -> Vec<FaultEvent> {
-        let mut due = Vec::new();
-        while self.cursor < self.discrete.len() {
-            let idx = self.discrete[self.cursor];
-            let at = self.events[idx].fire_at().expect("discrete event");
-            if at > now {
-                break;
-            }
-            due.push(self.events[idx].clone());
-            self.cursor += 1;
-        }
+        let due: Vec<FaultEvent> = self.due_by(now).cloned().collect();
+        self.cursor += due.len();
         due
+    }
+
+    /// The discrete events not fired yet that are due at or before `t`, in
+    /// firing order, without firing them.
+    pub(crate) fn due_by(&self, t: SimTime) -> impl Iterator<Item = &FaultEvent> {
+        self.discrete[self.cursor..]
+            .iter()
+            .map(|&idx| &self.events[idx])
+            .take_while(move |event| event.fire_at().is_some_and(|at| at <= t))
     }
 
     /// Total extra loss probability from bursts active at `now`

@@ -1,30 +1,35 @@
-//! Deterministic discrete-event network simulator.
+//! Deterministic network model for the consensus simulator.
 //!
 //! The paper monitored the *live* Ripple validation stream; we reproduce the
-//! measurement on a simulated network. This crate is the substrate: a
-//! discrete-event engine ([`Simulation`]) plus a message-passing overlay
-//! ([`Network`]) with configurable per-link latency, loss and partitions.
-//! The consensus crate drives validator actors on top of it.
+//! measurement on a simulated network. This crate is its link model
+//! ([`Network`]): per-link latency, loss, partitions and crashes, and a
+//! timed [`FaultPlan`] that changes them as virtual time ([`SimTime`])
+//! passes. It keeps no queue: a send draws the message's fate — dropped, or
+//! an arrival time — and the caller holds what is in flight, asking the
+//! network at the arrival time whether a crash or cut on the way dropped it.
+//! `RoundEngine` in the consensus crate hands each message to the deadline
+//! window it lands in.
 //!
-//! Determinism matters: two runs with the same seed must produce the same
-//! event order, so experiments are exactly reproducible. Ties in delivery
-//! time are broken by a monotonically increasing sequence number.
+//! Determinism matters: the same seed draws the same fates and arrival
+//! times, so experiments are exactly reproducible.
 //!
 //! # Examples
 //!
 //! ```
-//! use ripple_netsim::{LatencyModel, Network, NodeId, SimTime};
+//! use ripple_netsim::{FaultPlan, LatencyModel, Network, NodeId, SimTime};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let mut net: Network<&'static str> = Network::new(3);
+//! let mut net = Network::new(3);
 //! net.set_default_latency(LatencyModel::Fixed(SimTime::from_millis(20)));
-//! net.send(NodeId(0), NodeId(1), "hello", &mut rng);
-//! let (at, delivery) = net
-//!     .step_until(SimTime::from_millis(100))
-//!     .expect("one message in flight");
+//! net.install_plan(FaultPlan::new().crash_at(SimTime::from_millis(10), NodeId(2)));
+//! let at = net.send(NodeId(0), NodeId(1), &mut rng).expect("link is up");
 //! assert_eq!(at, SimTime::from_millis(20));
-//! assert_eq!(delivery.msg, "hello");
+//! assert!(net.arrives(NodeId(0), NodeId(1), at));
+//! // Node 2 crashes while this one is on its way: dropped in flight.
+//! let at = net.send(NodeId(0), NodeId(2), &mut rng).expect("link is up");
+//! assert!(!net.arrives(NodeId(0), NodeId(2), at));
+//! assert_eq!((net.sent(), net.dropped()), (2, 1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,5 +44,5 @@ pub mod sim;
 pub use faults::{FaultEvent, FaultPlan};
 pub use latency::LatencyModel;
 pub use live::{lower, parse_plan, LiveAction, LivePlan};
-pub use network::{Delivery, DeliveryFate, Network, NodeId};
-pub use sim::{SimTime, Simulation};
+pub use network::{DeliveryFate, Network, NodeId};
+pub use sim::SimTime;

@@ -4,9 +4,10 @@
 //! produce that the fluent builder's argument checks never would:
 //! overlapping partitions, a restart scheduled before its crash, a
 //! zero-length loss burst (via [`FaultPlan::from_events`], which skips
-//! builder asserts by design), and duplicate timestamps. In every case
-//! [`Network::delivery_fate`] must stay *total* (an answer for every
-//! message, never a panic) and *deterministic* (same seed, same fates).
+//! builder asserts by design), and duplicate timestamps. In every case the
+//! link model's fate function, [`Network::delivery_fate`], must stay
+//! *total* (an answer for every message, never a panic) and
+//! *deterministic* (same seed, same fates).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,8 +18,12 @@ fn ms(t: u64) -> SimTime {
     SimTime::from_millis(t)
 }
 
+fn delivered(fate: &DeliveryFate) -> bool {
+    matches!(fate, DeliveryFate::Delivered { .. })
+}
+
 /// Every ordered pair's fate at the network's current virtual time.
-fn all_fates(net: &Network<&'static str>, n: usize, seed: u64) -> Vec<DeliveryFate> {
+fn all_fates(net: &Network, n: usize, seed: u64) -> Vec<DeliveryFate> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fates = Vec::new();
     for from in 0..n {
@@ -31,39 +36,32 @@ fn all_fates(net: &Network<&'static str>, n: usize, seed: u64) -> Vec<DeliveryFa
     fates
 }
 
-/// Drives a network to `t` and forces due discrete events to fire (the
-/// network applies them lazily, on the next send). Deliberately does NOT
-/// drain the delivery queue: stepping would advance virtual time past `t`
-/// and fire later faults early.
-fn advance(net: &mut Network<&'static str>, t: SimTime, rng: &mut StdRng) {
-    net.advance_to(t);
-    net.send(NodeId(0), NodeId(1), "tick", rng);
-}
-
 #[test]
 fn overlapping_partitions_accumulate_and_one_heal_clears_both() {
     let plan = FaultPlan::new()
         .partition_at(ms(100), vec![NodeId(0)], vec![NodeId(1), NodeId(2)])
         .partition_at(ms(150), vec![NodeId(0), NodeId(1)], vec![NodeId(2)])
         .heal_at(ms(300));
-    let mut net: Network<&'static str> = Network::new(3);
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut net = Network::new(3);
     net.install_plan(plan);
 
-    advance(&mut net, ms(200), &mut rng);
+    net.advance_to(ms(120));
+    // Only the first cut is in force: 0 is cut from {1, 2}, 1 still talks
+    // to 2.
+    let fates = all_fates(&net, 3, 9);
+    assert_eq!(fates.iter().filter(|f| delivered(f)).count(), 2);
+
+    net.advance_to(ms(200));
     // Both cuts are in force: 0 is cut from {1,2}; 1 is also cut from 2.
-    assert!(net.is_partitioned(NodeId(0), NodeId(1)));
-    assert!(net.is_partitioned(NodeId(0), NodeId(2)));
-    assert!(net.is_partitioned(NodeId(1), NodeId(2)));
     // Fate stays total under the overlap: every pair gets an answer.
     let fates = all_fates(&net, 3, 9);
     assert_eq!(fates.len(), 6);
     assert!(fates.iter().all(|f| *f == DeliveryFate::Partitioned));
 
-    advance(&mut net, ms(350), &mut rng);
+    net.advance_to(ms(350));
     // One heal clears every accumulated cut, not just the latest.
     let fates = all_fates(&net, 3, 9);
-    assert!(fates.iter().all(|f| f.is_delivered()));
+    assert!(fates.iter().all(delivered));
 }
 
 #[test]
@@ -81,16 +79,15 @@ fn restart_before_crash_leaves_the_node_down() {
             node: NodeId(1),
         },
     ]);
-    let mut net: Network<&'static str> = Network::new(3);
-    let mut rng = StdRng::seed_from_u64(2);
+    let mut net = Network::new(3);
     net.install_plan(plan);
 
-    advance(&mut net, ms(60), &mut rng);
+    net.advance_to(ms(60));
     assert!(
         !net.is_crashed(NodeId(1)),
         "restart of a live node is a no-op"
     );
-    advance(&mut net, ms(120), &mut rng);
+    net.advance_to(ms(120));
     assert!(net.is_crashed(NodeId(1)));
     let mut probe = StdRng::seed_from_u64(3);
     assert_eq!(
@@ -117,13 +114,12 @@ fn zero_length_loss_burst_never_applies() {
     assert_eq!(plan.extra_loss(ms(100)), 0.0, "empty window has no inside");
     assert_eq!(plan.extra_loss(ms(101)), 0.0);
 
-    let mut net: Network<&'static str> = Network::new(2);
-    let mut rng = StdRng::seed_from_u64(4);
+    let mut net = Network::new(2);
     net.install_plan(plan);
-    advance(&mut net, ms(100), &mut rng);
+    net.advance_to(ms(100));
     // Even with loss=1.0 in the (empty) window, everything is delivered.
     let fates = all_fates(&net, 2, 5);
-    assert!(fates.iter().all(|f| f.is_delivered()));
+    assert!(fates.iter().all(delivered));
 }
 
 #[test]
@@ -152,13 +148,16 @@ fn duplicate_timestamps_fire_in_insertion_order() {
         },
     ]);
 
-    let mut up: Network<&'static str> = Network::new(2);
-    let mut down: Network<&'static str> = Network::new(2);
-    let mut rng = StdRng::seed_from_u64(6);
+    let mut up = Network::new(2);
+    let mut down = Network::new(2);
     up.install_plan(crash_then_restart);
     down.install_plan(restart_then_crash);
-    advance(&mut up, ms(150), &mut rng);
-    advance(&mut down, ms(150), &mut rng);
+    // Read at an arrival time past the instant, before anything fires...
+    assert!(up.arrives(NodeId(1), NodeId(0), ms(150)));
+    assert!(!down.arrives(NodeId(1), NodeId(0), ms(150)));
+    // ...and once it has.
+    up.advance_to(ms(150));
+    down.advance_to(ms(150));
     assert!(!up.is_crashed(NodeId(0)));
     assert!(down.is_crashed(NodeId(0)));
 }
@@ -194,12 +193,11 @@ fn delivery_fate_is_deterministic_across_replays_of_an_edge_case_plan() {
         FaultEvent::HealAt { at: ms(160) },
     ];
     let trace = |seed: u64| -> Vec<DeliveryFate> {
-        let mut net: Network<&'static str> = Network::new(3);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Network::new(3);
         net.install_plan(FaultPlan::from_events(events.clone()));
         let mut all = Vec::new();
         for t in [50u64, 100, 130, 170] {
-            advance(&mut net, ms(t), &mut rng);
+            net.advance_to(ms(t));
             all.extend(all_fates(&net, 3, seed ^ t));
         }
         all

@@ -24,7 +24,7 @@
 //! | `/class` | `amount`, `time`, `currency`, `strength`, `dest`, `spec` | fingerprint-class candidates |
 //! | `/metrics` | — | full metrics-registry snapshot |
 //! | `/timeseries` | `last` | windowed request rates and handle-latency percentiles |
-//! | `/trace` | `cursor` | incremental trace-ring drain |
+//! | `/trace` | `cursor` | trace-ring events after `cursor` (reading consumes nothing) |
 //! | `/flight` | — | live flight-recorder contents |
 //!
 //! The last four are the shared admin plane ([`ripple_obs::http::admin_response`])

@@ -199,7 +199,7 @@ fn round_outcomes_match_the_pinned_digest() {
     // the stale-round rule or the page encoding moves.
     use ripple_core::consensus::{Validator, ValidatorProfile};
     use ripple_core::crypto::sha512_half;
-    use ripple_core::netsim::{LatencyModel, SimTime};
+    use ripple_core::netsim::{FaultPlan, LatencyModel, SimTime};
 
     // validators, scenario, digest. Only `late-inbox` delivers a proposal
     // in the iteration it was sent for of a *later* round, so only those two
@@ -261,7 +261,13 @@ fn round_outcomes_match_the_pinned_digest() {
                     LatencyModel::Fixed(SimTime::from_millis(5_000)),
                 );
             }
-            "loss" => engine.network_mut().set_default_loss(0.1),
+            "loss" => {
+                // A 10 % loss burst that outlasts all eight rounds.
+                let past_the_last = SimTime::from_millis(9 * engine.round_duration().as_millis());
+                engine
+                    .network_mut()
+                    .install_plan(FaultPlan::new().loss_burst(SimTime::ZERO, past_the_last, 0.1));
+            }
             "late-inbox" => {
                 // Everything the last validator hears is one round (and a
                 // little) old, so it names the previous round and is

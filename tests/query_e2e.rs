@@ -112,7 +112,13 @@ proptest! {
 
 fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: e2e\r\n\r\n").expect("send");
+    // Without `Connection: close` the keep-alive server holds the socket
+    // open until its idle timeout, and reading to EOF waits that out.
+    write!(
+        stream,
+        "GET {target} HTTP/1.1\r\nHost: e2e\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
     stream.flush().expect("flush");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
